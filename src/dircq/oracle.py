@@ -13,6 +13,7 @@ rationalized and re-verified exactly whenever they lie on rational patches.
 from __future__ import annotations
 
 import itertools
+import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import sqrt
@@ -26,10 +27,13 @@ from dircq.linalg import (
     canon_ray,
     dot,
     is_zero,
+    mat_t_vec,
+    mat_vec,
     rref,
     scale,
     solve_linear,
     sub,
+    unit,
     vec,
     zeros,
 )
@@ -44,6 +48,7 @@ from dircq.setmaps import (
     ConstraintSystem,
     GraphPatch,
     PatchMap,
+    PatchRegularityError,
     patch_coderivative_image,
     patch_regular_normal_cone,
 )
@@ -51,6 +56,8 @@ from dircq.simplex import OPTIMAL, feasible_point, solve_lp
 from dircq.unions import ConeUnion, PolyUnion, regular_normal_cone
 
 NOT_FOUND = "NOT_FOUND"
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -140,33 +147,12 @@ def _norm(v: Vec) -> float:
 # exact projections used by the deterministic searches
 
 
-def project_affine(p: Vec, rows: Mat, rhs: Vec) -> Vec | None:
-    """Exact Euclidean projection of p onto {x : rows x = rhs}."""
-    if not rows:
-        return p
-    red, _ = rref(tuple(rows[i] + (rhs[i],) for i in range(len(rows))))
-    rr = tuple(r[:-1] for r in red)
-    rs = tuple(r[-1] for r in red)
-    if any(is_zero(r) and s != 0 for r, s in zip(rr, rs)):
-        return None
-    rr = tuple(r for r, s in zip(rr, rs) if not is_zero(r)) or ()
-    rs = tuple(s for r, s in zip(red, rs) if not is_zero(r[:-1]))
-    if not rr:
-        return p
-    gram = tuple(tuple(dot(a, b) for b in rr) for a in rr)
-    resid = tuple(dot(r, p) - s for r, s in zip(rr, rs))
-    w = solve_linear(gram, resid)
-    if w is None:
-        return None
-    out = list(p)
-    for wi, row in zip(w, rr):
-        for j, c in enumerate(row):
-            out[j] -= wi * c
-    return tuple(out)
-
-
 def polyhedron_faces(p: HPolyhedron) -> list[tuple[tuple[int, ...], Vec]]:
-    """(active set, relint witness) for every nonempty face of p."""
+    """(active set, relint witness) for every nonempty face of p.
+
+    Solves one strict-feasibility LP per subset of the inequality rows, so
+    2^m LPs for m rows; a search builds the faces once, not once per step.
+    """
     from dircq.simplex import strict_feasible_point
 
     out = []
@@ -192,21 +178,61 @@ def polyhedron_faces(p: HPolyhedron) -> list[tuple[tuple[int, ...], Vec]]:
     return out
 
 
-def project_onto_polyunion(d: PolyUnion, p: Vec) -> Vec | None:
-    """Exact nearest point of the union (by squared distance, face search)."""
-    best = None
-    best_d2 = None
-    for piece in d.pieces:
+@dataclass(frozen=True)
+class _FaceHull:
+    """Affine hull {x : rows x = rhs} of one face of ``piece``.
+
+    ``rows`` are independent (reduced by rref), so their Gram matrix is
+    invertible and the projection is one exact matrix-vector chain.
+    """
+
+    piece: HPolyhedron
+    rows: Mat
+    rhs: Vec
+    gram_inv: Mat
+
+    def project(self, p: Vec) -> Vec:
+        """Exact Euclidean projection p - R^T G^-1 (R p - s)."""
+        if not self.rows:
+            return p
+        resid = tuple(dot(r, p) - s for r, s in zip(self.rows, self.rhs))
+        return sub(p, mat_t_vec(self.rows, mat_vec(self.gram_inv, resid)))
+
+
+def _face_hulls(pieces) -> list[_FaceHull]:
+    """One hull per nonempty face, in piece order and then face order."""
+    hulls = []
+    for piece in pieces:
         for active, _ in polyhedron_faces(piece):
             rows = piece.e + tuple(piece.a[i] for i in active)
             rhs = piece.d + tuple(piece.b[i] for i in active)
-            z = project_affine(p, rows, rhs)
-            if z is None or not piece.contains(z):
-                continue
-            d2 = dot(sub(z, p), sub(z, p))
-            if best_d2 is None or d2 < best_d2:
-                best, best_d2 = z, d2
+            # a face has a relint point, so no reduced row reads 0 = s != 0
+            red, _ = rref(tuple(r + (s,) for r, s in zip(rows, rhs)))
+            rows, rhs = tuple(r[:-1] for r in red), tuple(r[-1] for r in red)
+            k = len(rows)
+            # rref of [G | I] is [I | G^-1]
+            gram_id = tuple(tuple(dot(a, b) for b in rows) + unit(k, i) for i, a in enumerate(rows))
+            hulls.append(_FaceHull(piece, rows, rhs, tuple(r[k:] for r in rref(gram_id)[0])))
+    return hulls
+
+
+def _nearest_on_hulls(hulls: list[_FaceHull], p: Vec) -> Vec | None:
+    """Nearest face projection of p that lies in its own piece."""
+    best = None
+    best_d2 = None
+    for hull in hulls:
+        z = hull.project(p)
+        if not hull.piece.contains(z):
+            continue
+        d2 = dot(sub(z, p), sub(z, p))
+        if best_d2 is None or d2 < best_d2:
+            best, best_d2 = z, d2
     return best
+
+
+def project_onto_polyunion(d: PolyUnion, p: Vec) -> Vec | None:
+    """Exact nearest point of the union (by squared distance, face search)."""
+    return _nearest_on_hulls(_face_hulls(d.pieces), p)
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +273,10 @@ def sample_directional_normals(
     tail_rays: dict[Vec, int] = {}
     tail_lin: dict[Vec, int] = {}
     ks = list(schedule.steps())[: min(schedule.k_max, 25)]
+    hulls = _face_hulls(d.pieces)
     for k in ks:
         pt = add(base, scale(schedule.t(k), direction))
-        z = project_onto_polyunion(d, pt)
+        z = _nearest_on_hulls(hulls, pt)
         if z is None:
             continue
         n = regular_normal_cone(d, z)
@@ -270,8 +297,8 @@ def sample_directional_normals(
 # the defining polynomial is linear in y, numerically + snap otherwise)
 
 
-def _solve_univariate(poly: Poly, x: Vec, nx: int, max_den: int) -> list[Fraction]:
-    """Roots in the single y variable of poly(x, .), exact when linear."""
+def _y_coeffs(poly: Poly, x: Vec, nx: int) -> dict[int, Fraction]:
+    """Nonzero coefficients of poly(x, .) by power of the single y variable."""
     coeffs: dict[int, Fraction] = {}
     for exps, c in poly.terms:
         ye = exps[nx]
@@ -279,7 +306,11 @@ def _solve_univariate(poly: Poly, x: Vec, nx: int, max_den: int) -> list[Fractio
         for j in range(nx):
             xval *= x[j] ** exps[j]
         coeffs[ye] = coeffs.get(ye, Fraction(0)) + c * xval
-    coeffs = {e: c for e, c in coeffs.items() if c != 0}
+    return {e: c for e, c in coeffs.items() if c != 0}
+
+
+def _solve_univariate(coeffs: dict[int, Fraction], max_den: int) -> list[Fraction]:
+    """Roots of the polynomial in y with these coefficients, exact when linear."""
     deg = max(coeffs) if coeffs else 0
     if deg == 0:
         return []
@@ -294,14 +325,20 @@ def _solve_univariate(poly: Poly, x: Vec, nx: int, max_den: int) -> list[Fractio
 
 
 def _patch_graph_points(patch: GraphPatch, x: Vec, max_den: int = 10**12) -> list[Vec]:
-    """Graph points (x, y) on the patch: equality solutions and boundary arcs."""
+    """Graph points (x, y) on the patch: equality solutions and boundary arcs.
+
+    The arcs are the equalities that still involve y at this x; when none
+    does (x already satisfies them or misses them), the inequality
+    boundaries are the arcs, and every equality is checked on each point.
+    """
     if patch.ny != 1:
         return []
     nx = patch.nx
-    arcs = list(patch.eqs) if patch.eqs else list(patch.ineqs)
+    eq_arcs = [cs for cs in (_y_coeffs(p, x, nx) for p in patch.eqs) if max(cs, default=0) > 0]
+    arcs = eq_arcs or [_y_coeffs(q, x, nx) for q in patch.ineqs]
     pts: list[Vec] = []
     for arc in arcs:
-        for y0 in _solve_univariate(arc, x, nx, max_den):
+        for y0 in _solve_univariate(arc, max_den):
             w = vec(tuple(x) + (y0,))
             if all(p.eval(w) == 0 for p in patch.eqs) and all(
                 q.eval(w) <= 0 for q in patch.ineqs
@@ -364,7 +401,8 @@ def search_asym_reg_violation(
                 continue
             try:
                 ncone = patch_regular_normal_cone(m, w)
-            except Exception:
+            except PatchRegularityError as exc:
+                _log.debug("skipping graph point %s: %s", w, exc)
                 continue
             rays, lin = generators(ncone)
             for gen in list(rays) + list(lin) + [tuple(-c for c in l) for l in lin]:
@@ -409,13 +447,13 @@ def search_asym_reg_violation(
     try:
         img_all = patch_coderivative_image(m, base)
         outside_plain = not img_all.upper.contains(xstar)
-    except Exception:
-        pass
+    except PatchRegularityError as exc:
+        _log.debug("no image check at %s: %s", base, exc)
     try:
         img_dir = patch_coderivative_image(m, base, gdir)
         outside_dir = not img_dir.upper.contains(xstar)
-    except Exception:
-        pass
+    except PatchRegularityError as exc:
+        _log.debug("no directional image check at %s: %s", base, exc)
     return WitnessSequence(
         kind="asymptotic-regularity-violation",
         records=tuple(records),
@@ -482,28 +520,26 @@ def search_normality_violation(
     jac = sys.g.jacobian(sys.xbar)
     ju = tuple(dot(row, u) for row in jac)
     records = []
+    hulls = _face_hulls(sys.d.pieces)
     for k in schedule.steps():
         t = schedule.t(k)
         x = add(sys.xbar, scale(t, u))
         gx = sys.g.eval(x)
         best = None
-        for piece in sys.d.pieces:
-            for active, _ in polyhedron_faces(piece):
-                rows = piece.e + tuple(piece.a[i] for i in active)
-                rhs = piece.d + tuple(piece.b[i] for i in active)
-                z = project_affine(gx, rows, rhs)
-                if z is None or not sys.d.contains(z):
-                    continue
-                nz = regular_normal_cone(sys.d, z)
-                if nz is None or not nz.contains(lam):
-                    continue
-                gap = sub(gx, z)
-                if not _sign_conditions(lam, gap, basis, mode):
-                    continue
-                res = _normality_residuals(x, z, gxbar, ju, sys.xbar)
-                score = max(res.values())
-                if best is None or score < best[0]:
-                    best = (score, x, z, gap, res)
+        for hull in hulls:
+            z = hull.project(gx)
+            if not sys.d.contains(z):
+                continue
+            nz = regular_normal_cone(sys.d, z)
+            if nz is None or not nz.contains(lam):
+                continue
+            gap = sub(gx, z)
+            if not _sign_conditions(lam, gap, basis, mode):
+                continue
+            res = _normality_residuals(x, z, gxbar, ju, sys.xbar)
+            score = max(res.values())
+            if best is None or score < best[0]:
+                best = (score, x, z, gap, res)
         if best is not None:
             _, x, z, gap, res = best
             records.append(
@@ -612,7 +648,8 @@ def probe_pseudo_or_super_coderivative(
             continue
         try:
             ncone = patch_regular_normal_cone(m, w)
-        except Exception:
+        except PatchRegularityError as exc:
+            _log.debug("skipping probe point %s: %s", w, exc)
             continue
         # D^*Phi(point)(ystar) = {w : (w, -ystar) in N}: an affine slice
         values = _coderivative_slice(ncone, ystar, nx, ny)
@@ -767,6 +804,7 @@ def search_mpec_normality(
     lam_sq = dot(lam, lam)
     rows = []
     witness_records = []
+    hulls = _face_hulls(mp.omega.pieces)
     for k in schedule.steps():
         t = schedule.t(k)
         eps = _eps(k)
@@ -777,13 +815,10 @@ def search_mpec_normality(
         best_pin = None
         # first-block offsets from face projections of x1 onto Omega
         y1_cands: list[Vec] = []
-        for piece in mp.omega.pieces:
-            for active, _ in polyhedron_faces(piece):
-                prows = piece.e + tuple(piece.a[i] for i in active)
-                prhs = piece.d + tuple(piece.b[i] for i in active)
-                w1 = project_affine(x1, prows, prhs)
-                if w1 is not None and mp.omega.contains(w1):
-                    y1_cands.append(sub(w1, x1))
+        for hull in hulls:
+            w1 = hull.project(x1)
+            if mp.omega.contains(w1):
+                y1_cands.append(sub(w1, x1))
         if mp.omega.contains(x1):
             y1_cands.append(zeros(n1))
         seen = set()
@@ -802,7 +837,8 @@ def search_mpec_normality(
                     sval = spt[n1:]
                     try:
                         n_s = patch_regular_normal_cone(mp.s, spt)
-                    except Exception:
+                    except PatchRegularityError as exc:
+                        _log.debug("skipping graph point %s: %s", spt, exc)
                         continue
                     val, pin = _mpec_alignment_lp(
                         lam, n_s, n_omega, n1, n2, eps

@@ -101,6 +101,13 @@ class _Tableau:
             self.pivot(leave, enter)
 
 
+def _unconstrained(c: Vec, n: int) -> LPResult:
+    """max c.x over all of R^n."""
+    if is_zero(c):
+        return LPResult(OPTIMAL, x=zeros(n), objective=Fraction(0))
+    return LPResult(UNBOUNDED, ray=c)
+
+
 def solve_lp(
     c: Vec,
     a: Mat = (),
@@ -115,9 +122,7 @@ def solve_lp(
         n = len(c)
     m1, m2 = len(a), len(e)
     if m1 + m2 == 0:
-        if is_zero(c):
-            return LPResult(OPTIMAL, x=zeros(n), objective=Fraction(0))
-        return LPResult(UNBOUNDED, ray=c)
+        return _unconstrained(c, n)
 
     # columns: x+ (n), x- (n), slacks (m1); rows sign-flipped so rhs >= 0
     ncols = 2 * n + m1
@@ -148,7 +153,8 @@ def solve_lp(
     t = _Tableau(g1, list(rhs), [ncols + i for i in range(mrows)])
     phase1_obj = [Fraction(0)] * ncols + [Fraction(-1)] * mrows
     status, w, red = t.solve_max(phase1_obj)
-    assert status == OPTIMAL
+    if status != OPTIMAL:  # pragma: no cover
+        raise RuntimeError("internal: phase 1 objective is bounded by 0")
     if sum(w[ncols:], Fraction(0)) > 0:
         # dual y_i = -1 - red(artificial_i); w = y * flip is the certificate
         cert = [(-1 - red[ncols + i]) * flip[i] for i in range(mrows)]
@@ -167,6 +173,9 @@ def solve_lp(
 
     # phase 2 on the original columns (rows with stuck artificials are 0 = 0)
     keep = [r for r in range(mrows) if t.basis[r] < ncols]
+    if not keep:
+        # every row reduced to 0 = 0, so the constraints hold on all of R^n
+        return _unconstrained(c, n)
     t2 = _Tableau(
         [t.g[r][:ncols] for r in keep],
         [t.h[r] for r in keep],

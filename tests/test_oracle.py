@@ -2,14 +2,20 @@
 
 from fractions import Fraction as Q
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dircq import oracle
 from dircq.cq import FAILS, HOLDS, UNDECIDED, mpec_pseudo_quasi_verdict, pseudo_quasi_verdict
-from dircq.linalg import vec
+from dircq.linalg import dot, nullspace, sub, vec
 from dircq.oracle import (
     NOT_FOUND,
     EliminationTrace,
     MpecProblem,
     Schedule,
     WitnessSequence,
+    graph_points_near,
     mpec_normality_candidates,
     penalty_failure_demo,
     probe_pseudo_or_super_coderivative,
@@ -19,8 +25,9 @@ from dircq.oracle import (
     search_mpec_normality,
     search_normality_violation,
 )
-from dircq.polyhedra import HPolyhedron
+from dircq.polyhedra import DimensionMismatch, HPolyhedron
 from dircq.polymaps import PolyMap, parse_poly
+from dircq.problemfile import parse_problem
 from dircq.setmaps import ConstraintSystem, GraphPatch, PatchMap
 from dircq.unions import ConeUnion, PolyUnion, cone_union_subset, directional_limiting_normal_cone
 
@@ -79,6 +86,97 @@ def test_project_onto_polyunion_exact():
     # nearest points are (0,-1) and (-1,0); exact arithmetic picks one of them
     assert z in (vec([0, -1]), vec([-1, 0]))
     assert d.contains(z)
+
+
+@st.composite
+def _pieces(draw):
+    """Small nonempty polyhedra, some with duplicated or rescaled rows."""
+    n = draw(st.integers(1, 3))
+    coef = st.integers(-3, 3)
+    x0 = draw(st.lists(coef, min_size=n, max_size=n))
+    a = draw(st.lists(st.lists(coef, min_size=n, max_size=n), min_size=1, max_size=3))
+    e = draw(st.lists(st.lists(coef, min_size=n, max_size=n), max_size=1))
+    for i in draw(st.lists(st.integers(0, len(a) - 1), max_size=2)):
+        a.append([draw(st.integers(1, 2)) * c for c in a[i]])
+    if e and draw(st.booleans()):
+        e.append([-c for c in e[0]])
+    slack = st.integers(0, 2)
+    b = [sum(c * x for c, x in zip(row, x0)) + draw(slack) for row in a]
+    d = [sum(c * x for c, x in zip(row, x0)) for row in e]
+    return HPolyhedron.make(a=a, b=b, e=e or (), d=d, dim=n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_pieces(), st.lists(st.fractions(-5, 5, max_denominator=7), min_size=3, max_size=3))
+def test_face_hull_projection_is_exact(piece, p):
+    p = vec(p[: piece.dim])
+    faces = oracle.polyhedron_faces(piece)
+    hulls = oracle._face_hulls([piece])
+    assert len(hulls) == len(faces)
+    for hull, (active, _) in zip(hulls, faces):
+        rows = piece.e + tuple(piece.a[i] for i in active)
+        rhs = piece.d + tuple(piece.b[i] for i in active)
+        z = hull.project(p)
+        assert all(dot(r, z) == s for r, s in zip(rows, rhs))
+        gap = sub(p, z)
+        assert all(dot(gap, v) == 0 for v in nullspace(rows, piece.dim))
+
+
+def _count_faces(monkeypatch) -> list:
+    calls = []
+    real = oracle.polyhedron_faces
+
+    def counted(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(oracle, "polyhedron_faces", counted)
+    return calls
+
+
+@pytest.mark.parametrize("k_max", [12, 24])
+def test_searches_build_faces_once_per_piece(monkeypatch, k_max):
+    calls = _count_faces(monkeypatch)
+    d = halfplane_union()
+    sample_directional_normals(d, vec([0, 0]), vec([-1, 0]), Schedule(k_max=k_max))
+    assert len(calls) == len(d.pieces)
+    calls.clear()
+    sys = ex58_system()
+    search_normality_violation(sys, vec([-1]), vec([0, -1]), schedule=Schedule(k_max=k_max))
+    assert len(calls) == len(sys.d.pieces)
+    calls.clear()
+    mp = ex47_problem()
+    search_mpec_normality(mp, vec([0, 1]), vec([1]), Schedule(k_max=k_max))
+    assert len(calls) == len(mp.omega.pieces)
+
+
+def test_graph_points_on_comb_teeth():
+    comb = parse_problem(
+        {"version": 1, "patch": {"nx": 1, "ny": 1, "family": {"kind": "comb", "K": 4}}}
+    ).patch_map
+    # the tooth x0 = 1/2 has no y in its equality; its foot y0 = 1/4 is a boundary arc
+    assert vec([Q(1, 2), Q(1, 4)]) in graph_points_near(comb, vec([Q(1, 2)]))
+
+
+def test_asym_reg_skips_irregular_points(caplog):
+    # duplicated equality rows: every graph point fails the regularity gate
+    dup = GraphPatch((joint("y0 - x0^2", 1, 1), joint("2 y0 - 2 x0^2", 1, 1)), (), 1, 1)
+    m = PatchMap((dup,), 1, 1)
+    with caplog.at_level("DEBUG", logger="dircq.oracle"):
+        res = search_asym_reg_violation(m, vec([0]), vec([0]), vec([1]), Schedule(k_max=12))
+    assert res == NOT_FOUND
+    assert sum("regularity gate" in r.getMessage() for r in caplog.records) == 12
+
+
+def test_asym_reg_propagates_unrelated_errors(monkeypatch):
+    def broken(m, w):
+        raise DimensionMismatch("point has wrong dimension")
+
+    monkeypatch.setattr(oracle, "patch_regular_normal_cone", broken)
+    with pytest.raises(DimensionMismatch):
+        search_asym_reg_violation(
+            graph_line_and_parabola(), vec([0]), vec([0]), vec([1]), Schedule(k_max=12)
+        )
 
 
 def test_asym_reg_violation_region_graph():

@@ -97,3 +97,13 @@ def test_random_feasibility_agrees_with_float_lp():
         assert (res.status == OPTIMAL) == (lp.status == 0)
         checked += 1
     assert checked >= 450
+
+
+def test_rows_all_zero():
+    # every equality row reduces to 0 = 0: the constraints hold on all of R^2
+    res = solve_lp(vec([0, 0]), e=mat([[0, 0]]), d=vec([0]))
+    assert res.status == OPTIMAL
+    assert res.x == vec([0, 0]) and res.objective == 0
+    res = solve_lp(vec([1, -2]), e=mat([[0, 0], [0, 0]]), d=vec([0, 0]))
+    assert res.status == UNBOUNDED
+    assert res.ray == vec([1, -2])

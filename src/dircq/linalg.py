@@ -17,7 +17,7 @@ Mat = tuple[Vec, ...]
 
 
 def vec(xs: Iterable) -> Vec:
-    return tuple(Fraction(x) for x in xs)
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in xs)
 
 
 def mat(rows: Iterable[Iterable]) -> Mat:
@@ -76,11 +76,6 @@ def mat_t_vec(m: Mat, v: Vec) -> Vec:
         sum((row[j] * y for row, y in zip(m, v, strict=True)), Fraction(0))
         for j in range(n)
     )
-
-
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    bt = transpose(b)
-    return tuple(tuple(dot(ra, cb) for cb in bt) for ra in a)
 
 
 def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
@@ -178,27 +173,6 @@ def canon_line(v: Sequence[Fraction]) -> Vec:
     return w
 
 
-def gram_matrix(vs: Sequence[Vec]) -> Mat:
-    return tuple(tuple(dot(a, b) for b in vs) for a in vs)
-
-
-def orthogonal_complete(vs: Sequence[Vec], dim: int) -> list[Vec]:
-    """Extend pairwise-orthogonal nonzero ``vs`` to an orthogonal basis of R^dim.
-
-    Gram-Schmidt without normalization, so the result stays rational.
-    """
-    basis = [vec(v) for v in vs]
-    for i in range(dim):
-        cand = unit(dim, i)
-        for b in basis:
-            cand = sub(cand, scale(dot(cand, b) / dot(b, b), b))
-        if not is_zero(cand):
-            basis.append(integerize(cand))
-        if len(basis) == dim:
-            break
-    return basis
-
-
 def is_orthogonal_basis(vs: Sequence[Vec], dim: int) -> bool:
     if len(vs) != dim or any(is_zero(v) for v in vs):
         return False
@@ -207,7 +181,3 @@ def is_orthogonal_basis(vs: Sequence[Vec], dim: int) -> bool:
             if dot(vs[i], vs[j]) != 0:
                 return False
     return True
-
-
-def to_floats(v: Sequence[Fraction]) -> list[float]:
-    return [float(x) for x in v]

@@ -37,6 +37,10 @@ from dircq.simplex import (
     strict_feasible_point,
 )
 
+# Cones whose V-representation is kept; the cell duals of one analysis share
+# about 300 of them, and evicting shared entries makes later calls redo LPs.
+GENERATORS_CACHE_SIZE = 512
+
 
 class DimensionMismatch(ValueError):
     pass
@@ -183,7 +187,7 @@ class PolyhedralCone:
         return PolyhedralCone.make(self.a + other.a, self.e + other.e, dim=self.dim)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GENERATORS_CACHE_SIZE)
 def generators(c: PolyhedralCone) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
     """(rays, lineality) with canonical scaling, exact double description.
 

@@ -286,6 +286,3 @@ class PolyMap:
             cols.append(tuple(sum((h[i][j] * u[j] for j in range(self.n)), Fraction(0)) for i in range(self.n)))
         # cols[k] is Hess(g_k) u; assemble columns into an n x m matrix
         return tuple(tuple(cols[k][i] for k in range(self.m)) for i in range(self.n))
-
-    def max_degree(self) -> int:
-        return max(p.degree() for p in self.components)

@@ -12,9 +12,7 @@ directional limiting normal cones of patch unions; consumers must check the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Sequence
+from dataclasses import dataclass
 
 from dircq.linalg import (
     Mat,
@@ -28,7 +26,7 @@ from dircq.linalg import (
     vec,
     zeros,
 )
-from dircq.polyhedra import HPolyhedron, PolyhedralCone, cone_from_generators
+from dircq.polyhedra import PolyhedralCone, cone_from_generators
 from dircq.polymaps import Poly, PolyMap
 from dircq.simplex import strict_feasible_point
 from dircq.unions import (
@@ -541,16 +539,3 @@ def mpec_assemble(omega: PolyUnion, s: PatchMap) -> PatchMap:
             )
             patches.append(GraphPatch(eqs, ineqs, n1 + n2, n1 + n2))
     return PatchMap(tuple(patches), n1 + n2, n1 + n2)
-
-
-@dataclass(frozen=True)
-class MultiplierCertificate:
-    """Exact M-stationarity certificate: lambda plus the verified residual."""
-
-    lam: Vec
-    residual: Vec
-    piece_index: int
-    activity: tuple[int, ...]
-
-    def verified(self) -> bool:
-        return is_zero(self.residual)

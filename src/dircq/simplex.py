@@ -3,12 +3,29 @@
 Two-phase tableau method with Bland's rule (guaranteed termination).
 Infeasibility comes with a Farkas certificate: a vector (y, z) with y >= 0,
 y^T A + z^T E = 0 and y^T b + z^T d < 0, which verifies by plain arithmetic.
+
+The tableau is fraction-free (in the spirit of Bareiss's integer-preserving
+elimination).  Each row is a list of ints, right-hand side last, that equals
+the rational tableau row times an unknown positive factor; its entry in its
+basic column is positive and stands for the rational 1.  A pivot combines two
+rows with positive multipliers and divides the result by the gcd of its
+entries.  The reduced costs are ints over one positive common denominator.
+Positive factors keep every sign, and Bland's ratio test compares
+h_r / g_r[j] by cross-multiplication, so every pivot is the one the rational
+tableau would take and every returned value is the same.  Fractions are built
+only for the returned point, ray and Farkas vector.
+
+Free variables are split as x = x+ - x-, and the columns are x+, x-, slacks,
+then phase-1 artificials.  That layout fixes Bland's pivot path, and with it
+which optimal vertex, ray and certificate callers see; the reports derived
+from them depend on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from dircq.linalg import Mat, Vec, dot, is_zero, mat, vec, zeros
 
@@ -43,61 +60,115 @@ def verify_farkas(a: Mat, b: Vec, e: Mat, d: Vec, y: Vec, z: Vec) -> bool:
     return is_zero(comb) and rhs < 0
 
 
-class _Tableau:
-    """Dense tableau over nonnegative variables for rows G w = h, h >= 0."""
+def _lcm_of_denominators(xs) -> int:
+    return lcm(*(x.denominator for x in xs))
 
-    def __init__(self, g: list[list[Fraction]], h: list[Fraction], basis: list[int]):
-        self.g = g
-        self.h = h
-        self.m = len(g)
-        self.n = len(g[0]) if g else 0
+
+def _scaled_ints(xs, den: int) -> list[int]:
+    """den * xs as ints, where den is a common denominator of xs."""
+    if den == 1:
+        return [x.numerator for x in xs]
+    return [x.numerator * (den // x.denominator) for x in xs]
+
+
+def _reduced(row: list[int]) -> list[int]:
+    g = gcd(*row)
+    return row if g <= 1 else [x // g for x in row]
+
+
+class _Tableau:
+    """Fraction-free tableau over nonnegative variables for rows G w = h, h >= 0.
+
+    Row r is the int list (G_r | h_r) times an unknown positive factor, so its
+    basic entry t[r][basis[r]] is positive and stands for the rational 1.
+    """
+
+    def __init__(self, rows: list[list[int]], basis: list[int]):
+        self.t = rows
+        self.m = len(rows)
+        self.n = len(rows[0]) - 1 if rows else 0
         self.basis = basis
 
+    def point(self) -> dict[int, Fraction]:
+        """Nonzero coordinates of the basic solution."""
+        return {
+            bc: Fraction(row[-1], row[bc])
+            for row, bc in zip(self.t, self.basis)
+            if row[-1] != 0
+        }
+
+    def ray(self, enter: int) -> dict[int, Fraction]:
+        """Nonzero coordinates of the edge direction along column enter."""
+        ray = {
+            bc: Fraction(-row[enter], row[bc])
+            for row, bc in zip(self.t, self.basis)
+            if row[enter] != 0
+        }
+        ray[enter] = Fraction(1)
+        return ray
+
     def pivot(self, r: int, c: int) -> None:
-        pv = self.g[r][c]
-        self.g[r] = [x / pv for x in self.g[r]]
-        self.h[r] /= pv
+        pr = self.t[r]
+        p = pr[c]
+        if p < 0:
+            pr = [-x for x in pr]
+            p = -p
+        self.t[r] = pr
         for i in range(self.m):
-            if i != r and self.g[i][c] != 0:
-                f = self.g[i][c]
-                self.g[i] = [x - f * y for x, y in zip(self.g[i], self.g[r])]
-                self.h[i] -= f * self.h[r]
+            q = self.t[i][c]
+            if i != r and q != 0:
+                g = gcd(p, q)
+                pg, qg = p // g, q // g
+                self.t[i] = _reduced([pg * x - qg * y for x, y in zip(self.t[i], pr)])
         self.basis[r] = c
+
+    def eliminate(self, red: list[int], den: int, r: int, c: int) -> tuple[list[int], int]:
+        """Reduced costs (red / den) with column c cleared by row r."""
+        pr = self.t[r]
+        p, q = pr[c], red[c]
+        g = gcd(p, q)
+        pg, qg = p // g, q // g
+        red = [pg * x - qg * y for x, y in zip(red, pr)]
+        den *= pg
+        g = gcd(den, *red)
+        if g > 1:
+            red = [x // g for x in red]
+            den //= g
+        return red, den
 
     def solve_max(
         self, c: list[Fraction]
-    ) -> tuple[str, list[Fraction], list[Fraction]]:
+    ) -> tuple[str, int | None, list[int], int]:
         """Maximize c.w from the current feasible basis (Bland's rule).
 
-        Returns (status, point-or-ray, final reduced costs).
+        Returns (status, the entering column of an unbounded ray or None,
+        final reduced costs, their positive common denominator).
         """
-        m, n = self.m, self.n
-        red = list(c)
+        n = self.n
+        den = _lcm_of_denominators(c)
+        red = _scaled_ints(c, den)
         for r, bc in enumerate(self.basis):
             if red[bc] != 0:
-                f = red[bc]
-                red = [x - f * y for x, y in zip(red, self.g[r])]
+                red, den = self.eliminate(red, den, r, bc)
         while True:
             enter = next((j for j in range(n) if red[j] > 0), None)
             if enter is None:
-                w = [Fraction(0)] * n
-                for r, bc in enumerate(self.basis):
-                    w[bc] = self.h[r]
-                return OPTIMAL, w, red
-            ratios = [
-                (self.h[r] / self.g[r][enter], self.basis[r], r)
-                for r in range(m)
-                if self.g[r][enter] > 0
-            ]
-            if not ratios:
-                ray = [Fraction(0)] * n
-                ray[enter] = Fraction(1)
-                for r, bc in enumerate(self.basis):
-                    ray[bc] = -self.g[r][enter]
-                return UNBOUNDED, ray, red
-            _, _, leave = min(ratios)
-            f = red[enter] / self.g[leave][enter]
-            red = [x - f * y for x, y in zip(red, self.g[leave])]
+                return OPTIMAL, None, red, den
+            # Bland's ratio test: least h_r / g_r[enter], ties to the least
+            # basic index; ratios compared by cross-multiplication
+            leave = None
+            for r, row in enumerate(self.t):
+                a = row[enter]
+                if a <= 0:
+                    continue
+                if leave is not None:
+                    lhs, rhs = row[-1] * div, num * a
+                    if lhs > rhs or (lhs == rhs and self.basis[r] > self.basis[leave]):
+                        continue
+                leave, num, div = r, row[-1], a
+            if leave is None:
+                return UNBOUNDED, enter, red, den
+            red, den = self.eliminate(red, den, leave, enter)
             self.pivot(leave, enter)
 
 
@@ -124,40 +195,37 @@ def solve_lp(
     if m1 + m2 == 0:
         return _unconstrained(c, n)
 
-    # columns: x+ (n), x- (n), slacks (m1); rows sign-flipped so rhs >= 0
+    # columns: x+ (n), x- (n), slacks (m1), artificials (m1 + m2), rhs; each
+    # row is scaled to coprime ints and sign-flipped so that its rhs is >= 0
+    mrows = m1 + m2
     ncols = 2 * n + m1
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    flip: list[Fraction] = []
-    for i in range(m1 + m2):
+    rows: list[list[int]] = []
+    flip: list[int] = []
+    for i in range(mrows):
         coeffs = a[i] if i < m1 else e[i - m1]
-        r = list(coeffs) + [-x for x in coeffs] + [Fraction(0)] * m1
-        if i < m1:
-            r[2 * n + i] = Fraction(1)
         hv = b[i] if i < m1 else d[i - m1]
-        if hv < 0:
+        den = _lcm_of_denominators((*coeffs, hv))
+        *ints, h = _scaled_ints((*coeffs, hv), den)
+        r = ints + [-x for x in ints] + [0] * (m1 + mrows) + [h]
+        if i < m1:
+            r[2 * n + i] = den
+        s = -1 if h < 0 else 1
+        if s < 0:
             r = [-x for x in r]
-            hv = -hv
-            flip.append(Fraction(-1))
-        else:
-            flip.append(Fraction(1))
+        r[ncols + i] = den
+        flip.append(s)
         rows.append(r)
-        rhs.append(hv)
 
     # phase 1: minimize artificials (as max of their negated sum)
-    mrows = len(rows)
-    g1 = [
-        row + [Fraction(1 if j == i else 0) for j in range(mrows)]
-        for i, row in enumerate(rows)
-    ]
-    t = _Tableau(g1, list(rhs), [ncols + i for i in range(mrows)])
+    t = _Tableau(rows, [ncols + i for i in range(mrows)])
     phase1_obj = [Fraction(0)] * ncols + [Fraction(-1)] * mrows
-    status, w, red = t.solve_max(phase1_obj)
+    status, _, red, den = t.solve_max(phase1_obj)
     if status != OPTIMAL:  # pragma: no cover
         raise RuntimeError("internal: phase 1 objective is bounded by 0")
-    if sum(w[ncols:], Fraction(0)) > 0:
+    # infeasible iff an artificial stays basic at a positive value
+    if any(t.t[r][-1] > 0 for r, bc in enumerate(t.basis) if bc >= ncols):
         # dual y_i = -1 - red(artificial_i); w = y * flip is the certificate
-        cert = [(-1 - red[ncols + i]) * flip[i] for i in range(mrows)]
+        cert = [Fraction((-den - red[ncols + i]) * flip[i], den) for i in range(mrows)]
         farkas_ineq = vec(cert[:m1])
         farkas_eq = vec(cert[m1:])
         if not verify_farkas(a, b, e, d, farkas_ineq, farkas_eq):  # pragma: no cover
@@ -167,7 +235,7 @@ def solve_lp(
     # drive remaining artificials out of the basis where possible
     for r in range(mrows):
         if t.basis[r] >= ncols:
-            c_enter = next((j for j in range(ncols) if t.g[r][j] != 0), None)
+            c_enter = next((j for j in range(ncols) if t.t[r][j] != 0), None)
             if c_enter is not None:
                 t.pivot(r, c_enter)
 
@@ -177,13 +245,13 @@ def solve_lp(
         # every row reduced to 0 = 0, so the constraints hold on all of R^n
         return _unconstrained(c, n)
     t2 = _Tableau(
-        [t.g[r][:ncols] for r in keep],
-        [t.h[r] for r in keep],
+        [_reduced(t.t[r][:ncols] + [t.t[r][-1]]) for r in keep],
         [t.basis[r] for r in keep],
     )
     obj = list(c) + [-x for x in c] + [Fraction(0)] * m1
-    status, w, _ = t2.solve_max(obj)
-    point = vec(w[j] - w[n + j] for j in range(n))
+    status, enter, _, _ = t2.solve_max(obj)
+    w = t2.point() if status == OPTIMAL else t2.ray(enter)
+    point = tuple(w.get(j, Fraction(0)) - w.get(n + j, Fraction(0)) for j in range(n))
     if status == UNBOUNDED:
         return LPResult(UNBOUNDED, ray=point)
     return LPResult(OPTIMAL, x=point, objective=dot(c, point))

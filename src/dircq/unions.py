@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from dircq.linalg import Mat, Vec, canon_line, dot, is_zero, vec, zeros
@@ -30,6 +29,11 @@ from dircq.polyhedra import (
     project_polyhedron,
 )
 from dircq.simplex import strict_feasible_point
+
+# Entries kept by each cached cone query below.  A pass over ex58^2 in all
+# eight directions holds at most 56 arrangements; generators(), which every
+# cell dual shares, keeps a larger cache of its own.
+CACHE_SIZE = 128
 
 
 @dataclass(frozen=True)
@@ -116,7 +120,7 @@ class ConeUnion:
 # tangent and regular normal cones
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def tangent_cone(d: PolyUnion, y: Vec) -> ConeUnion:
     """Union over pieces containing y of their feasible-direction cones."""
     idx = d.pieces_at(y)
@@ -216,7 +220,7 @@ def _piece_sign_requirements(
     return reqs
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def arrangement(k: ConeUnion, extra: tuple[Vec, ...] = ()) -> Arrangement:
     """Sign-vector cells of the union's facet hyperplanes, inside the union.
 
@@ -349,7 +353,7 @@ def hyperplanes_of(u: ConeUnion) -> tuple[Vec, ...]:
 # limiting and directional limiting normal cones
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def limiting_normal_cone(d: PolyUnion, y: Vec) -> ConeUnion:
     """Union of the regular normal cones realized arbitrarily close to y."""
     t = tangent_cone(d, y)
@@ -359,7 +363,7 @@ def limiting_normal_cone(d: PolyUnion, y: Vec) -> ConeUnion:
     return ConeUnion.make([c.dual for c in arr.cells], d.dim)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def directional_limiting_normal_cone(d: PolyUnion, y: Vec, v: Vec) -> ConeUnion:
     """Limiting normals attainable from direction v; empty if v is not tangent."""
     t = tangent_cone(d, y)
@@ -408,7 +412,7 @@ class NormalGraphModel:
         return any(f.contains(q) and n.contains(z) for f, n in self.cells)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def normal_graph(d: PolyUnion, y: Vec) -> NormalGraphModel | None:
     t = tangent_cone(d, y)
     if t.is_empty:
@@ -556,15 +560,6 @@ def subdivide_and_check(
 
     ok = dfs(0, [])
     return None if ok else bad[0]
-
-
-def _any_nonzero(c: PolyhedralCone) -> Vec | None:
-    rays, lin = generators(c)
-    if rays:
-        return rays[0]
-    if lin:
-        return lin[0]
-    return None
 
 
 def cone_union_subset(a: ConeUnion, b: ConeUnion) -> tuple[bool, Vec | None]:

@@ -4,13 +4,16 @@ import random
 from fractions import Fraction as Q
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from dircq.linalg import mat, vec
+from dircq.linalg import dot, is_zero, mat, vec, zeros
 from dircq.simplex import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
+    LPResult,
     feasible_point,
     solve_lp,
     strict_feasible_point,
@@ -107,3 +110,165 @@ def test_rows_all_zero():
     res = solve_lp(vec([1, -2]), e=mat([[0, 0], [0, 0]]), d=vec([0, 0]))
     assert res.status == UNBOUNDED
     assert res.ray == vec([1, -2])
+
+
+# ---------------------------------------------------------------------------
+# reference oracle: the rational Bland tableau that the integer one replaces
+
+
+class _RationalTableau:
+    """Dense Fraction tableau over nonnegative variables for G w = h, h >= 0."""
+
+    def __init__(self, g, h, basis):
+        self.g, self.h, self.basis = g, h, basis
+        self.m = len(g)
+        self.n = len(g[0]) if g else 0
+
+    def pivot(self, r, c):
+        pv = self.g[r][c]
+        self.g[r] = [x / pv for x in self.g[r]]
+        self.h[r] /= pv
+        for i in range(self.m):
+            if i != r and self.g[i][c] != 0:
+                f = self.g[i][c]
+                self.g[i] = [x - f * y for x, y in zip(self.g[i], self.g[r])]
+                self.h[i] -= f * self.h[r]
+        self.basis[r] = c
+
+    def solve_max(self, c):
+        m, n = self.m, self.n
+        red = list(c)
+        for r, bc in enumerate(self.basis):
+            if red[bc] != 0:
+                f = red[bc]
+                red = [x - f * y for x, y in zip(red, self.g[r])]
+        while True:
+            enter = next((j for j in range(n) if red[j] > 0), None)
+            if enter is None:
+                w = [Q(0)] * n
+                for r, bc in enumerate(self.basis):
+                    w[bc] = self.h[r]
+                return OPTIMAL, w, red
+            ratios = [
+                (self.h[r] / self.g[r][enter], self.basis[r], r)
+                for r in range(m)
+                if self.g[r][enter] > 0
+            ]
+            if not ratios:
+                ray = [Q(0)] * n
+                ray[enter] = Q(1)
+                for r, bc in enumerate(self.basis):
+                    ray[bc] = -self.g[r][enter]
+                return UNBOUNDED, ray, red
+            _, _, leave = min(ratios)
+            f = red[enter] / self.g[leave][enter]
+            red = [x - f * y for x, y in zip(red, self.g[leave])]
+            self.pivot(leave, enter)
+
+
+def _reference_unconstrained(c, n):
+    if is_zero(c):
+        return LPResult(OPTIMAL, x=zeros(n), objective=Q(0))
+    return LPResult(UNBOUNDED, ray=c)
+
+
+def reference_solve_lp(c, a=(), b=(), e=(), d=(), n=None):
+    a, b, e, d, c = mat(a), vec(b), mat(e), vec(d), vec(c)
+    if n is None:
+        n = len(c)
+    m1, m2 = len(a), len(e)
+    ncols = 2 * n + m1
+    rows, rhs, flip = [], [], []
+    for i in range(m1 + m2):
+        coeffs = a[i] if i < m1 else e[i - m1]
+        r = list(coeffs) + [-x for x in coeffs] + [Q(0)] * m1
+        if i < m1:
+            r[2 * n + i] = Q(1)
+        hv = b[i] if i < m1 else d[i - m1]
+        if hv < 0:
+            r, hv = [-x for x in r], -hv
+            flip.append(Q(-1))
+        else:
+            flip.append(Q(1))
+        rows.append(r)
+        rhs.append(hv)
+    mrows = len(rows)
+    if mrows == 0:
+        return _reference_unconstrained(c, n)
+    g1 = [row + [Q(1 if j == i else 0) for j in range(mrows)] for i, row in enumerate(rows)]
+    t = _RationalTableau(g1, list(rhs), [ncols + i for i in range(mrows)])
+    _, w, red = t.solve_max([Q(0)] * ncols + [Q(-1)] * mrows)
+    if sum(w[ncols:], Q(0)) > 0:
+        cert = [(-1 - red[ncols + i]) * flip[i] for i in range(mrows)]
+        return LPResult(INFEASIBLE, farkas_ineq=vec(cert[:m1]), farkas_eq=vec(cert[m1:]))
+    for r in range(mrows):
+        if t.basis[r] >= ncols:
+            c_enter = next((j for j in range(ncols) if t.g[r][j] != 0), None)
+            if c_enter is not None:
+                t.pivot(r, c_enter)
+    keep = [r for r in range(mrows) if t.basis[r] < ncols]
+    if not keep:
+        return _reference_unconstrained(c, n)
+    t2 = _RationalTableau(
+        [t.g[r][:ncols] for r in keep], [t.h[r] for r in keep], [t.basis[r] for r in keep]
+    )
+    status, w, _ = t2.solve_max(list(c) + [-x for x in c] + [Q(0)] * m1)
+    point = vec(w[j] - w[n + j] for j in range(n))
+    if status == UNBOUNDED:
+        return LPResult(UNBOUNDED, ray=point)
+    return LPResult(OPTIMAL, x=point, objective=dot(c, point))
+
+
+def _degenerate_lp(pick):
+    """A small LP (c, a, b, e, d, n) drawn by ``pick(choices)``.
+
+    Right-hand sides may be negative; a row may be repeated, possibly
+    rescaled, which ties the ratio test; all-zero rows 0 <= h and 0 = 0 occur.
+    """
+    vals = (Q(-2), Q(-1), Q(-1, 2), Q(0), Q(0), Q(1, 3), Q(1), Q(2))
+    n = pick((1, 2, 3))
+
+    def row():
+        return [pick(vals) for _ in range(n)]
+
+    a = [row() for _ in range(pick(range(5)))]
+    b = [pick(vals) for _ in a]
+    e = [row() for _ in range(pick(range(3)))]
+    d = [pick(vals) for _ in e]
+    for rows, rhs in ((a, b), (e, d)):
+        if rows and pick((False, True)):
+            i = pick(range(len(rows)))
+            k = pick((Q(1), Q(2), Q(1, 2)))
+            rows.append([k * x for x in rows[i]])
+            rhs.append(k * rhs[i])
+    for _ in range(pick((0, 0, 1, 2))):
+        if pick((False, True)):
+            a.append([Q(0)] * n)
+            b.append(pick((Q(0), Q(1), Q(-1))))
+        else:
+            e.append([Q(0)] * n)
+            d.append(Q(0))
+    return row(), a, b, e, d, n
+
+
+@st.composite
+def _degenerate_lps(draw):
+    return _degenerate_lp(lambda xs: draw(st.sampled_from(xs)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_degenerate_lps())
+def test_same_result_as_rational_tableau(lp):
+    c, a, b, e, d, n = lp
+    assert solve_lp(c, a, b, e, d, n=n) == reference_solve_lp(c, a, b, e, d, n=n)
+
+
+def test_same_result_as_rational_tableau_every_status():
+    rng = random.Random(20261018)
+    seen = {OPTIMAL: 0, UNBOUNDED: 0, INFEASIBLE: 0}
+    for _ in range(1500):
+        c, a, b, e, d, n = _degenerate_lp(rng.choice)
+        res = solve_lp(c, a, b, e, d, n=n)
+        assert res == reference_solve_lp(c, a, b, e, d, n=n), (c, a, b, e, d)
+        seen[res.status] += 1
+    assert min(seen.values()) >= 150, seen

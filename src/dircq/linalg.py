@@ -3,17 +3,39 @@
 Vectors are tuples of Fractions, matrices tuples of row vectors.  Everything
 here is immutable and hashable so that cones built from this data can be
 cached and compared structurally.
+
+Fractions in, Fractions out, ints inside: the kernels (``dot``, the coprime
+scaling of ``integerize``/``canon_ray``/``canon_line``, and ``rref`` with
+``rank``, ``nullspace`` and ``solve_linear`` on top of it) accept int and
+Fraction entries, scale each row to Python ints by the lcm of its
+denominators, and build a Fraction only for each value they return.  Every
+result equals the one plain Fraction arithmetic gives.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Q = Fraction
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
+
+
+def int_row(xs: Iterable) -> tuple[list[int], int]:
+    """(den * xs as ints, den) with den the lcm of the denominators of xs."""
+    pairs = [x.as_integer_ratio() for x in xs]
+    den = lcm(*[d for _, d in pairs])
+    if den == 1:
+        return [p for p, _ in pairs], 1
+    return [p * (den // d) for p, d in pairs], den
+
+
+def primitive(row: list[int]) -> list[int]:
+    """row divided by the gcd of its entries (unchanged if that is 0 or 1)."""
+    g = gcd(*row)
+    return row if g <= 1 else [x // g for x in row]
 
 
 def vec(xs: Iterable) -> Vec:
@@ -33,7 +55,21 @@ def unit(n: int, i: int) -> Vec:
 
 
 def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    return sum((x * y for x, y in zip(a, b, strict=True)), Fraction(0))
+    num, den = 0, 1
+    for x, y in zip(a, b, strict=True):
+        xn, xd = x.as_integer_ratio()
+        if xn:
+            yn, yd = y.as_integer_ratio()
+            if yn:
+                d = xd * yd
+                if d == den:
+                    num += xn * yn
+                elif d == 1:
+                    num += xn * yn * den
+                else:
+                    num = num * d + xn * yn * den
+                    den *= d
+    return Fraction(num) if den == 1 else Fraction(num, den)
 
 
 def add(a: Vec, b: Vec) -> Vec:
@@ -69,43 +105,52 @@ def transpose(m: Mat) -> Mat:
 
 def mat_t_vec(m: Mat, v: Vec) -> Vec:
     """m^T v without materializing the transpose."""
-    if not m:
-        return ()
-    n = len(m[0])
-    return tuple(
-        sum((row[j] * y for row, y in zip(m, v, strict=True)), Fraction(0))
-        for j in range(n)
-    )
+    return tuple(dot(col, v) for col in zip(*m, strict=True))
 
 
-def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row echelon form; returns (rows without zero rows, pivot cols)."""
-    rows = [list(r) for r in m]
-    if not rows:
-        return (), ()
-    ncols = len(rows[0])
+def _int_rref(m: Mat) -> tuple[list[list[int]], list[int]]:
+    """Integer rows of the reduced row echelon form of m, and pivot columns.
+
+    Row i is the i-th rref row times its (nonzero) pivot entry: zero in the
+    other pivot columns, coprime.  Every row is scaled to ints once, and an
+    elimination step ``p*row - q*pivot_row`` is divided by its gcd.
+    """
+    rows = [primitive(int_row(r)[0]) for r in m]
     pivots: list[int] = []
+    if not rows:
+        return rows, pivots
     r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+    for c in range(len(rows[0])):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        prow = rows[r]
+        p = prow[c]
+        for i, row in enumerate(rows):
+            q = row[c]
+            if q and i != r:
+                g = gcd(p, q)
+                pg, qg = p // g, q // g
+                rows[i] = primitive([pg * x - qg * y for x, y in zip(row, prow)])
         pivots.append(c)
         r += 1
         if r == len(rows):
             break
-    return tuple(tuple(row) for row in rows[:r]), tuple(pivots)
+    return rows[:r], pivots
+
+
+def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
+    """Reduced row echelon form; returns (rows without zero rows, pivot cols)."""
+    rows, pivots = _int_rref(m)
+    return (
+        tuple(tuple(Fraction(x, row[c]) for x in row) for row, c in zip(rows, pivots)),
+        tuple(pivots),
+    )
 
 
 def rank(m: Mat) -> int:
-    return len(rref(m)[0])
+    return len(_int_rref(m)[1])
 
 
 def nullspace(m: Mat, dim: int | None = None) -> list[Vec]:
@@ -115,14 +160,16 @@ def nullspace(m: Mat, dim: int | None = None) -> list[Vec]:
             raise ValueError("nullspace of empty matrix needs explicit dimension")
         return [unit(dim, i) for i in range(dim)]
     n = len(m[0])
-    red, pivots = rref(m)
-    free = [c for c in range(n) if c not in pivots]
+    rows, pivots = _int_rref(m)
     basis: list[Vec] = []
-    for fc in free:
+    for fc in range(n):
+        if fc in pivots:
+            continue
         v = [Fraction(0)] * n
         v[fc] = Fraction(1)
-        for row, pc in zip(red, pivots):
-            v[pc] = -row[fc]
+        for row, pc in zip(rows, pivots):
+            if row[fc]:
+                v[pc] = Fraction(-row[fc], row[pc])
         basis.append(tuple(v))
     return basis
 
@@ -132,31 +179,31 @@ def solve_linear(a: Mat, b: Vec) -> Vec | None:
     if not a:
         return zeros(0) if is_zero(b) else None
     n = len(a[0])
-    aug = tuple(row + (bi,) for row, bi in zip(a, b, strict=True))
-    red, pivots = rref(aug)
-    for row in red:
-        if is_zero(row[:n]) and row[n] != 0:
-            return None
+    rows, pivots = _int_rref(tuple(row + (bi,) for row, bi in zip(a, b, strict=True)))
+    if pivots and pivots[-1] == n:
+        return None
     x = [Fraction(0)] * n
-    for row, pc in zip(red, pivots):
-        if pc == n:
-            return None
-        x[pc] = row[n]
+    for row, pc in zip(rows, pivots):
+        if row[n]:
+            x[pc] = Fraction(row[n], row[pc])
     return tuple(x)
+
+
+def coprime_ints(v: Sequence[Fraction], line: bool = False) -> tuple[int, ...]:
+    """Positive rescale of v to coprime ints (all 0 if v is); if ``line``,
+    the rescale of v or -v whose first nonzero entry is positive."""
+    ints, _ = int_row(v)
+    g = gcd(*ints)
+    if g == 0:
+        return tuple(ints)
+    if line and next(x for x in ints if x) < 0:
+        g = -g
+    return tuple([x // g for x in ints])
 
 
 def integerize(v: Sequence[Fraction]) -> Vec:
     """Positive rescale to coprime integers (direction preserved)."""
-    if is_zero(v):
-        return tuple(Fraction(0) for _ in v)
-    den = 1
-    for x in v:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    return tuple(Fraction(x // g) for x in ints)
+    return vec(coprime_ints(v))
 
 
 def canon_ray(v: Sequence[Fraction]) -> Vec:
@@ -166,11 +213,7 @@ def canon_ray(v: Sequence[Fraction]) -> Vec:
 
 def canon_line(v: Sequence[Fraction]) -> Vec:
     """Canonical representative of the line R v: coprime, first nonzero > 0."""
-    w = integerize(v)
-    lead = next((x for x in w if x != 0), None)
-    if lead is not None and lead < 0:
-        w = neg(w)
-    return w
+    return vec(coprime_ints(v, line=True))
 
 
 def is_orthogonal_basis(vs: Sequence[Vec], dim: int) -> bool:

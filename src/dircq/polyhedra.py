@@ -12,14 +12,16 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from dircq.linalg import (
     Mat,
     Vec,
     canon_line,
     canon_ray,
+    coprime_ints,
     dot,
-    integerize,
+    int_row,
     is_zero,
     mat,
     nullspace,
@@ -52,13 +54,11 @@ def _canon_rows(rows: Mat, rhs: Vec, line: bool) -> tuple[Mat, Vec]:
     out_rows: list[Vec] = []
     out_rhs: list[Fraction] = []
     for row, r in zip(rows, rhs, strict=True):
-        joint = tuple(row) + (r,)
-        if is_zero(joint):
+        key = coprime_ints(tuple(row) + (r,), line)
+        if key in seen or not any(key):
             continue
-        cj = canon_line(joint) if line else canon_ray(joint)
-        if cj in seen:
-            continue
-        seen.add(cj)
+        seen.add(key)
+        cj = vec(key)
         out_rows.append(cj[:-1])
         out_rhs.append(cj[-1])
     return tuple(out_rows), tuple(out_rhs)
@@ -191,9 +191,11 @@ class PolyhedralCone:
 def generators(c: PolyhedralCone) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
     """(rays, lineality) with canonical scaling, exact double description.
 
-    The lineality space is the null space of all rows; extreme rays of the
-    pointed quotient are found by rank-(k-1) activity sets, which is fine at
-    desk scale.
+    The lineality space is the null space of all rows.  On the coordinates
+    outside the pivots of its rref the cone is pointed, and there every
+    feasible ray with a rank-(k-1) active set is extreme, so the rays are
+    found by rank-(k-1) activity sets (fine at desk scale) and deduplicated
+    by their canonical scaling.
     """
     n = c.dim
     all_rows = c.a + c.e
@@ -201,64 +203,39 @@ def generators(c: PolyhedralCone) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
     lin = tuple(sorted(canon_line(v) for v in lin))
     if not all_rows:
         return (), lin
-    # complement basis for the pointed part
-    if lin:
-        red, pivots = rref(mat(lin))
-        comp = [unit(n, j) for j in range(n) if j not in pivots]
-    else:
-        comp = [unit(n, j) for j in range(n)]
+    # complement coordinates: x = Q z with Q the unit columns off the pivots
+    pivots = rref(lin)[1] if lin else ()
+    comp = [j for j in range(n) if j not in pivots]
     k = len(comp)
     if k == 0:
         return (), lin
-    # cone in complement coordinates: x = Q z with Q columns = comp
-    qa = tuple(tuple(dot(row, q) for q in comp) for row in c.a)
-    qe = tuple(tuple(dot(row, q) for q in comp) for row in c.e)
-    ineq_rows = [r for r in qa if not is_zero(r)]
-    eq_rows = [r for r in qe if not is_zero(r)]
-    base_rank_rows = tuple(eq_rows)
-    rays: set[Vec] = set()
-    m = len(ineq_rows)
-    for size in range(0, m + 1):
-        for subset in itertools.combinations(range(m), size):
-            rows_s = base_rank_rows + tuple(ineq_rows[i] for i in subset)
-            ns = nullspace(rows_s, dim=k)
-            if len(ns) != 1:
-                continue
-            z = ns[0]
-            for cand in (z, tuple(-x for x in z)):
-                if all(dot(r, cand) <= 0 for r in ineq_rows) and all(
-                    dot(r, cand) == 0 for r in eq_rows
-                ):
-                    x = tuple(
-                        sum((ci * qi[j] for ci, qi in zip(cand, comp)), Fraction(0))
-                        for j in range(n)
-                    )
-                    if not is_zero(x):
-                        rays.add(canon_ray(x))
-    # drop rays that are conic combinations of the others (keep extreme only)
-    rays_sorted = sorted(rays)
-    extreme = []
-    for i, r in enumerate(rays_sorted):
-        others = [x for j, x in enumerate(rays_sorted) if j != i]
-        if not _in_generated_cone(r, others, lin, n):
-            extreme.append(r)
-    return tuple(extreme), lin
+    # the rows on those coordinates, as ints (positive row scaling keeps signs
+    # and null spaces)
+    ineq_rows = [r for r in (_int_cols(row, comp) for row in c.a) if any(r)]
+    eq_rows = tuple(r for r in (_int_cols(row, comp) for row in c.e) if any(r))
+    # a rank-(k-1) active set contains one of exactly k-1-rank(eq) inequality
+    # rows with the same span, hence the same null space
+    size = k - 1 - rank(eq_rows)
+    rays: set[tuple[int, ...]] = set()
+    for subset in itertools.combinations(ineq_rows, size) if size >= 0 else ():
+        ns = nullspace(eq_rows + subset, dim=k)
+        if len(ns) != 1:
+            continue
+        z = coprime_ints(ns[0])
+        for cand in (z, tuple(-x for x in z)):
+            if all(sum(map(mul, r, cand)) <= 0 for r in ineq_rows) and all(
+                sum(map(mul, r, cand)) == 0 for r in eq_rows
+            ):
+                x = [0] * n
+                for j, cj in zip(comp, cand):
+                    x[j] = cj
+                rays.add(tuple(x))
+    return tuple(vec(r) for r in sorted(rays)), lin
 
 
-def _in_generated_cone(x: Vec, rays: list[Vec], lin: tuple[Vec, ...], n: int) -> bool:
-    """x in cone(rays) + span(lin), by exact LP over the coefficients."""
-    cols = list(rays) + list(lin)
-    if not cols:
-        return is_zero(x)
-    k = len(cols)
-    nr = len(rays)
-    e = tuple(tuple(col[j] for col in cols) for j in range(n))
-    # ray coefficients nonnegative; lineality coefficients free
-    a = tuple(
-        tuple(-Fraction(int(i == j)) for j in range(k)) for i in range(nr)
-    )
-    res = feasible_point(a, zeros(nr), e, x, n=k)
-    return res.status == OPTIMAL
+def _int_cols(row: Vec, cols: list[int]) -> tuple[int, ...]:
+    """The entries of row in the given columns, times a positive int."""
+    return tuple(int_row([row[j] for j in cols])[0])
 
 
 def cone_from_generators(rays, lin, dim: int) -> PolyhedralCone:

@@ -25,9 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
-from dircq.linalg import Mat, Vec, dot, is_zero, mat, vec, zeros
+from dircq.linalg import Mat, Vec, dot, int_row, is_zero, mat, primitive, vec, zeros
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
@@ -58,22 +58,6 @@ def verify_farkas(a: Mat, b: Vec, e: Mat, d: Vec, y: Vec, z: Vec) -> bool:
             comb[j] += zi * v
     rhs = dot(y, b) + dot(z, d)
     return is_zero(comb) and rhs < 0
-
-
-def _lcm_of_denominators(xs) -> int:
-    return lcm(*(x.denominator for x in xs))
-
-
-def _scaled_ints(xs, den: int) -> list[int]:
-    """den * xs as ints, where den is a common denominator of xs."""
-    if den == 1:
-        return [x.numerator for x in xs]
-    return [x.numerator * (den // x.denominator) for x in xs]
-
-
-def _reduced(row: list[int]) -> list[int]:
-    g = gcd(*row)
-    return row if g <= 1 else [x // g for x in row]
 
 
 class _Tableau:
@@ -119,7 +103,7 @@ class _Tableau:
             if i != r and q != 0:
                 g = gcd(p, q)
                 pg, qg = p // g, q // g
-                self.t[i] = _reduced([pg * x - qg * y for x, y in zip(self.t[i], pr)])
+                self.t[i] = primitive([pg * x - qg * y for x, y in zip(self.t[i], pr)])
         self.basis[r] = c
 
     def eliminate(self, red: list[int], den: int, r: int, c: int) -> tuple[list[int], int]:
@@ -145,8 +129,7 @@ class _Tableau:
         final reduced costs, their positive common denominator).
         """
         n = self.n
-        den = _lcm_of_denominators(c)
-        red = _scaled_ints(c, den)
+        red, den = int_row(c)
         for r, bc in enumerate(self.basis):
             if red[bc] != 0:
                 red, den = self.eliminate(red, den, r, bc)
@@ -204,8 +187,7 @@ def solve_lp(
     for i in range(mrows):
         coeffs = a[i] if i < m1 else e[i - m1]
         hv = b[i] if i < m1 else d[i - m1]
-        den = _lcm_of_denominators((*coeffs, hv))
-        *ints, h = _scaled_ints((*coeffs, hv), den)
+        (*ints, h), den = int_row((*coeffs, hv))
         r = ints + [-x for x in ints] + [0] * (m1 + mrows) + [h]
         if i < m1:
             r[2 * n + i] = den
@@ -245,7 +227,7 @@ def solve_lp(
         # every row reduced to 0 = 0, so the constraints hold on all of R^n
         return _unconstrained(c, n)
     t2 = _Tableau(
-        [_reduced(t.t[r][:ncols] + [t.t[r][-1]]) for r in keep],
+        [primitive(t.t[r][:ncols] + [t.t[r][-1]]) for r in keep],
         [t.basis[r] for r in keep],
     )
     obj = list(c) + [-x for x in c] + [Fraction(0)] * m1

@@ -220,6 +220,18 @@ def _piece_sign_requirements(
     return reqs
 
 
+def hyperplanes_of(u: ConeUnion) -> tuple[Vec, ...]:
+    """Distinct facet hyperplanes (canonical lines) of the union's pieces."""
+    return tuple(
+        dict.fromkeys(
+            canon_line(row)
+            for p in u.pieces
+            for row in itertools.chain(p.a, p.e)
+            if not is_zero(row)
+        )
+    )
+
+
 @lru_cache(maxsize=CACHE_SIZE)
 def arrangement(k: ConeUnion, extra: tuple[Vec, ...] = ()) -> Arrangement:
     """Sign-vector cells of the union's facet hyperplanes, inside the union.
@@ -229,15 +241,9 @@ def arrangement(k: ConeUnion, extra: tuple[Vec, ...] = ()) -> Arrangement:
     """
     if k.is_empty:
         return Arrangement((), (), k)
-    hset: dict[Vec, None] = {}
-    for p in k.pieces:
-        for row in itertools.chain(p.a, p.e):
-            if not is_zero(row):
-                hset.setdefault(canon_line(row), None)
-    for row in extra:
-        if not is_zero(row):
-            hset.setdefault(canon_line(row), None)
-    hyper = tuple(hset.keys())
+    hyper = tuple(
+        dict.fromkeys(hyperplanes_of(k) + tuple(canon_line(r) for r in extra if not is_zero(r)))
+    )
     piece_polys = [c.as_polyhedron() for c in k.pieces]
     reqs = [_piece_sign_requirements(p, hyper) for p in piece_polys]
     n = k.dim
@@ -272,13 +278,15 @@ def arrangement(k: ConeUnion, extra: tuple[Vec, ...] = ()) -> Arrangement:
             n=n,
         )
 
-    def dfs(depth: int, signs: list[int]) -> None:
+    def dfs(depth: int, signs: list[int], w: Vec | None) -> None:
+        """Extend signs, whose cell has relative-interior point w (None at the root)."""
         if not any(piece_alive(r, signs) for r in reqs):
             return
         if depth == len(hyper):
-            w = feasible(signs)
             if w is None:
-                return
+                w = feasible(signs)
+                if w is None:
+                    return
             pidx = tuple(i for i, p in enumerate(piece_polys) if p.contains(w))
             if not pidx:
                 return
@@ -288,11 +296,12 @@ def arrangement(k: ConeUnion, extra: tuple[Vec, ...] = ()) -> Arrangement:
             return
         for s in (0, 1, -1):
             signs.append(s)
-            if feasible(signs) is not None:
-                dfs(depth + 1, signs)
+            child = feasible(signs)
+            if child is not None:
+                dfs(depth + 1, signs, child)
             signs.pop()
 
-    dfs(0, [])
+    dfs(0, [], None)
     return Arrangement(hyper, tuple(cells), k)
 
 
@@ -338,15 +347,6 @@ def limiting_union_at_cell(arr: Arrangement, cell: Cell) -> ConeUnion:
     """Limiting normal cone of the union at points of the cell's relint."""
     duals = [c.dual for c in arr.cells if _sign_compatible(c.signs, cell.signs)]
     return ConeUnion.make(duals, arr.union.dim)
-
-
-def hyperplanes_of(u: ConeUnion) -> tuple[Vec, ...]:
-    hset: dict[Vec, None] = {}
-    for p in u.pieces:
-        for row in itertools.chain(p.a, p.e):
-            if not is_zero(row):
-                hset.setdefault(canon_line(row), None)
-    return tuple(hset.keys())
 
 
 # ---------------------------------------------------------------------------
@@ -512,14 +512,8 @@ def subdivide_and_check(
     if target.is_empty:
         # a nonempty cone always contains 0, which the empty union lacks
         return zeros(c.dim)
-    hset: dict[Vec, None] = {}
-    for p in target.pieces:
-        for row in itertools.chain(p.a, p.e):
-            if not is_zero(row):
-                hset.setdefault(canon_line(row), None)
-    hyper = tuple(hset.keys())
+    hyper = hyperplanes_of(target)
     n = c.dim
-    bad: list[Vec] = []
 
     def feasible(signs: list[int]) -> Vec | None:
         strict_rows, eq_rows = [], []
@@ -540,26 +534,22 @@ def subdivide_and_check(
             n=n,
         )
 
-    def dfs(depth: int, signs: list[int]) -> bool:
+    def dfs(depth: int, signs: list[int], w: Vec | None) -> Vec | None:
+        """A cell point outside the target below signs, or None; w as in arrangement."""
         if depth == len(hyper):
-            w = feasible(signs)
             if w is None:
-                return True
-            if not target.contains(w):
-                bad.append(w)
-                return False
-            return True
+                w = feasible(signs)
+            return None if w is None or target.contains(w) else w
         for s in (0, 1, -1):
             signs.append(s)
-            if feasible(signs) is not None:
-                if not dfs(depth + 1, signs):
-                    signs.pop()
-                    return False
+            child = feasible(signs)
+            bad = None if child is None else dfs(depth + 1, signs, child)
+            if bad is not None:
+                return bad
             signs.pop()
-        return True
+        return None
 
-    ok = dfs(0, [])
-    return None if ok else bad[0]
+    return dfs(0, [], None)
 
 
 def cone_union_subset(a: ConeUnion, b: ConeUnion) -> tuple[bool, Vec | None]:

@@ -4,7 +4,10 @@ import itertools
 import random
 from fractions import Fraction as Q
 
-from dircq.linalg import dot, mat, vec, zeros
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dircq.linalg import canon_line, canon_ray, dot, is_zero, mat, nullspace, rref, unit, vec, zeros
 from dircq.polyhedra import (
     HPolyhedron,
     PolyhedralCone,
@@ -17,7 +20,7 @@ from dircq.polyhedra import (
     project_polyhedron,
     relint_point,
 )
-from dircq.simplex import INFEASIBLE, OPTIMAL
+from dircq.simplex import INFEASIBLE, OPTIMAL, feasible_point
 
 
 def cone(a=(), e=(), dim=None):
@@ -80,6 +83,81 @@ def test_generator_roundtrip_random():
         rays, lin = generators(c)
         back = cone_from_generators(rays, lin, c.dim)
         assert back.equals(c)
+
+
+def reference_generators(c):
+    """Generators as first written: every activity set of every size, then an
+    LP filter that drops rays in the cone of the others plus the lineality."""
+    n = c.dim
+    all_rows = c.a + c.e
+    lin = tuple(sorted(canon_line(v) for v in nullspace(all_rows, dim=n)))
+    if not all_rows:
+        return (), lin
+    pivots = rref(mat(lin))[1] if lin else ()
+    comp = [unit(n, j) for j in range(n) if j not in pivots]
+    k = len(comp)
+    if k == 0:
+        return (), lin
+    ineq_rows = [r for r in (tuple(dot(row, q) for q in comp) for row in c.a) if not is_zero(r)]
+    eq_rows = tuple(r for r in (tuple(dot(row, q) for q in comp) for row in c.e) if not is_zero(r))
+    rays = set()
+    for size in range(len(ineq_rows) + 1):
+        for subset in itertools.combinations(range(len(ineq_rows)), size):
+            ns = nullspace(eq_rows + tuple(ineq_rows[i] for i in subset), dim=k)
+            if len(ns) != 1:
+                continue
+            for cand in (ns[0], tuple(-x for x in ns[0])):
+                if all(dot(r, cand) <= 0 for r in ineq_rows) and all(dot(r, cand) == 0 for r in eq_rows):
+                    x = tuple(sum((ci * qi[j] for ci, qi in zip(cand, comp)), Q(0)) for j in range(n))
+                    rays.add(canon_ray(x))
+    rays_sorted = sorted(rays)
+    extreme = []
+    for i, r in enumerate(rays_sorted):
+        others = [x for j, x in enumerate(rays_sorted) if j != i]
+        if not _in_generated_cone(r, others, lin, n):
+            extreme.append(r)
+    return tuple(extreme), lin
+
+
+def _in_generated_cone(x, rays, lin, n):
+    """x in cone(rays) + span(lin), by exact LP over the coefficients."""
+    cols = list(rays) + list(lin)
+    if not cols:
+        return is_zero(x)
+    k, nr = len(cols), len(rays)
+    e = tuple(tuple(col[j] for col in cols) for j in range(n))
+    a = tuple(tuple(-Q(int(i == j)) for j in range(k)) for i in range(nr))
+    return feasible_point(a, zeros(nr), e, x, n=k).status == OPTIMAL
+
+
+@st.composite
+def _drawn_cones(draw):
+    """Small cones, often with lineality (equalities, or few rows) or = {0}."""
+    n = draw(st.integers(1, 4))
+    row = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    a = draw(st.lists(row, max_size=6))
+    e = draw(st.lists(row, max_size=2))
+    if draw(st.integers(0, 9)) == 0:
+        e = [list(unit(n, i)) for i in range(n)]  # the origin, whatever a is
+    return cone(a=a, e=e, dim=n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_drawn_cones())
+def test_generators_match_reference_with_extreme_ray_filter(c):
+    assert generators(c) == reference_generators(c)
+
+
+def test_generators_match_reference_special_cones():
+    for c in (
+        PolyhedralCone.origin(3),
+        PolyhedralCone.full(3),
+        cone(e=[[1, 1, 0]], dim=3),  # a plane: lineality only
+        cone(a=[[-1, 0, 0]], e=[[0, 1, -1]], dim=3),  # half-plane with a line
+        cone(a=[[-1, 0], [1, 0]], dim=2),  # x = 0 written as two inequalities
+        cone(a=[[-1, -1], [1, -2], [-2, 1], [0, -1]], dim=2),  # a redundant row
+    ):
+        assert generators(c) == reference_generators(c)
 
 
 def test_faces_quadrant():

@@ -1,13 +1,16 @@
 """Cone calculus on polyhedral unions: tangent/normal cones and graph models."""
 
+import itertools
 import random
 from fractions import Fraction as Q
 
+from dircq import simplex
 from dircq.linalg import dot, vec
 from dircq.polyhedra import HPolyhedron, PolyhedralCone, generators, relint_point
 from dircq.unions import (
     ConeUnion,
     PolyUnion,
+    arrangement,
     cone_union_equal,
     cone_union_subset,
     directional_limiting_normal_cone,
@@ -342,3 +345,22 @@ def test_cone_union_inclusion_witness():
     c = union_from_cones([PolyhedralCone.full(2)], 2)
     ok2, w = cone_union_subset(c, b)
     assert not ok2 and w is not None and not b.contains(w)
+
+
+def test_arrangement_leaves_reuse_the_parent_lp(monkeypatch):
+    """On the ex58^2 tangent union (D = L x L in R^4, L the L-shape) the DFS
+    solves one LP per sign-vector node below the root: 111 LPs for 64 cells.
+    A leaf that solved its parent's LP again would make it 175."""
+    pieces = []
+    for c0, c1 in itertools.product((0, 1), repeat=2):
+        a = [[0] * 4, [0] * 4]
+        a[0][c0] = -1
+        a[1][2 + c1] = -1
+        pieces.append(HPolyhedron.make(a=a, b=[0, 0]))
+    t = tangent_cone(PolyUnion.make(pieces), vec([0, 0, 0, 0]))
+    calls = []
+    solve_lp = simplex.solve_lp
+    monkeypatch.setattr(simplex, "solve_lp", lambda *a, **k: calls.append(1) or solve_lp(*a, **k))
+    arr = arrangement.__wrapped__(t)  # bypass the cache
+    assert len(arr.hyperplanes) == 4 and len(arr.cells) == 64
+    assert len(calls) == 111

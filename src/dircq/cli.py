@@ -1,0 +1,59 @@
+"""Check dispatch for constraint problems.
+
+``run_check`` maps a check name, as a report row carries it, to its decider
+and runs it on a parsed problem.  ``report.verify_report`` recomputes every
+row through it.
+"""
+
+from __future__ import annotations
+
+from dircq import cq
+from dircq.cq import Verdict
+from dircq.problemfile import Problem, ProblemFormatError
+
+# row name -> decider of each check that needs a direction
+_DIRECTIONAL = {
+    "foscms": "foscms",
+    "soscms": "soscms",
+    "thm-tangent-normals": "check_thm_polyhedral_I",
+    "thm-doubled-tangent": "check_thm_polyhedral_II",
+    "thm-normal-graph": "check_thm_nonpolyhedral",
+    "pseudo-normality": "pseudo_quasi_verdict",
+    "quasi-normality": "pseudo_quasi_verdict",
+}
+
+
+def run_check(
+    problem: Problem,
+    check: str,
+    point: str | None = None,
+    direction: str | None = None,
+    mode: str = "asym",
+) -> Verdict:
+    """Run the check a report row names on a constraint problem at xbar.
+
+    ``direction`` names one of the problem's directions; the theorem
+    checkers also take ``mode``.
+    """
+    if problem.kind != "constraint":
+        raise ProblemFormatError(f"run_check takes constraint problems, not {problem.kind!r}")
+    if point not in (None, "xbar"):
+        raise ProblemFormatError(f"constraint checks run at xbar, not at {point!r}")
+    sys = problem.system
+    if check == "mordukhovich":
+        return cq.mordukhovich(sys)
+    if check == "mstationarity":
+        if problem.objective is None:
+            raise ProblemFormatError("mstationarity needs the problem's objective")
+        return cq.mstationarity(sys, problem.objective)
+    if check not in _DIRECTIONAL:
+        raise ProblemFormatError(f"unknown check {check!r}")
+    if direction is None:
+        raise ProblemFormatError(f"check {check!r} needs a direction")
+    u = problem.direction(direction)
+    decider = getattr(cq, _DIRECTIONAL[check])
+    if check.endswith("-normality"):
+        return decider(sys, u, basis=problem.basis, mode=check.split("-")[0])
+    if check.startswith("thm-"):
+        return decider(sys, u, mode=mode)
+    return decider(sys, u)

@@ -28,7 +28,7 @@ from dircq.linalg import (
     vec,
     zeros,
 )
-from dircq.polyhedra import PolyhedralCone, cone_from_generators, generators
+from dircq.polyhedra import PolyhedralCone, cone_from_generators, generators, nonzero_element
 from dircq.polymaps import Poly
 from dircq.setmaps import ConstraintSystem, InfeasiblePoint
 from dircq.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, feasible_point, solve_lp, strict_feasible_point
@@ -42,6 +42,7 @@ from dircq.unions import (
     directional_limiting_normal_cone,
     hyperplanes_of,
     limiting_normal_cone,
+    limiting_normal_cone_of_union,
     limiting_union_at_cell,
     normal_graph,
     tangent_cone,
@@ -106,18 +107,9 @@ def _context(sys: ConstraintSystem, u: Vec | None = None) -> _Ctx:
     )
 
 
-def _nonzero_in(piece: PolyhedralCone) -> Vec | None:
-    rays, lin = generators(piece)
-    if rays:
-        return rays[0]
-    if lin:
-        return lin[0]
-    return None
-
-
 def _kernel_verdict(name: str, pieces: Sequence[PolyhedralCone], extra: dict) -> Verdict:
     for i, piece in enumerate(pieces):
-        w = _nonzero_in(piece)
+        w = nonzero_element(piece)
         if w is not None:
             cert = {"kind": "kernel_witness", "ystar": w, "piece": i, **extra}
             return Verdict(name, FAILS, cert)
@@ -482,7 +474,7 @@ def check_thm_polyhedral_I(
     if not k.contains(ctx.ju):
         rep = ConditionReport("direction", "vacuous", "grad g(xbar) u not tangent to D")
         return Verdict(name, HOLDS, {"kind": "vacuous", "reason": "direction"}, (rep,))
-    w_union = limiting_normal_cone_of_union_cached(k, ctx.ju)
+    w_union = limiting_normal_cone_of_union(k, ctx.ju)
     arr = arrangement(w_union, extra=ctx.ker_rows)
     reports: list[ConditionReport] = []
 
@@ -565,12 +557,6 @@ def _sources_54(ctx: _Ctx, w_union: ConeUnion, arr: Arrangement):
         return False
 
     return sources, achievable
-
-
-def limiting_normal_cone_of_union_cached(k: ConeUnion, w: Vec) -> ConeUnion:
-    from dircq.unions import limiting_normal_cone_of_union
-
-    return limiting_normal_cone_of_union(k, w)
 
 
 # ---------------------------------------------------------------------------
@@ -690,7 +676,7 @@ def check_thm_polyhedral_II(
     lam_union = (
         limiting_normal_cone(sys.d, ctx.gx)
         if mode == "asym"
-        else limiting_normal_cone_of_union_cached(k, ctx.ju)
+        else limiting_normal_cone_of_union(k, ctx.ju)
     )
     reports.append(_lambda_condition(ctx, sources, lam_union, targets, False, achievable))
     return _assemble_theorem_verdict(name, reports)
@@ -1093,8 +1079,6 @@ def graph_directional_normals(
     the direction instead.
     """
     if declared_tangent is not None:
-        from dircq.unions import limiting_normal_cone_of_union
-
         return limiting_normal_cone_of_union(declared_tangent, gdir)
     return directional_limiting_normal_cone(graph, base, gdir)
 
@@ -1134,19 +1118,7 @@ def graph_foscms(
             qualifier="direction-not-tangent",
         )
     kernel = _dual_slice(n_dir, nx, ny)
-    for i, piece in enumerate(kernel.pieces):
-        w = _nonzero_in(piece)
-        if w is not None:
-            return Verdict(
-                "foscms",
-                FAILS,
-                {"kind": "kernel_witness", "ystar": w, "piece": i, "cone": "graph-directional"},
-            )
-    return Verdict(
-        "foscms",
-        HOLDS,
-        {"kind": "trivial_kernel", "pieces_checked": len(kernel.pieces), "cone": "graph-directional"},
-    )
+    return _kernel_verdict("foscms", kernel.pieces, {"cone": "graph-directional"})
 
 
 def patch_mstationarity(m, phi: Poly, xbar: Vec, ybar: Vec) -> Verdict:

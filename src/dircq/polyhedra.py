@@ -233,6 +233,16 @@ def generators(c: PolyhedralCone) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
     return tuple(vec(r) for r in sorted(rays)), lin
 
 
+def nonzero_element(c: PolyhedralCone) -> Vec | None:
+    """c's first extreme ray, else its first lineality generator; None iff c = {0}."""
+    rays, lin = generators(c)
+    if rays:
+        return rays[0]
+    if lin:
+        return lin[0]
+    return None
+
+
 def _int_cols(row: Vec, cols: list[int]) -> tuple[int, ...]:
     """The entries of row in the given columns, times a positive int."""
     return tuple(int_row([row[j] for j in cols])[0])

@@ -131,8 +131,6 @@ def _recompute_row(problem, row) -> Verdict:
         row.get("point"),
         row.get("direction"),
         row.get("mode", "asym"),
-        row.get("targets_kind", "objective"),
-        row.get("normality_mode", "pseudo"),
     )
 
 

@@ -12,8 +12,20 @@ rows with positive multipliers and divides the result by the gcd of its
 entries.  The reduced costs are ints over one positive common denominator.
 Positive factors keep every sign, and Bland's ratio test compares
 h_r / g_r[j] by cross-multiplication, so every pivot is the one the rational
-tableau would take and every returned value is the same.  Fractions are built
-only for the returned point, ray and Farkas vector.
+tableau would take and every returned value is the same.  Inputs may be ints
+or Fractions; each row is read once into ints over its own denominator, and
+Fractions are built only for the returned point, ray, objective and Farkas
+vector, and for c.
+
+Phase 1 depends only on the constraint system, not on the objective, and
+callers often maximize several objectives over one system.  ``_phase1`` keeps
+its result in a bounded ``lru_cache`` (``PHASE1_CACHE_SIZE`` entries) keyed by
+the system's integer rows, one (ints..., rhs, den) tuple per row, together
+with n and the number m1 of inequality rows: either the Farkas vector or the
+phase-2 start rows and basis, all tuples.  Every call still runs its own
+phase 2 on fresh lists, so it takes the same Bland pivots and returns the same
+``LPResult`` as without the cache, and every returned Farkas vector is checked
+by ``verify_farkas`` against the caller's data.
 
 Free variables are split as x = x+ - x-, and the columns are x+, x-, slacks,
 then phase-1 artificials.  That layout fixes Bland's pivot path, and with it
@@ -25,9 +37,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
-from dircq.linalg import Mat, Vec, dot, int_row, is_zero, mat, primitive, vec, zeros
+from dircq.linalg import Mat, Vec, dot, int_row, is_zero, primitive, vec, zeros
+
+# phase-1 results kept; 256 holds every system of a warm ex58^2 direction sweep
+PHASE1_CACHE_SIZE = 256
+
+_ZERO = Fraction(0)
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
@@ -121,15 +139,14 @@ class _Tableau:
         return red, den
 
     def solve_max(
-        self, c: list[Fraction]
+        self, red: list[int], den: int
     ) -> tuple[str, int | None, list[int], int]:
-        """Maximize c.w from the current feasible basis (Bland's rule).
+        """Maximize (red / den).w from the current feasible basis (Bland's rule).
 
         Returns (status, the entering column of an unbounded ray or None,
         final reduced costs, their positive common denominator).
         """
         n = self.n
-        red, den = int_row(c)
         for r, bc in enumerate(self.basis):
             if red[bc] != 0:
                 red, den = self.eliminate(red, den, r, bc)
@@ -162,32 +179,22 @@ def _unconstrained(c: Vec, n: int) -> LPResult:
     return LPResult(UNBOUNDED, ray=c)
 
 
-def solve_lp(
-    c: Vec,
-    a: Mat = (),
-    b: Vec = (),
-    e: Mat = (),
-    d: Vec = (),
-    n: int | None = None,
-) -> LPResult:
-    """max c.x subject to a x <= b, e x = d over free x in R^n."""
-    a, b, e, d, c = mat(a), vec(b), mat(e), vec(d), vec(c)
-    if n is None:
-        n = len(c)
-    m1, m2 = len(a), len(e)
-    if m1 + m2 == 0:
-        return _unconstrained(c, n)
+@lru_cache(maxsize=PHASE1_CACHE_SIZE)
+def _phase1(rows: tuple[tuple[int, ...], ...], n: int, m1: int) -> tuple:
+    """Phase 1 of the system whose rows (coeffs, rhs, den) are ints over den.
 
+    The first m1 rows are inequalities, the rest equalities.  Returns
+    (INFEASIBLE, farkas_ineq, farkas_eq) or (OPTIMAL, rows, basis): the
+    phase-2 start tableau on the original columns, empty when every row
+    reduced to 0 = 0.
+    """
     # columns: x+ (n), x- (n), slacks (m1), artificials (m1 + m2), rhs; each
-    # row is scaled to coprime ints and sign-flipped so that its rhs is >= 0
-    mrows = m1 + m2
+    # row is sign-flipped so that its rhs is >= 0
+    mrows = len(rows)
     ncols = 2 * n + m1
-    rows: list[list[int]] = []
+    tab: list[list[int]] = []
     flip: list[int] = []
-    for i in range(mrows):
-        coeffs = a[i] if i < m1 else e[i - m1]
-        hv = b[i] if i < m1 else d[i - m1]
-        (*ints, h), den = int_row((*coeffs, hv))
+    for i, (*ints, h, den) in enumerate(rows):
         r = ints + [-x for x in ints] + [0] * (m1 + mrows) + [h]
         if i < m1:
             r[2 * n + i] = den
@@ -196,23 +203,18 @@ def solve_lp(
             r = [-x for x in r]
         r[ncols + i] = den
         flip.append(s)
-        rows.append(r)
+        tab.append(r)
 
-    # phase 1: minimize artificials (as max of their negated sum)
-    t = _Tableau(rows, [ncols + i for i in range(mrows)])
-    phase1_obj = [Fraction(0)] * ncols + [Fraction(-1)] * mrows
-    status, _, red, den = t.solve_max(phase1_obj)
+    # minimize the artificials (as max of their negated sum)
+    t = _Tableau(tab, [ncols + i for i in range(mrows)])
+    status, _, red, den = t.solve_max([0] * ncols + [-1] * mrows, 1)
     if status != OPTIMAL:  # pragma: no cover
         raise RuntimeError("internal: phase 1 objective is bounded by 0")
     # infeasible iff an artificial stays basic at a positive value
     if any(t.t[r][-1] > 0 for r, bc in enumerate(t.basis) if bc >= ncols):
         # dual y_i = -1 - red(artificial_i); w = y * flip is the certificate
         cert = [Fraction((-den - red[ncols + i]) * flip[i], den) for i in range(mrows)]
-        farkas_ineq = vec(cert[:m1])
-        farkas_eq = vec(cert[m1:])
-        if not verify_farkas(a, b, e, d, farkas_ineq, farkas_eq):  # pragma: no cover
-            raise AssertionError("internal: invalid Farkas certificate")
-        return LPResult(INFEASIBLE, farkas_ineq=farkas_ineq, farkas_eq=farkas_eq)
+        return INFEASIBLE, tuple(cert[:m1]), tuple(cert[m1:])
 
     # drive remaining artificials out of the basis where possible
     for r in range(mrows):
@@ -221,19 +223,59 @@ def solve_lp(
             if c_enter is not None:
                 t.pivot(r, c_enter)
 
-    # phase 2 on the original columns (rows with stuck artificials are 0 = 0)
+    # phase 2 runs on the original columns (rows with stuck artificials are 0 = 0)
     keep = [r for r in range(mrows) if t.basis[r] < ncols]
-    if not keep:
+    start = tuple(tuple(primitive(t.t[r][:ncols] + [t.t[r][-1]])) for r in keep)
+    return OPTIMAL, start, tuple(t.basis[r] for r in keep)
+
+
+def solve_lp(
+    c: Vec,
+    a: Mat = (),
+    b: Vec = (),
+    e: Mat = (),
+    d: Vec = (),
+    n: int | None = None,
+) -> LPResult:
+    """max c.x subject to a x <= b, e x = d over free x in R^n.
+
+    Entries may be ints or Fractions.
+    """
+    c = vec(c)
+    if n is None:
+        n = len(c)
+    m1 = len(a)
+    if m1 + len(e) == 0:
+        return _unconstrained(c, n)
+    rows = []
+    for coeffs, hv in (*zip(a, b, strict=True), *zip(e, d, strict=True)):
+        ints, den = int_row((*coeffs, hv))
+        ints.append(den)
+        rows.append(tuple(ints))
+    phase1 = _phase1(tuple(rows), n, m1)
+    if phase1[0] == INFEASIBLE:
+        _, y, z = phase1
+        if not verify_farkas(a, b, e, d, y, z):  # pragma: no cover
+            raise AssertionError("internal: invalid Farkas certificate")
+        return LPResult(INFEASIBLE, farkas_ineq=y, farkas_eq=z)
+    _, start, basis = phase1
+    if not start:
         # every row reduced to 0 = 0, so the constraints hold on all of R^n
         return _unconstrained(c, n)
-    t2 = _Tableau(
-        [primitive(t.t[r][:ncols] + [t.t[r][-1]]) for r in keep],
-        [t.basis[r] for r in keep],
-    )
-    obj = list(c) + [-x for x in c] + [Fraction(0)] * m1
-    status, enter, _, _ = t2.solve_max(obj)
-    w = t2.point() if status == OPTIMAL else t2.ray(enter)
-    point = tuple(w.get(j, Fraction(0)) - w.get(n + j, Fraction(0)) for j in range(n))
+
+    # phase 2 on fresh lists; the cached start rows are never pivoted
+    t = _Tableau([list(r) for r in start], list(basis))
+    cints, cden = int_row(c)
+    status, enter, _, _ = t.solve_max(cints + [-x for x in cints] + [0] * m1, cden)
+    w = t.point() if status == OPTIMAL else t.ray(enter)
+    # x+_j and x-_j have opposite columns, so at most one of them is in w
+    point = [_ZERO] * n
+    for j, v in w.items():
+        if j < n:
+            point[j] = v
+        elif j < 2 * n:
+            point[j - n] = -v
+    point = tuple(point)
     if status == UNBOUNDED:
         return LPResult(UNBOUNDED, ray=point)
     return LPResult(OPTIMAL, x=point, objective=dot(c, point))
@@ -276,16 +318,12 @@ def strict_feasible_point(
     if not a_strict:
         res = feasible_point(a, b, e, d, n=n)
         return res.x if res.status == OPTIMAL else None
-    a2 = [tuple(row) + (Fraction(1),) for row in a_strict]
-    b2 = list(b_strict)
-    for row, bi in zip(a, b, strict=True):
-        a2.append(tuple(row) + (Fraction(0),))
-        b2.append(bi)
-    a2.append(zeros(n) + (Fraction(1),))
-    b2.append(Fraction(1))
-    e2 = tuple(tuple(row) + (Fraction(0),) for row in e)
-    cobj = zeros(n) + (Fraction(1),)
-    res = solve_lp(cobj, mat(a2), vec(b2), e2, d, n=n + 1)
+    a2 = [(*row, 1) for row in a_strict]
+    a2 += [(*row, 0) for row in a]
+    a2.append((0,) * n + (1,))
+    b2 = [*b_strict, *b, 1]
+    e2 = [(*row, 0) for row in e]
+    res = solve_lp((0,) * n + (1,), a2, b2, e2, d, n=n + 1)
     if res.status != OPTIMAL or res.objective is None or res.objective <= 0:
         return None
     return res.x[:n]

@@ -25,7 +25,7 @@ from dircq.polyhedra import (
     HPolyhedron,
     PolyhedralCone,
     cone_from_generators,
-    generators,
+    nonzero_element,
     project_polyhedron,
 )
 from dircq.simplex import strict_feasible_point
@@ -97,15 +97,6 @@ class ConeUnion:
     def is_trivial(self) -> bool:
         """True iff the union equals {0} (as a set)."""
         return bool(self.pieces) and all(p.is_trivial() for p in self.pieces)
-
-    def nonzero_element(self) -> Vec | None:
-        for p in self.pieces:
-            rays, lin = generators(p)
-            if rays:
-                return rays[0]
-            if lin:
-                return lin[0]
-        return None
 
     def as_polyunion(self) -> PolyUnion:
         if self.is_empty:
@@ -557,11 +548,12 @@ def cone_union_subset(a: ConeUnion, b: ConeUnion) -> tuple[bool, Vec | None]:
     if a.is_empty:
         return True, None
     if b.is_empty:
-        w = a.nonzero_element()
-        if w is None and a.pieces:
-            # a = {0}; 0 is not in the empty union
-            return False, zeros(a.dim)
-        return (w is None), w
+        for piece in a.pieces:
+            w = nonzero_element(piece)
+            if w is not None:
+                return False, w
+        # a = {0}; 0 is not in the empty union
+        return False, zeros(a.dim)
     for piece in a.pieces:
         w = subdivide_and_check(piece, b)
         if w is not None:

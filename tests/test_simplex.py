@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from dircq import simplex
 from dircq.linalg import dot, is_zero, mat, vec, zeros
 from dircq.simplex import (
     INFEASIBLE,
@@ -272,3 +273,65 @@ def test_same_result_as_rational_tableau_every_status():
         assert res == reference_solve_lp(c, a, b, e, d, n=n), (c, a, b, e, d)
         seen[res.status] += 1
     assert min(seen.values()) >= 150, seen
+
+
+# ---------------------------------------------------------------------------
+# the phase-1 cache: one phase 1 per constraint system, one phase 2 per call
+
+
+def test_many_objectives_over_one_system():
+    rng = random.Random(20261019)
+    for _ in range(150):
+        _, a, b, e, d, n = _degenerate_lp(rng.choice)
+        objectives = [[rng.choice((Q(-1), Q(0), Q(1), Q(2))) for _ in range(n)] for _ in range(4)]
+        objectives += [[Q(s) if j == i else Q(0) for j in range(n)] for i in range(n) for s in (1, -1)]
+        simplex._phase1.cache_clear()
+        for c in rng.sample(objectives, len(objectives)):
+            assert solve_lp(c, a, b, e, d, n=n) == reference_solve_lp(c, a, b, e, d, n=n), (c, a, b, e, d)
+
+
+def test_cache_keys_on_split_and_dimension():
+    phase1 = simplex._phase1
+    phase1.cache_clear()
+    rows, rhs = [[1, 0], [0, 1]], [1, 1]
+    c = [1, 1]
+    systems = [
+        dict(a=rows, b=rhs, n=2),  # x <= 1, y <= 1
+        dict(a=rows[:1], b=rhs[:1], e=rows[1:], d=rhs[1:], n=2),  # x <= 1, y = 1
+        dict(e=rows, d=rhs, n=2),  # x = 1, y = 1
+        dict(a=[[1]], b=[1], n=1),  # x <= 1 in R^1
+        dict(a=[[1, 0]], b=[1], n=2),  # the same row in R^2
+    ]
+    results = []
+    for k, sys in enumerate(systems):
+        cc = c[: sys["n"]]
+        res = solve_lp(cc, **sys)
+        assert res == reference_solve_lp(cc, **sys), sys
+        assert phase1.cache_info().misses == k + 1, sys
+        results.append(res)
+    # the second round hits every entry and still gives each system its own answer
+    for sys, res in zip(systems, results):
+        assert solve_lp(c[: sys["n"]], **sys) == res
+    assert phase1.cache_info().misses == len(systems)
+    assert [r.status for r in results] == [OPTIMAL] * 4 + [UNBOUNDED]
+
+
+def test_int_and_fraction_inputs_agree():
+    rng = random.Random(20261020)
+    phase1 = simplex._phase1
+    for _ in range(200):
+        c, a, b, e, d, n = _degenerate_lp(rng.choice)
+        as_int = [[[int(2 * x) for x in row] for row in m] for m in (a, e)]
+        ai, ei = as_int
+        bi, di, ci = ([int(2 * x) for x in v] for v in (b, d, c))
+        phase1.cache_clear()
+        res = solve_lp(ci, ai, bi, ei, di, n=n)
+        hits = phase1.cache_info().hits
+        fres = solve_lp(vec(ci), mat(ai), vec(bi), mat(ei), vec(di), n=n)
+        assert res == fres == reference_solve_lp(ci, ai, bi, ei, di, n=n)
+        if ai or ei:
+            assert phase1.cache_info().hits == hits + 1
+        for v in (res.x, res.ray, res.farkas_ineq, res.farkas_eq):
+            assert v is None or all(type(x) is Q for x in v)
+        if res.status == INFEASIBLE:
+            assert verify_farkas(ai, bi, ei, di, res.farkas_ineq, res.farkas_eq)

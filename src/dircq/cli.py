@@ -1,4 +1,4 @@
-"""Check dispatch for constraint problems.
+"""Check dispatch for constraint and MPEC problems.
 
 ``run_check`` maps a check name, as a report row carries it, to its decider
 and runs it on a parsed problem.  ``report.verify_report`` recomputes every
@@ -7,7 +7,7 @@ row through it.
 
 from __future__ import annotations
 
-from dircq import cq
+from dircq import cq, oracle
 from dircq.cq import Verdict
 from dircq.problemfile import Problem, ProblemFormatError
 
@@ -30,15 +30,19 @@ def run_check(
     direction: str | None = None,
     mode: str = "asym",
 ) -> Verdict:
-    """Run the check a report row names on a constraint problem at xbar.
+    """Run the check a report row names on a constraint or MPEC problem at xbar.
 
     ``direction`` names one of the problem's directions; the theorem
     checkers also take ``mode``.
     """
-    if problem.kind != "constraint":
-        raise ProblemFormatError(f"run_check takes constraint problems, not {problem.kind!r}")
+    if problem.kind not in ("constraint", "mpec"):
+        raise ProblemFormatError(
+            f"run_check takes constraint and mpec problems, not {problem.kind!r}"
+        )
     if point not in (None, "xbar"):
-        raise ProblemFormatError(f"constraint checks run at xbar, not at {point!r}")
+        raise ProblemFormatError(f"{problem.kind} checks run at xbar, not at {point!r}")
+    if problem.kind == "mpec":
+        return _run_mpec_check(problem, check, direction)
     sys = problem.system
     if check == "mordukhovich":
         return cq.mordukhovich(sys)
@@ -57,3 +61,14 @@ def run_check(
     if check.startswith("thm-"):
         return decider(sys, u, mode=mode)
     return decider(sys, u)
+
+
+def _run_mpec_check(problem: Problem, check: str, direction: str | None) -> Verdict:
+    """Directional pseudo-/quasi-normality of the equilibrium assembly at xbar."""
+    if check not in ("pseudo-normality", "quasi-normality"):
+        raise ProblemFormatError(f"unknown check {check!r} for mpec problems")
+    if direction is None:
+        raise ProblemFormatError(f"check {check!r} needs a direction")
+    u = problem.direction(direction)
+    mp = oracle.MpecProblem(problem.mpec_omega, problem.mpec_s, problem.point("xbar"))
+    return cq.mpec_pseudo_quasi_verdict(mp, u, basis=problem.basis, mode=check.split("-")[0])

@@ -26,9 +26,14 @@ from dircq.linalg import (
     sub,
     transpose,
     vec,
-    zeros,
 )
-from dircq.polyhedra import PolyhedralCone, cone_from_generators, generators, nonzero_element
+from dircq.polyhedra import (
+    PolyhedralCone,
+    cone_from_generators,
+    generators,
+    int_generators,
+    nonzero_element,
+)
 from dircq.polymaps import Poly
 from dircq.setmaps import ConstraintSystem, InfeasiblePoint
 from dircq.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, feasible_point, solve_lp, strict_feasible_point
@@ -47,6 +52,7 @@ from dircq.unions import (
     normal_graph,
     tangent_cone,
     tangent_cone_of_union,
+    tangent_of_cone_at,
 )
 
 HOLDS = "HOLDS"
@@ -122,7 +128,7 @@ def mordukhovich(sys: ConstraintSystem) -> Verdict:
     ctx = _context(sys)
     n_lim = limiting_normal_cone(sys.d, ctx.gx)
     pieces = [
-        PolyhedralCone.make(a=p.a, e=p.e + ctx.ker_rows, dim=sys.m)
+        PolyhedralCone.make(a=p.ia, e=p.ie + ctx.ker_rows, dim=sys.m)
         for p in n_lim.pieces
     ]
     return _kernel_verdict("mordukhovich", pieces, {"cone": "limiting"})
@@ -142,7 +148,7 @@ def foscms(sys: ConstraintSystem, u: Vec) -> Verdict:
             qualifier="direction-not-tangent",
         )
     pieces = [
-        PolyhedralCone.make(a=p.a, e=p.e + ctx.ker_rows, dim=sys.m)
+        PolyhedralCone.make(a=p.ia, e=p.ie + ctx.ker_rows, dim=sys.m)
         for p in n_dir.pieces
     ]
     return _kernel_verdict("foscms", pieces, {"cone": "directional"})
@@ -163,7 +169,7 @@ def soscms(sys: ConstraintSystem, u: Vec) -> Verdict:
         )
     neg_h = tuple(-x for x in ctx.h)
     pieces = [
-        PolyhedralCone.make(a=p.a + (neg_h,), e=p.e + ctx.ker_rows, dim=sys.m)
+        PolyhedralCone.make(a=p.ia + (neg_h,), e=p.ie + ctx.ker_rows, dim=sys.m)
         for p in n_dir.pieces
     ]
     return _kernel_verdict("soscms", pieces, {"cone": "directional", "curvature": ctx.h})
@@ -217,8 +223,21 @@ def _mixed_nonzero_solution(
 # joint condition systems (variables are concatenated blocks)
 
 
+def _exact(x):
+    """x as an int when it is integral, else as a Fraction (equal values)."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 class _Blocks:
-    """Constraint assembler over concatenated variable blocks."""
+    """Constraint assembler over concatenated variable blocks.
+
+    Rows are kept with int entries wherever the value is integral, so that
+    the cone layer's int rows reach ``solve_lp`` without a Fraction.
+    """
 
     def __init__(self, sizes: dict[str, int]):
         self.offsets: dict[str, int] = {}
@@ -227,40 +246,40 @@ class _Blocks:
             self.offsets[name] = off
             off += size
         self.n = off
-        self.strict_a: list[Vec] = []
-        self.strict_b: list[Fraction] = []
-        self.a: list[Vec] = []
-        self.b: list[Fraction] = []
-        self.e: list[Vec] = []
-        self.d: list[Fraction] = []
+        self.strict_a: list[tuple] = []
+        self.strict_b: list = []
+        self.a: list[tuple] = []
+        self.b: list = []
+        self.e: list[tuple] = []
+        self.d: list = []
 
-    def _embed(self, block: str, row: Vec) -> list[Fraction]:
-        full = [Fraction(0)] * self.n
+    def _embed(self, block: str, row: Vec) -> tuple:
+        full = [0] * self.n
         off = self.offsets[block]
         for j, v in enumerate(row):
-            full[off + j] = v
-        return full
+            full[off + j] = _exact(v)
+        return tuple(full)
 
     def row_le(self, block: str, row: Vec, rhs=0):
-        self.a.append(tuple(self._embed(block, row)))
-        self.b.append(Fraction(rhs))
+        self.a.append(self._embed(block, row))
+        self.b.append(_exact(rhs))
 
     def row_lt(self, block: str, row: Vec, rhs=0):
-        self.strict_a.append(tuple(self._embed(block, row)))
-        self.strict_b.append(Fraction(rhs))
+        self.strict_a.append(self._embed(block, row))
+        self.strict_b.append(_exact(rhs))
 
     def row_eq(self, block: str, row: Vec, rhs=0):
-        self.e.append(tuple(self._embed(block, row)))
-        self.d.append(Fraction(rhs))
+        self.e.append(self._embed(block, row))
+        self.d.append(_exact(rhs))
 
     def row_multi_eq(self, parts: dict[str, Vec], rhs=0):
-        full = [Fraction(0)] * self.n
+        full = [0] * self.n
         for block, row in parts.items():
             off = self.offsets[block]
             for j, v in enumerate(row):
                 full[off + j] += v
-        self.e.append(tuple(full))
-        self.d.append(Fraction(rhs))
+        self.e.append(tuple(map(_exact, full)))
+        self.d.append(_exact(rhs))
 
     def add_cell_relint(self, block: str, cell: Cell, hyper: tuple[Vec, ...]):
         for hrow, s in zip(hyper, cell.signs):
@@ -281,9 +300,9 @@ class _Blocks:
                 self.row_le(block, hrow)
 
     def add_cone(self, block: str, cone: PolyhedralCone):
-        for row in cone.a:
+        for row in cone.ia:
             self.row_le(block, row)
-        for row in cone.e:
+        for row in cone.ie:
             self.row_eq(block, row)
 
     def block_indices(self, block: str, size: int) -> list[int]:
@@ -332,7 +351,7 @@ class _Source:
 
 def _source_image(ctx: _Ctx, source: _Source) -> PolyhedralCone:
     m = ctx.sys.m
-    rays, lin = generators(source.cone)
+    rays, lin = int_generators(source.cone)
 
     def image(w: Vec) -> Vec:
         ystar, zstar = w[:m], w[m:]
@@ -351,7 +370,7 @@ def _source_image(ctx: _Ctx, source: _Source) -> PolyhedralCone:
 def _lambda_targets(ctx: _Ctx, lam_union: ConeUnion) -> ConeUnion:
     pieces = []
     for p in lam_union.pieces:
-        rays, lin = generators(p)
+        rays, lin = int_generators(p)
         im_rays = [mat_t_vec(ctx.jac, r) for r in rays]
         im_lin = [mat_t_vec(ctx.jac, l) for l in lin]
         im_rays = [r for r in im_rays if not is_zero(r)]
@@ -367,10 +386,10 @@ def _find_multiplier(
     farkas = []
     for i, piece in enumerate(lam_union.pieces):
         res = feasible_point(
-            piece.a,
-            zeros(len(piece.a)),
-            piece.e + ctx.ker_rows,
-            zeros(len(piece.e)) + xstar,
+            piece.ia,
+            (0,) * len(piece.ia),
+            piece.ie + ctx.ker_rows,
+            (0,) * len(piece.ie) + tuple(xstar),
             n=ctx.sys.m,
         )
         if res.status == OPTIMAL:
@@ -748,8 +767,7 @@ def check_thm_nonpolyhedral(
             if require_ju and not f.contains(ctx.ju):
                 continue
             if nc.contains(rho.witness):
-                act = [row for row in nc.a if dot(row, rho.witness) == 0]
-                out.append(PolyhedralCone.make(a=act, e=nc.e, dim=m))
+                out.append(tangent_of_cone_at(nc, rho.witness))
         return out
 
     # condition "derivative": the coupled system forces y* = 0
@@ -876,10 +894,10 @@ def mstationarity(sys: ConstraintSystem, phi: Poly) -> Verdict:
     farkas = []
     for i, piece in enumerate(n_lim.pieces):
         res = feasible_point(
-            piece.a,
-            zeros(len(piece.a)),
-            piece.e + ctx.ker_rows,
-            zeros(len(piece.e)) + target,
+            piece.ia,
+            (0,) * len(piece.ia),
+            piece.ie + ctx.ker_rows,
+            (0,) * len(piece.ie) + target,
             n=sys.m,
         )
         if res.status == OPTIMAL:
@@ -961,7 +979,7 @@ def pseudo_quasi_verdict(
         )
     kernel = ConeUnion.make(
         [
-            PolyhedralCone.make(a=p.a, e=p.e + ctx.ker_rows, dim=sys.m)
+            PolyhedralCone.make(a=p.ia, e=p.ie + ctx.ker_rows, dim=sys.m)
             for p in n_dir.pieces
         ],
         sys.m,
@@ -1087,8 +1105,8 @@ def _dual_slice(n_union: ConeUnion, nx: int, ny: int) -> ConeUnion:
     """{ystar : (0, -ystar) in piece} for each piece of a graph normal union."""
     pieces = []
     for p in n_union.pieces:
-        a_rows = [tuple(-c for c in row[nx:]) for row in p.a]
-        e_rows = [row[nx:] for row in p.e]
+        a_rows = [tuple(-c for c in row[nx:]) for row in p.ia]
+        e_rows = [row[nx:] for row in p.ie]
         pieces.append(PolyhedralCone.make(a=a_rows, e=e_rows, dim=ny))
     return ConeUnion.make(pieces, ny) if pieces else ConeUnion.empty(ny)
 
@@ -1138,10 +1156,10 @@ def patch_mstationarity(m, phi: Poly, xbar: Vec, ybar: Vec) -> Verdict:
         farkas = []
         for i, piece in enumerate(union.pieces):
             # lambda with (-grad, -lambda) in the piece
-            a_rows = [row[nx:] for row in piece.a]
-            a_rhs = [dot(row[:nx], grad) for row in piece.a]
-            e_rows = [row[nx:] for row in piece.e]
-            e_rhs = [dot(row[:nx], grad) for row in piece.e]
+            a_rows = [row[nx:] for row in piece.ia]
+            a_rhs = [dot(row[:nx], grad) for row in piece.ia]
+            e_rows = [row[nx:] for row in piece.ie]
+            e_rhs = [dot(row[:nx], grad) for row in piece.ie]
             res = feasible_point(
                 tuple(tuple(-c for c in r) for r in a_rows),
                 vec(a_rhs),

@@ -10,6 +10,12 @@ scaling of ``integerize``/``canon_ray``/``canon_line``, and ``rref`` with
 Fraction entries, scale each row to Python ints by the lcm of its
 denominators, and build a Fraction only for each value they return.  Every
 result equals the one plain Fraction arithmetic gives.
+
+The cone layer (``dircq.polyhedra``) stores its rows as coprime int tuples,
+so the int-level kernels are public too: ``int_row`` reads a row into ints
+over one denominator (an all-int row is taken as it is), ``coprime_ints``
+gives the canonical int key of a ray or line, and ``int_nullspace`` the null
+space as canonical int lines.  None of them builds a Fraction.
 """
 
 from __future__ import annotations
@@ -23,8 +29,15 @@ Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
 
 
-def int_row(xs: Iterable) -> tuple[list[int], int]:
+# int.__instancecheck__(x) is isinstance(x, int); mapped over a row it tells
+# an all-int row apart without a Python-level loop
+_is_int = int.__instancecheck__
+
+
+def int_row(xs: Sequence) -> tuple[list[int], int]:
     """(den * xs as ints, den) with den the lcm of the denominators of xs."""
+    if all(map(_is_int, xs)):
+        return list(xs), 1
     pairs = [x.as_integer_ratio() for x in xs]
     den = lcm(*[d for _, d in pairs])
     if den == 1:
@@ -153,6 +166,11 @@ def rank(m: Mat) -> int:
     return len(_int_rref(m)[1])
 
 
+def pivot_columns(m: Mat) -> tuple[int, ...]:
+    """The pivot columns of ``rref(m)``, without building its rows."""
+    return tuple(_int_rref(m)[1])
+
+
 def nullspace(m: Mat, dim: int | None = None) -> list[Vec]:
     """Basis of {x : m x = 0}.  ``dim`` is required when m has no rows."""
     if not m:
@@ -171,6 +189,27 @@ def nullspace(m: Mat, dim: int | None = None) -> list[Vec]:
             if row[fc]:
                 v[pc] = Fraction(-row[fc], row[pc])
         basis.append(tuple(v))
+    return basis
+
+
+def int_nullspace(m: Sequence[Sequence], dim: int) -> list[tuple[int, ...]]:
+    """The basis of ``nullspace(m, dim)``, each vector as its ``canon_line`` ints."""
+    if not m:
+        return [tuple(int(j == i) for j in range(dim)) for i in range(dim)]
+    rows, pivots = _int_rref(m)
+    basis = []
+    for fc in range(dim):
+        if fc in pivots:
+            continue
+        # nullspace's vector (1 at fc, -row[fc]/row[pc] at each pivot pc)
+        # times the lcm of the pivot entries it divides by
+        used = [(row, pc) for row, pc in zip(rows, pivots) if row[fc]]
+        scale_ = lcm(*[row[pc] for row, pc in used]) if used else 1
+        v = [0] * dim
+        v[fc] = scale_
+        for row, pc in used:
+            v[pc] = -row[fc] * (scale_ // row[pc])
+        basis.append(coprime_ints(v, line=True))
     return basis
 
 
@@ -198,6 +237,8 @@ def coprime_ints(v: Sequence[Fraction], line: bool = False) -> tuple[int, ...]:
         return tuple(ints)
     if line and next(x for x in ints if x) < 0:
         g = -g
+    if g == 1:
+        return tuple(ints)
     return tuple([x // g for x in ints])
 
 

@@ -156,21 +156,24 @@ def polyhedron_faces(p: HPolyhedron) -> list[tuple[tuple[int, ...], Vec]]:
     from dircq.simplex import strict_feasible_point
 
     out = []
-    m = len(p.a)
+    rows = p.iab
+    m = len(rows)
+    e_rows = tuple(r[:-1] for r in p.ied)
+    e_rhs = tuple(r[-1] for r in p.ied)
     seen = set()
     for size in range(m + 1):
         for subset in itertools.combinations(range(m), size):
             ins = tuple(i for i in range(m) if i not in subset)
             w = strict_feasible_point(
-                tuple(p.a[i] for i in ins),
-                tuple(p.b[i] for i in ins),
-                e=p.e + tuple(p.a[i] for i in subset),
-                d=p.d + tuple(p.b[i] for i in subset),
+                tuple(rows[i][:-1] for i in ins),
+                tuple(rows[i][-1] for i in ins),
+                e=e_rows + tuple(rows[i][:-1] for i in subset),
+                d=e_rhs + tuple(rows[i][-1] for i in subset),
                 n=p.dim,
             )
             if w is None:
                 continue
-            key = tuple(i for i in range(m) if dot(p.a[i], w) == p.b[i])
+            key = p.active_rows(w)
             if key in seen:
                 continue
             seen.add(key)
@@ -204,10 +207,9 @@ def _face_hulls(pieces) -> list[_FaceHull]:
     hulls = []
     for piece in pieces:
         for active, _ in polyhedron_faces(piece):
-            rows = piece.e + tuple(piece.a[i] for i in active)
-            rhs = piece.d + tuple(piece.b[i] for i in active)
-            # a face has a relint point, so no reduced row reads 0 = s != 0
-            red, _ = rref(tuple(r + (s,) for r, s in zip(rows, rhs)))
+            # the face's equality rows, rhs last; a face has a relint point,
+            # so no reduced row reads 0 = s != 0
+            red, _ = rref(piece.ied + tuple(piece.iab[i] for i in active))
             rows, rhs = tuple(r[:-1] for r in red), tuple(r[-1] for r in red)
             k = len(rows)
             # rref of [G | I] is [I | G^-1]
@@ -665,8 +667,8 @@ def probe_pseudo_or_super_coderivative(
 def _coderivative_slice(ncone: PolyhedralCone, ystar: Vec, nx: int, ny: int) -> tuple[Vec, ...]:
     """Representative solutions w of (w, -ystar) in the cone."""
     # solve the linear system on the cone's equality rows, then check rows
-    rows_e = [r[:nx] for r in ncone.e]
-    rhs_e = [dot(r[nx:], ystar) for r in ncone.e]
+    rows_e = [r[:nx] for r in ncone.ie]
+    rhs_e = [dot(r[nx:], ystar) for r in ncone.ie]
     sol = solve_linear(tuple(rows_e), tuple(rhs_e)) if rows_e else zeros(nx)
     if sol is None:
         return ()
@@ -737,7 +739,7 @@ def _slice_first_block(u: ConeUnion, n1: int) -> ConeUnion:
     for p in u.pieces:
         pieces.append(
             PolyhedralCone.make(
-                a=[row[:n1] for row in p.a], e=[row[:n1] for row in p.e], dim=n1
+                a=[row[:n1] for row in p.ia], e=[row[:n1] for row in p.ie], dim=n1
             )
         )
     return ConeUnion.make(pieces, n1) if pieces else ConeUnion.empty(n1)
@@ -746,8 +748,8 @@ def _slice_first_block(u: ConeUnion, n1: int) -> ConeUnion:
 def _negate_union(u: ConeUnion) -> ConeUnion:
     pieces = [
         PolyhedralCone.make(
-            a=[tuple(-c for c in row) for row in p.a],
-            e=p.e,
+            a=[tuple(-c for c in row) for row in p.ia],
+            e=p.ie,
             dim=u.dim,
         )
         for p in u.pieces

@@ -1,15 +1,28 @@
 """Exact polyhedral kernels: H/V conversion, faces, polars, projections.
 
 H-forms are {x : A x <= b, E x = d}; cones are the homogeneous case with
-cached generator data.  All comparisons go through canonical integer-coprime
-row scaling; dimensions stay at desk scale (n <= 8), so the generator and
-face enumerations may be exponential in the number of rows.
+cached generator data.  Dimensions stay at desk scale (n <= 8), so the
+generator and face enumerations may be exponential in the number of rows.
+
+The stored form is integer.  ``make`` scales every row to coprime Python
+ints (an equality row also to a first nonzero entry > 0) and drops zero and
+duplicate rows; an ``HPolyhedron`` row carries its right-hand side as its
+last entry.  These int rows (``ia``/``ie`` of a cone, ``iab``/``ied`` of a
+polyhedron) are the only copy of the data: equality compares them, the hash
+is computed from them once per object, and ``contains``, ``active_rows``,
+``subset_of``, ``is_trivial`` and the generator enumeration run in int
+arithmetic on them, scaling a point to ints once per test.  Inside ``dircq``
+the int rows and ``int_generators`` feed the LPs directly.
+
+Fractions are built only at the boundary of the layer: the ``a``, ``b``,
+``e`` and ``d`` accessors and ``generators`` return the same Fraction tuples
+as a Fraction-stored layer would, because those values reach reports and
+certificates.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -17,19 +30,12 @@ from operator import mul
 from dircq.linalg import (
     Mat,
     Vec,
-    canon_line,
-    canon_ray,
     coprime_ints,
-    dot,
+    int_nullspace,
     int_row,
     is_zero,
-    mat,
-    nullspace,
+    pivot_columns,
     rank,
-    rref,
-    unit,
-    vec,
-    zeros,
 )
 from dircq.simplex import (
     INFEASIBLE,
@@ -40,78 +46,125 @@ from dircq.simplex import (
 )
 
 # Cones whose V-representation is kept; the cell duals of one analysis share
-# about 300 of them, and evicting shared entries makes later calls redo LPs.
+# about 300 of them, and evicting shared entries makes later calls redo work.
 GENERATORS_CACHE_SIZE = 512
+
+IntVec = tuple[int, ...]
+IntMat = tuple[IntVec, ...]
 
 
 class DimensionMismatch(ValueError):
     pass
 
 
-def _canon_rows(rows: Mat, rhs: Vec, line: bool) -> tuple[Mat, Vec]:
-    """Scale (row, rhs) pairs to coprime integers and drop duplicates/zeros."""
-    seen = set()
-    out_rows: list[Vec] = []
-    out_rhs: list[Fraction] = []
-    for row, r in zip(rows, rhs, strict=True):
-        key = coprime_ints(tuple(row) + (r,), line)
-        if key in seen or not any(key):
-            continue
-        seen.add(key)
-        cj = vec(key)
-        out_rows.append(cj[:-1])
-        out_rhs.append(cj[-1])
-    return tuple(out_rows), tuple(out_rhs)
+def _canon_rows(rows, line: bool) -> IntMat:
+    """The rows as ``coprime_ints`` keys, without zero rows and duplicates."""
+    out: dict[IntVec, None] = {}
+    for row in rows:
+        key = coprime_ints(row, line)
+        if any(key):
+            out[key] = None
+    return tuple(out)
 
 
-@dataclass(frozen=True)
+def _system_dim(dim: int | None, *mats) -> int:
+    """dim, or the row length of the first row; every row must have it."""
+    if dim is None:
+        first = next((m[0] for m in mats if m), None)
+        if first is None:
+            raise DimensionMismatch("empty system needs explicit dimension")
+        dim = len(first)
+    for row in itertools.chain(*mats):
+        if len(row) != dim:
+            raise DimensionMismatch(f"row length {len(row)} != dim {dim}")
+    return dim
+
+
+def _split(rows: IntMat) -> tuple[IntMat, IntVec]:
+    """Coefficient rows and right-hand sides of rows stored with rhs last."""
+    return tuple(r[:-1] for r in rows), tuple(r[-1] for r in rows)
+
+
+def _fractions(rows: IntMat) -> Mat:
+    return tuple(tuple(map(Fraction, r)) for r in rows)
+
+
 class HPolyhedron:
-    """{x in R^dim : a x <= b, e x = d}, possibly empty."""
+    """{x in R^dim : a x <= b, e x = d}, possibly empty.
 
-    a: Mat
-    b: Vec
-    e: Mat
-    d: Vec
-    dim: int
+    ``iab`` and ``ied`` are the canonical int rows of [a | b] and [e | d];
+    build instances with ``make``.
+    """
+
+    __slots__ = ("iab", "ied", "dim", "_hash")
+
+    def __init__(self, iab: IntMat, ied: IntMat, dim: int):
+        self.iab = iab
+        self.ied = ied
+        self.dim = dim
+        self._hash = hash((iab, ied, dim))
 
     @staticmethod
     def make(a=(), b=(), e=(), d=(), dim: int | None = None) -> "HPolyhedron":
-        a, b, e, d = mat(a), vec(b), mat(e), vec(d)
-        if dim is None:
-            if a:
-                dim = len(a[0])
-            elif e:
-                dim = len(e[0])
-            else:
-                raise DimensionMismatch("empty system needs explicit dimension")
-        for row in itertools.chain(a, e):
-            if len(row) != dim:
-                raise DimensionMismatch(f"row length {len(row)} != dim {dim}")
+        a, e = [tuple(r) for r in a], [tuple(r) for r in e]
+        b, d = tuple(b), tuple(d)
+        dim = _system_dim(dim, a, e)
         if len(a) != len(b) or len(e) != len(d):
             raise DimensionMismatch("rhs length does not match row count")
-        a, b = _canon_rows(a, b, line=False)
-        e, d = _canon_rows(e, d, line=True)
-        return HPolyhedron(a, b, e, d, dim)
+        return HPolyhedron(
+            _canon_rows([(*r, bi) for r, bi in zip(a, b)], line=False),
+            _canon_rows([(*r, di) for r, di in zip(e, d)], line=True),
+            dim,
+        )
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not HPolyhedron:
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.iab == other.iab
+            and self.ied == other.ied
+            and self.dim == other.dim
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"HPolyhedron(iab={self.iab}, ied={self.ied}, dim={self.dim})"
+
+    @property
+    def a(self) -> Mat:
+        return _fractions(r[:-1] for r in self.iab)
+
+    @property
+    def b(self) -> Vec:
+        return tuple(Fraction(r[-1]) for r in self.iab)
+
+    @property
+    def e(self) -> Mat:
+        return _fractions(r[:-1] for r in self.ied)
+
+    @property
+    def d(self) -> Vec:
+        return tuple(Fraction(r[-1]) for r in self.ied)
+
+    def sort_key(self) -> tuple:
+        """(a, b, e, d) as ints, which orders like their Fraction values."""
+        return (*_split(self.iab), *_split(self.ied))
 
     def contains(self, x: Vec) -> bool:
         if len(x) != self.dim:
             raise DimensionMismatch("point has wrong dimension")
-        return all(dot(r, x) <= bi for r, bi in zip(self.a, self.b)) and all(
-            dot(r, x) == di for r, di in zip(self.e, self.d)
-        )
-
-    def translate(self, y: Vec) -> "HPolyhedron":
-        """The set self + y."""
-        return HPolyhedron.make(
-            self.a,
-            tuple(bi + dot(r, y) for r, bi in zip(self.a, self.b)),
-            self.e,
-            tuple(di + dot(r, y) for r, di in zip(self.e, self.d)),
-            dim=self.dim,
+        xs, den = int_row(x)
+        # map(mul, r, xs) stops at the end of xs, before r's rhs entry
+        return all(sum(map(mul, r, xs)) <= r[-1] * den for r in self.iab) and all(
+            sum(map(mul, r, xs)) == r[-1] * den for r in self.ied
         )
 
     def active_rows(self, x: Vec) -> tuple[int, ...]:
-        return tuple(i for i, (r, bi) in enumerate(zip(self.a, self.b)) if dot(r, x) == bi)
+        xs, den = int_row(x)
+        return tuple(i for i, r in enumerate(self.iab) if sum(map(mul, r, xs)) == r[-1] * den)
 
 
 def lp_feasibility(p: HPolyhedron):
@@ -119,63 +172,99 @@ def lp_feasibility(p: HPolyhedron):
 
     Returns the raw LPResult; callers use .status/.x/.farkas_*.
     """
-    return feasible_point(p.a, p.b, p.e, p.d, n=p.dim)
+    return feasible_point(*_split(p.iab), *_split(p.ied), n=p.dim)
 
 
 def is_empty(p: HPolyhedron) -> bool:
     return lp_feasibility(p).status == INFEASIBLE
 
 
-@dataclass(frozen=True)
 class PolyhedralCone:
-    """{x : a x <= 0, e x = 0}; always contains 0."""
+    """{x : a x <= 0, e x = 0}; always contains 0.
 
-    a: Mat
-    e: Mat
-    dim: int
+    ``ia`` and ``ie`` are the canonical int rows of a and e; build instances
+    with ``make``.
+    """
+
+    __slots__ = ("ia", "ie", "dim", "_hash")
+
+    def __init__(self, ia: IntMat, ie: IntMat, dim: int):
+        self.ia = ia
+        self.ie = ie
+        self.dim = dim
+        self._hash = hash((ia, ie, dim))
 
     @staticmethod
     def make(a=(), e=(), dim: int | None = None) -> "PolyhedralCone":
-        a, e = mat(a), mat(e)
-        if dim is None:
-            if a:
-                dim = len(a[0])
-            elif e:
-                dim = len(e[0])
-            else:
-                raise DimensionMismatch("empty system needs explicit dimension")
-        for row in itertools.chain(a, e):
-            if len(row) != dim:
-                raise DimensionMismatch(f"row length {len(row)} != dim {dim}")
-        a, _ = _canon_rows(a, zeros(len(a)), line=False)
-        e, _ = _canon_rows(e, zeros(len(e)), line=True)
-        return PolyhedralCone(a, e, dim)
+        a, e = [tuple(r) for r in a], [tuple(r) for r in e]
+        dim = _system_dim(dim, a, e)
+        return PolyhedralCone(_canon_rows(a, line=False), _canon_rows(e, line=True), dim)
 
     @staticmethod
     def full(dim: int) -> "PolyhedralCone":
-        return PolyhedralCone.make(dim=dim)
+        return PolyhedralCone((), (), dim)
 
     @staticmethod
     def origin(dim: int) -> "PolyhedralCone":
-        return PolyhedralCone.make(e=[unit(dim, i) for i in range(dim)], dim=dim)
+        return PolyhedralCone.make(e=[[int(j == i) for j in range(dim)] for i in range(dim)], dim=dim)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not PolyhedralCone:
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.ia == other.ia
+            and self.ie == other.ie
+            and self.dim == other.dim
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"PolyhedralCone(ia={self.ia}, ie={self.ie}, dim={self.dim})"
+
+    @property
+    def a(self) -> Mat:
+        return _fractions(self.ia)
+
+    @property
+    def e(self) -> Mat:
+        return _fractions(self.ie)
+
+    def sort_key(self) -> tuple:
+        """(a, e) as ints, which orders like their Fraction values."""
+        return self.ia, self.ie
 
     def contains(self, x: Vec) -> bool:
         if len(x) != self.dim:
             raise DimensionMismatch("point has wrong dimension")
-        return all(dot(r, x) <= 0 for r in self.a) and all(dot(r, x) == 0 for r in self.e)
+        return self._holds(int_row(x)[0])
+
+    def _holds(self, xs) -> bool:
+        """Membership of a positive multiple of the point, given as ints."""
+        return all(sum(map(mul, r, xs)) <= 0 for r in self.ia) and all(
+            sum(map(mul, r, xs)) == 0 for r in self.ie
+        )
 
     def as_polyhedron(self) -> HPolyhedron:
-        return HPolyhedron(self.a, zeros(len(self.a)), self.e, zeros(len(self.e)), self.dim)
+        # a zero rhs keeps every row coprime and every equality row canonical
+        return HPolyhedron(
+            tuple((*r, 0) for r in self.ia), tuple((*r, 0) for r in self.ie), self.dim
+        )
 
     def is_trivial(self) -> bool:
         """True iff the cone is exactly {0}."""
-        rays, lin = generators(self)
+        rays, lin = int_generators(self)
         return not rays and not lin
 
     def subset_of(self, other: "PolyhedralCone") -> bool:
-        rays, lin = generators(self)
-        return all(other.contains(r) for r in rays) and all(
-            other.contains(l) and other.contains(tuple(-x for x in l)) for l in lin
+        if self.dim != other.dim:
+            raise DimensionMismatch("cone dimensions differ")
+        rays, lin = int_generators(self)
+        # l and -l both lie in other iff every row of other vanishes on l
+        return all(other._holds(r) for r in rays) and all(
+            sum(map(mul, r, l)) == 0 for l in lin for r in other.ia + other.ie
         )
 
     def equals(self, other: "PolyhedralCone") -> bool:
@@ -184,44 +273,42 @@ class PolyhedralCone:
     def intersect(self, other: "PolyhedralCone") -> "PolyhedralCone":
         if self.dim != other.dim:
             raise DimensionMismatch("cone dimensions differ")
-        return PolyhedralCone.make(self.a + other.a, self.e + other.e, dim=self.dim)
+        return PolyhedralCone.make(self.ia + other.ia, self.ie + other.ie, dim=self.dim)
 
 
 @lru_cache(maxsize=GENERATORS_CACHE_SIZE)
-def generators(c: PolyhedralCone) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
-    """(rays, lineality) with canonical scaling, exact double description.
+def int_generators(c: PolyhedralCone) -> tuple[IntMat, IntMat]:
+    """(rays, lineality) as sorted coprime ints, exact double description.
 
-    The lineality space is the null space of all rows.  On the coordinates
-    outside the pivots of its rref the cone is pointed, and there every
-    feasible ray with a rank-(k-1) active set is extreme, so the rays are
-    found by rank-(k-1) activity sets (fine at desk scale) and deduplicated
-    by their canonical scaling.
+    Rays are ``coprime_ints`` keys, lineality generators ``canon_line``
+    ints.  The lineality space is the null space of all rows.  On the
+    coordinates outside the pivots of its rref the cone is pointed, and there
+    every feasible ray with a rank-(k-1) active set is extreme, so the rays
+    are found by rank-(k-1) activity sets (fine at desk scale) and
+    deduplicated by their canonical scaling.
     """
     n = c.dim
-    all_rows = c.a + c.e
-    lin = nullspace(all_rows, dim=n)
-    lin = tuple(sorted(canon_line(v) for v in lin))
+    all_rows = c.ia + c.ie
+    lin = tuple(sorted(int_nullspace(all_rows, n)))
     if not all_rows:
         return (), lin
     # complement coordinates: x = Q z with Q the unit columns off the pivots
-    pivots = rref(lin)[1] if lin else ()
+    pivots = pivot_columns(lin) if lin else ()
     comp = [j for j in range(n) if j not in pivots]
     k = len(comp)
     if k == 0:
         return (), lin
-    # the rows on those coordinates, as ints (positive row scaling keeps signs
-    # and null spaces)
-    ineq_rows = [r for r in (_int_cols(row, comp) for row in c.a) if any(r)]
-    eq_rows = tuple(r for r in (_int_cols(row, comp) for row in c.e) if any(r))
+    ineq_rows = [r for r in (tuple(row[j] for j in comp) for row in c.ia) if any(r)]
+    eq_rows = tuple(r for r in (tuple(row[j] for j in comp) for row in c.ie) if any(r))
     # a rank-(k-1) active set contains one of exactly k-1-rank(eq) inequality
     # rows with the same span, hence the same null space
     size = k - 1 - rank(eq_rows)
-    rays: set[tuple[int, ...]] = set()
+    rays: set[IntVec] = set()
     for subset in itertools.combinations(ineq_rows, size) if size >= 0 else ():
-        ns = nullspace(eq_rows + subset, dim=k)
+        ns = int_nullspace(eq_rows + subset, k)
         if len(ns) != 1:
             continue
-        z = coprime_ints(ns[0])
+        z = ns[0]
         for cand in (z, tuple(-x for x in z)):
             if all(sum(map(mul, r, cand)) <= 0 for r in ineq_rows) and all(
                 sum(map(mul, r, cand)) == 0 for r in eq_rows
@@ -230,7 +317,14 @@ def generators(c: PolyhedralCone) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
                 for j, cj in zip(comp, cand):
                     x[j] = cj
                 rays.add(tuple(x))
-    return tuple(vec(r) for r in sorted(rays)), lin
+    return tuple(sorted(rays)), lin
+
+
+@lru_cache(maxsize=GENERATORS_CACHE_SIZE)
+def generators(c: PolyhedralCone) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
+    """``int_generators(c)`` as Fraction vectors, for reports and certificates."""
+    rays, lin = int_generators(c)
+    return _fractions(rays), _fractions(lin)
 
 
 def nonzero_element(c: PolyhedralCone) -> Vec | None:
@@ -243,23 +337,15 @@ def nonzero_element(c: PolyhedralCone) -> Vec | None:
     return None
 
 
-def _int_cols(row: Vec, cols: list[int]) -> tuple[int, ...]:
-    """The entries of row in the given columns, times a positive int."""
-    return tuple(int_row([row[j] for j in cols])[0])
-
-
 def cone_from_generators(rays, lin, dim: int) -> PolyhedralCone:
     """H-form of cone(rays) + span(lin) via one polar round trip."""
-    rays = [vec(r) for r in rays]
-    lin = [vec(l) for l in lin]
-    polar = PolyhedralCone.make(a=rays, e=lin, dim=dim) if (rays or lin) else PolyhedralCone.full(dim)
-    prays, plin = generators(polar)
+    prays, plin = int_generators(PolyhedralCone.make(a=rays, e=lin, dim=dim))
     return PolyhedralCone.make(a=prays, e=plin, dim=dim)
 
 
 def polar_cone(c: PolyhedralCone) -> PolyhedralCone:
     """{y : <y, x> <= 0 for all x in c}."""
-    rays, lin = generators(c)
+    rays, lin = int_generators(c)
     return PolyhedralCone.make(a=rays, e=lin, dim=c.dim)
 
 
@@ -269,24 +355,24 @@ def enumerate_faces(c: PolyhedralCone) -> list[tuple[PolyhedralCone, Vec]]:
     Faces are identified by their exact activity set among the inequality
     rows; each feasible activity pattern appears once.
     """
-    m = len(c.a)
+    m = len(c.ia)
     out = []
-    seen: set[tuple[Mat, Mat]] = set()
+    seen: set[tuple[IntMat, IntMat]] = set()
     for size in range(m + 1):
         for subset in itertools.combinations(range(m), size):
-            active = tuple(c.a[i] for i in subset)
-            inactive = tuple(c.a[i] for i in range(m) if i not in subset)
+            active = tuple(c.ia[i] for i in subset)
+            inactive = tuple(c.ia[i] for i in range(m) if i not in subset)
             w = strict_feasible_point(
                 a_strict=inactive,
-                b_strict=zeros(len(inactive)),
-                e=c.e + active,
-                d=zeros(len(c.e) + len(active)),
+                b_strict=(0,) * len(inactive),
+                e=c.ie + active,
+                d=(0,) * (len(c.ie) + len(active)),
                 n=c.dim,
             )
             if w is None:
                 continue
-            face = PolyhedralCone.make(a=inactive, e=c.e + active, dim=c.dim)
-            key = (face.a, face.e)
+            face = PolyhedralCone.make(a=inactive, e=c.ie + active, dim=c.dim)
+            key = (face.ia, face.ie)
             if key in seen:
                 continue
             seen.add(key)
@@ -300,10 +386,10 @@ def project_polyhedron(p: HPolyhedron, coords: tuple[int, ...]) -> HPolyhedron:
     if any(c < 0 or c >= p.dim for c in coords):
         raise DimensionMismatch("projection index out of range")
     # work with inequality rows only: equalities become two inequalities
-    rows = [(tuple(r), bi) for r, bi in zip(p.a, p.b)]
-    for r, di in zip(p.e, p.d):
-        rows.append((tuple(r), di))
-        rows.append((tuple(-x for x in r), -di))
+    rows = [(r[:-1], r[-1]) for r in p.iab]
+    for r in p.ied:
+        rows.append((r[:-1], r[-1]))
+        rows.append((tuple(-x for x in r[:-1]), -r[-1]))
     keep = list(coords)
     elim = [j for j in range(p.dim) if j not in coords]
     for j in elim:
@@ -328,19 +414,19 @@ def project_polyhedron(p: HPolyhedron, coords: tuple[int, ...]) -> HPolyhedron:
     return HPolyhedron.make(a, b, dim=len(keep))
 
 
-def _prune_rows(rows: list[tuple[Vec, Fraction]], dim: int) -> list[tuple[Vec, Fraction]]:
+def _prune_rows(rows: list[tuple[IntVec, int]], dim: int) -> list[tuple[IntVec, int]]:
     """Drop duplicate and (when the count grows) LP-redundant rows."""
     seen = set()
     dedup = []
     for row, rhs in rows:
-        key = canon_ray(tuple(row) + (rhs,))
+        key = coprime_ints((*row, rhs))
         if key in seen:
             continue
         seen.add(key)
-        dedup.append((tuple(row), rhs))
+        dedup.append((row, rhs))
     if len(dedup) <= 12:
         return dedup
-    kept: list[tuple[Vec, Fraction]] = []
+    kept: list[tuple[IntVec, int]] = []
     for i, (row, rhs) in enumerate(dedup):
         others = kept + dedup[i + 1 :]
         a = tuple(r for r, _ in others)
@@ -354,4 +440,6 @@ def _prune_rows(rows: list[tuple[Vec, Fraction]], dim: int) -> list[tuple[Vec, F
 
 def relint_point(p: HPolyhedron) -> Vec | None:
     """A point satisfying all inequality rows strictly, if one exists."""
-    return strict_feasible_point(p.a, p.b, e=p.e, d=p.d, n=p.dim)
+    a, b = _split(p.iab)
+    e, d = _split(p.ied)
+    return strict_feasible_point(a, b, e=e, d=d, n=p.dim)

@@ -163,8 +163,8 @@ def critical_cells(sys: ConstraintSystem, phi: Poly, xbar: Vec) -> ConeUnion:
     grad = phi.gradient(xbar)
     pieces = []
     for piece in t.pieces:
-        a_rows = [mat_t_vec(jac, row) for row in piece.a]
-        e_rows = [mat_t_vec(jac, row) for row in piece.e]
+        a_rows = [mat_t_vec(jac, row) for row in piece.ia]
+        e_rows = [mat_t_vec(jac, row) for row in piece.ie]
         a_rows.append(grad)
         pieces.append(PolyhedralCone.make(a=a_rows, e=e_rows, dim=sys.n))
     return ConeUnion.make(pieces, sys.n)
@@ -289,8 +289,8 @@ def patch_regular_normal_cone(m: PatchMap, w: Vec) -> PolyhedralCone | None:
         eg, qg = p.gradients(w)
         act = p.active_ineqs(w)
         h = cone_from_generators(tuple(qg[j] for j in act), eg, m.dim)
-        rows_a.extend(h.a)
-        rows_e.extend(h.e)
+        rows_a.extend(h.ia)
+        rows_e.extend(h.ie)
     return PolyhedralCone.make(a=rows_a, e=rows_e, dim=m.dim)
 
 
@@ -447,7 +447,12 @@ def patch_coderivative_image(
         pieces = []
         for c in u.pieces:
             shadow = project_polyhedron(c.as_polyhedron(), coords)
-            pieces.append(PolyhedralCone.make(a=shadow.a, e=shadow.e, dim=m.nx))
+            # the shadow of a cone is a cone: every rhs is 0
+            pieces.append(
+                PolyhedralCone.make(
+                    a=[r[:-1] for r in shadow.iab], e=[r[:-1] for r in shadow.ied], dim=m.nx
+                )
+            )
         return ConeUnion.make(pieces, m.nx)
 
     from dircq.unions import cone_union_equal

@@ -25,7 +25,10 @@ with n and the number m1 of inequality rows: either the Farkas vector or the
 phase-2 start rows and basis, all tuples.  Every call still runs its own
 phase 2 on fresh lists, so it takes the same Bland pivots and returns the same
 ``LPResult`` as without the cache, and every returned Farkas vector is checked
-by ``verify_farkas`` against the caller's data.
+by ``verify_farkas`` against the caller's data.  The cone layer passes its
+canonical int rows straight through: a row whose entries are all ints is its
+own key over the denominator 1, without a pass through ``int_row``, and an
+equal row given as Fractions reads into the same key and shares the entry.
 
 Free variables are split as x = x+ - x-, and the columns are x+, x-, slacks,
 then phase-1 artificials.  That layout fixes Bland's pivot path, and with it
@@ -46,6 +49,7 @@ from dircq.linalg import Mat, Vec, dot, int_row, is_zero, primitive, vec, zeros
 PHASE1_CACHE_SIZE = 256
 
 _ZERO = Fraction(0)
+_is_int = int.__instancecheck__
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
@@ -249,9 +253,14 @@ def solve_lp(
         return _unconstrained(c, n)
     rows = []
     for coeffs, hv in (*zip(a, b, strict=True), *zip(e, d, strict=True)):
-        ints, den = int_row((*coeffs, hv))
-        ints.append(den)
-        rows.append(tuple(ints))
+        row = (*coeffs, hv)
+        if all(map(_is_int, row)):
+            # the key int_row would give: the row itself over den 1
+            rows.append((*row, 1))
+        else:
+            ints, den = int_row(row)
+            ints.append(den)
+            rows.append(tuple(ints))
     phase1 = _phase1(tuple(rows), n, m1)
     if phase1[0] == INFEASIBLE:
         _, y, z = phase1

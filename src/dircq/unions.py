@@ -11,18 +11,25 @@ derivative and subderivative of that map.
 
 Empty queries (base point outside the set, direction not tangent) return the
 distinguished empty union, which is different from the trivial cone {0}.
+
+Everything here runs on the int rows of the cone layer: hyperplanes are
+``canon_line`` int tuples, and cell systems go to the LPs as int rows.  The
+hyperplanes never reach a report; cell witnesses and cone accessors do, and
+stay Fractions.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
-from dircq.linalg import Mat, Vec, canon_line, dot, is_zero, vec, zeros
+from dircq.linalg import Vec, coprime_ints, int_row, is_zero, vec, zeros
 from dircq.polyhedra import (
     DimensionMismatch,
     HPolyhedron,
+    IntMat,
+    IntVec,
     PolyhedralCone,
     cone_from_generators,
     nonzero_element,
@@ -51,7 +58,7 @@ class PolyUnion:
         dim = pieces[0].dim
         if any(p.dim != dim for p in pieces):
             raise DimensionMismatch("pieces live in different dimensions")
-        return PolyUnion(tuple(sorted(pieces, key=lambda p: (p.a, p.b, p.e, p.d))), dim)
+        return PolyUnion(tuple(sorted(pieces, key=HPolyhedron.sort_key)), dim)
 
     def contains(self, y: Vec) -> bool:
         return any(p.contains(y) for p in self.pieces)
@@ -77,7 +84,7 @@ class ConeUnion:
                 continue
             kept = [k for k in kept if not k.subset_of(c)]
             kept.append(c)
-        return ConeUnion(tuple(sorted(kept, key=lambda c: (c.a, c.e))), dim)
+        return ConeUnion(tuple(sorted(kept, key=PolyhedralCone.sort_key)), dim)
 
     @staticmethod
     def empty(dim: int) -> "ConeUnion":
@@ -120,18 +127,18 @@ def tangent_cone(d: PolyUnion, y: Vec) -> ConeUnion:
     cones = []
     for i in idx:
         p = d.pieces[i]
-        act = p.active_rows(y)
-        cones.append(
-            PolyhedralCone.make(
-                a=tuple(p.a[j] for j in act), e=p.e, dim=d.dim
-            )
-        )
+        rays, lin = _piece_dual_vform(p, p.active_rows(y))
+        cones.append(PolyhedralCone.make(a=rays, e=lin, dim=d.dim))
     return ConeUnion.make(cones, d.dim)
 
 
-def _piece_dual_vform(p: HPolyhedron, active: tuple[int, ...]) -> tuple[Mat, Mat]:
-    """(rays, lineality) generating the regular normal cone of one piece."""
-    return tuple(p.a[j] for j in active), p.e
+def _piece_dual_vform(p: HPolyhedron, active: tuple[int, ...]) -> tuple[IntMat, IntMat]:
+    """(rays, lineality) generating the regular normal cone of one piece.
+
+    These are also the rows of the piece's tangent cone at a point where
+    exactly the ``active`` inequalities are tight.
+    """
+    return tuple(p.iab[j][:-1] for j in active), tuple(r[:-1] for r in p.ied)
 
 
 def regular_normal_cone(d: PolyUnion, y: Vec) -> PolyhedralCone | None:
@@ -139,14 +146,14 @@ def regular_normal_cone(d: PolyUnion, y: Vec) -> PolyhedralCone | None:
     idx = d.pieces_at(y)
     if not idx:
         return None
-    rows_a: list[Vec] = []
-    rows_e: list[Vec] = []
+    rows_a: list[IntVec] = []
+    rows_e: list[IntVec] = []
     for i in idx:
         p = d.pieces[i]
         rays, lin = _piece_dual_vform(p, p.active_rows(y))
         h = cone_from_generators(rays, lin, d.dim)
-        rows_a.extend(h.a)
-        rows_e.extend(h.e)
+        rows_a.extend(h.ia)
+        rows_e.extend(h.ie)
     return PolyhedralCone.make(a=rows_a, e=rows_e, dim=d.dim)
 
 
@@ -165,14 +172,15 @@ class Cell:
 
 @dataclass(frozen=True)
 class Arrangement:
-    hyperplanes: tuple[Vec, ...]
+    hyperplanes: tuple[IntVec, ...]  # canon_line ints
     cells: tuple[Cell, ...]  # only cells inside the union
     union: ConeUnion
 
     def signs_of(self, v: Vec) -> tuple[int, ...]:
+        vs = int_row(v)[0]
         out = []
         for h in self.hyperplanes:
-            s = dot(h, v)
+            s = sum(map(mul, h, vs))
             out.append(0 if s == 0 else (1 if s > 0 else -1))
         return tuple(out)
 
@@ -194,32 +202,24 @@ def _sign_compatible(cell_signs: tuple[int, ...], point_signs: tuple[int, ...]) 
 
 
 def _piece_sign_requirements(
-    p: HPolyhedron, hyperplanes: tuple[Vec, ...]
-) -> list[tuple[int, int]] | None:
-    """Per row of p: (hyperplane index, orientation) with a.y<=0 iff or*sign<=0."""
+    c: PolyhedralCone, hyperplanes: tuple[IntVec, ...]
+) -> list[tuple[int, int, bool]]:
+    """Per row of c: (hyperplane index, orientation, is equality), where
+    a.y <= 0 iff orientation * sign <= 0."""
     index = {h: i for i, h in enumerate(hyperplanes)}
     reqs: list[tuple[int, int, bool]] = []
-    for row in p.a:
-        cl = canon_line(row)
-        i = index[cl]
-        orient = 1 if cl == vec(row) or dot(row, cl) > 0 else -1
-        reqs.append((i, orient, False))
-    for row in p.e:
-        cl = canon_line(row)
-        i = index[cl]
-        reqs.append((i, 1, True))
+    for row in c.ia:
+        cl = coprime_ints(row, line=True)
+        reqs.append((index[cl], 1 if cl == row else -1, False))
+    for row in c.ie:
+        reqs.append((index[row], 1, True))
     return reqs
 
 
-def hyperplanes_of(u: ConeUnion) -> tuple[Vec, ...]:
-    """Distinct facet hyperplanes (canonical lines) of the union's pieces."""
+def hyperplanes_of(u: ConeUnion) -> tuple[IntVec, ...]:
+    """Distinct facet hyperplanes (canon_line ints) of the union's pieces."""
     return tuple(
-        dict.fromkeys(
-            canon_line(row)
-            for p in u.pieces
-            for row in itertools.chain(p.a, p.e)
-            if not is_zero(row)
-        )
+        dict.fromkeys(coprime_ints(row, line=True) for p in u.pieces for row in p.ia + p.ie)
     )
 
 
@@ -233,10 +233,11 @@ def arrangement(k: ConeUnion, extra: tuple[Vec, ...] = ()) -> Arrangement:
     if k.is_empty:
         return Arrangement((), (), k)
     hyper = tuple(
-        dict.fromkeys(hyperplanes_of(k) + tuple(canon_line(r) for r in extra if not is_zero(r)))
+        dict.fromkeys(
+            hyperplanes_of(k) + tuple(coprime_ints(r, line=True) for r in extra if not is_zero(r))
+        )
     )
-    piece_polys = [c.as_polyhedron() for c in k.pieces]
-    reqs = [_piece_sign_requirements(p, hyper) for p in piece_polys]
+    reqs = [_piece_sign_requirements(c, hyper) for c in k.pieces]
     n = k.dim
     cells: list[Cell] = []
 
@@ -263,9 +264,9 @@ def arrangement(k: ConeUnion, extra: tuple[Vec, ...] = ()) -> Arrangement:
                 strict_rows.append(h)
         return strict_feasible_point(
             tuple(strict_rows),
-            zeros(len(strict_rows)),
+            (0,) * len(strict_rows),
             e=tuple(eq_rows),
-            d=zeros(len(eq_rows)),
+            d=(0,) * len(eq_rows),
             n=n,
         )
 
@@ -278,7 +279,7 @@ def arrangement(k: ConeUnion, extra: tuple[Vec, ...] = ()) -> Arrangement:
                 w = feasible(signs)
                 if w is None:
                     return
-            pidx = tuple(i for i, p in enumerate(piece_polys) if p.contains(w))
+            pidx = tuple(i for i, c in enumerate(k.pieces) if c.contains(w))
             if not pidx:
                 return
             closure = _closure_cone(hyper, signs, n)
@@ -296,7 +297,7 @@ def arrangement(k: ConeUnion, extra: tuple[Vec, ...] = ()) -> Arrangement:
     return Arrangement(hyper, tuple(cells), k)
 
 
-def _closure_cone(hyper: tuple[Vec, ...], signs: list[int], n: int) -> PolyhedralCone:
+def _closure_cone(hyper: tuple[IntVec, ...], signs: list[int], n: int) -> PolyhedralCone:
     a, e = [], []
     for h, s in zip(hyper, signs):
         if s == 0:
@@ -309,29 +310,24 @@ def _closure_cone(hyper: tuple[Vec, ...], signs: list[int], n: int) -> Polyhedra
 
 
 def _cell_dual(
-    k: ConeUnion, pidx: tuple[int, ...], hyper: tuple[Vec, ...], signs
+    k: ConeUnion, pidx: tuple[int, ...], hyper: tuple[IntVec, ...], signs
 ) -> PolyhedralCone:
     """Regular normal cone of the union on the cell's relative interior."""
-    rows_a: list[Vec] = []
-    rows_e: list[Vec] = []
+    rows_a: list[IntVec] = []
+    rows_e: list[IntVec] = []
     sign_of = dict(zip(hyper, signs))
     for i in pidx:
         p = k.pieces[i]
-        active_rays = [row for row in p.a if sign_of[canon_line(row)] == 0]
-        h = cone_from_generators(tuple(active_rays), p.e, k.dim)
-        rows_a.extend(h.a)
-        rows_e.extend(h.e)
+        active_rays = [row for row in p.ia if sign_of[coprime_ints(row, line=True)] == 0]
+        h = cone_from_generators(active_rays, p.ie, k.dim)
+        rows_a.extend(h.ia)
+        rows_e.extend(h.ie)
     return PolyhedralCone.make(a=rows_a, e=rows_e, dim=k.dim)
 
 
 def cell_tangent_pieces(k: ConeUnion, cell: Cell) -> list[PolyhedralCone]:
     """Tangent cones of the union on the cell's relative interior, per piece."""
-    out = []
-    for i in cell.piece_idx:
-        p = k.pieces[i]
-        act = [row for row in p.a if dot(row, cell.witness) == 0]
-        out.append(PolyhedralCone.make(a=act, e=p.e, dim=k.dim))
-    return out
+    return [tangent_of_cone_at(k.pieces[i], cell.witness) for i in cell.piece_idx]
 
 
 def limiting_union_at_cell(arr: Arrangement, cell: Cell) -> ConeUnion:
@@ -425,9 +421,11 @@ def normal_graph(d: PolyUnion, y: Vec) -> NormalGraphModel | None:
     return NormalGraphModel(vec(y), tuple(cells), d.dim)
 
 
-def _tangent_of_cone_at(c: PolyhedralCone, y: Vec) -> PolyhedralCone:
-    act = [row for row in c.a if dot(row, y) == 0]
-    return PolyhedralCone.make(a=act, e=c.e, dim=c.dim)
+def tangent_of_cone_at(c: PolyhedralCone, y: Vec) -> PolyhedralCone:
+    """Tangent cone of c at its point y: the rows tight at y."""
+    ys = int_row(y)[0]
+    act = [row for row in c.ia if sum(map(mul, row, ys)) == 0]
+    return PolyhedralCone.make(a=act, e=c.ie, dim=c.dim)
 
 
 def graphical_derivative_of_normal_map(
@@ -442,7 +440,7 @@ def graphical_derivative_of_normal_map(
     pieces = []
     for f, n in model.cells:
         if n.contains(ystar) and f.contains(v):
-            pieces.append(_tangent_of_cone_at(n, ystar))
+            pieces.append(tangent_of_cone_at(n, ystar))
     return ConeUnion.make(pieces, d.dim) if pieces else ConeUnion.empty(d.dim)
 
 
@@ -464,7 +462,7 @@ def graphical_subderivative_of_normal_map(
     pieces = []
     for f, n in model.cells:
         if n.contains(ystar) and f.contains(v):
-            t = _tangent_of_cone_at(n, ystar)
+            t = tangent_of_cone_at(n, ystar)
             if not t.is_trivial():
                 pieces.append(t)
     return ConeUnion.make(pieces, d.dim) if pieces else ConeUnion.empty(d.dim)
@@ -481,8 +479,8 @@ def two_scale_admissible(piece: PolyhedralCone, v: Vec, m: int) -> PolyhedralCon
     if not proj.contains(v):
         return None
     # slice {w : (0, w) in piece}: substitute q = 0 in every row
-    a_rows = [row[m:] for row in piece.a]
-    e_rows = [row[m:] for row in piece.e]
+    a_rows = [row[m:] for row in piece.ia]
+    e_rows = [row[m:] for row in piece.ie]
     return PolyhedralCone.make(a=a_rows, e=e_rows, dim=m)
 
 
@@ -517,11 +515,11 @@ def subdivide_and_check(
                 strict_rows.append(h)
         return strict_feasible_point(
             tuple(strict_rows),
-            zeros(len(strict_rows)),
-            a=c.a,
-            b=zeros(len(c.a)),
-            e=tuple(eq_rows) + c.e,
-            d=zeros(len(eq_rows) + len(c.e)),
+            (0,) * len(strict_rows),
+            a=c.ia,
+            b=(0,) * len(c.ia),
+            e=tuple(eq_rows) + c.ie,
+            d=(0,) * (len(eq_rows) + len(c.ie)),
             n=n,
         )
 

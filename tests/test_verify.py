@@ -78,3 +78,49 @@ def test_run_check_rejects_bad_input():
     without_objective = parse_problem({k: v for k, v in EX58.items() if k != "objective"})
     with pytest.raises(ProblemFormatError):
         run_check(without_objective, "mstationarity")
+
+
+@pytest.fixture(scope="module")
+def ex47_report():
+    from importlib import resources
+
+    from dircq.oracle import MpecProblem
+    from dircq.problemfile import load_problem
+
+    pr = load_problem(str(resources.files("dircq") / "fixtures" / "ex47.json"))
+    mp = MpecProblem(pr.mpec_omega, pr.mpec_s, pr.point("xbar"))
+    rows = []
+    for dname in sorted(pr.directions):
+        for mode in ("pseudo", "quasi"):
+            v = cq.mpec_pseudo_quasi_verdict(mp, pr.direction(dname), mode=mode)
+            rows.append(verdict_row(v, "xbar", dname, {"normality_mode": mode}))
+    return pr, json.loads(dumps({"problem": "ex47", "rows": rows}))
+
+
+def test_ex47_mpec_report_verifies(ex47_report):
+    pr, report = ex47_report
+    assert len(report["rows"]) == 2 * len(pr.directions)
+    assert {r["check"] for r in report["rows"]} == {"pseudo-normality", "quasi-normality"}
+    assert verify_report(report, pr) == []
+
+
+def test_ex47_flipped_status_is_reported(ex47_report):
+    pr, report = ex47_report
+    rows = [dict(r) for r in report["rows"]]
+    i = next(i for i, r in enumerate(rows) if r["certificate"]["kind"] == "elimination_traces")
+    label = f"row {i} ({rows[i]['check']}/xbar/{rows[i]['direction']})"
+    rows[i]["status"] = "FAILS"
+    errors = verify_report({"rows": rows}, pr)
+    assert errors == [f"{label}: recomputed status HOLDS != reported FAILS"]
+
+
+def test_run_check_rejects_bad_mpec_input(ex47_report):
+    pr, _ = ex47_report
+    for check, kwargs in (
+        ("foscms", {"direction": "n"}),
+        ("pseudo-normality", {}),
+        ("quasi-normality", {"direction": "up"}),
+        ("pseudo-normality", {"direction": "n", "point": "ybar"}),
+    ):
+        with pytest.raises(ProblemFormatError):
+            run_check(pr, check, **kwargs)

@@ -7,11 +7,21 @@ that blocked a decision.  The quantified condition systems of the
 second-order checkers are decided by cell enumeration: on the relative
 interior of an arrangement cell every cone membership in the system is a
 fixed polyhedral constraint, so each cell contributes one exact LP.
+
+The three theorem checkers share one cell-system driver.  Each describes its
+systems as cell groups: iterables of (shift, hyperplanes, cell, tangent
+pieces), where the cell fixes the sign pattern of y*, each tangent piece is a
+cone for z*, and a shift (hyperplanes, cell) adds the variables s with
+J s + h/2 in that cell.  The groups of the doubled-tangent checker are
+generators, so that a kernel witness stops them before later arrangements
+are built.  The driver poses every system in the same columns (s, y, z) and
+rows, decides the kernel system on the groups, and turns them into the
+source cones of achievable x* and the test ``achievable(x*)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -23,7 +33,6 @@ from dircq.linalg import (
     is_zero,
     mat_t_vec,
     scale,
-    sub,
     transpose,
     vec,
 )
@@ -36,11 +45,11 @@ from dircq.polyhedra import (
 )
 from dircq.polymaps import Poly
 from dircq.setmaps import ConstraintSystem, InfeasiblePoint
-from dircq.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, feasible_point, solve_lp, strict_feasible_point
+from dircq.simplex import OPTIMAL, UNBOUNDED, feasible_point, solve_lp, strict_feasible_point
 from dircq.unions import (
-    Arrangement,
     Cell,
     ConeUnion,
+    PolyUnion,
     arrangement,
     cell_tangent_pieces,
     cone_union_subset,
@@ -123,56 +132,49 @@ def _kernel_verdict(name: str, pieces: Sequence[PolyhedralCone], extra: dict) ->
     return Verdict(name, HOLDS, cert)
 
 
+def _kernel_pieces(ctx: _Ctx, union: ConeUnion, a_extra: Mat = ()) -> list[PolyhedralCone]:
+    """Each piece of the union cut by ker J^T and the extra rows <r, y*> <= 0."""
+    return [
+        PolyhedralCone.make(a=p.ia + a_extra, e=p.ie + ctx.ker_rows, dim=ctx.sys.m)
+        for p in union.pieces
+    ]
+
+
+def _directional_context(sys: ConstraintSystem, u: Vec) -> _Ctx:
+    if is_zero(u):
+        raise ValueError("direction u must be nonzero")
+    return _context(sys, u)
+
+
 def mordukhovich(sys: ConstraintSystem) -> Verdict:
     """Metric-regularity criterion: N_D(g(xbar)) meets ker grad g(xbar)^* only at 0."""
     ctx = _context(sys)
-    n_lim = limiting_normal_cone(sys.d, ctx.gx)
-    pieces = [
-        PolyhedralCone.make(a=p.ia, e=p.ie + ctx.ker_rows, dim=sys.m)
-        for p in n_lim.pieces
-    ]
+    pieces = _kernel_pieces(ctx, limiting_normal_cone(sys.d, ctx.gx))
     return _kernel_verdict("mordukhovich", pieces, {"cone": "limiting"})
+
+
+def _directional_kernel_verdict(name: str, sys: ConstraintSystem, u: Vec, curvature: bool) -> Verdict:
+    """The kernel check on the directional limiting normal cone; with
+    ``curvature`` each piece also keeps the row <h, y*> >= 0."""
+    ctx = _directional_context(sys, u)
+    n_dir = directional_limiting_normal_cone(sys.d, ctx.gx, ctx.ju)
+    if n_dir.is_empty:
+        cert = {"kind": "trivial_kernel", "pieces_checked": 0, "cone": "directional"}
+        return Verdict(name, HOLDS, cert, qualifier="direction-not-tangent")
+    if not curvature:
+        return _kernel_verdict(name, _kernel_pieces(ctx, n_dir), {"cone": "directional"})
+    pieces = _kernel_pieces(ctx, n_dir, (tuple(-x for x in ctx.h),))
+    return _kernel_verdict(name, pieces, {"cone": "directional", "curvature": ctx.h})
 
 
 def foscms(sys: ConstraintSystem, u: Vec) -> Verdict:
     """First-order sufficient condition for metric subregularity in direction u."""
-    if is_zero(u):
-        raise ValueError("direction u must be nonzero")
-    ctx = _context(sys, u)
-    n_dir = directional_limiting_normal_cone(sys.d, ctx.gx, ctx.ju)
-    if n_dir.is_empty:
-        return Verdict(
-            "foscms",
-            HOLDS,
-            {"kind": "trivial_kernel", "pieces_checked": 0, "cone": "directional"},
-            qualifier="direction-not-tangent",
-        )
-    pieces = [
-        PolyhedralCone.make(a=p.ia, e=p.ie + ctx.ker_rows, dim=sys.m)
-        for p in n_dir.pieces
-    ]
-    return _kernel_verdict("foscms", pieces, {"cone": "directional"})
+    return _directional_kernel_verdict("foscms", sys, u, curvature=False)
 
 
 def soscms(sys: ConstraintSystem, u: Vec) -> Verdict:
     """Second-order refinement: adds the curvature sign <h, y*> >= 0."""
-    if is_zero(u):
-        raise ValueError("direction u must be nonzero")
-    ctx = _context(sys, u)
-    n_dir = directional_limiting_normal_cone(sys.d, ctx.gx, ctx.ju)
-    if n_dir.is_empty:
-        return Verdict(
-            "soscms",
-            HOLDS,
-            {"kind": "trivial_kernel", "pieces_checked": 0, "cone": "directional"},
-            qualifier="direction-not-tangent",
-        )
-    neg_h = tuple(-x for x in ctx.h)
-    pieces = [
-        PolyhedralCone.make(a=p.ia + (neg_h,), e=p.ie + ctx.ker_rows, dim=sys.m)
-        for p in n_dir.pieces
-    ]
-    return _kernel_verdict("soscms", pieces, {"cone": "directional", "curvature": ctx.h})
+    return _directional_kernel_verdict("soscms", sys, u, curvature=True)
 
 
 # ---------------------------------------------------------------------------
@@ -281,23 +283,14 @@ class _Blocks:
         self.e.append(tuple(map(_exact, full)))
         self.d.append(_exact(rhs))
 
-    def add_cell_relint(self, block: str, cell: Cell, hyper: tuple[Vec, ...]):
+    def add_cell(self, block: str, cell: Cell, hyper: tuple[Vec, ...], closed: bool = False):
+        """Rows putting the block in the cell's relative interior, or its closure."""
+        side = self.row_le if closed else self.row_lt
         for hrow, s in zip(hyper, cell.signs):
             if s == 0:
                 self.row_eq(block, hrow)
-            elif s == 1:
-                self.row_lt(block, tuple(-x for x in hrow))
             else:
-                self.row_lt(block, hrow)
-
-    def add_cell_closure(self, block: str, cell: Cell, hyper: tuple[Vec, ...]):
-        for hrow, s in zip(hyper, cell.signs):
-            if s == 0:
-                self.row_eq(block, hrow)
-            elif s == 1:
-                self.row_le(block, tuple(-x for x in hrow))
-            else:
-                self.row_le(block, hrow)
+                side(block, tuple(-x for x in hrow) if s == 1 else hrow)
 
     def add_cone(self, block: str, cone: PolyhedralCone):
         for row in cone.ia:
@@ -305,11 +298,8 @@ class _Blocks:
         for row in cone.ie:
             self.row_eq(block, row)
 
-    def block_indices(self, block: str, size: int) -> list[int]:
-        off = self.offsets[block]
-        return list(range(off, off + size))
-
     def solve_nonzero(self, block: str, size: int) -> Vec | None:
+        off = self.offsets[block]
         return _mixed_nonzero_solution(
             tuple(self.strict_a),
             tuple(self.strict_b),
@@ -318,7 +308,7 @@ class _Blocks:
             tuple(self.e),
             tuple(self.d),
             self.n,
-            self.block_indices(block, size),
+            range(off, off + size),
         )
 
     def solve(self) -> Vec | None:
@@ -338,44 +328,134 @@ class _Blocks:
 
 
 # ---------------------------------------------------------------------------
+# the cell-system driver shared by the theorem checkers
+
+
+def _add_affine_cell_rows(
+    blk: _Blocks, block: str, cell: Cell, hyper: tuple[Vec, ...], jac: Mat, offset: Vec
+):
+    """Rows putting (J s + offset) in the relative interior of the cell."""
+    for hrow, s in zip(hyper, cell.signs):
+        coef = mat_t_vec(jac, hrow)
+        rhs = -dot(hrow, offset)
+        if s == 0:
+            blk.row_eq(block, coef, rhs=rhs)
+        elif s == 1:
+            blk.row_lt(block, tuple(-x for x in coef), rhs=-rhs)
+        else:
+            blk.row_lt(block, coef, rhs=rhs)
+
+
+def _cell_blocks(
+    ctx: _Ctx,
+    hyper: tuple[Vec, ...],
+    cell: Cell,
+    tp: PolyhedralCone | None = None,
+    shift=None,
+    closed: bool = False,
+    y_rows: Mat = (),
+) -> _Blocks:
+    """The system of one cell in the variables (s, y, z).
+
+    Rows, in order: J s + h/2 in the shift cell, y* in the cell (its relative
+    interior, or its closure when ``closed``), J^T y* = 0, <r, y*> <= 0 for
+    each r in ``y_rows``, and z* in the tangent piece ``tp``.  The s block
+    exists only with a ``shift`` = (hyperplanes, cell), the z block only with
+    a piece.
+    """
+    m = ctx.sys.m
+    sizes = {"s": ctx.sys.n} if shift else {}
+    sizes["y"] = m
+    if tp is not None:
+        sizes["z"] = m
+    blk = _Blocks(sizes)
+    if shift:
+        _add_affine_cell_rows(blk, "s", shift[1], shift[0], ctx.jac, scale(Fraction(1, 2), ctx.h))
+    blk.add_cell("y", cell, hyper, closed)
+    for row in ctx.ker_rows:
+        blk.row_eq("y", row)
+    for row in y_rows:
+        blk.row_le("y", row)
+    if tp is not None:
+        blk.add_cone("z", tp)
+    return blk
+
+
+def _couple(ctx: _Ctx, blk: _Blocks, xstar: Vec | None = None) -> _Blocks:
+    """Adds the rows B y* + J^T z* = x*, with x* = 0 by default."""
+    for j in range(ctx.sys.n):
+        blk.row_multi_eq({"y": ctx.bu[j], "z": ctx.ker_rows[j]}, rhs=0 if xstar is None else xstar[j])
+    return blk
+
+
+def _kernel_report(ctx: _Ctx, groups) -> ConditionReport:
+    """The kernel system: no cell of the groups admits a nonzero y* with B y* + J^T z* = 0."""
+    m = ctx.sys.m
+    for shift, hyper, cell, pieces in groups:
+        for tp in pieces:
+            blk = _couple(ctx, _cell_blocks(ctx, hyper, cell, tp, shift))
+            sol = blk.solve_nonzero("y", m)
+            if sol is None:
+                continue
+            witness = {"ystar": blk.extract(sol, "y", m), "zstar": blk.extract(sol, "z", m)}
+            if not shift:
+                return ConditionReport("kernel-system", "fails", "nonzero y* solves the system", witness)
+            witness["shift"] = blk.extract(sol, "s", ctx.sys.n)
+            return ConditionReport("kernel-system", "fails", "nonzero y* solves a shifted system", witness)
+    return ConditionReport("kernel-system", "holds")
+
+
+def _sources(ctx: _Ctx, groups, y_rows: Mat = ()):
+    """The closed source cones of (y*, z*) in R^{2m}, and the test ``achievable(x*)``.
+
+    A cell contributes only when its relative interior meets the y* rows (one
+    probe LP per cell); x* is achievable when the relative-interior system of
+    some (cell, piece) admits B y* + J^T z* = x*.  Source groups carry no shift.
+    """
+    m = ctx.sys.m
+    cones: list[PolyhedralCone] = []
+    members = []
+    for _, hyper, cell, pieces in groups:
+        if _cell_blocks(ctx, hyper, cell, y_rows=y_rows).solve() is None:
+            continue
+        for tp in pieces:
+            blk = _cell_blocks(ctx, hyper, cell, tp, closed=True, y_rows=y_rows)
+            cones.append(PolyhedralCone.make(a=blk.a, e=blk.e, dim=2 * m))
+            members.append((hyper, cell, tp))
+
+    def achievable(xstar: Vec) -> bool:
+        return any(
+            _couple(ctx, _cell_blocks(ctx, hyper, cell, tp, y_rows=y_rows), xstar).solve() is not None
+            for hyper, cell, tp in members
+        )
+
+    return cones, achievable
+
+
+# ---------------------------------------------------------------------------
 # the lambda-representation hypothesis shared by the theorem checkers
 
 
-@dataclass(frozen=True)
-class _Source:
-    """Closed cone of (y*, z*) pairs feeding x* = B y* + J^T z*."""
+def _image_cone(cone: PolyhedralCone, image, n: int) -> PolyhedralCone:
+    """The cone generated by the nonzero images of the cone's generators."""
+    rays, lin = int_generators(cone)
+    im_rays = [r for r in map(image, rays) if not is_zero(r)]
+    im_lin = [l for l in map(image, lin) if not is_zero(l)]
+    return cone_from_generators(im_rays, im_lin, n)
 
-    cone: PolyhedralCone  # in R^{2m}
-    label: str
 
-
-def _source_image(ctx: _Ctx, source: _Source) -> PolyhedralCone:
+def _source_image(ctx: _Ctx, cone: PolyhedralCone) -> PolyhedralCone:
+    """x* = B y* + J^T z* over a source cone of (y*, z*) pairs."""
     m = ctx.sys.m
-    rays, lin = int_generators(source.cone)
 
     def image(w: Vec) -> Vec:
-        ystar, zstar = w[:m], w[m:]
-        return add(
-            tuple(dot(row, ystar) for row in ctx.bu),
-            mat_t_vec(ctx.jac, zstar),
-        )
+        return add(tuple(dot(row, w[:m]) for row in ctx.bu), mat_t_vec(ctx.jac, w[m:]))
 
-    im_rays = [image(r) for r in rays]
-    im_lin = [image(l) for l in lin]
-    im_rays = [r for r in im_rays if not is_zero(r)]
-    im_lin = [l for l in im_lin if not is_zero(l)]
-    return cone_from_generators(im_rays, im_lin, ctx.sys.n)
+    return _image_cone(cone, image, ctx.sys.n)
 
 
 def _lambda_targets(ctx: _Ctx, lam_union: ConeUnion) -> ConeUnion:
-    pieces = []
-    for p in lam_union.pieces:
-        rays, lin = int_generators(p)
-        im_rays = [mat_t_vec(ctx.jac, r) for r in rays]
-        im_lin = [mat_t_vec(ctx.jac, l) for l in lin]
-        im_rays = [r for r in im_rays if not is_zero(r)]
-        im_lin = [l for l in im_lin if not is_zero(l)]
-        pieces.append(cone_from_generators(im_rays, im_lin, ctx.sys.n))
+    pieces = [_image_cone(p, lambda r: mat_t_vec(ctx.jac, r), ctx.sys.n) for p in lam_union.pieces]
     return ConeUnion.make(pieces, ctx.sys.n) if pieces else ConeUnion.empty(ctx.sys.n)
 
 
@@ -402,28 +482,18 @@ def _find_multiplier(
 
 def _lambda_condition(
     ctx: _Ctx,
-    sources: list[_Source],
+    cones: list[PolyhedralCone],
     lam_union: ConeUnion,
     targets: list[Vec] | None,
-    restrict_to_u_halfspace: bool,
-    strict_source_check,
+    achievable,
 ) -> ConditionReport:
     """The representation hypothesis: every achievable x* equals J^T lambda."""
     name = "lambda-representation"
     if targets is None:
-        image_pieces = []
-        for s in sources:
-            img = _source_image(ctx, s)
-            if restrict_to_u_halfspace:
-                img = img.intersect(
-                    PolyhedralCone.make(a=[tuple(-x for x in ctx.u)], dim=ctx.sys.n)
-                )
-            image_pieces.append(img)
-        if not image_pieces:
+        if not cones:
             return ConditionReport(name, "vacuous", "no achievable x*")
-        xstar_union = ConeUnion.make(image_pieces, ctx.sys.n)
-        tgt = _lambda_targets(ctx, lam_union)
-        ok, witness = cone_union_subset(xstar_union, tgt)
+        xstar_union = ConeUnion.make([_source_image(ctx, c) for c in cones], ctx.sys.n)
+        ok, witness = cone_union_subset(xstar_union, _lambda_targets(ctx, lam_union))
         if ok:
             return ConditionReport(name, "holds", "full achievable range covered")
         _, _, farkas = _find_multiplier(ctx, lam_union, witness)
@@ -436,10 +506,7 @@ def _lambda_condition(
     # explicit target mode
     details = []
     for xstar in targets:
-        if restrict_to_u_halfspace and dot(xstar, ctx.u) < 0:
-            details.append({"xstar": xstar, "status": "outside-halfspace"})
-            continue
-        if not strict_source_check(xstar):
+        if not achievable(xstar):
             details.append({"xstar": xstar, "status": "not-achievable"})
             continue
         lam, piece, farkas = _find_multiplier(ctx, lam_union, xstar)
@@ -454,17 +521,28 @@ def _lambda_condition(
     return ConditionReport(name, "holds", "all targets covered", witness={"targets": details})
 
 
-def _assemble_theorem_verdict(name: str, reports: list[ConditionReport]) -> Verdict:
-    failed = [r for r in reports if r.status == "fails"]
-    if not failed:
-        cert = {"kind": "condition_suite", "conditions": [r.name for r in reports]}
+def _vacuous_verdict(name: str) -> Verdict:
+    """HOLDS without a system: grad g(xbar) u is not tangent to D."""
+    rep = ConditionReport("direction", "vacuous", "grad g(xbar) u not tangent to D")
+    return Verdict(name, HOLDS, {"kind": "vacuous", "reason": "direction"}, (rep,))
+
+
+def _assemble_theorem_verdict(
+    name: str, reports: list[ConditionReport], holds: bool | None = None, **cert_extra
+) -> Verdict:
+    """HOLDS when ``holds`` (by default: no condition fails), else UNDECIDED."""
+    failed = [r.name for r in reports if r.status == "fails"]
+    if holds is None:
+        holds = not failed
+    if holds:
+        cert = {"kind": "condition_suite", "conditions": [r.name for r in reports], **cert_extra}
         return Verdict(name, HOLDS, cert, conditions=tuple(reports))
     return Verdict(
         name,
         UNDECIDED,
         None,
         conditions=tuple(reports),
-        qualifier="assumption-failed:" + ",".join(r.name for r in failed),
+        qualifier="assumption-failed:" + ",".join(failed),
     )
 
 
@@ -477,105 +555,24 @@ def check_thm_polyhedral_I(
     u: Vec,
     mode: str = "asym",
     targets: list[Vec] | None = None,
-    restrict_xstar_u: bool = False,
 ) -> Verdict:
     """Sufficient conditions via normals of the tangent union in direction u.
 
     HOLDS certifies (strong, per mode) directional asymptotic regularity of
     the constraint map at (xbar, 0) in direction u.
     """
-    if is_zero(u):
-        raise ValueError("direction u must be nonzero")
-    ctx = _context(sys, u)
-    m = sys.m
+    ctx = _directional_context(sys, u)
     k = tangent_cone(sys.d, ctx.gx)
-    name = "thm-tangent-normals"
     if not k.contains(ctx.ju):
-        rep = ConditionReport("direction", "vacuous", "grad g(xbar) u not tangent to D")
-        return Verdict(name, HOLDS, {"kind": "vacuous", "reason": "direction"}, (rep,))
+        return _vacuous_verdict("thm-tangent-normals")
     w_union = limiting_normal_cone_of_union(k, ctx.ju)
     arr = arrangement(w_union, extra=ctx.ker_rows)
-    reports: list[ConditionReport] = []
-
-    # kernel condition: no nonzero y* solving the coupled system
-    witness = None
-    for cell in arr.cells:
-        for tp in cell_tangent_pieces(w_union, cell):
-            blk = _Blocks({"y": m, "z": m})
-            blk.add_cell_relint("y", cell, arr.hyperplanes)
-            for row in ctx.ker_rows:
-                blk.row_eq("y", row)
-            blk.add_cone("z", tp)
-            for j in range(sys.n):
-                blk.row_multi_eq({"y": ctx.bu[j], "z": _jt_row(ctx.jac, j)})
-            sol = blk.solve_nonzero("y", m)
-            if sol is not None:
-                witness = {
-                    "ystar": blk.extract(sol, "y", m),
-                    "zstar": blk.extract(sol, "z", m),
-                }
-                break
-        if witness:
-            break
-    if witness:
-        reports.append(
-            ConditionReport("kernel-system", "fails", "nonzero y* solves the system", witness)
-        )
-    else:
-        reports.append(ConditionReport("kernel-system", "holds"))
-
-    sources, checker = _sources_54(ctx, w_union, arr)
-    lam_union = (
-        limiting_normal_cone(sys.d, ctx.gx) if mode == "asym" else w_union
-    )
-    reports.append(
-        _lambda_condition(ctx, sources, lam_union, targets, restrict_xstar_u, checker)
-    )
-    return _assemble_theorem_verdict(name, reports)
-
-
-def _jt_row(jac: Mat, j: int) -> Vec:
-    return tuple(jac[kk][j] for kk in range(len(jac)))
-
-
-def _sources_54(ctx: _Ctx, w_union: ConeUnion, arr: Arrangement):
-    m = ctx.sys.m
-    sources: list[_Source] = []
-    cell_data = []
-    for cell in arr.cells:
-        # the y*-region must meet ker J^T
-        probe = _Blocks({"y": m})
-        probe.add_cell_relint("y", cell, arr.hyperplanes)
-        for row in ctx.ker_rows:
-            probe.row_eq("y", row)
-        if probe.solve() is None:
-            continue
-        for tp in cell_tangent_pieces(w_union, cell):
-            blk = _Blocks({"y": m, "z": m})
-            blk.add_cell_closure("y", cell, arr.hyperplanes)
-            for row in ctx.ker_rows:
-                blk.row_eq("y", row)
-            blk.add_cone("z", tp)
-            cone = PolyhedralCone.make(a=blk.a, e=blk.e, dim=2 * m)
-            sources.append(_Source(cone, f"cell{cell.signs}"))
-            cell_data.append((cell, tp))
-
-    def achievable(xstar: Vec) -> bool:
-        for cell, tp in cell_data:
-            blk = _Blocks({"y": m, "z": m})
-            blk.add_cell_relint("y", cell, arr.hyperplanes)
-            for row in ctx.ker_rows:
-                blk.row_eq("y", row)
-            blk.add_cone("z", tp)
-            for j in range(ctx.sys.n):
-                blk.row_multi_eq(
-                    {"y": ctx.bu[j], "z": _jt_row(ctx.jac, j)}, rhs=xstar[j]
-                )
-            if blk.solve() is not None:
-                return True
-        return False
-
-    return sources, achievable
+    groups = [(None, arr.hyperplanes, cell, cell_tangent_pieces(w_union, cell)) for cell in arr.cells]
+    reports = [_kernel_report(ctx, groups)]
+    cones, achievable = _sources(ctx, groups)
+    lam_union = limiting_normal_cone(sys.d, ctx.gx) if mode == "asym" else w_union
+    reports.append(_lambda_condition(ctx, cones, lam_union, targets, achievable))
+    return _assemble_theorem_verdict("thm-tangent-normals", reports)
 
 
 # ---------------------------------------------------------------------------
@@ -595,137 +592,41 @@ def check_thm_polyhedral_II(
     orthogonal to w, and with y* in ker J^T the pairing <y*, v> equals
     <y*, h/2>-scaled curvature, so the reduction is exact.
     """
-    if is_zero(u):
-        raise ValueError("direction u must be nonzero")
-    ctx = _context(sys, u)
-    m, n = sys.m, sys.n
-    name = "thm-doubled-tangent"
+    ctx = _directional_context(sys, u)
     k = tangent_cone(sys.d, ctx.gx)
     if not k.contains(ctx.ju):
-        rep = ConditionReport("direction", "vacuous", "grad g(xbar) u not tangent to D")
-        return Verdict(name, HOLDS, {"kind": "vacuous", "reason": "direction"}, (rep,))
-    t_u = tangent_cone_of_union(k, ctx.ju)
-    arr_t = arrangement(t_u)
+        return _vacuous_verdict("thm-doubled-tangent")
+    arr_t = arrangement(tangent_cone_of_union(k, ctx.ju))
     h_half = scale(Fraction(1, 2), ctx.h)
-    reports: list[ConditionReport] = []
 
-    # kernel condition over all shifts w_s(u, 0) = J s + h/2
-    witness = None
-    for sigma in arr_t.cells:
-        # reachability of the cell by some shift s
-        probe = _Blocks({"s": n})
-        _add_affine_cell_rows(probe, "s", sigma, arr_t.hyperplanes, ctx.jac, h_half, strict=True)
-        if probe.solve() is None:
-            continue
-        n_sigma = limiting_union_at_cell(arr_t, sigma)
-        arr_n = arrangement(n_sigma, extra=ctx.ker_rows)
-        for rho in arr_n.cells:
-            for tp in cell_tangent_pieces(n_sigma, rho):
-                blk = _Blocks({"s": n, "y": m, "z": m})
-                _add_affine_cell_rows(
-                    blk, "s", sigma, arr_t.hyperplanes, ctx.jac, h_half, strict=True
-                )
-                blk.add_cell_relint("y", rho, arr_n.hyperplanes)
-                for row in ctx.ker_rows:
-                    blk.row_eq("y", row)
-                blk.add_cone("z", tp)
-                for j in range(n):
-                    blk.row_multi_eq({"y": ctx.bu[j], "z": _jt_row(ctx.jac, j)})
-                sol = blk.solve_nonzero("y", m)
-                if sol is not None:
-                    witness = {
-                        "ystar": blk.extract(sol, "y", m),
-                        "zstar": blk.extract(sol, "z", m),
-                        "shift": blk.extract(sol, "s", n),
-                    }
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    if witness:
-        reports.append(
-            ConditionReport("kernel-system", "fails", "nonzero y* solves a shifted system", witness)
-        )
-    else:
-        reports.append(ConditionReport("kernel-system", "holds"))
+    def groups(extra: Mat, shifted: bool):
+        """The cells of N(sigma) over the cells sigma of T(u); with ``shifted``,
+        only the sigma that some shift w_s(u, 0) = J s + h/2 reaches."""
+        for sigma in arr_t.cells:
+            if shifted:
+                probe = _Blocks({"s": sys.n})
+                _add_affine_cell_rows(probe, "s", sigma, arr_t.hyperplanes, ctx.jac, h_half)
+                if probe.solve() is None:
+                    continue
+            n_sigma = limiting_union_at_cell(arr_t, sigma)
+            arr_n = arrangement(n_sigma, extra=extra)
+            shift = (arr_t.hyperplanes, sigma) if shifted else None
+            for rho in arr_n.cells:
+                yield shift, arr_n.hyperplanes, rho, cell_tangent_pieces(n_sigma, rho)
 
+    reports = [_kernel_report(ctx, groups(ctx.ker_rows, True))]
     # lambda hypothesis over the full (s, v) range: v absorbs the shift, so
     # every arrangement cell of T(u) is reachable and y* only keeps the
     # curvature sign row
     neg_h = tuple(-x for x in ctx.h)
-    sources: list[_Source] = []
-    cell_data = []
-    for sigma in arr_t.cells:
-        n_sigma = limiting_union_at_cell(arr_t, sigma)
-        arr_n = arrangement(n_sigma, extra=ctx.ker_rows + (vec(ctx.h),))
-        for rho in arr_n.cells:
-            probe = _Blocks({"y": m})
-            probe.add_cell_relint("y", rho, arr_n.hyperplanes)
-            for row in ctx.ker_rows:
-                probe.row_eq("y", row)
-            probe.row_le("y", neg_h)
-            if probe.solve() is None:
-                continue
-            for tp in cell_tangent_pieces(n_sigma, rho):
-                blk = _Blocks({"y": m, "z": m})
-                blk.add_cell_closure("y", rho, arr_n.hyperplanes)
-                for row in ctx.ker_rows:
-                    blk.row_eq("y", row)
-                blk.row_le("y", neg_h)
-                blk.add_cone("z", tp)
-                cone = PolyhedralCone.make(a=blk.a, e=blk.e, dim=2 * m)
-                sources.append(_Source(cone, f"sigma{sigma.signs}/rho{rho.signs}"))
-                cell_data.append((rho, arr_n, tp))
-
-    def achievable(xstar: Vec) -> bool:
-        for rho, arr_n, tp in cell_data:
-            blk = _Blocks({"y": m, "z": m})
-            blk.add_cell_relint("y", rho, arr_n.hyperplanes)
-            for row in ctx.ker_rows:
-                blk.row_eq("y", row)
-            blk.row_le("y", neg_h)
-            blk.add_cone("z", tp)
-            for j in range(n):
-                blk.row_multi_eq({"y": ctx.bu[j], "z": _jt_row(ctx.jac, j)}, rhs=xstar[j])
-            if blk.solve() is not None:
-                return True
-        return False
-
+    cones, achievable = _sources(ctx, groups(ctx.ker_rows + (vec(ctx.h),), False), (neg_h,))
     lam_union = (
         limiting_normal_cone(sys.d, ctx.gx)
         if mode == "asym"
         else limiting_normal_cone_of_union(k, ctx.ju)
     )
-    reports.append(_lambda_condition(ctx, sources, lam_union, targets, False, achievable))
-    return _assemble_theorem_verdict(name, reports)
-
-
-def _add_affine_cell_rows(
-    blk: _Blocks,
-    block: str,
-    cell: Cell,
-    hyper: tuple[Vec, ...],
-    jac: Mat,
-    offset: Vec,
-    strict: bool,
-):
-    """Rows expressing (J s + offset) in the cell w.r.t. each hyperplane."""
-    for hrow, s in zip(hyper, cell.signs):
-        coef = mat_t_vec(jac, hrow)
-        rhs = -dot(hrow, offset)
-        if s == 0:
-            blk.row_eq(block, coef, rhs=rhs)
-        elif s == 1:
-            if strict:
-                blk.row_lt(block, tuple(-x for x in coef), rhs=-rhs)
-            else:
-                blk.row_le(block, tuple(-x for x in coef), rhs=-rhs)
-        else:
-            if strict:
-                blk.row_lt(block, coef, rhs=rhs)
-            else:
-                blk.row_le(block, coef, rhs=rhs)
+    reports.append(_lambda_condition(ctx, cones, lam_union, targets, achievable))
+    return _assemble_theorem_verdict("thm-doubled-tangent", reports)
 
 
 # ---------------------------------------------------------------------------
@@ -744,141 +645,60 @@ def check_thm_nonpolyhedral(
     is modeled cell-wise, and the graphical derivative and subderivative
     sections become per-cell polyhedral constraints.
     """
-    if is_zero(u):
-        raise ValueError("direction u must be nonzero")
-    ctx = _context(sys, u)
-    m, n = sys.m, sys.n
+    ctx = _directional_context(sys, u)
+    m = sys.m
     name = "thm-normal-graph"
     n_dir = directional_limiting_normal_cone(sys.d, ctx.gx, ctx.ju)
     if n_dir.is_empty:
-        rep = ConditionReport("direction", "vacuous", "grad g(xbar) u not tangent to D")
-        return Verdict(name, HOLDS, {"kind": "vacuous", "reason": "direction"}, (rep,))
+        return _vacuous_verdict(name)
     model = normal_graph(sys.d, ctx.gx)
-    dual_hyper: list[Vec] = []
-    for _, nc in model.cells:
-        dual_hyper.extend(hyperplanes_of(ConeUnion.make([nc], m)))
-    arr = arrangement(n_dir, extra=tuple(dual_hyper) + ctx.ker_rows)
-    ju_nonzero = not is_zero(ctx.ju)
-    reports: list[ConditionReport] = []
+    dual_hyper = tuple(h for _, nc in model.cells for h in hyperplanes_of(ConeUnion.make([nc], m)))
+    arr = arrangement(n_dir, extra=dual_hyper + ctx.ker_rows)
 
-    def admissible_cells(rho: Cell, require_ju: bool):
+    def groups(require_ju: bool) -> list:
+        """Each cell with the tangents of the graph cells it meets (with
+        ``require_ju``, only graph cells whose primal side holds J u)."""
         out = []
-        for f, nc in model.cells:
-            if require_ju and not f.contains(ctx.ju):
-                continue
-            if nc.contains(rho.witness):
-                out.append(tangent_of_cone_at(nc, rho.witness))
+        for rho in arr.cells:
+            pieces = [
+                tangent_of_cone_at(nc, rho.witness)
+                for f, nc in model.cells
+                if (not require_ju or f.contains(ctx.ju)) and nc.contains(rho.witness)
+            ]
+            out.append((None, arr.hyperplanes, rho, pieces))
         return out
 
-    # condition "derivative": the coupled system forces y* = 0
-    witness = None
-    for rho in arr.cells:
-        for tp in admissible_cells(rho, require_ju=True):
-            blk = _Blocks({"y": m, "z": m})
-            blk.add_cell_relint("y", rho, arr.hyperplanes)
-            for row in ctx.ker_rows:
-                blk.row_eq("y", row)
-            blk.add_cone("z", tp)
-            for j in range(n):
-                blk.row_multi_eq({"y": ctx.bu[j], "z": _jt_row(ctx.jac, j)})
-            sol = blk.solve_nonzero("y", m)
-            if sol is not None:
-                witness = {
-                    "ystar": blk.extract(sol, "y", m),
-                    "zstar": blk.extract(sol, "z", m),
-                }
-                break
-        if witness:
-            break
-    reports.append(
-        ConditionReport("kernel-system", "fails", "nonzero y* solves the system", witness)
-        if witness
-        else ConditionReport("kernel-system", "holds")
-    )
-
-    # condition "derivative-at-zero" (Ia) and "subderivative" (Ib)
-    def zhat_condition(require_ju: bool, cname: str) -> ConditionReport:
-        for rho in arr.cells:
-            for tp in admissible_cells(rho, require_ju=require_ju):
-                blk = _Blocks({"y": m, "z": m})
-                blk.add_cell_relint("y", rho, arr.hyperplanes)
-                for row in ctx.ker_rows:
-                    blk.row_eq("y", row)
-                blk.add_cone("z", tp)
+    # condition "derivative-at-zero" (Ia) and "subderivative" (Ib): no nonzero
+    # zhat in ker J^T in the graph section
+    def zhat_condition(cell_groups: list, cname: str) -> ConditionReport:
+        for _, hyper, rho, pieces in cell_groups:
+            for tp in pieces:
+                blk = _cell_blocks(ctx, hyper, rho, tp)
                 for row in ctx.ker_rows:
                     blk.row_eq("z", row)
                 sol = blk.solve_nonzero("z", m)
                 if sol is not None:
-                    return ConditionReport(
-                        cname,
-                        "fails",
-                        "nonzero kernel element in the graph section",
-                        {
-                            "ystar": blk.extract(sol, "y", m),
-                            "zhat": blk.extract(sol, "z", m),
-                        },
-                    )
+                    witness = {"ystar": blk.extract(sol, "y", m), "zhat": blk.extract(sol, "z", m)}
+                    detail = "nonzero kernel element in the graph section"
+                    return ConditionReport(cname, "fails", detail, witness)
         return ConditionReport(cname, "holds")
 
-    rep_ia = zhat_condition(False, "derivative-at-zero")
+    ju_groups = groups(True)
+    reports = [_kernel_report(ctx, ju_groups)]
+    rep_ia = zhat_condition(groups(False), "derivative-at-zero")
     rep_ib = (
-        zhat_condition(True, "subderivative")
-        if ju_nonzero
+        zhat_condition(ju_groups, "subderivative")
+        if not is_zero(ctx.ju)
         else ConditionReport("subderivative", "skipped", "grad g(xbar) u = 0; zero-direction branch uses derivative-at-zero")
     )
-    reports.append(rep_ia)
-    reports.append(rep_ib)
-
-    sources: list[_Source] = []
-    cell_data = []
-    for rho in arr.cells:
-        probe = _Blocks({"y": m})
-        probe.add_cell_relint("y", rho, arr.hyperplanes)
-        for row in ctx.ker_rows:
-            probe.row_eq("y", row)
-        if probe.solve() is None:
-            continue
-        for tp in admissible_cells(rho, require_ju=True):
-            blk = _Blocks({"y": m, "z": m})
-            blk.add_cell_closure("y", rho, arr.hyperplanes)
-            for row in ctx.ker_rows:
-                blk.row_eq("y", row)
-            blk.add_cone("z", tp)
-            cone = PolyhedralCone.make(a=blk.a, e=blk.e, dim=2 * m)
-            sources.append(_Source(cone, f"rho{rho.signs}"))
-            cell_data.append((rho, tp))
-
-    def achievable(xstar: Vec) -> bool:
-        for rho, tp in cell_data:
-            blk = _Blocks({"y": m, "z": m})
-            blk.add_cell_relint("y", rho, arr.hyperplanes)
-            for row in ctx.ker_rows:
-                blk.row_eq("y", row)
-            blk.add_cone("z", tp)
-            for j in range(n):
-                blk.row_multi_eq({"y": ctx.bu[j], "z": _jt_row(ctx.jac, j)}, rhs=xstar[j])
-            if blk.solve() is not None:
-                return True
-        return False
-
+    reports += [rep_ia, rep_ib]
+    cones, achievable = _sources(ctx, ju_groups)
     lam_union = limiting_normal_cone(sys.d, ctx.gx) if mode == "asym" else n_dir
-    reports.append(_lambda_condition(ctx, sources, lam_union, targets, False, achievable))
-
-    # assemble: the kernel system plus one of the two section conditions
-    failed = [r for r in reports if r.status == "fails"]
-    section_ok = rep_ia.status == "holds" or (ju_nonzero and rep_ib.status == "holds")
-    core_ok = reports[0].status == "holds" and reports[-1].status == "holds"
-    if core_ok and section_ok:
-        used = "derivative-at-zero" if rep_ia.status == "holds" else "subderivative"
-        cert = {"kind": "condition_suite", "conditions": [r.name for r in reports], "section_condition": used}
-        return Verdict(name, HOLDS, cert, conditions=tuple(reports))
-    return Verdict(
-        name,
-        UNDECIDED,
-        None,
-        conditions=tuple(reports),
-        qualifier="assumption-failed:" + ",".join(r.name for r in failed),
-    )
+    reports.append(_lambda_condition(ctx, cones, lam_union, targets, achievable))
+    # the kernel system and lambda hypothesis plus one of the two section conditions
+    section = rep_ia if rep_ia.status == "holds" else rep_ib
+    holds = all(r.status == "holds" for r in (reports[0], section, reports[-1]))
+    return _assemble_theorem_verdict(name, reports, holds, section_condition=section.name)
 
 
 # ---------------------------------------------------------------------------
@@ -890,29 +710,11 @@ def mstationarity(sys: ConstraintSystem, phi: Poly) -> Verdict:
     ctx = _context(sys)
     grad = phi.gradient(sys.xbar)
     target = tuple(-x for x in grad)
-    n_lim = limiting_normal_cone(sys.d, ctx.gx)
-    farkas = []
-    for i, piece in enumerate(n_lim.pieces):
-        res = feasible_point(
-            piece.ia,
-            (0,) * len(piece.ia),
-            piece.ie + ctx.ker_rows,
-            (0,) * len(piece.ie) + target,
-            n=sys.m,
-        )
-        if res.status == OPTIMAL:
-            lam = res.x
-            residual = add(grad, mat_t_vec(ctx.jac, lam))
-            cert = {
-                "kind": "multiplier",
-                "lam": lam,
-                "piece": i,
-                "residual": residual,
-            }
-            return Verdict("mstationarity", HOLDS, cert)
-        farkas.append(
-            {"piece": i, "farkas_ineq": res.farkas_ineq, "farkas_eq": res.farkas_eq}
-        )
+    lam, i, farkas = _find_multiplier(ctx, limiting_normal_cone(sys.d, ctx.gx), target)
+    if lam is not None:
+        residual = add(grad, mat_t_vec(ctx.jac, lam))
+        cert = {"kind": "multiplier", "lam": lam, "piece": i, "residual": residual}
+        return Verdict("mstationarity", HOLDS, cert)
     return Verdict(
         "mstationarity",
         FAILS,
@@ -977,13 +779,7 @@ def pseudo_quasi_verdict(
             {"kind": "trivial_kernel", "pieces_checked": 0},
             qualifier="direction-not-tangent",
         )
-    kernel = ConeUnion.make(
-        [
-            PolyhedralCone.make(a=p.ia, e=p.ie + ctx.ker_rows, dim=sys.m)
-            for p in n_dir.pieces
-        ],
-        sys.m,
-    )
+    kernel = ConeUnion.make(_kernel_pieces(ctx, n_dir), sys.m)
     candidates = _candidate_rays(kernel)
     if not candidates:
         return Verdict(name, HOLDS, {"kind": "trivial_kernel", "pieces_checked": len(kernel.pieces)})

@@ -104,9 +104,6 @@ class Poly:
             for i in range(self.nvars)
         )
 
-    def degree(self) -> int:
-        return max((sum(e) for e, _ in self.terms), default=0)
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -249,9 +246,6 @@ class PolyMap:
     def jacobian(self, x: Sequence) -> Mat:
         """m x n matrix of exact partial derivatives at x."""
         return tuple(p.gradient(x) for p in self.components)
-
-    def jacobian_t(self, x: Sequence) -> Mat:
-        return tuple(zip(*self.jacobian(x), strict=True))
 
     def hessian_scalarized(self, x: Sequence, ystar: Sequence) -> Mat:
         """Exact Hessian of the scalarization <ystar, g> at x (n x n)."""

@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from dircq.linalg import Vec, vec
+from dircq.linalg import Vec
 from dircq.polyhedra import HPolyhedron, PolyhedralCone
 from dircq.polymaps import Poly, PolyMap, parse_poly
 from dircq.setmaps import ConstraintSystem, DeclaredCone, GraphPatch, PatchMap

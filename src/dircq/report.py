@@ -16,7 +16,7 @@ from datetime import datetime, timezone
 from fractions import Fraction
 
 from dircq import __version__
-from dircq.cq import FAILS, HOLDS, UNDECIDED, ConditionReport, Verdict
+from dircq.cq import FAILS, HOLDS, UNDECIDED, Verdict
 from dircq.linalg import Vec, dot, is_zero, mat_t_vec, vec
 from dircq.polyhedra import PolyhedralCone, generators
 from dircq.simplex import verify_farkas

@@ -73,9 +73,6 @@ class ConstraintSystem:
         y = y if y is not None else zeros(self.m)
         return self.d.contains(sub(self.g.eval(x), y))
 
-    def base_feasible(self) -> bool:
-        return self.feasible(self.xbar)
-
 
 def regular_coderivative(
     sys: ConstraintSystem, x: Vec, y: Vec, ystar: Vec

@@ -110,9 +110,6 @@ class ConeUnion:
             raise ValueError("empty cone union has no polyhedral-union form")
         return PolyUnion.make([p.as_polyhedron() for p in self.pieces])
 
-    def intersect_cone(self, c: PolyhedralCone) -> "ConeUnion":
-        return ConeUnion.make([p.intersect(c) for p in self.pieces], self.dim)
-
 
 # ---------------------------------------------------------------------------
 # tangent and regular normal cones
@@ -223,6 +220,47 @@ def hyperplanes_of(u: ConeUnion) -> tuple[IntVec, ...]:
     )
 
 
+def sign_cells(hyper: tuple[IntVec, ...], n: int, alive=None, a: IntMat = (), e: IntMat = ()):
+    """Yield (signs, witness) for each cell of the hyperplanes inside {a x <= 0, e x = 0}.
+
+    A depth-first search over the signs (0, 1, -1) of each hyperplane in
+    turn, with one LP per node; a leaf reuses its parent's relative-interior
+    point as its witness.  ``alive(signs)``, when given, prunes every node
+    (leaves included) whose partial sign vector it rejects.
+    """
+
+    def feasible(signs: list[int]) -> Vec | None:
+        strict_rows, eq_rows = _sign_rows(hyper, signs)
+        return strict_feasible_point(
+            tuple(strict_rows),
+            (0,) * len(strict_rows),
+            a=a,
+            b=(0,) * len(a),
+            e=tuple(eq_rows) + e,
+            d=(0,) * (len(eq_rows) + len(e)),
+            n=n,
+        )
+
+    def dfs(signs: list[int], w: Vec | None):
+        """Extend signs, whose cell has relative-interior point w (None at the root)."""
+        if alive is not None and not alive(signs):
+            return
+        if len(signs) == len(hyper):
+            if w is None:
+                w = feasible(signs)
+            if w is not None:
+                yield tuple(signs), w
+            return
+        for s in (0, 1, -1):
+            signs.append(s)
+            child = feasible(signs)
+            if child is not None:
+                yield from dfs(signs, child)
+            signs.pop()
+
+    return dfs([], None)
+
+
 @lru_cache(maxsize=CACHE_SIZE)
 def arrangement(k: ConeUnion, extra: tuple[Vec, ...] = ()) -> Arrangement:
     """Sign-vector cells of the union's facet hyperplanes, inside the union.
@@ -239,7 +277,6 @@ def arrangement(k: ConeUnion, extra: tuple[Vec, ...] = ()) -> Arrangement:
     )
     reqs = [_piece_sign_requirements(c, hyper) for c in k.pieces]
     n = k.dim
-    cells: list[Cell] = []
 
     def piece_alive(req, signs: list[int]) -> bool:
         for i, orient, is_eq in req:
@@ -252,60 +289,27 @@ def arrangement(k: ConeUnion, extra: tuple[Vec, ...] = ()) -> Arrangement:
                 return False
         return True
 
-    def feasible(signs: list[int]) -> Vec | None:
-        strict_rows = []
-        eq_rows = []
-        for h, s in zip(hyper, signs):
-            if s == 0:
-                eq_rows.append(h)
-            elif s == 1:
-                strict_rows.append(tuple(-x for x in h))
-            else:
-                strict_rows.append(h)
-        return strict_feasible_point(
-            tuple(strict_rows),
-            (0,) * len(strict_rows),
-            e=tuple(eq_rows),
-            d=(0,) * len(eq_rows),
-            n=n,
-        )
-
-    def dfs(depth: int, signs: list[int], w: Vec | None) -> None:
-        """Extend signs, whose cell has relative-interior point w (None at the root)."""
-        if not any(piece_alive(r, signs) for r in reqs):
-            return
-        if depth == len(hyper):
-            if w is None:
-                w = feasible(signs)
-                if w is None:
-                    return
-            pidx = tuple(i for i, c in enumerate(k.pieces) if c.contains(w))
-            if not pidx:
-                return
-            closure = _closure_cone(hyper, signs, n)
-            dual = _cell_dual(k, pidx, hyper, signs)
-            cells.append(Cell(tuple(signs), w, closure, pidx, dual))
-            return
-        for s in (0, 1, -1):
-            signs.append(s)
-            child = feasible(signs)
-            if child is not None:
-                dfs(depth + 1, signs, child)
-            signs.pop()
-
-    dfs(0, [], None)
+    cells: list[Cell] = []
+    for signs, w in sign_cells(hyper, n, alive=lambda signs: any(piece_alive(r, signs) for r in reqs)):
+        pidx = tuple(i for i, c in enumerate(k.pieces) if c.contains(w))
+        if pidx:
+            cells.append(Cell(signs, w, _closure_cone(hyper, signs, n), pidx, _cell_dual(k, pidx, hyper, signs)))
     return Arrangement(hyper, tuple(cells), k)
 
 
-def _closure_cone(hyper: tuple[IntVec, ...], signs: list[int], n: int) -> PolyhedralCone:
-    a, e = [], []
+def _sign_rows(hyper: tuple[IntVec, ...], signs) -> tuple[list[IntVec], list[IntVec]]:
+    """(rows r with r.x < 0 on the cell's relative interior, rows with r.x = 0)."""
+    ineq, eq = [], []
     for h, s in zip(hyper, signs):
         if s == 0:
-            e.append(h)
-        elif s == 1:
-            a.append(tuple(-x for x in h))
+            eq.append(h)
         else:
-            a.append(h)
+            ineq.append(tuple(-x for x in h) if s == 1 else h)
+    return ineq, eq
+
+
+def _closure_cone(hyper: tuple[IntVec, ...], signs, n: int) -> PolyhedralCone:
+    a, e = _sign_rows(hyper, signs)
     return PolyhedralCone.make(a=a, e=e, dim=n)
 
 
@@ -501,44 +505,8 @@ def subdivide_and_check(
     if target.is_empty:
         # a nonempty cone always contains 0, which the empty union lacks
         return zeros(c.dim)
-    hyper = hyperplanes_of(target)
-    n = c.dim
-
-    def feasible(signs: list[int]) -> Vec | None:
-        strict_rows, eq_rows = [], []
-        for h, s in zip(hyper, signs):
-            if s == 0:
-                eq_rows.append(h)
-            elif s == 1:
-                strict_rows.append(tuple(-x for x in h))
-            else:
-                strict_rows.append(h)
-        return strict_feasible_point(
-            tuple(strict_rows),
-            (0,) * len(strict_rows),
-            a=c.ia,
-            b=(0,) * len(c.ia),
-            e=tuple(eq_rows) + c.ie,
-            d=(0,) * (len(eq_rows) + len(c.ie)),
-            n=n,
-        )
-
-    def dfs(depth: int, signs: list[int], w: Vec | None) -> Vec | None:
-        """A cell point outside the target below signs, or None; w as in arrangement."""
-        if depth == len(hyper):
-            if w is None:
-                w = feasible(signs)
-            return None if w is None or target.contains(w) else w
-        for s in (0, 1, -1):
-            signs.append(s)
-            child = feasible(signs)
-            bad = None if child is None else dfs(depth + 1, signs, child)
-            if bad is not None:
-                return bad
-            signs.pop()
-        return None
-
-    return dfs(0, [], None)
+    cells = sign_cells(hyperplanes_of(target), c.dim, a=c.ia, e=c.ie)
+    return next((w for _, w in cells if not target.contains(w)), None)
 
 
 def cone_union_subset(a: ConeUnion, b: ConeUnion) -> tuple[bool, Vec | None]:

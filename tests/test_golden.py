@@ -2,35 +2,55 @@
 
 Each fixture under ``dircq/fixtures`` is run through every check that applies
 to it, and the stamp-free ``report.dumps`` of the rows must equal the file of
-the same name under ``tests/golden``.  The golden files pin verdicts,
-certificates, piece orders and Farkas vectors, so a refactor that changes any
-of them shows here.  After an intended change of reports, rewrite them with
+the same name under ``tests/golden``.  The ``-strong`` files pin the theorem
+checkers in strong mode, and on ex58 also at explicit targets x*.  The golden
+files pin verdicts, certificates, piece orders and Farkas vectors, so a
+refactor that changes any of them shows here; the LP counts of the theorem
+checkers are pinned too.  After an intended change of reports, rewrite them with
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
 import sys
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
-from dircq import cq, oracle
+from test_caches import clear_caches
+
+import dircq
+from dircq import cq, oracle, simplex
+from dircq.linalg import vec
 from dircq.problemfile import load_problem
 from dircq.report import build_report, dumps, verdict_row
 
 FIXTURES = ("ex58", "ex58sq", "ex47")
+# fixtures whose theorem checkers are also pinned in strong mode, in
+# ``tests/golden/<name>-strong.json``
+STRONG_FIXTURES = ("ex58", "ex58sq")
 GOLDEN = Path(__file__).parent / "golden"
 
-DIRECTIONAL = (
-    cq.foscms,
-    cq.soscms,
+THEOREMS = (
     cq.check_thm_polyhedral_I,
     cq.check_thm_polyhedral_II,
     cq.check_thm_nonpolyhedral,
 )
+DIRECTIONAL = (cq.foscms, cq.soscms) + THEOREMS
+# explicit targets x* in R^1, each checked on its own row for ex58
+EX58_TARGETS = (-1, 0, 1)
+# solve_lp calls of each theorem checker (I, II, nonpolyhedral) over all
+# directions of a fixture, from cleared caches
+LP_COUNTS = {
+    ("ex58", "asym"): (47, 55, 112),
+    ("ex58", "strong"): (48, 56, 113),
+    ("ex58sq", "asym"): (529, 1180, 1415),
+    ("ex58sq", "strong"): (520, 1171, 1406),
+}
 
 
 def fixture_path(name: str) -> Path:
@@ -59,16 +79,71 @@ def suite_rows(pr) -> list[dict]:
     return rows
 
 
-def suite_report(name: str) -> str:
+def strong_rows(pr) -> list[dict]:
+    """The theorem checkers in strong mode at every direction; on a problem
+    with n = 1 also every checker and mode at each explicit target x*."""
+    rows = []
+    sys_ = pr.system
+    for dname in sorted(pr.directions):
+        u = pr.direction(dname)
+        rows += [verdict_row(f(sys_, u, mode="strong"), "xbar", dname, {"mode": "strong"}) for f in THEOREMS]
+    if sys_.n != 1:
+        return rows
+    for dname in sorted(pr.directions):
+        u = pr.direction(dname)
+        for f in THEOREMS:
+            for mode in ("asym", "strong"):
+                for t in EX58_TARGETS:
+                    v = f(sys_, u, mode=mode, targets=[vec([t])])
+                    rows.append(verdict_row(v, "xbar", dname, {"mode": mode, "target": t}))
+    return rows
+
+
+def suite_report(name: str, rows_of=suite_rows, config=None) -> str:
     path = fixture_path(name)
-    report = build_report("check", str(path), {}, suite_rows(load_problem(str(path))), stamp=False)
+    report = build_report("check", str(path), config or {}, rows_of(load_problem(str(path))), stamp=False)
     report["problem"]["path"] = f"fixtures/{name}.json"
     return dumps(report)
+
+
+def strong_report(name: str) -> str:
+    return suite_report(name, strong_rows, {"mode": "strong"})
 
 
 @pytest.mark.parametrize("name", FIXTURES)
 def test_report_matches_golden(name):
     assert suite_report(name) == (GOLDEN / f"{name}.json").read_text()
+
+
+@pytest.mark.parametrize("name", STRONG_FIXTURES)
+def test_strong_report_matches_golden(name):
+    assert strong_report(name) == (GOLDEN / f"{name}-strong.json").read_text()
+
+
+@pytest.mark.parametrize("name, mode", sorted(LP_COUNTS))
+def test_checker_lp_counts(name, mode, monkeypatch):
+    calls = []
+    original = simplex.solve_lp
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    # every module that imported solve_lp by name holds its own binding
+    for info in pkgutil.iter_modules(dircq.__path__):
+        mod = importlib.import_module(f"dircq.{info.name}")
+        for attr, val in list(vars(mod).items()):
+            if val is original:
+                monkeypatch.setattr(mod, attr, counted)
+    pr = load_problem(str(fixture_path(name)))
+    counts = []
+    for f in THEOREMS:
+        clear_caches()
+        calls.clear()
+        for dname in sorted(pr.directions):
+            f(pr.system, pr.direction(dname), mode=mode)
+        counts.append(len(calls))
+    assert tuple(counts) == LP_COUNTS[name, mode]
 
 
 if __name__ == "__main__":
@@ -77,3 +152,5 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for fixture in FIXTURES:
         (GOLDEN / f"{fixture}.json").write_text(suite_report(fixture))
+    for fixture in STRONG_FIXTURES:
+        (GOLDEN / f"{fixture}-strong.json").write_text(strong_report(fixture))

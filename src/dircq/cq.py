@@ -29,9 +29,12 @@ from dircq.linalg import (
     Mat,
     Vec,
     add,
+    canon_ray,
     dot,
+    is_orthogonal_basis,
     is_zero,
     mat_t_vec,
+    neg,
     scale,
     transpose,
     vec,
@@ -44,7 +47,7 @@ from dircq.polyhedra import (
     nonzero_element,
 )
 from dircq.polymaps import Poly
-from dircq.setmaps import ConstraintSystem, InfeasiblePoint
+from dircq.setmaps import ConstraintSystem, InfeasiblePoint, patch_limiting_normals
 from dircq.simplex import OPTIMAL, UNBOUNDED, feasible_point, solve_lp, strict_feasible_point
 from dircq.unions import (
     Cell,
@@ -456,7 +459,7 @@ def _source_image(ctx: _Ctx, cone: PolyhedralCone) -> PolyhedralCone:
 
 def _lambda_targets(ctx: _Ctx, lam_union: ConeUnion) -> ConeUnion:
     pieces = [_image_cone(p, lambda r: mat_t_vec(ctx.jac, r), ctx.sys.n) for p in lam_union.pieces]
-    return ConeUnion.make(pieces, ctx.sys.n) if pieces else ConeUnion.empty(ctx.sys.n)
+    return ConeUnion.make(pieces, ctx.sys.n)
 
 
 def _find_multiplier(
@@ -727,8 +730,6 @@ def mstationarity(sys: ConstraintSystem, phi: Poly) -> Verdict:
 
 
 def _candidate_rays(u: ConeUnion) -> list[Vec]:
-    from dircq.linalg import canon_ray, neg
-
     out: dict[Vec, None] = {}
     for p in u.pieces:
         rays, lin = generators(p)
@@ -741,8 +742,6 @@ def _candidate_rays(u: ConeUnion) -> list[Vec]:
 
 
 def _validate_basis(basis, m: int):
-    from dircq.linalg import is_orthogonal_basis
-
     if basis is None:
         return None
     basis = tuple(vec(b) for b in basis)
@@ -904,7 +903,7 @@ def _dual_slice(n_union: ConeUnion, nx: int, ny: int) -> ConeUnion:
         a_rows = [tuple(-c for c in row[nx:]) for row in p.ia]
         e_rows = [row[nx:] for row in p.ie]
         pieces.append(PolyhedralCone.make(a=a_rows, e=e_rows, dim=ny))
-    return ConeUnion.make(pieces, ny) if pieces else ConeUnion.empty(ny)
+    return ConeUnion.make(pieces, ny)
 
 
 def graph_foscms(
@@ -941,8 +940,6 @@ def patch_mstationarity(m, phi: Poly, xbar: Vec, ybar: Vec) -> Verdict:
     A multiplier found inside the certified lower bound is sound; failure is
     claimed only when even the upper bound excludes every multiplier.
     """
-    from dircq.setmaps import patch_limiting_normals
-
     base = vec(tuple(xbar) + tuple(ybar))
     grad = phi.gradient(xbar)
     bounds = patch_limiting_normals(m, base)

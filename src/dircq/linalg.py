@@ -5,7 +5,7 @@ here is immutable and hashable so that cones built from this data can be
 cached and compared structurally.
 
 Fractions in, Fractions out, ints inside: the kernels (``dot``, the coprime
-scaling of ``integerize``/``canon_ray``/``canon_line``, and ``rref`` with
+scaling of ``canon_ray``/``canon_line``, and ``rref`` with
 ``rank``, ``nullspace`` and ``solve_linear`` on top of it) accept int and
 Fraction entries, scale each row to Python ints by the lcm of its
 denominators, and build a Fraction only for each value they return.  Every
@@ -242,14 +242,9 @@ def coprime_ints(v: Sequence[Fraction], line: bool = False) -> tuple[int, ...]:
     return tuple([x // g for x in ints])
 
 
-def integerize(v: Sequence[Fraction]) -> Vec:
-    """Positive rescale to coprime integers (direction preserved)."""
-    return vec(coprime_ints(v))
-
-
 def canon_ray(v: Sequence[Fraction]) -> Vec:
-    """Canonical representative of the ray R_+ v."""
-    return integerize(v)
+    """Canonical representative of the ray R_+ v: its positive rescale to coprime ints."""
+    return vec(coprime_ints(v))
 
 
 def canon_line(v: Sequence[Fraction]) -> Vec:

@@ -12,7 +12,6 @@ rationalized and re-verified exactly whenever they lie on rational patches.
 
 from __future__ import annotations
 
-import itertools
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,6 +28,7 @@ from dircq.linalg import (
     is_zero,
     mat_t_vec,
     mat_vec,
+    neg,
     rref,
     scale,
     solve_linear,
@@ -42,6 +42,7 @@ from dircq.polyhedra import (
     PolyhedralCone,
     cone_from_generators,
     generators,
+    polyhedron_faces,
 )
 from dircq.polymaps import Poly
 from dircq.setmaps import (
@@ -50,10 +51,11 @@ from dircq.setmaps import (
     PatchMap,
     PatchRegularityError,
     patch_coderivative_image,
+    patch_limiting_normals,
     patch_regular_normal_cone,
 )
 from dircq.simplex import OPTIMAL, feasible_point, solve_lp
-from dircq.unions import ConeUnion, PolyUnion, regular_normal_cone
+from dircq.unions import ConeUnion, PolyUnion, directional_limiting_normal_cone, regular_normal_cone
 
 NOT_FOUND = "NOT_FOUND"
 
@@ -147,40 +149,6 @@ def _norm(v: Vec) -> float:
 # exact projections used by the deterministic searches
 
 
-def polyhedron_faces(p: HPolyhedron) -> list[tuple[tuple[int, ...], Vec]]:
-    """(active set, relint witness) for every nonempty face of p.
-
-    Solves one strict-feasibility LP per subset of the inequality rows, so
-    2^m LPs for m rows; a search builds the faces once, not once per step.
-    """
-    from dircq.simplex import strict_feasible_point
-
-    out = []
-    rows = p.iab
-    m = len(rows)
-    e_rows = tuple(r[:-1] for r in p.ied)
-    e_rhs = tuple(r[-1] for r in p.ied)
-    seen = set()
-    for size in range(m + 1):
-        for subset in itertools.combinations(range(m), size):
-            ins = tuple(i for i in range(m) if i not in subset)
-            w = strict_feasible_point(
-                tuple(rows[i][:-1] for i in ins),
-                tuple(rows[i][-1] for i in ins),
-                e=e_rows + tuple(rows[i][:-1] for i in subset),
-                d=e_rhs + tuple(rows[i][-1] for i in subset),
-                n=p.dim,
-            )
-            if w is None:
-                continue
-            key = p.active_rows(w)
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append((key, w))
-    return out
-
-
 @dataclass(frozen=True)
 class _FaceHull:
     """Affine hull {x : rows x = rhs} of one face of ``piece``.
@@ -203,7 +171,10 @@ class _FaceHull:
 
 
 def _face_hulls(pieces) -> list[_FaceHull]:
-    """One hull per nonempty face, in piece order and then face order."""
+    """One hull per nonempty face, in piece order and then face order.
+
+    A search builds the faces of each piece once, not once per step.
+    """
     hulls = []
     for piece in pieces:
         for active, _ in polyhedron_faces(piece):
@@ -259,7 +230,7 @@ class SampleResult:
         pieces = [
             cone_from_generators([r], (), dim) for r in self.fitted_rays
         ] + [cone_from_generators((), [l], dim) for l in self.fitted_lineality]
-        return ConeUnion.make(pieces, dim) if pieces else ConeUnion.empty(dim)
+        return ConeUnion.make(pieces, dim)
 
 
 def sample_directional_normals(
@@ -350,16 +321,8 @@ def _patch_graph_points(patch: GraphPatch, x: Vec, max_den: int = 10**12) -> lis
 
 
 def graph_points_near(m: PatchMap, x: Vec) -> list[Vec]:
-    out = []
-    for patch in m.patches:
-        out.extend(_patch_graph_points(patch, x))
-    seen = set()
-    uniq = []
-    for w in out:
-        if w not in seen:
-            seen.add(w)
-            uniq.append(w)
-    return uniq
+    """Distinct graph points over x on every patch, in patch order."""
+    return list(dict.fromkeys(w for patch in m.patches for w in _patch_graph_points(patch, x)))
 
 
 # ---------------------------------------------------------------------------
@@ -427,13 +390,9 @@ def search_asym_reg_violation(
             records.append(
                 WitnessRecord(k, x, w[nx:], xstar, lam, res, x_in_preimage=in_preimage)
             )
-    if len(records) < 6:
+    if not _residuals_settle(records):
         return NOT_FOUND
     tail = records[-5:]
-    for key in tail[0].residuals:
-        vals = [float(r.residuals[key]) for r in tail]
-        if any(b > a * 1.0000001 + 1e-14 for a, b in zip(vals, vals[1:])):
-            return NOT_FOUND
     lam_norms = [_norm(r.lam) for r in tail]
     if any(b <= a for a, b in zip(lam_norms, lam_norms[1:])):
         return NOT_FOUND
@@ -465,6 +424,18 @@ def search_asym_reg_violation(
         outside_image=outside_plain,
         outside_directional_image=outside_dir,
     )
+
+
+def _residuals_settle(records: list[WitnessRecord]) -> bool:
+    """At least 6 records, and no residual grows over the last 5."""
+    if len(records) < 6:
+        return False
+    tail = records[-5:]
+    for key in tail[0].residuals:
+        vals = [float(r.residuals[key]) for r in tail]
+        if any(b > a * 1.0000001 + 1e-14 for a, b in zip(vals, vals[1:])):
+            return False
+    return True
 
 
 def _inv_norm(v: Vec) -> Fraction | None:
@@ -547,13 +518,8 @@ def search_normality_violation(
             records.append(
                 WitnessRecord(k, x, z, xstar=zeros(sys.n), lam=lam, residuals=res)
             )
-    if len(records) < 6:
+    if not _residuals_settle(records):
         return NOT_FOUND
-    tail = records[-5:]
-    for key in tail[0].residuals:
-        vals = [float(r.residuals[key]) for r in tail]
-        if any(b > a * 1.0000001 + 1e-14 for a, b in zip(vals, vals[1:])):
-            return NOT_FOUND
     return WitnessSequence(
         kind=f"{mode}-normality-violation",
         records=tuple(records),
@@ -566,10 +532,7 @@ def _sign_conditions(lam: Vec, gap: Vec, basis, mode: str) -> bool:
     if mode == "pseudo":
         return dot(lam, gap) > 0
     if basis is None:
-        basis = tuple(
-            tuple(Fraction(1 if i == j else 0) for j in range(len(lam)))
-            for i in range(len(lam))
-        )
+        basis = tuple(unit(len(lam), i) for i in range(len(lam)))
     for e in basis:
         le = dot(lam, e)
         if le != 0 and le * dot(gap, e) <= 0:
@@ -742,7 +705,7 @@ def _slice_first_block(u: ConeUnion, n1: int) -> ConeUnion:
                 a=[row[:n1] for row in p.ia], e=[row[:n1] for row in p.ie], dim=n1
             )
         )
-    return ConeUnion.make(pieces, n1) if pieces else ConeUnion.empty(n1)
+    return ConeUnion.make(pieces, n1)
 
 
 def _negate_union(u: ConeUnion) -> ConeUnion:
@@ -754,20 +717,17 @@ def _negate_union(u: ConeUnion) -> ConeUnion:
         )
         for p in u.pieces
     ]
-    return ConeUnion.make(pieces, u.dim) if pieces else ConeUnion.empty(u.dim)
+    return ConeUnion.make(pieces, u.dim)
 
 
 def mpec_normality_candidates(mp: MpecProblem, u: Vec) -> tuple[ConeUnion, bool]:
     """Upper estimate of the kernel candidates: coderivative directions of S
     paired with outward normals of Omega; (candidates, exact flag)."""
-    from dircq.setmaps import patch_limiting_normals
-    from dircq.unions import directional_limiting_normal_cone as dlnc
-
     n1 = mp.n1
     bounds = patch_limiting_normals(mp.s, mp.xbar, vec(u))
     s_side = _slice_first_block(bounds.upper, n1)
     u1 = vec(u[:n1])
-    omega_dir = dlnc(mp.omega, vec(mp.xbar[:n1]), u1)
+    omega_dir = directional_limiting_normal_cone(mp.omega, vec(mp.xbar[:n1]), u1)
     omega_side = _negate_union(omega_dir)
     if s_side.is_empty or omega_side.is_empty:
         return ConeUnion.empty(n1), bounds.exact
@@ -918,66 +878,28 @@ def _mpec_alignment_lp(
     at the candidate lam.
     """
     nvars = n1 + n2 + n1  # l, mu, eta
-    a_rows: list[Vec] = []
-    b_rhs: list[Fraction] = []
-    e_rows: list[Vec] = []
-    d_rhs: list[Fraction] = []
 
-    def emb(l_part: Vec, mu_part: Vec, eta_part: Vec) -> Vec:
-        return tuple(l_part) + tuple(mu_part) + tuple(eta_part)
+    def s_row(row: Vec) -> Vec:  # row . (eta + l, -mu)
+        return row[:n1] + neg(row[n1:]) + row[:n1]
 
-    for row, kind in [(r, "a") for r in n_s.a] + [(r, "e") for r in n_s.e]:
-        rx, ry = row[:n1], row[n1:]
-        # row . (eta + l, -mu)
-        full = emb(rx, tuple(-c for c in ry), rx)
-        if kind == "a":
-            a_rows.append(full)
-            b_rhs.append(Fraction(0))
-        else:
-            e_rows.append(full)
-            d_rhs.append(Fraction(0))
-    for row, kind in [(r, "a") for r in n_omega.a] + [(r, "e") for r in n_omega.e]:
-        full = emb(tuple(-c for c in row), zeros(n2), zeros(n1))
-        if kind == "a":
-            a_rows.append(full)
-            b_rhs.append(Fraction(0))
-        else:
-            e_rows.append(full)
-            d_rhs.append(Fraction(0))
-    for j in range(n2):
-        unit_mu = tuple(Fraction(1 if i == j else 0) for i in range(n2))
-        a_rows.append(emb(zeros(n1), unit_mu, zeros(n1)))
-        b_rhs.append(eps)
-        a_rows.append(emb(zeros(n1), tuple(-c for c in unit_mu), zeros(n1)))
-        b_rhs.append(eps)
-    for j in range(n1):
-        unit_eta = tuple(Fraction(1 if i == j else 0) for i in range(n1))
-        a_rows.append(emb(zeros(n1), zeros(n2), unit_eta))
-        b_rhs.append(eps)
-        a_rows.append(emb(zeros(n1), zeros(n2), tuple(-c for c in unit_eta)))
-        b_rhs.append(eps)
+    def omega_row(row: Vec) -> Vec:  # row . (-l)
+        return neg(row) + zeros(n2 + n1)
+
+    a_rows = [s_row(r) for r in n_s.a] + [omega_row(r) for r in n_omega.a]
+    e_rows = [s_row(r) for r in n_s.e] + [omega_row(r) for r in n_omega.e]
+    b_rhs = [Fraction(0)] * len(a_rows)
+    d_rhs = [Fraction(0)] * len(e_rows)
     cap = sum(abs(c) for c in lam) + 1
-    for j in range(n1):
-        unit_l = tuple(Fraction(1 if i == j else 0) for i in range(n1))
-        a_rows.append(emb(unit_l, zeros(n2), zeros(n1)))
-        b_rhs.append(cap)
-        a_rows.append(emb(tuple(-c for c in unit_l), zeros(n2), zeros(n1)))
-        b_rhs.append(cap)
-    obj = emb(lam, zeros(n2), zeros(n1))
+    # |mu|, |eta| <= eps and |l| <= cap, componentwise
+    for start, size, lim in ((n1, n2, eps), (n1 + n2, n1, eps), (0, n1, cap)):
+        for j in range(start, start + size):
+            a_rows += [unit(nvars, j), neg(unit(nvars, j))]
+            b_rhs += [lim, lim]
+    obj = tuple(lam) + zeros(n2 + n1)
     res = solve_lp(vec(obj), tuple(a_rows), vec(b_rhs), tuple(e_rows), vec(d_rhs), n=nvars)
     bound = res.objective if res.status == OPTIMAL else None
     # pinned check: l = lam exactly
-    e2 = list(e_rows)
-    d2 = list(d_rhs)
-    for j in range(n1):
-        unit_l = tuple(Fraction(1 if i == j else 0) for i in range(n1))
-        e2.append(emb(unit_l, zeros(n2), zeros(n1)))
-        d2.append(lam[j])
-    pin = feasible_point(tuple(a_rows), vec(b_rhs), tuple(e2), vec(d2), n=nvars)
-    pinned = None
-    if pin.status == OPTIMAL:
-        sol = pin.x
-        eta = sol[n1 + n2 :]
-        mu = sol[n1 : n1 + n2]
-        pinned = (vec(eta), vec(mu))
+    e2 = e_rows + [unit(nvars, j) for j in range(n1)]
+    pin = feasible_point(tuple(a_rows), vec(b_rhs), tuple(e2), vec(d_rhs + list(lam)), n=nvars)
+    pinned = (vec(pin.x[n1 + n2 :]), vec(pin.x[n1 : n1 + n2])) if pin.status == OPTIMAL else None
     return bound, pinned

@@ -1,5 +1,9 @@
 """Exact polyhedral kernels: H/V conversion, faces, polars, projections.
 
+``polyhedron_faces`` is the one face enumerator (``enumerate_faces`` maps it
+over a cone), and ``intersect_generated`` the one builder of regular normal
+cones, which the union and patch layers call with their active rows.
+
 H-forms are {x : A x <= b, E x = d}; cones are the homogeneous case with
 cached generator data.  Dimensions stay at desk scale (n <= 8), so the
 generator and face enumerations may be exponential in the number of rows.
@@ -343,41 +347,66 @@ def cone_from_generators(rays, lin, dim: int) -> PolyhedralCone:
     return PolyhedralCone.make(a=prays, e=plin, dim=dim)
 
 
+def intersect_generated(parts, dim: int) -> PolyhedralCone:
+    """The intersection over (rays, lin) parts of cone(rays) + span(lin).
+
+    This is the one builder of regular normal cones: at a point of several
+    pieces each part is the active rows and the equality rows of one piece.
+    """
+    rows_a: list[IntVec] = []
+    rows_e: list[IntVec] = []
+    for rays, lin in parts:
+        h = cone_from_generators(rays, lin, dim)
+        rows_a.extend(h.ia)
+        rows_e.extend(h.ie)
+    return PolyhedralCone.make(a=rows_a, e=rows_e, dim=dim)
+
+
 def polar_cone(c: PolyhedralCone) -> PolyhedralCone:
     """{y : <y, x> <= 0 for all x in c}."""
     rays, lin = int_generators(c)
     return PolyhedralCone.make(a=rays, e=lin, dim=c.dim)
 
 
-def enumerate_faces(c: PolyhedralCone) -> list[tuple[PolyhedralCone, Vec]]:
-    """All faces with a relative-interior witness each.
+def polyhedron_faces(p: HPolyhedron) -> list[tuple[tuple[int, ...], Vec]]:
+    """(active set, relint witness) for every nonempty face of p.
 
-    Faces are identified by their exact activity set among the inequality
-    rows; each feasible activity pattern appears once.
+    Solves one strict-feasibility LP per subset of the inequality rows, so
+    2^m LPs for m rows.  A witness is strict on every row outside the
+    subset, so its active set is exactly the subset and no face repeats.
     """
-    m = len(c.ia)
     out = []
-    seen: set[tuple[IntMat, IntMat]] = set()
+    rows = p.iab
+    m = len(rows)
+    e_rows, e_rhs = _split(p.ied)
     for size in range(m + 1):
         for subset in itertools.combinations(range(m), size):
-            active = tuple(c.ia[i] for i in subset)
-            inactive = tuple(c.ia[i] for i in range(m) if i not in subset)
+            ins = tuple(i for i in range(m) if i not in subset)
             w = strict_feasible_point(
-                a_strict=inactive,
-                b_strict=(0,) * len(inactive),
-                e=c.ie + active,
-                d=(0,) * (len(c.ie) + len(active)),
-                n=c.dim,
+                tuple(rows[i][:-1] for i in ins),
+                tuple(rows[i][-1] for i in ins),
+                e=e_rows + tuple(rows[i][:-1] for i in subset),
+                d=e_rhs + tuple(rows[i][-1] for i in subset),
+                n=p.dim,
             )
-            if w is None:
-                continue
-            face = PolyhedralCone.make(a=inactive, e=c.ie + active, dim=c.dim)
-            key = (face.ia, face.ie)
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append((face, w))
+            if w is not None:
+                out.append((subset, w))
     return out
+
+
+def enumerate_faces(c: PolyhedralCone) -> list[tuple[PolyhedralCone, Vec]]:
+    """All faces with a relative-interior witness each, one per activity pattern."""
+    return [
+        (
+            PolyhedralCone.make(
+                a=[r for i, r in enumerate(c.ia) if i not in active],
+                e=c.ie + tuple(c.ia[i] for i in active),
+                dim=c.dim,
+            ),
+            w,
+        )
+        for active, w in polyhedron_faces(c.as_polyhedron())
+    ]
 
 
 def project_polyhedron(p: HPolyhedron, coords: tuple[int, ...]) -> HPolyhedron:

@@ -167,6 +167,9 @@ def parse_poly(text: str, names: Sequence[str]) -> Poly:
     terms: list[tuple[tuple[int, ...], Fraction]] = []
     i = 0
 
+    def is_factor(j: int) -> bool:
+        return j < len(tokens) and tokens[j] not in ("+", "-", "*", "^")
+
     def parse_term(sign: Fraction, i: int) -> tuple[tuple[int, ...], Fraction, int]:
         coeff = sign
         exps = [0] * nvars
@@ -176,6 +179,9 @@ def parse_poly(text: str, names: Sequence[str]) -> Poly:
             if t in ("+", "-"):
                 break
             if t == "*":
+                # a product sign stands between two factors: not x0 ** 2, not * x0
+                if not saw_factor or not is_factor(i + 1):
+                    raise ValueError(f"'*' must stand between two factors in {text!r}")
                 i += 1
                 continue
             if re.fullmatch(r"\d+/\d+|\d+", t):
@@ -202,18 +208,21 @@ def parse_poly(text: str, names: Sequence[str]) -> Poly:
         return tuple(exps), coeff, i
 
     sign = Fraction(1)
+    dangling = False  # a sign waits for its term
     while i < len(tokens):
         t = tokens[i]
-        if t == "+":
-            i += 1
-            continue
-        if t == "-":
-            sign = -sign
+        if t in ("+", "-"):
+            if t == "-":
+                sign = -sign
+            dangling = True
             i += 1
             continue
         exps, coeff, i = parse_term(sign, i)
         terms.append((exps, coeff))
         sign = Fraction(1)
+        dangling = False
+    if dangling:
+        raise ValueError(f"sign without a term at the end of {text!r}")
     return Poly.make(terms, nvars)
 
 

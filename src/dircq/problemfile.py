@@ -46,6 +46,33 @@ def _frac(x) -> Fraction:
     raise ProblemFormatError(f"not a rational literal: {x!r}")
 
 
+def _field(blk, key: str, where: str):
+    """blk[key], or ProblemFormatError naming the block and the field."""
+    if not isinstance(blk, dict):
+        raise ProblemFormatError(f"{where}: expected an object, got {type(blk).__name__}")
+    if key not in blk:
+        raise ProblemFormatError(f"{where}: missing field {key!r}")
+    return blk[key]
+
+
+def _int_field(blk, key: str, where: str) -> int:
+    val = _field(blk, key, where)
+    try:
+        return int(val)
+    except (TypeError, ValueError) as exc:
+        raise ProblemFormatError(f"{where}.{key}: not an integer: {val!r}") from exc
+
+
+def _list_field(blk, key: str, where: str, optional: bool = False) -> list:
+    """blk[key] as a list; an optional field that is absent reads as []."""
+    if optional and isinstance(blk, dict) and key not in blk:
+        return []
+    val = _field(blk, key, where)
+    if not isinstance(val, list):
+        raise ProblemFormatError(f"{where}.{key}: expected a list, got {type(val).__name__}")
+    return val
+
+
 def _vec(xs) -> Vec:
     return tuple(_frac(x) for x in xs)
 
@@ -64,16 +91,16 @@ def _polyhedron(obj, dim: int) -> HPolyhedron:
     )
 
 
-def _polyunion(obj) -> PolyUnion:
-    dim = int(obj["dim"])
-    pieces = [_polyhedron(p, dim) for p in obj["pieces"]]
+def _polyunion(obj, where: str) -> PolyUnion:
+    dim = _int_field(obj, "dim", where)
+    pieces = [_polyhedron(p, dim) for p in _list_field(obj, "pieces", where)]
     return PolyUnion.make(pieces)
 
 
-def _coneunion(obj, dim: int) -> ConeUnion:
+def _coneunion(obj, dim: int, where: str) -> ConeUnion:
     pieces = [
         PolyhedralCone.make(a=_mat(p.get("a", [])), e=_mat(p.get("e", [])), dim=dim)
-        for p in obj["pieces"]
+        for p in _list_field(obj, "pieces", where)
     ]
     return ConeUnion.make(pieces, dim)
 
@@ -153,24 +180,26 @@ class Problem:
         return self.directions[name]
 
 
-def _parse_patches(obj, nx: int, ny: int) -> list[GraphPatch]:
+def _parse_patches(blk, nx: int, ny: int, where: str) -> list[GraphPatch]:
     names = [f"x{i}" for i in range(nx)] + [f"y{i}" for i in range(ny)]
     out = []
-    for p in obj:
+    for p in _list_field(blk, "patches", where, optional=True):
         eqs = tuple(parse_poly(s, names) for s in p.get("eq", []))
         ineqs = tuple(parse_poly(s, names) for s in p.get("ineq", []))
         out.append(GraphPatch(eqs, ineqs, nx, ny))
     return out
 
 
-def _parse_declared(objs, dim: int) -> tuple[DeclaredCone, ...]:
+def _parse_declared(blk, dim: int, where: str) -> tuple[DeclaredCone, ...]:
     out = []
+    objs = _list_field(blk, "declared_cones", where, optional=True)
+    where = f"{where}.declared_cones"
     for obj in objs:
         out.append(
             DeclaredCone(
-                point=_vec(obj["point"]),
-                kind=obj["kind"],
-                cones=_coneunion(obj, dim),
+                point=_vec(_field(obj, "point", where)),
+                kind=_field(obj, "kind", where),
+                cones=_coneunion(obj, dim, where),
                 direction=_vec(obj["direction"]) if "direction" in obj else None,
             )
         )
@@ -208,11 +237,11 @@ def parse_problem(data: dict, truncate_k: int | None = None) -> Problem:
 
     kwargs: dict = {}
     truncation = None
+    blk = data[kind]
     if kind == "constraint":
-        blk = data["constraint"]
-        n = int(blk["n"])
-        g = PolyMap.parse(blk["g"], n)
-        d = _polyunion(blk["D"])
+        n = _int_field(blk, "n", kind)
+        g = PolyMap.parse(_field(blk, "g", kind), n)
+        d = _polyunion(_field(blk, "D", kind), "constraint.D")
         xbar = points.get("xbar")
         if xbar is None:
             raise ProblemFormatError("constraint problems need points.xbar")
@@ -220,9 +249,8 @@ def parse_problem(data: dict, truncate_k: int | None = None) -> Problem:
         if "objective" in data:
             objective = parse_poly(data["objective"], [f"x{i}" for i in range(n)])
     elif kind == "patch":
-        blk = data["patch"]
-        nx, ny = int(blk["nx"]), int(blk["ny"])
-        patches = _parse_patches(blk.get("patches", []), nx, ny)
+        nx, ny = _int_field(blk, "nx", kind), _int_field(blk, "ny", kind)
+        patches = _parse_patches(blk, nx, ny, kind)
         fam = blk.get("family")
         if fam:
             k_eff = truncate_k or int(fam.get("K", 50))
@@ -231,16 +259,13 @@ def parse_problem(data: dict, truncate_k: int | None = None) -> Problem:
                 patches.extend(_comb_patches(k_eff))
             else:
                 raise ProblemFormatError(f"unknown patch family {fam['kind']!r}")
-        declared = _parse_declared(blk.get("declared_cones", []), nx + ny)
+        declared = _parse_declared(blk, nx + ny, kind)
         kwargs["patch_map"] = PatchMap(tuple(patches), nx, ny, declared=declared)
         if "objective" in data:
             objective = parse_poly(data["objective"], [f"x{i}" for i in range(nx)])
     elif kind == "graphset":
-        blk = data["graphset"]
-        nx, ny = int(blk["nx"]), int(blk["ny"])
-        pieces = []
-        if "pieces" in blk:
-            pieces.extend(_polyhedron(p, nx + ny) for p in blk["pieces"])
+        nx, ny = _int_field(blk, "nx", kind), _int_field(blk, "ny", kind)
+        pieces = [_polyhedron(p, nx + ny) for p in _list_field(blk, "pieces", kind, optional=True)]
         fam = blk.get("family")
         if fam:
             k_eff = truncate_k or int(fam.get("K", 50))
@@ -252,16 +277,15 @@ def parse_problem(data: dict, truncate_k: int | None = None) -> Problem:
         kwargs["graph_set"] = PolyUnion.make(pieces)
         kwargs["graph_nx"] = nx
         kwargs["graph_ny"] = ny
-        kwargs["graph_declared"] = _parse_declared(blk.get("declared_cones", []), nx + ny)
+        kwargs["graph_declared"] = _parse_declared(blk, nx + ny, kind)
         if "objective" in data:
             objective = parse_poly(data["objective"], [f"x{i}" for i in range(nx)])
     else:
-        blk = data["mpec"]
-        omega = _polyunion(blk["omega"])
-        sp = blk["s"]
-        nx, ny = int(sp["nx"]), int(sp["ny"])
-        patches = _parse_patches(sp.get("patches", []), nx, ny)
-        declared = _parse_declared(sp.get("declared_cones", []), nx + ny)
+        omega = _polyunion(_field(blk, "omega", kind), "mpec.omega")
+        sp = _field(blk, "s", kind)
+        nx, ny = _int_field(sp, "nx", "mpec.s"), _int_field(sp, "ny", "mpec.s")
+        patches = _parse_patches(sp, nx, ny, "mpec.s")
+        declared = _parse_declared(sp, nx + ny, "mpec.s")
         kwargs["mpec_omega"] = omega
         kwargs["mpec_s"] = PatchMap(tuple(patches), nx, ny, declared=declared)
         if "objective" in data:

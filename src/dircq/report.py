@@ -18,9 +18,7 @@ from fractions import Fraction
 from dircq import __version__
 from dircq.cq import FAILS, HOLDS, UNDECIDED, Verdict
 from dircq.linalg import Vec, dot, is_zero, mat_t_vec, vec
-from dircq.polyhedra import PolyhedralCone, generators
 from dircq.simplex import verify_farkas
-from dircq.unions import ConeUnion
 
 REPORT_VERSION = 1
 
@@ -41,20 +39,6 @@ def _encode(obj):
         d["__type__"] = type(obj).__name__
         return _encode(d)
     return obj
-
-
-def encode_cone(c: PolyhedralCone) -> dict:
-    rays, lin = generators(c)
-    return {
-        "a": _encode(c.a),
-        "e": _encode(c.e),
-        "rays": _encode(rays),
-        "lineality": _encode(lin),
-    }
-
-
-def encode_cone_union(u: ConeUnion) -> dict:
-    return {"empty": u.is_empty, "pieces": [encode_cone(p) for p in u.pieces]}
 
 
 def verdict_row(
@@ -82,7 +66,7 @@ def verdict_row(
     return row
 
 
-def build_report(command: str, problem_path: str, config: dict, rows: list[dict], cones=None, stamp: bool = True) -> dict:
+def build_report(command: str, problem_path: str, config: dict, rows: list[dict], stamp: bool = True) -> dict:
     try:
         with open(problem_path, "rb") as fh:
             digest = hashlib.sha256(fh.read()).hexdigest()
@@ -97,7 +81,7 @@ def build_report(command: str, problem_path: str, config: dict, rows: list[dict]
         "config": _encode(config),
         "generated_at": datetime.now(timezone.utc).isoformat() if stamp else None,
         "rows": rows,
-        "cones": cones or [],
+        "cones": [],
     }
 
 

@@ -8,11 +8,16 @@ at regular points, and first-order pattern enumeration produces certified
 sandwich bounds (certain subset, upper superset) for limiting and
 directional limiting normal cones of patch unions; consumers must check the
 ``exact`` flag before treating the bounds as equalities.
+
+Every patch cone passes one regularity gate, ``_gated_gradients``; regular
+normal cones, of a point and of an activity pattern, are built only by
+``polyhedra.intersect_generated``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from dircq.linalg import (
     Mat,
@@ -26,14 +31,14 @@ from dircq.linalg import (
     vec,
     zeros,
 )
-from dircq.polyhedra import PolyhedralCone, cone_from_generators
+from dircq.polyhedra import PolyhedralCone, intersect_generated, project_polyhedron
 from dircq.polymaps import Poly, PolyMap
 from dircq.simplex import strict_feasible_point
 from dircq.unions import (
     ConeUnion,
     PolyUnion,
+    cone_union_equal,
     directional_limiting_normal_cone,
-    limiting_normal_cone,
     regular_normal_cone,
     tangent_cone,
 )
@@ -91,18 +96,6 @@ def regular_coderivative(
     return mat_t_vec(sys.g.jacobian(x), ystar)
 
 
-def limiting_coderivative(
-    sys: ConstraintSystem, x: Vec, y: Vec, ystar: Vec
-) -> Vec | None:
-    z = sub(sys.g.eval(x), y)
-    n_lim = limiting_normal_cone(sys.d, z)
-    if n_lim.is_empty:
-        raise InfeasiblePoint("(x, y) is not on the graph of the constraint map")
-    if not n_lim.contains(ystar):
-        return None
-    return mat_t_vec(sys.g.jacobian(x), ystar)
-
-
 def directional_limiting_coderivative(
     sys: ConstraintSystem, x: Vec, y: Vec, u: Vec, v: Vec, ystar: Vec
 ) -> Vec | None:
@@ -153,8 +146,6 @@ def critical_cells(sys: ConstraintSystem, phi: Poly, xbar: Vec) -> ConeUnion:
 
     Nonzero members are exactly the critical directions, projectively.
     """
-    if not sys.d.contains(sys.g.eval(xbar)):
-        return ConeUnion.empty(sys.n)
     t = tangent_cone(sys.d, sys.g.eval(xbar))
     jac = sys.g.jacobian(xbar)
     grad = phi.gradient(xbar)
@@ -247,26 +238,26 @@ class PatchMap:
         return None
 
 
+def _gated_gradients(m: PatchMap, i: int, w: Vec) -> tuple[Mat, Mat, tuple[int, ...]]:
+    """(equality gradients, inequality gradients, active set) of patch i at w.
+
+    Raises PatchRegularityError unless the patch passes the regularity gate.
+    """
+    p = m.patches[i]
+    if not p.regular_at(w):
+        raise PatchRegularityError(f"patch {i} fails the regularity gate at {w}; use the oracle")
+    return (*p.gradients(w), p.active_ineqs(w))
+
+
 def patch_tangent_cone(m: PatchMap, w: Vec) -> ConeUnion:
     """Linearized tangent cones at a regular point of each active patch."""
     declared = m.declared_cone(w, "graph_tangent")
     if declared is not None:
         return declared
-    idx = m.patches_at(w)
-    if not idx:
-        return ConeUnion.empty(m.dim)
     cones = []
-    for i in idx:
-        p = m.patches[i]
-        if not p.regular_at(w):
-            raise PatchRegularityError(
-                f"patch {i} fails the regularity gate at {w}; use the oracle"
-            )
-        eg, qg = p.gradients(w)
-        act = p.active_ineqs(w)
-        cones.append(
-            PolyhedralCone.make(a=[qg[j] for j in act], e=eg, dim=m.dim)
-        )
+    for i in m.patches_at(w):
+        eg, qg, act = _gated_gradients(m, i, w)
+        cones.append(PolyhedralCone.make(a=[qg[j] for j in act], e=eg, dim=m.dim))
     return ConeUnion.make(cones, m.dim)
 
 
@@ -275,20 +266,8 @@ def patch_regular_normal_cone(m: PatchMap, w: Vec) -> PolyhedralCone | None:
     idx = m.patches_at(w)
     if not idx:
         return None
-    rows_a: list[Vec] = []
-    rows_e: list[Vec] = []
-    for i in idx:
-        p = m.patches[i]
-        if not p.regular_at(w):
-            raise PatchRegularityError(
-                f"patch {i} fails the regularity gate at {w}; use the oracle"
-            )
-        eg, qg = p.gradients(w)
-        act = p.active_ineqs(w)
-        h = cone_from_generators(tuple(qg[j] for j in act), eg, m.dim)
-        rows_a.extend(h.ia)
-        rows_e.extend(h.ie)
-    return PolyhedralCone.make(a=rows_a, e=rows_e, dim=m.dim)
+    gated = (_gated_gradients(m, i, w) for i in idx)
+    return intersect_generated(((tuple(qg[j] for j in act), eg) for eg, qg, act in gated), m.dim)
 
 
 @dataclass(frozen=True)
@@ -298,10 +277,6 @@ class PatternBounds:
     certain: ConeUnion
     upper: ConeUnion
     exact: bool
-
-
-def _pattern_cone(eg: Mat, qg: Mat, chosen: tuple[int, ...], dim: int) -> PolyhedralCone:
-    return cone_from_generators(tuple(qg[j] for j in chosen), eg, dim)
 
 
 def patch_limiting_normals(
@@ -335,16 +310,8 @@ def patch_limiting_normals(
         certain.append(base_reg)
         upper.append(base_reg)
 
-    from itertools import combinations
-
     for i in idx:
-        p = m.patches[i]
-        if not p.regular_at(w):
-            raise PatchRegularityError(
-                f"patch {i} fails the regularity gate at {w}; use the oracle"
-            )
-        eg, qg = p.gradients(w)
-        act = p.active_ineqs(w)
+        eg, qg, act = _gated_gradients(m, i, w)
         others = [m.patches[k] for k in idx if k != i]
         for r in range(len(act) + 1):
             for chosen in combinations(act, r):
@@ -354,14 +321,11 @@ def patch_limiting_normals(
                 )
                 if not ok:
                     continue
-                cone = _pattern_cone(eg, qg, chosen, dim)
+                cone = intersect_generated([(tuple(qg[j] for j in chosen), eg)], dim)
                 upper.append(cone)
                 if certain_flag:
                     certain.append(cone)
-    cu = ConeUnion.make(certain, dim) if certain else ConeUnion.empty(dim)
-    uu = ConeUnion.make(upper, dim) if upper else ConeUnion.empty(dim)
-    from dircq.unions import cone_union_equal
-
+    cu, uu = ConeUnion.make(certain, dim), ConeUnion.make(upper, dim)
     return PatternBounds(cu, uu, cone_union_equal(cu, uu))
 
 
@@ -433,14 +397,10 @@ def patch_coderivative_image(
     The image is the first-coordinate projection of the graph normal cone;
     projecting both bounds preserves the sandwich.
     """
-    from dircq.polyhedra import project_polyhedron
-
     bounds = patch_limiting_normals(m, w, direction)
     coords = tuple(range(m.nx))
 
     def proj(u: ConeUnion) -> ConeUnion:
-        if u.is_empty:
-            return ConeUnion.empty(m.nx)
         pieces = []
         for c in u.pieces:
             shadow = project_polyhedron(c.as_polyhedron(), coords)
@@ -452,8 +412,6 @@ def patch_coderivative_image(
             )
         return ConeUnion.make(pieces, m.nx)
 
-    from dircq.unions import cone_union_equal
-
     cu, uu = proj(bounds.certain), proj(bounds.upper)
     return PatternBounds(cu, uu, cone_union_equal(cu, uu))
 
@@ -462,33 +420,30 @@ def patch_coderivative_image(
 # constraint maps as patch maps, and the equilibrium-constraint assembly
 
 
+def _affine_polys(rows: Mat, rhs: Vec, images: list[Poly], dim: int) -> tuple[Poly, ...]:
+    """The polynomials sum_k row[k] images[k] - rhs, one per row."""
+    out = []
+    for row, bi in zip(rows, rhs):
+        expr = Poly.constant(-bi, dim)
+        for k, coef in enumerate(row):
+            if coef:
+                expr = expr + images[k].scale(coef)
+        out.append(expr)
+    return tuple(out)
+
+
 def constraint_graph_patches(sys: ConstraintSystem) -> PatchMap:
     """gph Phi = {(x, y) : g(x) - y in piece} as polynomial patches."""
     n, mdim = sys.n, sys.m
     dim = n + mdim
-    gx = [
-        sys.g.components[k].substitute_linear(
-            [Poly.variable(i, dim) for i in range(n)]
+    xs = [Poly.variable(i, dim) for i in range(n)]
+    images = [sys.g.components[k].substitute_linear(xs) - Poly.variable(n + k, dim) for k in range(mdim)]
+    patches = [
+        GraphPatch(
+            _affine_polys(piece.e, piece.d, images, dim), _affine_polys(piece.a, piece.b, images, dim), n, mdim
         )
-        for k in range(mdim)
+        for piece in sys.d.pieces
     ]
-    patches = []
-    for piece in sys.d.pieces:
-        ineqs = []
-        eqs = []
-        for row, bi in zip(piece.a, piece.b):
-            expr = Poly.constant(-bi, dim)
-            for k, coef in enumerate(row):
-                if coef:
-                    expr = expr + (gx[k] - Poly.variable(n + k, dim)).scale(coef)
-            ineqs.append(expr)
-        for row, di in zip(piece.e, piece.d):
-            expr = Poly.constant(-di, dim)
-            for k, coef in enumerate(row):
-                if coef:
-                    expr = expr + (gx[k] - Poly.variable(n + k, dim)).scale(coef)
-            eqs.append(expr)
-        patches.append(GraphPatch(tuple(eqs), tuple(ineqs), n, mdim))
     return PatchMap(tuple(patches), n, mdim)
 
 
@@ -502,42 +457,16 @@ def mpec_assemble(omega: PolyUnion, s: PatchMap) -> PatchMap:
     if omega.dim != n1:
         raise ValueError("Omega must live in the domain space of S")
     dim = 2 * (n1 + n2)
-
-    def xv(i):  # x1 block
-        return Poly.variable(i, dim)
-
-    def x2v(i):
-        return Poly.variable(n1 + i, dim)
-
-    def y1v(i):
-        return Poly.variable(n1 + n2 + i, dim)
-
-    def y2v(i):
-        return Poly.variable(2 * n1 + n2 + i, dim)
-
-    images = [xv(i) for i in range(n1)] + [x2v(j) + y2v(j) for j in range(n2)]
+    v = [Poly.variable(i, dim) for i in range(dim)]  # (x1, x2, y1, y2)
+    x1, x2, y1, y2 = v[:n1], v[n1 : n1 + n2], v[n1 + n2 : 2 * n1 + n2], v[2 * n1 + n2 :]
+    images = x1 + [a + b for a, b in zip(x2, y2)]
+    shifted = [a + b for a, b in zip(x1, y1)]
     patches = []
     for opiece in omega.pieces:
-        omega_rows = []
-        omega_eqs = []
-        for row, bi in zip(opiece.a, opiece.b):
-            expr = Poly.constant(-bi, dim)
-            for i, coef in enumerate(row):
-                if coef:
-                    expr = expr + (xv(i) + y1v(i)).scale(coef)
-            omega_rows.append(expr)
-        for row, di in zip(opiece.e, opiece.d):
-            expr = Poly.constant(-di, dim)
-            for i, coef in enumerate(row):
-                if coef:
-                    expr = expr + (xv(i) + y1v(i)).scale(coef)
-            omega_eqs.append(expr)
+        omega_rows = _affine_polys(opiece.a, opiece.b, shifted, dim)
+        omega_eqs = _affine_polys(opiece.e, opiece.d, shifted, dim)
         for spatch in s.patches:
-            eqs = tuple(p.substitute_linear(images) for p in spatch.eqs) + tuple(
-                omega_eqs
-            )
-            ineqs = tuple(q.substitute_linear(images) for q in spatch.ineqs) + tuple(
-                omega_rows
-            )
+            eqs = tuple(p.substitute_linear(images) for p in spatch.eqs) + omega_eqs
+            ineqs = tuple(q.substitute_linear(images) for q in spatch.ineqs) + omega_rows
             patches.append(GraphPatch(eqs, ineqs, n1 + n2, n1 + n2))
     return PatchMap(tuple(patches), n1 + n2, n1 + n2)

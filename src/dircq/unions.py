@@ -9,6 +9,13 @@ cell duals.  The local graph of the limiting-normal-cone map is the union of
 the products (cell closure) x (cell dual), which drives the graphical
 derivative and subderivative of that map.
 
+Each cone has one builder.  Regular normal cones, of the union at a point and
+of the union on a cell, are ``polyhedra.intersect_generated`` of the active
+rows of the pieces there.  Limiting and directional limiting normal cones are
+``limiting_normal_cone_of_union`` of the tangent union, since for a
+polyhedral union N_D(y; v) = N_{T_D(y)}(v) (Rockafellar-Wets, Variational
+Analysis, 6.41).
+
 Empty queries (base point outside the set, direction not tangent) return the
 distinguished empty union, which is different from the trivial cone {0}.
 
@@ -31,7 +38,7 @@ from dircq.polyhedra import (
     IntMat,
     IntVec,
     PolyhedralCone,
-    cone_from_generators,
+    intersect_generated,
     nonzero_element,
     project_polyhedron,
 )
@@ -143,15 +150,8 @@ def regular_normal_cone(d: PolyUnion, y: Vec) -> PolyhedralCone | None:
     idx = d.pieces_at(y)
     if not idx:
         return None
-    rows_a: list[IntVec] = []
-    rows_e: list[IntVec] = []
-    for i in idx:
-        p = d.pieces[i]
-        rays, lin = _piece_dual_vform(p, p.active_rows(y))
-        h = cone_from_generators(rays, lin, d.dim)
-        rows_a.extend(h.ia)
-        rows_e.extend(h.ie)
-    return PolyhedralCone.make(a=rows_a, e=rows_e, dim=d.dim)
+    pieces = (d.pieces[i] for i in idx)
+    return intersect_generated((_piece_dual_vform(p, p.active_rows(y)) for p in pieces), d.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -317,16 +317,12 @@ def _cell_dual(
     k: ConeUnion, pidx: tuple[int, ...], hyper: tuple[IntVec, ...], signs
 ) -> PolyhedralCone:
     """Regular normal cone of the union on the cell's relative interior."""
-    rows_a: list[IntVec] = []
-    rows_e: list[IntVec] = []
     sign_of = dict(zip(hyper, signs))
-    for i in pidx:
-        p = k.pieces[i]
-        active_rays = [row for row in p.ia if sign_of[coprime_ints(row, line=True)] == 0]
-        h = cone_from_generators(active_rays, p.ie, k.dim)
-        rows_a.extend(h.ia)
-        rows_e.extend(h.ie)
-    return PolyhedralCone.make(a=rows_a, e=rows_e, dim=k.dim)
+    parts = (
+        ([row for row in p.ia if sign_of[coprime_ints(row, line=True)] == 0], p.ie)
+        for p in (k.pieces[i] for i in pidx)
+    )
+    return intersect_generated(parts, k.dim)
 
 
 def cell_tangent_pieces(k: ConeUnion, cell: Cell) -> list[PolyhedralCone]:
@@ -347,26 +343,21 @@ def limiting_union_at_cell(arr: Arrangement, cell: Cell) -> ConeUnion:
 @lru_cache(maxsize=CACHE_SIZE)
 def limiting_normal_cone(d: PolyUnion, y: Vec) -> ConeUnion:
     """Union of the regular normal cones realized arbitrarily close to y."""
-    t = tangent_cone(d, y)
-    if t.is_empty:
-        return ConeUnion.empty(d.dim)
-    arr = arrangement(t)
-    return ConeUnion.make([c.dual for c in arr.cells], d.dim)
+    return limiting_normal_cone_of_union(tangent_cone(d, y), zeros(d.dim))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def directional_limiting_normal_cone(d: PolyUnion, y: Vec, v: Vec) -> ConeUnion:
     """Limiting normals attainable from direction v; empty if v is not tangent."""
-    t = tangent_cone(d, y)
-    if t.is_empty or not t.contains(v):
-        return ConeUnion.empty(d.dim)
-    arr = arrangement(t)
-    duals = [c.dual for c in arr.cells_with_closure_containing(v)]
-    return ConeUnion.make(duals, d.dim)
+    return limiting_normal_cone_of_union(tangent_cone(d, y), v)
 
 
 def limiting_normal_cone_of_union(k: ConeUnion, w: Vec) -> ConeUnion:
-    """Limiting normal cone of a cone union at one of its points."""
+    """Limiting normal cone of a cone union at one of its points.
+
+    The one builder of limiting normal cones: for a polyhedral union D,
+    N_D(y; v) = N_{T_D(y)}(v), and v = 0 gives N_D(y).
+    """
     if k.is_empty or not k.contains(w):
         return ConeUnion.empty(k.dim)
     arr = arrangement(k)
@@ -445,7 +436,7 @@ def graphical_derivative_of_normal_map(
     for f, n in model.cells:
         if n.contains(ystar) and f.contains(v):
             pieces.append(tangent_of_cone_at(n, ystar))
-    return ConeUnion.make(pieces, d.dim) if pieces else ConeUnion.empty(d.dim)
+    return ConeUnion.make(pieces, d.dim)
 
 
 def graphical_subderivative_of_normal_map(
@@ -460,16 +451,8 @@ def graphical_subderivative_of_normal_map(
     """
     if is_zero(v):
         return ConeUnion.empty(d.dim)
-    model = normal_graph(d, y)
-    if model is None or not limiting_normal_cone(d, y).contains(ystar):
-        return ConeUnion.empty(d.dim)
-    pieces = []
-    for f, n in model.cells:
-        if n.contains(ystar) and f.contains(v):
-            t = tangent_of_cone_at(n, ystar)
-            if not t.is_trivial():
-                pieces.append(t)
-    return ConeUnion.make(pieces, d.dim) if pieces else ConeUnion.empty(d.dim)
+    section = graphical_derivative_of_normal_map(d, y, ystar, v)
+    return ConeUnion.make([t for t in section.pieces if not t.is_trivial()], d.dim)
 
 
 def two_scale_admissible(piece: PolyhedralCone, v: Vec, m: int) -> PolyhedralCone | None:

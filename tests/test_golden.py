@@ -3,10 +3,12 @@
 Each fixture under ``dircq/fixtures`` is run through every check that applies
 to it, and the stamp-free ``report.dumps`` of the rows must equal the file of
 the same name under ``tests/golden``.  The ``-strong`` files pin the theorem
-checkers in strong mode, and on ex58 also at explicit targets x*.  The golden
-files pin verdicts, certificates, piece orders and Farkas vectors, so a
-refactor that changes any of them shows here; the LP counts of the theorem
-checkers are pinned too.  After an intended change of reports, rewrite them with
+checkers in strong mode, and on ex58 also at explicit targets x*; the
+``-normality`` files pin directional pseudo- and quasi-normality, whose
+witness sequences come from the oracle's face projections.  The golden files
+pin verdicts, certificates, piece orders and Farkas vectors, so a refactor
+that changes any of them shows here; the LP counts of the theorem checkers
+are pinned too.  After an intended change of reports, rewrite them with
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
@@ -29,10 +31,12 @@ from dircq.linalg import vec
 from dircq.problemfile import load_problem
 from dircq.report import build_report, dumps, verdict_row
 
-FIXTURES = ("ex58", "ex58sq", "ex47")
+FIXTURES = ("ex58", "ex58sq", "ex47", "staircase", "comb")
 # fixtures whose theorem checkers are also pinned in strong mode, in
-# ``tests/golden/<name>-strong.json``
+# ``tests/golden/<name>-strong.json``, and whose pseudo-/quasi-normality
+# verdicts are pinned in ``tests/golden/<name>-normality.json``
 STRONG_FIXTURES = ("ex58", "ex58sq")
+NORMALITY_FIXTURES = ("ex58", "ex58sq")
 GOLDEN = Path(__file__).parent / "golden"
 
 THEOREMS = (
@@ -43,6 +47,10 @@ THEOREMS = (
 DIRECTIONAL = (cq.foscms, cq.soscms) + THEOREMS
 # explicit targets x* in R^1, each checked on its own row for ex58
 EX58_TARGETS = (-1, 0, 1)
+# schedule steps of the directional normal samples on a graph set
+SAMPLE_STEPS = 8
+# x-direction of the first-order condition on a graph set
+GRAPH_U = (1,)
 # solve_lp calls of each theorem checker (I, II, nonpolyhedral) over all
 # directions of a fixture, from cleared caches
 LP_COUNTS = {
@@ -74,7 +82,21 @@ def suite_rows(pr) -> list[dict]:
             for mode in ("pseudo", "quasi"):
                 v = cq.mpec_pseudo_quasi_verdict(mp, pr.direction(dname), mode=mode)
                 rows.append(verdict_row(v, "xbar", dname, {"normality_mode": mode}))
-    else:  # pragma: no cover - every fixture is one of the two kinds above
+    elif pr.kind == "graphset":
+        base = pr.point("base")
+        for dname in sorted(pr.directions):
+            res = oracle.sample_directional_normals(
+                pr.graph_set, base, pr.direction(dname), oracle.Schedule(k_max=SAMPLE_STEPS)
+            )
+            v = cq.Verdict("directional-normal-sample", "SAMPLED", {"kind": "normal_samples", "result": res})
+            rows.append(verdict_row(v, "base", dname))
+        v = cq.graph_foscms(pr.graph_set, base, vec(GRAPH_U), pr.graph_nx, pr.graph_ny)
+        rows.append(verdict_row(v, "base", None, {"u": vec(GRAPH_U)}))
+    elif pr.kind == "patch":
+        if pr.objective is not None:
+            v = cq.patch_mstationarity(pr.patch_map, pr.objective, pr.point("xbar"), pr.point("ybar"))
+            rows.append(verdict_row(v, "xbar"))
+    else:  # pragma: no cover - every fixture is one of the kinds above
         raise ValueError(f"no check suite for {pr.kind!r} problems")
     return rows
 
@@ -99,6 +121,16 @@ def strong_rows(pr) -> list[dict]:
     return rows
 
 
+def normality_rows(pr) -> list[dict]:
+    """Directional pseudo- and quasi-normality at every direction."""
+    rows = []
+    for dname in sorted(pr.directions):
+        for mode in ("pseudo", "quasi"):
+            v = cq.pseudo_quasi_verdict(pr.system, pr.direction(dname), basis=pr.basis, mode=mode)
+            rows.append(verdict_row(v, "xbar", dname, {"normality_mode": mode}))
+    return rows
+
+
 def suite_report(name: str, rows_of=suite_rows, config=None) -> str:
     path = fixture_path(name)
     report = build_report("check", str(path), config or {}, rows_of(load_problem(str(path))), stamp=False)
@@ -110,6 +142,10 @@ def strong_report(name: str) -> str:
     return suite_report(name, strong_rows, {"mode": "strong"})
 
 
+def normality_report(name: str) -> str:
+    return suite_report(name, normality_rows, {"checks": "normality"})
+
+
 @pytest.mark.parametrize("name", FIXTURES)
 def test_report_matches_golden(name):
     assert suite_report(name) == (GOLDEN / f"{name}.json").read_text()
@@ -118,6 +154,11 @@ def test_report_matches_golden(name):
 @pytest.mark.parametrize("name", STRONG_FIXTURES)
 def test_strong_report_matches_golden(name):
     assert strong_report(name) == (GOLDEN / f"{name}-strong.json").read_text()
+
+
+@pytest.mark.parametrize("name", NORMALITY_FIXTURES)
+def test_normality_report_matches_golden(name):
+    assert normality_report(name) == (GOLDEN / f"{name}-normality.json").read_text()
 
 
 @pytest.mark.parametrize("name, mode", sorted(LP_COUNTS))
@@ -154,3 +195,5 @@ if __name__ == "__main__":
         (GOLDEN / f"{fixture}.json").write_text(suite_report(fixture))
     for fixture in STRONG_FIXTURES:
         (GOLDEN / f"{fixture}-strong.json").write_text(strong_report(fixture))
+    for fixture in NORMALITY_FIXTURES:
+        (GOLDEN / f"{fixture}-normality.json").write_text(normality_report(fixture))

@@ -1,7 +1,7 @@
 """Integer kernels of linalg against plain Fraction reference implementations.
 
 The references below are the straightforward Fraction versions of ``dot``,
-``integerize``, ``canon_line`` and ``rref`` (and of the null space and the
+``canon_ray``, ``canon_line`` and ``rref`` (and of the null space and the
 linear solve on top of ``rref``).  The kernels under test compute in ints and
 must return equal values, built as Fractions.
 """
@@ -17,7 +17,6 @@ from dircq.linalg import (
     canon_line,
     canon_ray,
     dot,
-    integerize,
     mat,
     mat_t_vec,
     nullspace,
@@ -170,7 +169,6 @@ def test_dot_matches_reference(ab):
 @given(vectors())
 def test_canonical_scalings_match_reference(v):
     for got, want in (
-        (integerize(v), ref_integerize(v)),
         (canon_ray(v), ref_integerize(v)),
         (canon_line(v), ref_canon_line(v)),
     ):
@@ -242,7 +240,7 @@ def test_seeded_kernels_match_reference():
             rng.shuffle(m)
         for row in m:
             assert dot(row, m[0]) == ref_dot(row, m[0])
-            assert integerize(row) == ref_integerize(vec(row))
+            assert canon_ray(row) == ref_integerize(vec(row))
             assert canon_line(row) == ref_canon_line(vec(row))
         fm = tuple(vec(row) for row in m)
         assert rref(fm) == ref_rref(fm)
@@ -254,7 +252,7 @@ def test_fixed_edge_cases():
     assert dot((), ()) == 0 and type(dot((), ())) is Fraction
     assert dot((1, 2), (3, 4)) == 11 and type(dot((1, 2), (3, 4))) is Fraction
     assert dot((Fraction(1, 3), 2), (Fraction(3, 5), Fraction(-1, 10))) == 0
-    assert integerize((Fraction(0), Fraction(0))) == (0, 0)
+    assert canon_ray((Fraction(0), Fraction(0))) == (0, 0)
     assert canon_line((Fraction(0), Fraction(-2, 3), Fraction(4, 9))) == (0, 3, -2)
     assert canon_ray((Fraction(0), Fraction(-2, 3), Fraction(4, 9))) == (0, -3, 2)
     big = Fraction(10**50 + 1, 3)

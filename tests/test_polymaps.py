@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as Q
 
 import numpy as np
+import pytest
 
 from dircq.linalg import dot, mat_t_vec, vec
 from dircq.polymaps import Poly, PolyMap, parse_poly
@@ -22,6 +23,28 @@ def test_parser_roundtrip():
     assert r.eval(vec([2, 3])) == 8
     s = parse_poly("- - x0", ["x0"])
     assert s.eval(vec([5])) == 5
+
+
+def test_parser_keeps_juxtaposition():
+    assert parse_poly("2 x0", ["x0"]) == parse_poly("2*x0", ["x0"])
+
+
+def test_parser_rejects_double_star():
+    # "x0 ** 2" once read as 2*x0, because each "*" was skipped
+    with pytest.raises(ValueError, match="between two factors"):
+        parse_poly("x0 ** 2", ["x0"])
+
+
+@pytest.mark.parametrize("text", ["* x0", "x0 *", "x0 * - 2", "x0 +* 2"])
+def test_parser_rejects_star_outside_a_product(text):
+    with pytest.raises(ValueError, match="between two factors"):
+        parse_poly(text, ["x0"])
+
+
+@pytest.mark.parametrize("text", ["x0 +", "x0 -", "x0 - -"])
+def test_parser_rejects_trailing_sign(text):
+    with pytest.raises(ValueError, match="sign without a term"):
+        parse_poly(text, ["x0"])
 
 
 def test_jacobian_parabola():

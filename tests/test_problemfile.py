@@ -1,0 +1,90 @@
+"""Problem-file ingestion: malformed blocks raise ProblemFormatError naming the field."""
+
+import copy
+import json
+from importlib import resources
+
+import pytest
+
+from dircq.problemfile import ProblemFormatError, parse_problem
+
+
+def fixture(name: str) -> dict:
+    return json.loads((resources.files("dircq") / "fixtures" / f"{name}.json").read_text())
+
+
+def without(data: dict, path: tuple[str, ...]) -> dict:
+    data = copy.deepcopy(data)
+    blk = data
+    for key in path[:-1]:
+        blk = blk[key]
+    del blk[path[-1]]
+    return data
+
+
+def replaced(data: dict, path: tuple[str, ...], value) -> dict:
+    data = copy.deepcopy(data)
+    blk = data
+    for key in path[:-1]:
+        blk = blk[key]
+    blk[path[-1]] = value
+    return data
+
+
+@pytest.mark.parametrize("name", ["ex58", "ex47", "staircase", "comb"])
+def test_shipped_fixtures_parse(name):
+    assert parse_problem(fixture(name)).name
+
+
+@pytest.mark.parametrize(
+    "name, path, message",
+    [
+        ("ex58", ("constraint", "n"), "constraint: missing field 'n'"),
+        ("ex58", ("constraint", "D", "dim"), "constraint.D: missing field 'dim'"),
+        ("ex47", ("mpec", "omega", "dim"), "mpec.omega: missing field 'dim'"),
+        ("ex47", ("mpec", "s", "nx"), "mpec.s: missing field 'nx'"),
+        ("staircase", ("graphset", "nx"), "graphset: missing field 'nx'"),
+        ("comb", ("patch", "ny"), "patch: missing field 'ny'"),
+    ],
+)
+def test_missing_field_is_named(name, path, message):
+    with pytest.raises(ProblemFormatError, match=message):
+        parse_problem(without(fixture(name), path))
+
+
+@pytest.mark.parametrize(
+    "name, path, value, message",
+    [
+        ("ex58", ("constraint", "D", "pieces"), 5, r"constraint\.D\.pieces: expected a list, got int"),
+        ("ex47", ("mpec", "omega", "pieces"), {"a": []}, r"mpec\.omega\.pieces: expected a list, got dict"),
+        ("staircase", ("graphset", "pieces"), "ab", r"graphset\.pieces: expected a list, got str"),
+    ],
+)
+def test_pieces_must_be_a_list(name, path, value, message):
+    with pytest.raises(ProblemFormatError, match=message):
+        parse_problem(replaced(fixture(name), path, value))
+
+
+@pytest.mark.parametrize(
+    "name, path, message",
+    [
+        ("ex58", ("constraint", "n"), r"constraint\.n: not an integer: 'a'"),
+        ("ex58", ("constraint", "D", "dim"), r"constraint\.D\.dim: not an integer: 'a'"),
+        ("comb", ("patch", "nx"), r"patch\.nx: not an integer: 'a'"),
+    ],
+)
+def test_non_integer_field_is_named(name, path, message):
+    with pytest.raises(ProblemFormatError, match=message):
+        parse_problem(replaced(fixture(name), path, "a"))
+
+
+def test_declared_cones_must_be_a_list():
+    data = replaced(fixture("comb"), ("patch", "declared_cones"), {"point": [0, 0]})
+    with pytest.raises(ProblemFormatError, match=r"patch\.declared_cones: expected a list, got dict"):
+        parse_problem(data)
+
+
+def test_block_must_be_an_object():
+    data = replaced(fixture("ex58"), ("constraint", "D"), [1, 2])
+    with pytest.raises(ProblemFormatError, match="constraint.D: expected an object, got list"):
+        parse_problem(data)

@@ -3,11 +3,20 @@
 The exact layer decides cone identities; this module approaches the same
 objects through their defining sequences.  It samples normals along
 directional schedules, searches for the sequence witnesses that falsify
-asymptotic regularity or pseudo-/quasi-normality, probes pseudo- and
-super-coderivative memberships on two-parameter schedules, and replays the
-exact-penalty failure.  A failed search is always reported as NOT_FOUND and
-never interpreted as evidence that a property holds; witnesses are
-rationalized and re-verified exactly whenever they lie on rational patches.
+asymptotic regularity or pseudo-/quasi-normality, and probes pseudo- and
+super-coderivative memberships on two-parameter schedules.  A failed search
+is always reported as NOT_FOUND and never interpreted as evidence that a
+property holds; witnesses are rationalized and re-verified exactly whenever
+they lie on rational patches.
+
+Two bounded caches serve the searches, which revisit the same pieces and
+points on every schedule step, every candidate multiplier and every call:
+``_piece_hulls`` keeps the face projections of one piece, keyed on the
+``HPolyhedron`` (its canonical int rows), and ``_normal_candidates`` keeps
+the distinct face projections of a point that lie in a union, each with its
+regular normal cone, keyed on the ``PolyUnion`` and the point.  Both hold
+exact data derived from their key alone.  ``report.verify_report`` checks
+witnesses without reading either of them.
 """
 
 from __future__ import annotations
@@ -15,18 +24,19 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import sqrt
+from operator import mul
 
 import numpy as np
 
 from dircq.linalg import (
-    Mat,
     Vec,
     add,
     canon_ray,
     dot,
+    int_row,
     is_zero,
-    mat_t_vec,
     mat_vec,
     neg,
     rref,
@@ -39,6 +49,8 @@ from dircq.linalg import (
 )
 from dircq.polyhedra import (
     HPolyhedron,
+    IntMat,
+    IntVec,
     PolyhedralCone,
     cone_from_generators,
     generators,
@@ -58,6 +70,13 @@ from dircq.simplex import OPTIMAL, feasible_point, solve_lp
 from dircq.unions import ConeUnion, PolyUnion, directional_limiting_normal_cone, regular_normal_cone
 
 NOT_FOUND = "NOT_FOUND"
+
+# Pieces whose face projections ``_piece_hulls`` keeps: a pass of the
+# sequence workload meets 28 distinct pieces.
+FACE_CACHE_SIZE = 128
+# (union, point) pairs whose normal candidates ``_normal_candidates`` keeps:
+# one per schedule step of a search; the same pass asks for 121 of them.
+CANDIDATE_CACHE_SIZE = 1024
 
 _log = logging.getLogger(__name__)
 
@@ -151,56 +170,101 @@ def _norm(v: Vec) -> float:
 
 @dataclass(frozen=True)
 class _FaceHull:
-    """Affine hull {x : rows x = rhs} of one face of ``piece``.
+    """Projection onto the affine hull of one face of ``piece``.
 
-    ``rows`` are independent (reduced by rref), so their Gram matrix is
-    invertible and the projection is one exact matrix-vector chain.
+    The projection of p is (P p + c) / den with P and c integral, so a point
+    q / dq with q integral projects to (P q + dq c) / (dq den) in integers.
     """
 
     piece: HPolyhedron
-    rows: Mat
-    rhs: Vec
-    gram_inv: Mat
+    mat: IntMat  # P
+    shift: IntVec  # c
+    den: int
+
+    def project_ints(self, q: list[int], dq: int) -> IntVec:
+        """Numerators of the projection of q / dq, over dq * den."""
+        return tuple(sum(map(mul, row, q)) + dq * c for row, c in zip(self.mat, self.shift))
 
     def project(self, p: Vec) -> Vec:
         """Exact Euclidean projection p - R^T G^-1 (R p - s)."""
-        if not self.rows:
-            return p
-        resid = tuple(dot(r, p) - s for r, s in zip(self.rows, self.rhs))
-        return sub(p, mat_t_vec(self.rows, mat_vec(self.gram_inv, resid)))
+        q, dq = int_row(p)
+        den = dq * self.den
+        return tuple(Fraction(z, den) for z in self.project_ints(q, dq))
 
 
-def _face_hulls(pieces) -> list[_FaceHull]:
-    """One hull per nonempty face, in piece order and then face order.
+def _face_hull(piece: HPolyhedron, active: tuple[int, ...]) -> _FaceHull:
+    """The hull {x : R x = s} of the face where ``active`` is tight.
 
-    A search builds the faces of each piece once, not once per step.
+    R is reduced by rref, so its Gram matrix G is invertible; the projection
+    is x - R^T G^-1 (R x - s), that is P = I - R^T G^-1 R and c = R^T G^-1 s.
     """
-    hulls = []
-    for piece in pieces:
-        for active, _ in polyhedron_faces(piece):
-            # the face's equality rows, rhs last; a face has a relint point,
-            # so no reduced row reads 0 = s != 0
-            red, _ = rref(piece.ied + tuple(piece.iab[i] for i in active))
-            rows, rhs = tuple(r[:-1] for r in red), tuple(r[-1] for r in red)
-            k = len(rows)
-            # rref of [G | I] is [I | G^-1]
-            gram_id = tuple(tuple(dot(a, b) for b in rows) + unit(k, i) for i, a in enumerate(rows))
-            hulls.append(_FaceHull(piece, rows, rhs, tuple(r[k:] for r in rref(gram_id)[0])))
-    return hulls
+    n = piece.dim
+    # a face has a relint point, so no reduced row reads 0 = s != 0
+    red, _ = rref(piece.ied + tuple(piece.iab[i] for i in active))
+    rows, rhs = tuple(r[:-1] for r in red), tuple(r[-1] for r in red)
+    k = len(rows)
+    # rref of [G | I] is [I | G^-1]
+    gram_id = tuple(tuple(dot(a, b) for b in rows) + unit(k, i) for i, a in enumerate(rows))
+    gram_inv = tuple(r[k:] for r in rref(gram_id)[0])
+    cols = [tuple(r[i] for r in rows) for i in range(n)]
+    # G^-1 is symmetric, so row i of R^T G^-1 is G^-1 applied to column i of R
+    rt_ginv = tuple(mat_vec(gram_inv, col) for col in cols)
+    entries = [int(i == j) - dot(w, cols[j]) for i, w in enumerate(rt_ginv) for j in range(n)]
+    ints, den = int_row(entries + [dot(w, rhs) for w in rt_ginv])
+    return _FaceHull(piece, tuple(tuple(ints[i * n : (i + 1) * n]) for i in range(n)), tuple(ints[n * n :]), den)
 
 
-def _nearest_on_hulls(hulls: list[_FaceHull], p: Vec) -> Vec | None:
-    """Nearest face projection of p that lies in its own piece."""
+@lru_cache(maxsize=FACE_CACHE_SIZE)
+def _piece_hulls(piece: HPolyhedron) -> tuple[_FaceHull, ...]:
+    """One hull per nonempty face of the piece, in face order.
+
+    Cached on the piece (its canonical int rows), FACE_CACHE_SIZE entries.
+    """
+    return tuple(_face_hull(piece, active) for active, _ in polyhedron_faces(piece))
+
+
+def _face_hulls(pieces) -> tuple[_FaceHull, ...]:
+    """One hull per nonempty face, in piece order and then face order."""
+    return tuple(hull for piece in pieces for hull in _piece_hulls(piece))
+
+
+def _nearest_on_hulls(hulls, p: Vec) -> Vec | None:
+    """Nearest face projection of p that lies in its own piece.
+
+    Distances compare in integers: |z - p|^2 = |zs - den q|^2 / (dq den)^2
+    for z = zs / (dq den) and p = q / dq.  Ties keep the first hull.
+    """
+    q, dq = int_row(p)
     best = None
-    best_d2 = None
     for hull in hulls:
-        z = hull.project(p)
-        if not hull.piece.contains(z):
+        zs = hull.project_ints(q, dq)
+        den = dq * hull.den
+        if not hull.piece.holds(zs, den):
             continue
-        d2 = dot(sub(z, p), sub(z, p))
-        if best_d2 is None or d2 < best_d2:
-            best, best_d2 = z, d2
-    return best
+        d2 = sum((z - hull.den * x) ** 2 for z, x in zip(zs, q))
+        if best is None or d2 * best[1] ** 2 < best[0] * den**2:
+            best = (d2, den, zs)
+    return None if best is None else tuple(Fraction(z, best[1]) for z in best[2])
+
+
+@lru_cache(maxsize=CANDIDATE_CACHE_SIZE)
+def _normal_candidates(d: PolyUnion, p: Vec) -> tuple[tuple[Vec, PolyhedralCone], ...]:
+    """(z, regular normal cone of d at z) for the distinct face projections
+    z of p that lie in d, in hull order.
+
+    Cached on (d, p), CANDIDATE_CACHE_SIZE entries: every candidate
+    multiplier and both normality modes search the same points.
+    """
+    q, dq = int_row(p)
+    out: dict[Vec, PolyhedralCone] = {}
+    for hull in _face_hulls(d.pieces):
+        zs = hull.project_ints(q, dq)
+        den = dq * hull.den
+        if any(piece.holds(zs, den) for piece in d.pieces):
+            z = tuple(Fraction(c, den) for c in zs)
+            if z not in out:
+                out[z] = regular_normal_cone(d, z)
+    return tuple(out.items())
 
 
 def project_onto_polyunion(d: PolyUnion, p: Vec) -> Vec | None:
@@ -484,27 +548,24 @@ def search_normality_violation(
 ) -> WitnessSequence | str:
     """Sequence witness for the failure of directional pseudo-/quasi-normality.
 
-    Candidate points z_k come from exact face projections of g(x_k) onto the
-    pieces of D; the candidate multiplier is kept constant, so membership,
-    sign conditions and convergence rates verify exactly on replay.
+    Candidate points z_k are the distinct exact face projections of g(x_k)
+    that lie in D (``_normal_candidates``; a repeated projection scores the
+    same, so the first best is kept); the candidate multiplier is kept
+    constant, so membership, sign conditions and convergence rates verify
+    exactly on replay.
     """
     schedule = schedule or Schedule()
     gxbar = sys.g.eval(sys.xbar)
     jac = sys.g.jacobian(sys.xbar)
     ju = tuple(dot(row, u) for row in jac)
     records = []
-    hulls = _face_hulls(sys.d.pieces)
     for k in schedule.steps():
         t = schedule.t(k)
         x = add(sys.xbar, scale(t, u))
         gx = sys.g.eval(x)
         best = None
-        for hull in hulls:
-            z = hull.project(gx)
-            if not sys.d.contains(z):
-                continue
-            nz = regular_normal_cone(sys.d, z)
-            if nz is None or not nz.contains(lam):
+        for z, nz in _normal_candidates(sys.d, gx):
+            if not nz.contains(lam):
                 continue
             gap = sub(gx, z)
             if not _sign_conditions(lam, gap, basis, mode):
@@ -642,40 +703,6 @@ def _coderivative_slice(ncone: PolyhedralCone, ystar: Vec, nx: int, ny: int) -> 
 
 
 # ---------------------------------------------------------------------------
-# exact-penalty failure demonstration
-
-
-def penalty_failure_demo(c_grid, k_max: int = 200) -> list[dict]:
-    """First index where phi(x_k) + C dist(0, Phi(x_k)) < phi(0) on x_k = 1/k.
-
-    The fixture family has phi(x) = -x and dist(0, Phi(1/k)) = 1/k^2, so the
-    penalized value is -1/k + C/k^2, negative exactly when k > C.
-    """
-    out = []
-    for c in c_grid:
-        c = Fraction(c)
-        crossing = None
-        for k in range(1, k_max + 1):
-            val = Fraction(-1, k) + c * Fraction(1, k * k)
-            if val < 0:
-                crossing = k
-                break
-        # -1/k + C/k^2 < 0 iff k > C
-        closed_form = int(c) + 1
-        out.append(
-            {
-                "C": c,
-                "first_violation": crossing,
-                "closed_form": closed_form,
-                "value_at_crossing": Fraction(-1, crossing) + c * Fraction(1, crossing**2)
-                if crossing
-                else None,
-            }
-        )
-    return out
-
-
-# ---------------------------------------------------------------------------
 # equilibrium-constraint route: candidates and normality elimination
 
 
@@ -766,7 +793,6 @@ def search_mpec_normality(
     lam_sq = dot(lam, lam)
     rows = []
     witness_records = []
-    hulls = _face_hulls(mp.omega.pieces)
     for k in schedule.steps():
         t = schedule.t(k)
         eps = _eps(k)
@@ -775,24 +801,12 @@ def search_mpec_normality(
         bound = Fraction(0)
         npts = 0
         best_pin = None
-        # first-block offsets from face projections of x1 onto Omega
-        y1_cands: list[Vec] = []
-        for hull in hulls:
-            w1 = hull.project(x1)
-            if mp.omega.contains(w1):
-                y1_cands.append(sub(w1, x1))
-        if mp.omega.contains(x1):
-            y1_cands.append(zeros(n1))
-        seen = set()
-        for y1 in y1_cands:
-            if y1 in seen:
-                continue
-            seen.add(y1)
+        # first-block offsets from the face projections of x1 onto Omega;
+        # x1 itself is among them when it lies in Omega (the face with x1 in
+        # its relative interior projects it onto itself)
+        for w1, n_omega in _normal_candidates(mp.omega, x1):
+            y1 = sub(w1, x1)
             if not _sign_conditions(lam, y1, basis, mode):
-                continue
-            w1 = add(x1, y1)
-            n_omega = regular_normal_cone(mp.omega, w1)
-            if n_omega is None:
                 continue
             for patch in mp.s.patches:
                 for spt in _patch_graph_points(patch, x1):

@@ -160,7 +160,10 @@ class HPolyhedron:
     def contains(self, x: Vec) -> bool:
         if len(x) != self.dim:
             raise DimensionMismatch("point has wrong dimension")
-        xs, den = int_row(x)
+        return self.holds(*int_row(x))
+
+    def holds(self, xs, den: int) -> bool:
+        """The point xs / den (xs integral, den > 0) lies in the polyhedron."""
         # map(mul, r, xs) stops at the end of xs, before r's rhs entry
         return all(sum(map(mul, r, xs)) <= r[-1] * den for r in self.iab) and all(
             sum(map(mul, r, xs)) == r[-1] * den for r in self.ied

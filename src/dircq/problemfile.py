@@ -46,11 +46,16 @@ def _frac(x) -> Fraction:
     raise ProblemFormatError(f"not a rational literal: {x!r}")
 
 
-def _field(blk, key: str, where: str):
-    """blk[key], or ProblemFormatError naming the block and the field."""
+def _object(blk, where: str) -> dict:
+    """blk, or ProblemFormatError naming the block unless it is an object."""
     if not isinstance(blk, dict):
         raise ProblemFormatError(f"{where}: expected an object, got {type(blk).__name__}")
-    if key not in blk:
+    return blk
+
+
+def _field(blk, key: str, where: str):
+    """blk[key], or ProblemFormatError naming the block and the field."""
+    if key not in _object(blk, where):
         raise ProblemFormatError(f"{where}: missing field {key!r}")
     return blk[key]
 
@@ -81,7 +86,8 @@ def _mat(rows):
     return tuple(_vec(r) for r in rows)
 
 
-def _polyhedron(obj, dim: int) -> HPolyhedron:
+def _polyhedron(obj, dim: int, where: str) -> HPolyhedron:
+    obj = _object(obj, where)
     return HPolyhedron.make(
         a=_mat(obj.get("a", [])),
         b=_vec(obj.get("b", [])),
@@ -93,16 +99,24 @@ def _polyhedron(obj, dim: int) -> HPolyhedron:
 
 def _polyunion(obj, where: str) -> PolyUnion:
     dim = _int_field(obj, "dim", where)
-    pieces = [_polyhedron(p, dim) for p in _list_field(obj, "pieces", where)]
+    pieces = [_polyhedron(p, dim, f"{where}.pieces") for p in _list_field(obj, "pieces", where)]
     return PolyUnion.make(pieces)
 
 
 def _coneunion(obj, dim: int, where: str) -> ConeUnion:
-    pieces = [
-        PolyhedralCone.make(a=_mat(p.get("a", [])), e=_mat(p.get("e", [])), dim=dim)
-        for p in _list_field(obj, "pieces", where)
-    ]
+    pieces = []
+    for p in _list_field(obj, "pieces", where):
+        p = _object(p, f"{where}.pieces")
+        pieces.append(PolyhedralCone.make(a=_mat(p.get("a", [])), e=_mat(p.get("e", [])), dim=dim))
     return ConeUnion.make(pieces, dim)
+
+
+def _family(fam, where: str, truncate_k: int | None) -> tuple[str, int]:
+    """(kind, K) of a family block; ``truncate_k`` overrides K (default 50)."""
+    kind = _field(fam, "kind", where)
+    if truncate_k:
+        return kind, truncate_k
+    return kind, _int_field(fam, "K", where) if "K" in fam else 50
 
 
 def _staircase_pieces(k_max: int) -> list[HPolyhedron]:
@@ -184,6 +198,7 @@ def _parse_patches(blk, nx: int, ny: int, where: str) -> list[GraphPatch]:
     names = [f"x{i}" for i in range(nx)] + [f"y{i}" for i in range(ny)]
     out = []
     for p in _list_field(blk, "patches", where, optional=True):
+        p = _object(p, f"{where}.patches")
         eqs = tuple(parse_poly(s, names) for s in p.get("eq", []))
         ineqs = tuple(parse_poly(s, names) for s in p.get("ineq", []))
         out.append(GraphPatch(eqs, ineqs, nx, ny))
@@ -253,27 +268,25 @@ def parse_problem(data: dict, truncate_k: int | None = None) -> Problem:
         patches = _parse_patches(blk, nx, ny, kind)
         fam = blk.get("family")
         if fam:
-            k_eff = truncate_k or int(fam.get("K", 50))
-            truncation = k_eff
-            if fam["kind"] == "comb":
-                patches.extend(_comb_patches(k_eff))
+            fam_kind, truncation = _family(fam, f"{kind}.family", truncate_k)
+            if fam_kind == "comb":
+                patches.extend(_comb_patches(truncation))
             else:
-                raise ProblemFormatError(f"unknown patch family {fam['kind']!r}")
+                raise ProblemFormatError(f"unknown patch family {fam_kind!r}")
         declared = _parse_declared(blk, nx + ny, kind)
         kwargs["patch_map"] = PatchMap(tuple(patches), nx, ny, declared=declared)
         if "objective" in data:
             objective = parse_poly(data["objective"], [f"x{i}" for i in range(nx)])
     elif kind == "graphset":
         nx, ny = _int_field(blk, "nx", kind), _int_field(blk, "ny", kind)
-        pieces = [_polyhedron(p, nx + ny) for p in _list_field(blk, "pieces", kind, optional=True)]
+        pieces = [_polyhedron(p, nx + ny, f"{kind}.pieces") for p in _list_field(blk, "pieces", kind, optional=True)]
         fam = blk.get("family")
         if fam:
-            k_eff = truncate_k or int(fam.get("K", 50))
-            truncation = k_eff
-            if fam["kind"] == "staircase":
-                pieces.extend(_staircase_pieces(k_eff))
+            fam_kind, truncation = _family(fam, f"{kind}.family", truncate_k)
+            if fam_kind == "staircase":
+                pieces.extend(_staircase_pieces(truncation))
             else:
-                raise ProblemFormatError(f"unknown graphset family {fam['kind']!r}")
+                raise ProblemFormatError(f"unknown graphset family {fam_kind!r}")
         kwargs["graph_set"] = PolyUnion.make(pieces)
         kwargs["graph_nx"] = nx
         kwargs["graph_ny"] = ny

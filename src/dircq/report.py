@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, is_dataclass
+from dataclasses import fields, is_dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -27,17 +27,23 @@ class VerificationError(Exception):
     pass
 
 
-def _encode(obj):
+def _encode(obj, typed: bool = True):
+    """JSON-ready copy of obj; Fractions become "p/q" strings.
+
+    A dataclass becomes the dict of its fields, and only the outermost one
+    on each path carries ``__type__``.
+    """
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, dict):
-        return {str(k): _encode(v) for k, v in obj.items()}
+        return {str(k): _encode(v, typed) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_encode(v) for v in obj]
+        return [_encode(v, typed) for v in obj]
     if is_dataclass(obj) and not isinstance(obj, type):
-        d = asdict(obj)
-        d["__type__"] = type(obj).__name__
-        return _encode(d)
+        d = {f.name: _encode(getattr(obj, f.name), False) for f in fields(obj)}
+        if typed:
+            d["__type__"] = type(obj).__name__
+        return d
     return obj
 
 

@@ -305,8 +305,9 @@ def patch_limiting_normals(
     certain: list[PolyhedralCone] = []
     upper: list[PolyhedralCone] = []
 
-    base_reg = patch_regular_normal_cone(m, w)
+    # a directional call gates the same patches in the same order below
     if direction is None:
+        base_reg = patch_regular_normal_cone(m, w)
         certain.append(base_reg)
         upper.append(base_reg)
 

@@ -1,14 +1,15 @@
-"""Sequence oracle: sampling, witness searches, probes, penalty demo."""
+"""Sequence oracle: sampling, witness searches, probes, and its caches."""
 
 from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_caches import ex58_squared
 
 from dircq import oracle
 from dircq.cq import FAILS, HOLDS, UNDECIDED, mpec_pseudo_quasi_verdict, pseudo_quasi_verdict
-from dircq.linalg import dot, nullspace, sub, vec
+from dircq.linalg import dot, mat_t_vec, nullspace, rref, solve_linear, sub, vec
 from dircq.oracle import (
     NOT_FOUND,
     EliminationTrace,
@@ -17,7 +18,6 @@ from dircq.oracle import (
     WitnessSequence,
     graph_points_near,
     mpec_normality_candidates,
-    penalty_failure_demo,
     probe_pseudo_or_super_coderivative,
     project_onto_polyunion,
     sample_directional_normals,
@@ -89,9 +89,9 @@ def test_project_onto_polyunion_exact():
 
 
 @st.composite
-def _pieces(draw):
+def _pieces(draw, n=None):
     """Small nonempty polyhedra, some with duplicated or rescaled rows."""
-    n = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 3)) if n is None else n
     coef = st.integers(-3, 3)
     x0 = draw(st.lists(coef, min_size=n, max_size=n))
     a = draw(st.lists(st.lists(coef, min_size=n, max_size=n), min_size=1, max_size=3))
@@ -134,20 +134,93 @@ def _count_faces(monkeypatch) -> list:
     return calls
 
 
+def _gram_projection(piece, active, p):
+    """p - R^T G^-1 (R p - s) for the independent rows R x = s of the face."""
+    rows = piece.e + tuple(piece.a[i] for i in active)
+    rhs = piece.d + tuple(piece.b[i] for i in active)
+    red, _ = rref(tuple(r + (s,) for r, s in zip(rows, rhs)))
+    if not red:
+        return p
+    rows, rhs = tuple(r[:-1] for r in red), tuple(r[-1] for r in red)
+    gram = tuple(tuple(dot(a, b) for b in rows) for a in rows)
+    resid = tuple(dot(r, p) - s for r, s in zip(rows, rhs))
+    return sub(p, mat_t_vec(rows, solve_linear(gram, resid)))
+
+
+def _dist2(z, p):
+    return dot(sub(z, p), sub(z, p))
+
+
+def _reference_nearest(pieces, p):
+    """First nearest Gram projection that lies in its own piece, in face order."""
+    best = None
+    for q in pieces:
+        for active, _ in oracle.polyhedron_faces(q):
+            z = _gram_projection(q, active, p)
+            if q.contains(z) and (best is None or _dist2(z, p) < _dist2(best, p)):
+                best = z
+    return best
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_integer_projection_matches_gram_formula(data):
+    piece = data.draw(_pieces())
+    pieces = [piece, data.draw(_pieces(piece.dim))]
+    p = vec(data.draw(st.lists(st.fractions(-5, 5, max_denominator=7), min_size=piece.dim, max_size=piece.dim)))
+    hulls = oracle._face_hulls(pieces)
+    faces = [(q, active) for q in pieces for active, _ in oracle.polyhedron_faces(q)]
+    assert len(hulls) == len(faces)
+    for hull, (q, active) in zip(hulls, faces):
+        assert hull.piece == q and hull.project(p) == _gram_projection(q, active, p)
+    assert oracle._nearest_on_hulls(hulls, p) == _reference_nearest(pieces, p)
+
+
+def test_nearest_tie_keeps_the_first_hull():
+    d = halfplane_union()
+    # (0,-1) and (-1,0) are both at distance 1 from (-1,-1)
+    p = vec([-1, -1])
+    assert oracle._nearest_on_hulls(oracle._face_hulls(d.pieces), p) == _reference_nearest(d.pieces, p)
+
+
+def clear_oracle_caches():
+    oracle._piece_hulls.cache_clear()
+    oracle._normal_candidates.cache_clear()
+
+
 @pytest.mark.parametrize("k_max", [12, 24])
 def test_searches_build_faces_once_per_piece(monkeypatch, k_max):
     calls = _count_faces(monkeypatch)
-    d = halfplane_union()
-    sample_directional_normals(d, vec([0, 0]), vec([-1, 0]), Schedule(k_max=k_max))
-    assert len(calls) == len(d.pieces)
-    calls.clear()
-    sys = ex58_system()
-    search_normality_violation(sys, vec([-1]), vec([0, -1]), schedule=Schedule(k_max=k_max))
-    assert len(calls) == len(sys.d.pieces)
-    calls.clear()
-    mp = ex47_problem()
-    search_mpec_normality(mp, vec([0, 1]), vec([1]), Schedule(k_max=k_max))
-    assert len(calls) == len(mp.omega.pieces)
+    schedule = Schedule(k_max=k_max)
+    sys, mp = ex58_system(), ex47_problem()
+    searches = (
+        (lambda: sample_directional_normals(sys.d, vec([0, 0]), vec([-1, 0]), schedule), sys.d.pieces),
+        (lambda: search_normality_violation(sys, vec([-1]), vec([0, -1]), schedule=schedule), sys.d.pieces),
+        (lambda: search_mpec_normality(mp, vec([0, 1]), vec([1]), schedule), mp.omega.pieces),
+    )
+    for search, pieces in searches:
+        clear_oracle_caches()
+        calls.clear()
+        first = search()
+        assert calls == list(dict.fromkeys(pieces))
+        # a repeated search reads every piece's faces from the cache
+        assert search() == first
+        assert len(calls) == len(set(pieces))
+
+
+@pytest.mark.parametrize("k_max", [12, 24])
+def test_verdict_candidates_and_modes_share_projections(monkeypatch, k_max):
+    calls = _count_faces(monkeypatch)
+    sys, u, schedule = ex58_squared(), vec([0, -1]), Schedule(k_max=k_max)
+    clear_oracle_caches()
+    # two kernel candidates: the first survives its search, the second fails
+    assert pseudo_quasi_verdict(sys, u, schedule=schedule).status == FAILS
+    assert len(calls) == len(set(sys.d.pieces))
+    # one projection set per schedule point, shared by both candidates
+    assert oracle._normal_candidates.cache_info().misses == k_max
+    assert pseudo_quasi_verdict(sys, u, mode="quasi", schedule=schedule).status == FAILS
+    assert len(calls) == len(set(sys.d.pieces))
+    assert oracle._normal_candidates.cache_info().misses == k_max
 
 
 def test_graph_points_on_comb_teeth():
@@ -335,13 +408,3 @@ def test_probe_super_on_linear_patch():
         for val in rec.xstar_values:
             # D^*Phi(x)(1) = {2} before rescaling
             assert val[0] * rec.scale == 2
-
-
-def test_penalty_failure_demo():
-    rows = penalty_failure_demo([1, 10, 100])
-    assert [r["first_violation"] for r in rows] == [2, 11, 101]
-    assert [r["closed_form"] for r in rows] == [2, 11, 101]
-    for r in rows:
-        assert r["value_at_crossing"] < 0
-    near_zero = penalty_failure_demo([Q(1, 100)])
-    assert near_zero[0]["first_violation"] == 1

@@ -88,3 +88,21 @@ def test_block_must_be_an_object():
     data = replaced(fixture("ex58"), ("constraint", "D"), [1, 2])
     with pytest.raises(ProblemFormatError, match="constraint.D: expected an object, got list"):
         parse_problem(data)
+
+
+def test_piece_must_be_an_object():
+    data = replaced(fixture("ex58"), ("constraint", "D", "pieces"), [5])
+    with pytest.raises(ProblemFormatError, match=r"constraint\.D\.pieces: expected an object, got int"):
+        parse_problem(data)
+
+
+def test_family_kind_is_named():
+    data = without(fixture("staircase"), ("graphset", "family", "kind"))
+    with pytest.raises(ProblemFormatError, match=r"graphset\.family: missing field 'kind'"):
+        parse_problem(data)
+
+
+def test_family_k_must_be_an_integer():
+    data = replaced(fixture("comb"), ("patch", "family", "K"), "1/2")
+    with pytest.raises(ProblemFormatError, match=r"patch\.family\.K: not an integer: '1/2'"):
+        parse_problem(data)

@@ -124,3 +124,18 @@ def test_run_check_rejects_bad_mpec_input(ex47_report):
     ):
         with pytest.raises(ProblemFormatError):
             run_check(pr, check, **kwargs)
+
+
+def test_witness_check_reads_no_oracle_cache(ex58_report, monkeypatch):
+    from dircq import oracle, report
+
+    pr, rep = ex58_report
+    row = next(r for r in rep["rows"] if (r["check"], r["direction"]) == ("pseudo-normality", "minus"))
+    assert row["certificate"]["kind"] == "witness_sequence"
+
+    def unreadable(*args):
+        raise AssertionError("the witness check read an oracle cache")
+
+    for name in ("_piece_hulls", "_normal_candidates", "_face_hulls"):
+        monkeypatch.setattr(oracle, name, unreadable)
+    assert report._check_witness_sequence(pr, row, row["certificate"]) is None

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from dircq.linalg import (
@@ -71,6 +72,11 @@ HOLDS = "HOLDS"
 FAILS = "FAILS"
 UNDECIDED = "UNDECIDED"
 
+# (system, direction) pairs whose first- and second-order data ``_context``
+# keeps: one entry per direction, plus one undirected, per system; a pass of
+# five checkers over ex58^2 in its eight directions asks 40 times for 8.
+CONTEXT_CACHE_SIZE = 64
+
 
 @dataclass(frozen=True)
 class ConditionReport:
@@ -92,6 +98,9 @@ class Verdict:
         return next((c for c in self.conditions if c.name == name), None)
 
 
+# The data of g at xbar (and along u) that every decider reads.  ``_context``
+# keeps it in an lru_cache keyed on (system, vec(u)), CONTEXT_CACHE_SIZE
+# entries; an infeasible base point raises on every call and is not kept.
 @dataclass(frozen=True)
 class _Ctx:
     sys: ConstraintSystem
@@ -105,6 +114,11 @@ class _Ctx:
 
 
 def _context(sys: ConstraintSystem, u: Vec | None = None) -> _Ctx:
+    return _cached_context(sys, None if u is None else vec(u))
+
+
+@lru_cache(maxsize=CONTEXT_CACHE_SIZE)
+def _cached_context(sys: ConstraintSystem, u: Vec | None) -> _Ctx:
     gx = sys.g.eval(sys.xbar)
     if not sys.d.contains(gx):
         raise InfeasiblePoint("base point is not feasible")
@@ -112,17 +126,8 @@ def _context(sys: ConstraintSystem, u: Vec | None = None) -> _Ctx:
     ker_rows = transpose(jac)
     if u is None:
         return _Ctx(sys, gx, jac, ker_rows)
-    ju = tuple(dot(row, u) for row in jac)
-    return _Ctx(
-        sys,
-        gx,
-        jac,
-        ker_rows,
-        u=vec(u),
-        ju=ju,
-        bu=sys.g.curvature_matrix(sys.xbar, u),
-        h=sys.g.second_order_vector(sys.xbar, u),
-    )
+    bu, h = sys.g.second_order(sys.xbar, u)
+    return _Ctx(sys, gx, jac, ker_rows, u=u, ju=tuple(dot(row, u) for row in jac), bu=bu, h=h)
 
 
 def _kernel_verdict(name: str, pieces: Sequence[PolyhedralCone], extra: dict) -> Verdict:

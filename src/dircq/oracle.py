@@ -9,14 +9,16 @@ is always reported as NOT_FOUND and never interpreted as evidence that a
 property holds; witnesses are rationalized and re-verified exactly whenever
 they lie on rational patches.
 
-Two bounded caches serve the searches, which revisit the same pieces and
+Three bounded caches serve the searches, which revisit the same pieces and
 points on every schedule step, every candidate multiplier and every call:
 ``_piece_hulls`` keeps the face projections of one piece, keyed on the
-``HPolyhedron`` (its canonical int rows), and ``_normal_candidates`` keeps
+``HPolyhedron`` (its canonical int rows); ``_normal_candidates`` keeps
 the distinct face projections of a point that lie in a union, each with its
-regular normal cone, keyed on the ``PolyUnion`` and the point.  Both hold
-exact data derived from their key alone.  ``report.verify_report`` checks
-witnesses without reading either of them.
+regular normal cone, keyed on the ``PolyUnion`` and the point; and
+``_graph_point_generators`` keeps the generators of the regular normal cone
+of a patch map at a graph point, keyed on the ``PatchMap`` and the point.
+All three hold exact data derived from their key alone.
+``report.verify_report`` checks witnesses without reading any of them.
 """
 
 from __future__ import annotations
@@ -77,6 +79,10 @@ FACE_CACHE_SIZE = 128
 # (union, point) pairs whose normal candidates ``_normal_candidates`` keeps:
 # one per schedule step of a search; the same pass asks for 121 of them.
 CANDIDATE_CACHE_SIZE = 1024
+# (patch map, graph point) pairs whose normal generators
+# ``_graph_point_generators`` keeps: a pass of the sequence workload meets
+# 86 distinct graph points.
+GRAPH_POINT_CACHE_SIZE = 512
 
 _log = logging.getLogger(__name__)
 
@@ -267,11 +273,6 @@ def _normal_candidates(d: PolyUnion, p: Vec) -> tuple[tuple[Vec, PolyhedralCone]
     return tuple(out.items())
 
 
-def project_onto_polyunion(d: PolyUnion, p: Vec) -> Vec | None:
-    """Exact nearest point of the union (by squared distance, face search)."""
-    return _nearest_on_hulls(_face_hulls(d.pieces), p)
-
-
 # ---------------------------------------------------------------------------
 # directional normal sampling
 
@@ -377,9 +378,7 @@ def _patch_graph_points(patch: GraphPatch, x: Vec, max_den: int = 10**12) -> lis
     for arc in arcs:
         for y0 in _solve_univariate(arc, max_den):
             w = vec(tuple(x) + (y0,))
-            if all(p.eval(w) == 0 for p in patch.eqs) and all(
-                q.eval(w) <= 0 for q in patch.ineqs
-            ):
+            if patch.contains(w):
                 pts.append(w)
     return pts
 
@@ -387,6 +386,22 @@ def _patch_graph_points(patch: GraphPatch, x: Vec, max_den: int = 10**12) -> lis
 def graph_points_near(m: PatchMap, x: Vec) -> list[Vec]:
     """Distinct graph points over x on every patch, in patch order."""
     return list(dict.fromkeys(w for patch in m.patches for w in _patch_graph_points(patch, x)))
+
+
+@lru_cache(maxsize=GRAPH_POINT_CACHE_SIZE)
+def _graph_point_generators(m: PatchMap, w: Vec) -> tuple[Vec, ...] | None:
+    """Rays, lines and negated lines of the regular normal cone of m at the
+    graph point w, or None when an active patch fails the regularity gate.
+
+    Cached on (m, w), GRAPH_POINT_CACHE_SIZE entries: every schedule step
+    and every call of a search solves the same graph points.
+    """
+    try:
+        ncone = patch_regular_normal_cone(m, w)
+    except PatchRegularityError:
+        return None
+    rays, lin = generators(ncone)
+    return tuple(rays) + tuple(lin) + tuple(neg(l) for l in lin)
 
 
 # ---------------------------------------------------------------------------
@@ -428,13 +443,11 @@ def search_asym_reg_violation(
             y = w[nx:]
             if y == ybar:
                 continue
-            try:
-                ncone = patch_regular_normal_cone(m, w)
-            except PatchRegularityError as exc:
-                _log.debug("skipping graph point %s: %s", w, exc)
+            gens = _graph_point_generators(m, w)
+            if gens is None:
+                _log.debug("skipping graph point %s: an active patch fails the regularity gate", w)
                 continue
-            rays, lin = generators(ncone)
-            for gen in list(rays) + list(lin) + [tuple(-c for c in l) for l in lin]:
+            for gen in gens:
                 gx, gy = gen[:nx], gen[nx:]
                 if is_zero(gx) or is_zero(gy):
                     continue

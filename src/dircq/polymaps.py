@@ -4,6 +4,20 @@ Sparse monomial representation with canonical exponent ordering; evaluation
 and differentiation are exact.  The literal syntax used by problem files and
 tests is a sum of terms like ``3/2 x0^2 x1 - x2 + 1`` (an optional rational
 coefficient followed by variable powers; ``*`` between factors is allowed).
+
+Each polynomial is compiled once, on first use.  Its derivative table
+``partials`` holds d/dx_i for every i, so a gradient is one evaluation per
+partial and a Hessian reads ``partials[i].partials[j]``; nothing is
+differentiated twice.  Its integer form holds the coefficients as ints over
+their lcm L, with the total degree d.
+
+Fractions in, Fractions out, ints inside: ``read_point`` scales a point to
+ints xs over one denominator den (``linalg.int_row``; int, Fraction and
+float entries), and ``int_value`` gives L den^d p(xs / den) as an int, whose
+sign is the sign of p there.  ``eval``, ``gradient`` and ``hessian`` build a
+Fraction only for each value they return, and ``PolyMap`` reads a point once
+for all its components.  Every value equals the one plain Fraction
+arithmetic gives.
 """
 
 from __future__ import annotations
@@ -11,11 +25,19 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from dircq.linalg import Mat, Vec, vec
+from dircq.linalg import Mat, Vec, dot, int_row, mat_vec, transpose, vec
 
 _TOKEN = re.compile(r"\s*([+-]|[A-Za-z_][A-Za-z_0-9]*|\d+/\d+|\d+|\^|\*)")
+
+
+def read_point(x: Sequence, nvars: int) -> tuple[list[int], int]:
+    """(den * x as ints, den) for a point of R^nvars, den > 0."""
+    if len(x) != nvars:
+        raise ValueError("point has wrong dimension")
+    return int_row(x)
 
 
 @dataclass(frozen=True)
@@ -71,18 +93,47 @@ class Poly:
         t = Fraction(t)
         return Poly.make({e: t * c for e, c in self.terms}, self.nvars)
 
-    def eval(self, x: Sequence) -> Fraction:
-        x = vec(x)
-        if len(x) != self.nvars:
-            raise ValueError("point has wrong dimension")
-        total = Fraction(0)
-        for exps, coeff in self.terms:
-            v = coeff
-            for xi, e in zip(x, exps):
-                if e:
-                    v *= xi**e
-            total += v
+    @cached_property
+    def partials(self) -> tuple["Poly", ...]:
+        """d/dx_i for i = 0 .. nvars - 1, built once per polynomial."""
+        return tuple(self.diff(i) for i in range(self.nvars))
+
+    @cached_property
+    def _int_form(self) -> tuple[tuple, int, int]:
+        """(terms, L, d): one (int coefficient c L, d - degree, ((i, e), ...))
+        per term, the coefficients' lcm denominator L and the total degree d."""
+        nums, lden = int_row([c for _, c in self.terms])
+        degree = max((sum(exps) for exps, _ in self.terms), default=0)
+        terms = tuple(
+            (c, degree - sum(exps), tuple((i, e) for i, e in enumerate(exps) if e))
+            for (exps, _), c in zip(self.terms, nums)
+        )
+        return terms, lden, degree
+
+    def int_value(self, xs: Sequence[int], den: int) -> int:
+        """L den^d p(xs / den) for the point xs / den of ``read_point``."""
+        total = 0
+        for c, missing, factors in self._int_form[0]:
+            for i, e in factors:
+                c *= xs[i] ** e
+            if missing and den != 1:
+                c *= den**missing
+            total += c
         return total
+
+    def eval_ints(self, xs: Sequence[int], den: int) -> Fraction:
+        """p(xs / den), built as one Fraction."""
+        _, lden, degree = self._int_form
+        return Fraction(self.int_value(xs, den), lden * den**degree)
+
+    def gradient_ints(self, xs: Sequence[int], den: int) -> Vec:
+        return tuple(d.eval_ints(xs, den) for d in self.partials)
+
+    def hessian_ints(self, xs: Sequence[int], den: int) -> Mat:
+        return tuple(d.gradient_ints(xs, den) for d in self.partials)
+
+    def eval(self, x: Sequence) -> Fraction:
+        return self.eval_ints(*read_point(x, self.nvars))
 
     def diff(self, i: int) -> "Poly":
         acc: dict[tuple[int, ...], Fraction] = {}
@@ -95,14 +146,10 @@ class Poly:
         return Poly.make(acc, self.nvars)
 
     def gradient(self, x: Sequence) -> Vec:
-        return tuple(self.diff(i).eval(x) for i in range(self.nvars))
+        return self.gradient_ints(*read_point(x, self.nvars))
 
     def hessian(self, x: Sequence) -> Mat:
-        grads = [self.diff(i) for i in range(self.nvars)]
-        return tuple(
-            tuple(grads[i].diff(j).eval(x) for j in range(self.nvars))
-            for i in range(self.nvars)
-        )
+        return self.hessian_ints(*read_point(x, self.nvars))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -119,33 +166,6 @@ class Poly:
                 for _ in range(e):
                     term = term * img
             out = out + term
-        return out
-
-    def to_string(self, names: Sequence[str] | None = None) -> str:
-        if not self.terms:
-            return "0"
-        if names is None:
-            names = [f"x{i}" for i in range(self.nvars)]
-        parts = []
-        for exps, coeff in self.terms:
-            factors = []
-            for name, e in zip(names, exps):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            if not factors:
-                body = str(coeff)
-            elif coeff == 1:
-                body = " ".join(factors)
-            elif coeff == -1:
-                body = "-" + " ".join(factors)
-            else:
-                body = str(coeff) + " " + " ".join(factors)
-            parts.append(body)
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
         return out
 
 
@@ -250,42 +270,43 @@ class PolyMap:
         return PolyMap.make([parse_poly(s, names) for s in literals])
 
     def eval(self, x: Sequence) -> Vec:
-        return tuple(p.eval(x) for p in self.components)
+        xs, den = read_point(x, self.n)
+        return tuple(p.eval_ints(xs, den) for p in self.components)
 
     def jacobian(self, x: Sequence) -> Mat:
         """m x n matrix of exact partial derivatives at x."""
-        return tuple(p.gradient(x) for p in self.components)
+        xs, den = read_point(x, self.n)
+        return tuple(p.gradient_ints(xs, den) for p in self.components)
 
     def hessian_scalarized(self, x: Sequence, ystar: Sequence) -> Mat:
         """Exact Hessian of the scalarization <ystar, g> at x (n x n)."""
         ystar = vec(ystar)
         if len(ystar) != self.m:
             raise ValueError("scalarization vector has wrong dimension")
+        xs, den = read_point(x, self.n)
         acc = [[Fraction(0)] * self.n for _ in range(self.n)]
         for yc, p in zip(ystar, self.components):
             if yc == 0:
                 continue
-            h = p.hessian(x)
+            h = p.hessian_ints(xs, den)
             for i in range(self.n):
                 for j in range(self.n):
                     acc[i][j] += yc * h[i][j]
         return tuple(tuple(row) for row in acc)
 
+    def second_order(self, x: Sequence, u: Sequence) -> tuple[Mat, Vec]:
+        """(curvature matrix, second-order vector) at x in direction u, from
+        one Hessian evaluation per component."""
+        u = vec(u)
+        xs, den = read_point(x, self.n)
+        # cols[k] is Hess(g_k) u
+        cols = tuple(mat_vec(p.hessian_ints(xs, den), u) for p in self.components)
+        return transpose(cols), tuple(dot(u, c) for c in cols)
+
     def second_order_vector(self, x: Sequence, u: Sequence) -> Vec:
         """Component i equals <u, Hess(g_i)(x) u>."""
-        u = vec(u)
-        out = []
-        for p in self.components:
-            h = p.hessian(x)
-            out.append(sum((u[i] * h[i][j] * u[j] for i in range(self.n) for j in range(self.n)), Fraction(0)))
-        return tuple(out)
+        return self.second_order(x, u)[1]
 
     def curvature_matrix(self, x: Sequence, u: Sequence) -> Mat:
         """n x m matrix B with B y* = Hess(<y*, g>)(x) u, linear in y*."""
-        u = vec(u)
-        cols = []
-        for p in self.components:
-            h = p.hessian(x)
-            cols.append(tuple(sum((h[i][j] * u[j] for j in range(self.n)), Fraction(0)) for i in range(self.n)))
-        # cols[k] is Hess(g_k) u; assemble columns into an n x m matrix
-        return tuple(tuple(cols[k][i] for k in range(self.m)) for i in range(self.n))
+        return self.second_order(x, u)[0]

@@ -32,7 +32,7 @@ from dircq.linalg import (
     zeros,
 )
 from dircq.polyhedra import PolyhedralCone, intersect_generated, project_polyhedron
-from dircq.polymaps import Poly, PolyMap
+from dircq.polymaps import Poly, PolyMap, read_point
 from dircq.simplex import strict_feasible_point
 from dircq.unions import (
     ConeUnion,
@@ -176,25 +176,22 @@ class GraphPatch:
         return self.nx + self.ny
 
     def contains(self, w: Vec) -> bool:
-        return all(p.eval(w) == 0 for p in self.eqs) and all(
-            q.eval(w) <= 0 for q in self.ineqs
+        xs, den = read_point(w, self.dim)
+        return all(p.int_value(xs, den) == 0 for p in self.eqs) and all(
+            q.int_value(xs, den) <= 0 for q in self.ineqs
         )
 
     def active_ineqs(self, w: Vec) -> tuple[int, ...]:
-        return tuple(i for i, q in enumerate(self.ineqs) if q.eval(w) == 0)
+        xs, den = read_point(w, self.dim)
+        return tuple(i for i, q in enumerate(self.ineqs) if q.int_value(xs, den) == 0)
 
     def gradients(self, w: Vec) -> tuple[Mat, Mat]:
         """(equality gradients, all inequality gradients) at w."""
+        xs, den = read_point(w, self.dim)
         return (
-            tuple(p.gradient(w) for p in self.eqs),
-            tuple(q.gradient(w) for q in self.ineqs),
+            tuple(p.gradient_ints(xs, den) for p in self.eqs),
+            tuple(q.gradient_ints(xs, den) for q in self.ineqs),
         )
-
-    def regular_at(self, w: Vec) -> bool:
-        """Active gradients linearly independent (the exactness gate)."""
-        eg, qg = self.gradients(w)
-        rows = list(eg) + [qg[i] for i in self.active_ineqs(w)]
-        return not rows or rank(tuple(rows)) == len(rows)
 
 
 @dataclass(frozen=True)
@@ -241,12 +238,16 @@ class PatchMap:
 def _gated_gradients(m: PatchMap, i: int, w: Vec) -> tuple[Mat, Mat, tuple[int, ...]]:
     """(equality gradients, inequality gradients, active set) of patch i at w.
 
-    Raises PatchRegularityError unless the patch passes the regularity gate.
+    Raises PatchRegularityError unless the patch passes the regularity gate:
+    the active gradients are linearly independent.
     """
     p = m.patches[i]
-    if not p.regular_at(w):
+    eg, qg = p.gradients(w)
+    act = p.active_ineqs(w)
+    rows = eg + tuple(qg[j] for j in act)
+    if rows and rank(rows) != len(rows):
         raise PatchRegularityError(f"patch {i} fails the regularity gate at {w}; use the oracle")
-    return (*p.gradients(w), p.active_ineqs(w))
+    return eg, qg, act
 
 
 def patch_tangent_cone(m: PatchMap, w: Vec) -> ConeUnion:

@@ -19,7 +19,6 @@ from dircq.oracle import (
     graph_points_near,
     mpec_normality_candidates,
     probe_pseudo_or_super_coderivative,
-    project_onto_polyunion,
     sample_directional_normals,
     search_asym_reg_violation,
     search_mpec_normality,
@@ -82,7 +81,7 @@ def test_sample_interior_only_zero_normals():
 
 def test_project_onto_polyunion_exact():
     d = halfplane_union()
-    z = project_onto_polyunion(d, vec([-1, -1]))
+    z = oracle._nearest_on_hulls(oracle._face_hulls(d.pieces), vec([-1, -1]))
     # nearest points are (0,-1) and (-1,0); exact arithmetic picks one of them
     assert z in (vec([0, -1]), vec([-1, 0]))
     assert d.contains(z)
@@ -186,6 +185,7 @@ def test_nearest_tie_keeps_the_first_hull():
 def clear_oracle_caches():
     oracle._piece_hulls.cache_clear()
     oracle._normal_candidates.cache_clear()
+    oracle._graph_point_generators.cache_clear()
 
 
 @pytest.mark.parametrize("k_max", [12, 24])
@@ -246,6 +246,8 @@ def test_asym_reg_propagates_unrelated_errors(monkeypatch):
         raise DimensionMismatch("point has wrong dimension")
 
     monkeypatch.setattr(oracle, "patch_regular_normal_cone", broken)
+    # a cached graph point would not reach the broken builder
+    clear_oracle_caches()
     with pytest.raises(DimensionMismatch):
         search_asym_reg_violation(
             graph_line_and_parabola(), vec([0]), vec([0]), vec([1]), Schedule(k_max=12)
@@ -268,6 +270,27 @@ def test_asym_reg_violation_region_graph():
     t = rec.x[0]
     assert rec.y[0] == t * t
     assert rec.lam == vec([Q(1, 2) / t])
+
+
+@pytest.mark.parametrize("k_max", [12, 34])
+def test_asym_reg_builds_normal_cones_once_per_graph_point(monkeypatch, k_max):
+    calls = []
+    real = oracle.patch_regular_normal_cone
+
+    def counted(m, w):
+        calls.append((m, w))
+        return real(m, w)
+
+    monkeypatch.setattr(oracle, "patch_regular_normal_cone", counted)
+    m, schedule = graph_of_halfplane_and_parabola(), Schedule(k_max=k_max)
+    clear_oracle_caches()
+    cold = search_asym_reg_violation(m, vec([0]), vec([0]), vec([1]), schedule)
+    assert isinstance(cold, WitnessSequence)
+    assert calls and len(calls) == len(set(calls))
+    # repeated searches read every graph point's generators from the cache
+    for _ in range(2):
+        assert search_asym_reg_violation(m, vec([0]), vec([0]), vec([1]), schedule).records == cold.records
+    assert len(calls) == len(set(calls)) == oracle._graph_point_generators.cache_info().misses
 
 
 def test_asym_reg_violation_two_valued_graph():

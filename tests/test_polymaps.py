@@ -5,6 +5,8 @@ from fractions import Fraction as Q
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dircq.linalg import dot, mat_t_vec, vec
 from dircq.polymaps import Poly, PolyMap, parse_poly
@@ -157,3 +159,125 @@ def test_substitute_linear():
     q = p.substitute_linear([img])
     assert q.eval(vec([9, 1, 2])) == 9
     assert q.eval(vec([0, -1, 1])) == 0
+
+
+# ---------------------------------------------------------------------------
+# compiled kernels against plain Fraction arithmetic
+
+
+def ref_eval(p: Poly, x) -> Q:
+    """Term-by-term Fraction evaluation."""
+    x = vec(x)
+    if len(x) != p.nvars:
+        raise ValueError("point has wrong dimension")
+    total = Q(0)
+    for exps, coeff in p.terms:
+        v = coeff
+        for xi, e in zip(x, exps):
+            if e:
+                v *= xi**e
+        total += v
+    return total
+
+
+def ref_gradient(p: Poly, x):
+    return tuple(ref_eval(p.diff(i), x) for i in range(p.nvars))
+
+
+def ref_hessian(p: Poly, x):
+    return tuple(tuple(ref_eval(p.diff(i).diff(j), x) for j in range(p.nvars)) for i in range(p.nvars))
+
+
+@st.composite
+def _polys(draw, n):
+    """Polynomials of degree <= 3 in n variables; terms may cancel to 0."""
+    terms = []
+    for _ in range(draw(st.integers(0, 5))):
+        exps = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(lambda es: sum(es) <= 3))
+        terms.append((tuple(exps), draw(st.fractions(-9, 9, max_denominator=12))))
+    return Poly.make(terms, n)
+
+
+_COORD = {
+    "int": st.integers(-7, 7),
+    "fraction": st.fractions(-3, 3, max_denominator=6),
+    "large fraction": st.fractions(-3, 3, max_denominator=10**12),
+    "float": st.floats(-4, 4, allow_nan=False, allow_infinity=False),
+}
+
+
+@st.composite
+def _points(draw, n):
+    kinds = draw(st.sampled_from([*_COORD, "mixed"]))
+    coord = st.one_of(*_COORD.values()) if kinds == "mixed" else _COORD[kinds]
+    return tuple(draw(coord) for _ in range(n))
+
+
+def _is_exact(values) -> bool:
+    return all(type(v) is Q for v in values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_compiled_poly_kernels_match_fraction_arithmetic(data):
+    n = data.draw(st.integers(1, 3))
+    p = data.draw(_polys(n))
+    x = data.draw(_points(n))
+    value, grad, hess = p.eval(x), p.gradient(x), p.hessian(x)
+    assert value == ref_eval(p, x) and type(value) is Q
+    assert grad == ref_gradient(p, x) and _is_exact(grad)
+    assert hess == ref_hessian(p, x) and all(_is_exact(row) for row in hess)
+    for bad in (x + (1,), x[:-1]):
+        for kernel in (p.eval, p.gradient, p.hessian):
+            with pytest.raises(ValueError, match="wrong dimension"):
+                kernel(bad)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_compiled_map_kernels_match_fraction_arithmetic(data):
+    n, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    g = PolyMap.make([data.draw(_polys(n)) for _ in range(m)])
+    x, u = data.draw(_points(n)), vec(data.draw(_points(n)))
+    hessians = [ref_hessian(p, x) for p in g.components]
+    cols = [tuple(sum((h[i][j] * u[j] for j in range(n)), Q(0)) for i in range(n)) for h in hessians]
+    assert g.eval(x) == tuple(ref_eval(p, x) for p in g.components)
+    assert g.jacobian(x) == tuple(ref_gradient(p, x) for p in g.components)
+    assert g.curvature_matrix(x, u) == tuple(tuple(c[i] for c in cols) for i in range(n))
+    assert g.second_order_vector(x, u) == tuple(
+        sum((u[i] * h[i][j] * u[j] for i in range(n) for j in range(n)), Q(0)) for h in hessians
+    )
+    assert g.second_order(x, u) == (g.curvature_matrix(x, u), g.second_order_vector(x, u))
+    assert _is_exact(g.eval(x)) and _is_exact(g.second_order_vector(x, u))
+    with pytest.raises(ValueError, match="wrong dimension"):
+        g.jacobian(x + (0,))
+
+
+def test_zero_polynomial_kernels():
+    zero = Poly.make({(1, 0): Q(1), (0, 1): Q(2)}, 2) - Poly.make({(1, 0): Q(1), (0, 1): Q(2)}, 2)
+    assert zero.is_zero() and zero == Poly.make({}, 2)
+    x = (Q(1, 3), 2.5)
+    assert zero.eval(x) == 0 and type(zero.eval(x)) is Q
+    assert zero.gradient(x) == (Q(0), Q(0))
+    assert zero.hessian(x) == ((Q(0), Q(0)), (Q(0), Q(0)))
+    g = PolyMap.make([zero, zero])
+    assert g.second_order(x, (1, -1)) == (((Q(0), Q(0)), (Q(0), Q(0))), (Q(0), Q(0)))
+
+
+def test_derivative_table_is_built_once(monkeypatch):
+    calls = []
+    real = Poly.diff
+
+    def counted(self, i):
+        calls.append(i)
+        return real(self, i)
+
+    monkeypatch.setattr(Poly, "diff", counted)
+    p = parse_poly("x0^3 x1 - 2 x1^2 + x0", ["x0", "x1"])
+    x = vec([Q(1, 2), 3])
+    grad = p.gradient(x)
+    assert len(calls) == 2
+    assert p.gradient(x) == grad == (Q(3 * 3, 4) + 1, Q(1, 8) - 12)
+    assert len(calls) == 2
+    hess = p.hessian(x)
+    assert p.hessian(x) == hess and len(calls) == 2 + 4

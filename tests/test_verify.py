@@ -139,3 +139,39 @@ def test_witness_check_reads_no_oracle_cache(ex58_report, monkeypatch):
     for name in ("_piece_hulls", "_normal_candidates", "_face_hulls"):
         monkeypatch.setattr(oracle, name, unreadable)
     assert report._check_witness_sequence(pr, row, row["certificate"]) is None
+
+
+def test_certificate_checks_read_no_first_order_cache(ex58_report, monkeypatch):
+    from test_caches import cached_functions
+
+    from dircq import oracle, report
+
+    # the boundedness and clear-then-identical tests see both caches
+    assert {"dircq.cq._cached_context", "dircq.oracle._graph_point_generators"} <= set(cached_functions())
+    pr, rep = ex58_report
+    # objective -x0 has no M-multiplier at 0, so mstationarity FAILS with a Farkas chain
+    pr_neg = parse_problem({**EX58, "objective": "-x0"})
+    farkas = verdict_row(cq.mstationarity(pr_neg.system, pr_neg.objective), "xbar")
+    farkas = json.loads(dumps({"problem": "ex58", "rows": [farkas]}))["rows"][0]
+    assert farkas["certificate"]["kind"] == "farkas_chain"
+
+    def unreadable(*args):
+        raise AssertionError("a certificate check read a first- or second-order cache")
+
+    monkeypatch.setattr(cq, "_cached_context", unreadable)
+    monkeypatch.setattr(oracle, "_graph_point_generators", unreadable)
+    with pytest.raises(AssertionError, match="certificate check read"):
+        cq.foscms(pr.system, pr.direction("minus"))
+    checks = {
+        "kernel_witness": report._check_kernel_witness,
+        "multiplier": report._check_multiplier,
+        "witness_sequence": report._check_witness_sequence,
+    }
+    kinds = []
+    for row in rep["rows"]:
+        check = checks.get(row["certificate"] and row["certificate"]["kind"])
+        if check is not None:
+            assert check(pr, row, row["certificate"]) is None, row
+            kinds.append(row["certificate"]["kind"])
+    assert report._check_farkas_chain(pr_neg, farkas, farkas["certificate"]) is None
+    assert set(kinds) == set(checks) and kinds.count("kernel_witness") == 3

@@ -17,6 +17,13 @@ generators, so that a kernel witness stops them before later arrangements
 are built.  The driver poses every system in the same columns (s, y, z) and
 rows, decides the kernel system on the groups, and turns them into the
 source cones of achievable x* and the test ``achievable(x*)``.
+
+Directional pseudo- and quasi-normality share one candidate driver.  The
+constraint-map and equilibrium deciders each build their own kernel
+candidates and trivial-kernel certificate, then hand the nonzero candidates
+and their oracle search to ``_candidate_verdict``: FAILS on the first
+converged witness sequence, HOLDS by oracle exhaustion when every candidate
+is eliminated, else UNDECIDED with the survivors.
 """
 
 from __future__ import annotations
@@ -63,6 +70,7 @@ from dircq.unions import (
     limiting_normal_cone_of_union,
     limiting_union_at_cell,
     normal_graph,
+    sign_rows,
     tangent_cone,
     tangent_cone_of_union,
     tangent_of_cone_at,
@@ -291,14 +299,19 @@ class _Blocks:
         self.e.append(tuple(map(_exact, full)))
         self.d.append(_exact(rhs))
 
-    def add_cell(self, block: str, cell: Cell, hyper: tuple[Vec, ...], closed: bool = False):
-        """Rows putting the block in the cell's relative interior, or its closure."""
+    def add_cell(
+        self, block: str, cell: Cell, hyper: tuple[Vec, ...], closed: bool = False, affine=None
+    ):
+        """Rows putting the block in the cell's relative interior, or its
+        closure; with ``affine`` = (J, c), rows putting J x + c there."""
+        ineq, eq = sign_rows(hyper, cell.signs)
         side = self.row_le if closed else self.row_lt
-        for hrow, s in zip(hyper, cell.signs):
-            if s == 0:
-                self.row_eq(block, hrow)
-            else:
-                side(block, tuple(-x for x in hrow) if s == 1 else hrow)
+        for add_row, rows in ((side, ineq), (self.row_eq, eq)):
+            for r in rows:
+                if affine is None:
+                    add_row(block, r)
+                else:
+                    add_row(block, mat_t_vec(affine[0], r), rhs=-dot(r, affine[1]))
 
     def add_cone(self, block: str, cone: PolyhedralCone):
         for row in cone.ia:
@@ -339,21 +352,6 @@ class _Blocks:
 # the cell-system driver shared by the theorem checkers
 
 
-def _add_affine_cell_rows(
-    blk: _Blocks, block: str, cell: Cell, hyper: tuple[Vec, ...], jac: Mat, offset: Vec
-):
-    """Rows putting (J s + offset) in the relative interior of the cell."""
-    for hrow, s in zip(hyper, cell.signs):
-        coef = mat_t_vec(jac, hrow)
-        rhs = -dot(hrow, offset)
-        if s == 0:
-            blk.row_eq(block, coef, rhs=rhs)
-        elif s == 1:
-            blk.row_lt(block, tuple(-x for x in coef), rhs=-rhs)
-        else:
-            blk.row_lt(block, coef, rhs=rhs)
-
-
 def _cell_blocks(
     ctx: _Ctx,
     hyper: tuple[Vec, ...],
@@ -378,7 +376,7 @@ def _cell_blocks(
         sizes["z"] = m
     blk = _Blocks(sizes)
     if shift:
-        _add_affine_cell_rows(blk, "s", shift[1], shift[0], ctx.jac, scale(Fraction(1, 2), ctx.h))
+        blk.add_cell("s", shift[1], shift[0], affine=(ctx.jac, scale(Fraction(1, 2), ctx.h)))
     blk.add_cell("y", cell, hyper, closed)
     for row in ctx.ker_rows:
         blk.row_eq("y", row)
@@ -467,25 +465,30 @@ def _lambda_targets(ctx: _Ctx, lam_union: ConeUnion) -> ConeUnion:
     return ConeUnion.make(pieces, ctx.sys.n)
 
 
+def _piecewise_point(systems) -> tuple[Vec | None, int, list[dict]]:
+    """(x, i, []) for the first piece i whose system {a x <= b, e x = d}
+    has a point x, else (None, -1, one Farkas entry per piece).
+
+    ``systems`` yields (a, b, e, d, n) per piece and is read lazily, so the
+    pieces after the first feasible one are never built.
+    """
+    farkas = []
+    for i, (a, b, e, d, n) in enumerate(systems):
+        res = feasible_point(a, b, e, d, n=n)
+        if res.status == OPTIMAL:
+            return res.x, i, []
+        farkas.append({"piece": i, "farkas_ineq": res.farkas_ineq, "farkas_eq": res.farkas_eq})
+    return None, -1, farkas
+
+
 def _find_multiplier(
     ctx: _Ctx, lam_union: ConeUnion, xstar: Vec
 ) -> tuple[Vec | None, int, list[dict]]:
     """lambda in the union with J^T lambda = xstar, or per-piece Farkas data."""
-    farkas = []
-    for i, piece in enumerate(lam_union.pieces):
-        res = feasible_point(
-            piece.ia,
-            (0,) * len(piece.ia),
-            piece.ie + ctx.ker_rows,
-            (0,) * len(piece.ie) + tuple(xstar),
-            n=ctx.sys.m,
-        )
-        if res.status == OPTIMAL:
-            return res.x, i, []
-        farkas.append(
-            {"piece": i, "farkas_ineq": res.farkas_ineq, "farkas_eq": res.farkas_eq}
-        )
-    return None, -1, farkas
+    return _piecewise_point(
+        (p.ia, (0,) * len(p.ia), p.ie + ctx.ker_rows, (0,) * len(p.ie) + tuple(xstar), ctx.sys.m)
+        for p in lam_union.pieces
+    )
 
 
 def _lambda_condition(
@@ -613,7 +616,7 @@ def check_thm_polyhedral_II(
         for sigma in arr_t.cells:
             if shifted:
                 probe = _Blocks({"s": sys.n})
-                _add_affine_cell_rows(probe, "s", sigma, arr_t.hyperplanes, ctx.jac, h_half)
+                probe.add_cell("s", sigma, arr_t.hyperplanes, affine=(ctx.jac, h_half))
                 if probe.solve() is None:
                     continue
             n_sigma = limiting_union_at_cell(arr_t, sigma)
@@ -755,6 +758,37 @@ def _validate_basis(basis, m: int):
     return basis
 
 
+def _candidate_verdict(name: str, candidates: list[Vec], search, detail: str, **cert_extra) -> Verdict:
+    """The oracle verdict on the nonzero kernel candidates.
+
+    FAILS on the first candidate whose ``search`` returns a converged witness
+    sequence; HOLDS by oracle exhaustion, with the contradiction traces
+    (and ``cert_extra``), when every candidate is eliminated; else UNDECIDED
+    with the survivors, reported under ``detail``.
+    """
+    from dircq import oracle
+
+    traces = []
+    survivors = []
+    for cand in candidates:
+        res = search(cand)
+        if isinstance(res, oracle.WitnessSequence) and res.converged:
+            return Verdict(name, FAILS, {"kind": "witness_sequence", "candidate": cand, "sequence": res})
+        if isinstance(res, oracle.EliminationTrace) and res.eliminated:
+            traces.append(res)
+        else:
+            survivors.append(cand)
+    if not survivors:
+        return Verdict(
+            name,
+            HOLDS,
+            {"kind": "elimination_traces", "traces": tuple(traces), **cert_extra},
+            qualifier="oracle-exhaustion",
+        )
+    report = ConditionReport("kernel-candidates", "fails", detail, {"candidates": tuple(survivors)})
+    return Verdict(name, UNDECIDED, None, conditions=(report,), qualifier="surviving-candidates")
+
+
 def pseudo_quasi_verdict(
     sys: ConstraintSystem,
     u: Vec,
@@ -766,7 +800,8 @@ def pseudo_quasi_verdict(
 
     HOLDS when the kernel candidate set is trivial (the first-order condition
     then subsumes normality); FAILS carries a replayable sequence witness;
-    surviving candidates are reported as UNDECIDED, never as HOLDS.
+    surviving candidates are reported as UNDECIDED, never as HOLDS (the
+    constraint search finds witnesses and never eliminates a candidate).
     """
     from dircq import oracle
 
@@ -787,32 +822,11 @@ def pseudo_quasi_verdict(
     candidates = _candidate_rays(kernel)
     if not candidates:
         return Verdict(name, HOLDS, {"kind": "trivial_kernel", "pieces_checked": len(kernel.pieces)})
-    survivors = []
-    for cand in candidates:
-        found = oracle.search_normality_violation(
-            sys, vec(u), cand, basis=basis, schedule=schedule, mode=mode
-        )
-        if isinstance(found, oracle.WitnessSequence) and found.converged:
-            return Verdict(
-                name,
-                FAILS,
-                {"kind": "witness_sequence", "candidate": cand, "sequence": found},
-            )
-        survivors.append(cand)
-    return Verdict(
-        name,
-        UNDECIDED,
-        None,
-        conditions=(
-            ConditionReport(
-                "kernel-candidates",
-                "fails",
-                "nonzero candidates survived the search",
-                {"candidates": tuple(survivors)},
-            ),
-        ),
-        qualifier="surviving-candidates",
-    )
+
+    def search(cand: Vec):
+        return oracle.search_normality_violation(sys, vec(u), cand, basis=basis, schedule=schedule, mode=mode)
+
+    return _candidate_verdict(name, candidates, search, "nonzero candidates survived the search")
 
 
 def mpec_pseudo_quasi_verdict(
@@ -835,47 +849,20 @@ def mpec_pseudo_quasi_verdict(
     if is_zero(u):
         raise ValueError("direction u must be nonzero")
     name = f"{mode}-normality"
-    basis = _validate_basis(basis, mp.n1) if basis is not None else None
+    basis = _validate_basis(basis, mp.n1)
     cands_union, exact = oracle.mpec_normality_candidates(mp, vec(u))
     if cands_union.is_empty or cands_union.is_trivial():
         return Verdict(name, HOLDS, {"kind": "trivial_kernel", "exact_candidates": exact})
-    candidates = _candidate_rays(cands_union)
-    traces = []
-    survivors = []
-    for cand in candidates:
-        res = oracle.search_mpec_normality(
-            mp, vec(u), cand, schedule=schedule, mode=mode, basis=basis
-        )
-        if isinstance(res, oracle.WitnessSequence) and res.converged:
-            return Verdict(
-                name,
-                FAILS,
-                {"kind": "witness_sequence", "candidate": cand, "sequence": res},
-            )
-        if isinstance(res, oracle.EliminationTrace) and res.eliminated:
-            traces.append(res)
-            continue
-        survivors.append(cand)
-    if not survivors:
-        return Verdict(
-            name,
-            HOLDS,
-            {"kind": "elimination_traces", "traces": tuple(traces), "exact_candidates": exact},
-            qualifier="oracle-exhaustion",
-        )
-    return Verdict(
+
+    def search(cand: Vec):
+        return oracle.search_mpec_normality(mp, vec(u), cand, schedule=schedule, mode=mode, basis=basis)
+
+    return _candidate_verdict(
         name,
-        UNDECIDED,
-        None,
-        conditions=(
-            ConditionReport(
-                "kernel-candidates",
-                "fails",
-                "candidates survived both search and elimination",
-                {"candidates": tuple(survivors)},
-            ),
-        ),
-        qualifier="surviving-candidates",
+        _candidate_rays(cands_union),
+        search,
+        "candidates survived both search and elimination",
+        exact_candidates=exact,
     )
 
 
@@ -951,26 +938,17 @@ def patch_mstationarity(m, phi: Poly, xbar: Vec, ybar: Vec) -> Verdict:
     nx, ny = m.nx, m.ny
 
     def search(union: ConeUnion):
-        farkas = []
-        for i, piece in enumerate(union.pieces):
-            # lambda with (-grad, -lambda) in the piece
-            a_rows = [row[nx:] for row in piece.ia]
-            a_rhs = [dot(row[:nx], grad) for row in piece.ia]
-            e_rows = [row[nx:] for row in piece.ie]
-            e_rhs = [dot(row[:nx], grad) for row in piece.ie]
-            res = feasible_point(
-                tuple(tuple(-c for c in r) for r in a_rows),
-                vec(a_rhs),
-                tuple(tuple(-c for c in r) for r in e_rows),
-                vec(e_rhs),
-                n=ny,
+        # lambda with (-grad, -lambda) in the piece
+        return _piecewise_point(
+            (
+                tuple(tuple(-c for c in row[nx:]) for row in p.ia),
+                vec(dot(row[:nx], grad) for row in p.ia),
+                tuple(tuple(-c for c in row[nx:]) for row in p.ie),
+                vec(dot(row[:nx], grad) for row in p.ie),
+                ny,
             )
-            if res.status == OPTIMAL:
-                return res.x, i, farkas
-            farkas.append(
-                {"piece": i, "farkas_ineq": res.farkas_ineq, "farkas_eq": res.farkas_eq}
-            )
-        return None, -1, farkas
+            for p in union.pieces
+        )
 
     lam, piece, _ = search(bounds.certain)
     if lam is not None:

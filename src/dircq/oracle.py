@@ -15,9 +15,12 @@ points on every schedule step, every candidate multiplier and every call:
 ``HPolyhedron`` (its canonical int rows); ``_normal_candidates`` keeps
 the distinct face projections of a point that lie in a union, each with its
 regular normal cone, keyed on the ``PolyUnion`` and the point; and
-``_graph_point_generators`` keeps the generators of the regular normal cone
-of a patch map at a graph point, keyed on the ``PatchMap`` and the point.
-All three hold exact data derived from their key alone.
+``_graph_point_cone`` keeps the regular normal cone of a patch map at a
+graph point, or None when an active patch fails the regularity gate, keyed
+on the ``PatchMap`` and the point.  Every search that needs a patch normal
+cone (asymptotic regularity, the equilibrium normality search and the
+coderivative probes) reads it there.  All three hold exact data derived
+from their key alone.
 ``report.verify_report`` checks witnesses without reading any of them.
 """
 
@@ -58,7 +61,6 @@ from dircq.polyhedra import (
     generators,
     polyhedron_faces,
 )
-from dircq.polymaps import Poly
 from dircq.setmaps import (
     ConstraintSystem,
     GraphPatch,
@@ -79,9 +81,9 @@ FACE_CACHE_SIZE = 128
 # (union, point) pairs whose normal candidates ``_normal_candidates`` keeps:
 # one per schedule step of a search; the same pass asks for 121 of them.
 CANDIDATE_CACHE_SIZE = 1024
-# (patch map, graph point) pairs whose normal generators
-# ``_graph_point_generators`` keeps: a pass of the sequence workload meets
-# 86 distinct graph points.
+# (patch map, graph point) pairs whose regular normal cone
+# ``_graph_point_cone`` keeps: a pass of the sequence workload meets 86
+# distinct graph points.
 GRAPH_POINT_CACHE_SIZE = 512
 
 _log = logging.getLogger(__name__)
@@ -89,14 +91,13 @@ _log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class Schedule:
-    """Deterministic decreasing scales t_k with an optional second scale."""
+    """Deterministic decreasing scales t_k; ``gamma`` is the power of the
+    coderivative probes' second scale."""
 
     kind: str = "geometric"  # t_k = 2^-k; "harmonic" gives 1/k
     k_min: int = 1
     k_max: int = 60
-    coupling: str = "none"  # "ratio_to_zero" | "ratio_to_inf" | "power"
     gamma: Fraction = Fraction(2)
-    tol: float = 1e-10
 
     def steps(self) -> range:
         return range(self.k_min, self.k_max + 1)
@@ -105,16 +106,6 @@ class Schedule:
         if self.kind == "harmonic":
             return Fraction(1, k)
         return Fraction(1, 2**k)
-
-    def tau(self, k: int, unorm: Fraction = Fraction(1)) -> Fraction:
-        t = self.t(k)
-        if self.coupling == "ratio_to_zero":
-            return t * t
-        if self.coupling == "ratio_to_inf":
-            return Fraction(1, 2 ** max(1, k // 2)) if self.kind == "geometric" else Fraction(1, max(1, int(k**0.5)))
-        if self.coupling == "power":
-            return _rational_power(t * unorm, self.gamma)
-        return t
 
 
 def _rational_power(base: Fraction, gamma: Fraction) -> Fraction:
@@ -335,19 +326,7 @@ def sample_directional_normals(
 # the defining polynomial is linear in y, numerically + snap otherwise)
 
 
-def _y_coeffs(poly: Poly, x: Vec, nx: int) -> dict[int, Fraction]:
-    """Nonzero coefficients of poly(x, .) by power of the single y variable."""
-    coeffs: dict[int, Fraction] = {}
-    for exps, c in poly.terms:
-        ye = exps[nx]
-        xval = Fraction(1)
-        for j in range(nx):
-            xval *= x[j] ** exps[j]
-        coeffs[ye] = coeffs.get(ye, Fraction(0)) + c * xval
-    return {e: c for e, c in coeffs.items() if c != 0}
-
-
-def _solve_univariate(coeffs: dict[int, Fraction], max_den: int) -> list[Fraction]:
+def _solve_univariate(coeffs: dict[int, Fraction]) -> list[Fraction]:
     """Roots of the polynomial in y with these coefficients, exact when linear."""
     deg = max(coeffs) if coeffs else 0
     if deg == 0:
@@ -358,11 +337,11 @@ def _solve_univariate(coeffs: dict[int, Fraction], max_den: int) -> list[Fractio
     out = []
     for r in np.roots(arr):
         if abs(r.imag) <= 1e-9:
-            out.append(rationalize(float(r.real), max_den))
+            out.append(rationalize(float(r.real), 10**12))
     return out
 
 
-def _patch_graph_points(patch: GraphPatch, x: Vec, max_den: int = 10**12) -> list[Vec]:
+def _patch_graph_points(patch: GraphPatch, x: Vec) -> list[Vec]:
     """Graph points (x, y) on the patch: equality solutions and boundary arcs.
 
     The arcs are the equalities that still involve y at this x; when none
@@ -371,12 +350,11 @@ def _patch_graph_points(patch: GraphPatch, x: Vec, max_den: int = 10**12) -> lis
     """
     if patch.ny != 1:
         return []
-    nx = patch.nx
-    eq_arcs = [cs for cs in (_y_coeffs(p, x, nx) for p in patch.eqs) if max(cs, default=0) > 0]
-    arcs = eq_arcs or [_y_coeffs(q, x, nx) for q in patch.ineqs]
+    eq_arcs = [cs for cs in (p.y_coeffs(x) for p in patch.eqs) if max(cs, default=0) > 0]
+    arcs = eq_arcs or [q.y_coeffs(x) for q in patch.ineqs]
     pts: list[Vec] = []
     for arc in arcs:
-        for y0 in _solve_univariate(arc, max_den):
+        for y0 in _solve_univariate(arc):
             w = vec(tuple(x) + (y0,))
             if patch.contains(w):
                 pts.append(w)
@@ -389,19 +367,29 @@ def graph_points_near(m: PatchMap, x: Vec) -> list[Vec]:
 
 
 @lru_cache(maxsize=GRAPH_POINT_CACHE_SIZE)
-def _graph_point_generators(m: PatchMap, w: Vec) -> tuple[Vec, ...] | None:
-    """Rays, lines and negated lines of the regular normal cone of m at the
-    graph point w, or None when an active patch fails the regularity gate.
+def _graph_point_cone(m: PatchMap, w: Vec) -> PolyhedralCone | None:
+    """The regular normal cone of m at the graph point w, or None when an
+    active patch fails the regularity gate.
 
     Cached on (m, w), GRAPH_POINT_CACHE_SIZE entries: every schedule step
-    and every call of a search solves the same graph points.
+    and every call of a search solves the same graph points.  A caller that
+    skips a point on None logs the skip itself, so it shows on every call.
     """
     try:
-        ncone = patch_regular_normal_cone(m, w)
+        return patch_regular_normal_cone(m, w)
     except PatchRegularityError:
         return None
-    rays, lin = generators(ncone)
-    return tuple(rays) + tuple(lin) + tuple(neg(l) for l in lin)
+
+
+def _outside_image(m: PatchMap, base: Vec, xstar: Vec, gdir: Vec | None = None) -> bool | None:
+    """Whether x* lies outside the exact upper bound of Im D*m at base (in
+    the graph direction gdir), or None when the exact analysis is rejected."""
+    try:
+        img = patch_coderivative_image(m, base, gdir)
+    except PatchRegularityError as exc:
+        _log.debug("no image check at %s in direction %s: %s", base, gdir, exc)
+        return None
+    return not img.upper.contains(xstar)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +402,6 @@ def search_asym_reg_violation(
     ybar: Vec,
     u: Vec,
     schedule: Schedule | None = None,
-    require_infeasible: bool = False,
 ) -> WitnessSequence | str:
     """Sequences along direction u whose coderivative outputs escape the image.
 
@@ -425,9 +412,9 @@ def search_asym_reg_violation(
     against the exact coderivative image at the base point; a tight exact
     bound there upgrades the witness to a proof.
 
-    ``require_infeasible`` enforces x_k outside the preimage of ybar; the
-    flag is otherwise only recorded per step, because maps whose preimage is
-    everything still carry the classical blow-up witnesses.
+    Whether x_k lies in the preimage of ybar is only recorded per step:
+    maps whose preimage is everything still carry the classical blow-up
+    witnesses.
     """
     schedule = schedule or Schedule()
     nx, ny = m.nx, m.ny
@@ -436,18 +423,17 @@ def search_asym_reg_violation(
         t = schedule.t(k)
         x = add(xbar, scale(t, u))
         in_preimage = m.graph_contains(x, ybar)
-        if require_infeasible and in_preimage:
-            continue
         best: tuple | None = None
         for w in graph_points_near(m, x):
             y = w[nx:]
             if y == ybar:
                 continue
-            gens = _graph_point_generators(m, w)
-            if gens is None:
+            ncone = _graph_point_cone(m, w)
+            if ncone is None:
                 _log.debug("skipping graph point %s: an active patch fails the regularity gate", w)
                 continue
-            for gen in gens:
+            rays, lin = generators(ncone)
+            for gen in rays + lin + tuple(neg(l) for l in lin):
                 gx, gy = gen[:nx], gen[nx:]
                 if is_zero(gx) or is_zero(gy):
                     continue
@@ -481,25 +467,14 @@ def search_asym_reg_violation(
     # exact image checks at the base point (plain and in graph direction (u, 0))
     base = vec(tuple(xbar) + tuple(ybar))
     gdir = vec(tuple(u) + tuple(Fraction(0) for _ in range(ny)))
-    outside_plain = outside_dir = None
-    try:
-        img_all = patch_coderivative_image(m, base)
-        outside_plain = not img_all.upper.contains(xstar)
-    except PatchRegularityError as exc:
-        _log.debug("no image check at %s: %s", base, exc)
-    try:
-        img_dir = patch_coderivative_image(m, base, gdir)
-        outside_dir = not img_dir.upper.contains(xstar)
-    except PatchRegularityError as exc:
-        _log.debug("no directional image check at %s: %s", base, exc)
     return WitnessSequence(
         kind="asymptotic-regularity-violation",
         records=tuple(records),
         limit_xstar=xstar,
         limit_ystar=ystar_scaled,
         converged=True,
-        outside_image=outside_plain,
-        outside_directional_image=outside_dir,
+        outside_image=_outside_image(m, base, xstar),
+        outside_directional_image=_outside_image(m, base, xstar, gdir),
     )
 
 
@@ -662,7 +637,7 @@ def probe_pseudo_or_super_coderivative(
     "super": offsets tau_k v with tau_k / t_k -> 0 and outputs rescaled by
     (tau_k |v|) / (t_k |u|).
     """
-    schedule = schedule or Schedule(coupling="power")
+    schedule = schedule or Schedule()
     nx, ny = m.nx, m.ny
     unorm = Fraction(rationalize(_norm(u), 10**9))
     vnorm = Fraction(rationalize(_norm(v), 10**9))
@@ -685,10 +660,9 @@ def probe_pseudo_or_super_coderivative(
         w = vec(tuple(x) + tuple(y))
         if not m.graph_contains(x, y):
             continue
-        try:
-            ncone = patch_regular_normal_cone(m, w)
-        except PatchRegularityError as exc:
-            _log.debug("skipping probe point %s: %s", w, exc)
+        ncone = _graph_point_cone(m, w)
+        if ncone is None:
+            _log.debug("skipping probe point %s: an active patch fails the regularity gate", w)
             continue
         # D^*Phi(point)(ystar) = {w : (w, -ystar) in N}: an affine slice
         values = _coderivative_slice(ncone, ystar, nx, ny)
@@ -824,10 +798,9 @@ def search_mpec_normality(
             for patch in mp.s.patches:
                 for spt in _patch_graph_points(patch, x1):
                     sval = spt[n1:]
-                    try:
-                        n_s = patch_regular_normal_cone(mp.s, spt)
-                    except PatchRegularityError as exc:
-                        _log.debug("skipping graph point %s: %s", spt, exc)
+                    n_s = _graph_point_cone(mp.s, spt)
+                    if n_s is None:
+                        _log.debug("skipping graph point %s: an active patch fails the regularity gate", spt)
                         continue
                     val, pin = _mpec_alignment_lp(
                         lam, n_s, n_omega, n1, n2, eps

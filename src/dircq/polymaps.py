@@ -14,8 +14,8 @@ their lcm L, with the total degree d.
 Fractions in, Fractions out, ints inside: ``read_point`` scales a point to
 ints xs over one denominator den (``linalg.int_row``; int, Fraction and
 float entries), and ``int_value`` gives L den^d p(xs / den) as an int, whose
-sign is the sign of p there.  ``eval``, ``gradient`` and ``hessian`` build a
-Fraction only for each value they return, and ``PolyMap`` reads a point once
+sign is the sign of p there.  ``eval``, ``gradient``, ``hessian`` and
+``y_coeffs`` build a Fraction only for each value they return, and ``PolyMap`` reads a point once
 for all its components.  Every value equals the one plain Fraction
 arithmetic gives.
 """
@@ -134,6 +134,26 @@ class Poly:
 
     def eval(self, x: Sequence) -> Fraction:
         return self.eval_ints(*read_point(x, self.nvars))
+
+    def y_coeffs(self, x: Sequence) -> dict[int, Fraction]:
+        """Nonzero coefficients of p(x, y) by power of y, the last variable,
+        at the point x of the others; all over the one denominator L den^d."""
+        iy = self.nvars - 1
+        xs, den = read_point(x, iy)
+        terms, lden, degree = self._int_form
+        nums: dict[int, int] = {}
+        for c, missing, factors in terms:
+            ye = 0
+            for i, e in factors:
+                if i == iy:
+                    ye = e
+                else:
+                    c *= xs[i] ** e
+            if den != 1 and missing + ye:
+                c *= den ** (missing + ye)
+            nums[ye] = nums.get(ye, 0) + c
+        total_den = lden * den**degree
+        return {e: Fraction(v, total_den) for e, v in nums.items() if v}
 
     def diff(self, i: int) -> "Poly":
         acc: dict[tuple[int, ...], Fraction] = {}

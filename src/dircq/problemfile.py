@@ -8,16 +8,18 @@ integers).  It carries exactly one of four model blocks:
   graphset    the graph itself as a union of H-systems in (x, y) space,
   mpec        an equilibrium assembly (Omega pieces plus solution-map patches),
 
-together with analysis points, named directions, optional objective, basis
-and schedule overrides, and optional declared cone data for points where the
-truncated model is not locally exact.  Families ("staircase", "comb") expand
-to K-indexed piece lists so truncation stays a load-time parameter.
+together with analysis points, named directions, an optional objective and
+basis, and optional declared cone data for points where the truncated model
+is not locally exact.  Families ("staircase", "comb") expand to K-indexed
+piece lists so truncation stays a load-time parameter.  The oracle's
+schedules are not part of a problem: a ``schedule`` block is rejected rather
+than ignored.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from dircq.linalg import Vec
@@ -169,9 +171,6 @@ class Problem:
     mpec_omega: PolyUnion | None = None
     mpec_s: PatchMap | None = None
     basis: tuple[Vec, ...] | None = None
-    schedule_overrides: dict = field(default_factory=dict)
-    truncation: int | None = None
-    raw: dict = field(default_factory=dict)
 
     @property
     def n(self) -> int:
@@ -235,6 +234,8 @@ def parse_problem(data: dict, truncate_k: int | None = None) -> Problem:
         raise ProblemFormatError(
             f"unsupported problem version {data.get('version')!r}; expected {SCHEMA_VERSION}"
         )
+    if "schedule" in data:
+        raise ProblemFormatError("schedule: problem files take no schedule block")
     blocks = [k for k in ("constraint", "patch", "graphset", "mpec") if k in data]
     if len(blocks) != 1:
         raise ProblemFormatError(
@@ -245,13 +246,11 @@ def parse_problem(data: dict, truncate_k: int | None = None) -> Problem:
     points = {k: _vec(v) for k, v in data.get("points", {}).items()}
     directions = {k: _vec(v) for k, v in data.get("directions", {}).items()}
     objective = None
-    schedule = dict(data.get("schedule", {}))
     basis = None
     if "basis" in data and "vectors" in data["basis"]:
         basis = tuple(_vec(v) for v in data["basis"]["vectors"])
 
     kwargs: dict = {}
-    truncation = None
     blk = data[kind]
     if kind == "constraint":
         n = _int_field(blk, "n", kind)
@@ -313,8 +312,5 @@ def parse_problem(data: dict, truncate_k: int | None = None) -> Problem:
         directions=directions,
         objective=objective,
         basis=basis,
-        schedule_overrides=schedule,
-        truncation=truncation,
-        raw=data,
         **kwargs,
     )

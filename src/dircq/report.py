@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from dircq import __version__
 from dircq.cq import FAILS, HOLDS, UNDECIDED, Verdict
-from dircq.linalg import Vec, dot, is_zero, mat_t_vec, vec
+from dircq.linalg import Vec, dot, is_zero, mat_t_vec, unit, vec
 from dircq.simplex import verify_farkas
 
 REPORT_VERSION = 1
@@ -256,6 +256,10 @@ def _check_farkas_chain(problem, row, cert) -> str | None:
 
 
 def _check_witness_sequence(problem, row, cert) -> str | None:
+    """Replays a constraint witness: z_k in D, lambda normal at z_k and
+    <lambda, g(x_k) - z_k> > 0; a quasi-normality row also needs
+    <lambda, e> <g(x_k) - z_k, e> > 0 for every basis vector e with
+    <lambda, e> != 0 (the problem's basis, else the unit vectors)."""
     seq = cert.get("sequence", {})
     records = seq.get("records", [])
     if not records:
@@ -265,6 +269,9 @@ def _check_witness_sequence(problem, row, cert) -> str | None:
 
         sys = problem.system
         lam = _decode_vec(cert["candidate"])
+        quasi_basis = ()
+        if row["check"] == "quasi-normality":
+            quasi_basis = problem.basis or tuple(unit(len(lam), i) for i in range(len(lam)))
         for rec in records:
             x = _decode_vec(rec["x"])
             z = _decode_vec(rec["y"])
@@ -276,4 +283,8 @@ def _check_witness_sequence(problem, row, cert) -> str | None:
             gap = tuple(a - b for a, b in zip(sys.g.eval(x), z))
             if dot(lam, gap) <= 0:
                 return f"sign condition fails at k={rec['k']}"
+            for i, e in enumerate(quasi_basis):
+                le = dot(lam, e)
+                if le != 0 and le * dot(gap, e) <= 0:
+                    return f"quasi sign condition fails on basis vector {i} at k={rec['k']}"
     return None

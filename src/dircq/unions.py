@@ -230,7 +230,7 @@ def sign_cells(hyper: tuple[IntVec, ...], n: int, alive=None, a: IntMat = (), e:
     """
 
     def feasible(signs: list[int]) -> Vec | None:
-        strict_rows, eq_rows = _sign_rows(hyper, signs)
+        strict_rows, eq_rows = sign_rows(hyper, signs)
         return strict_feasible_point(
             tuple(strict_rows),
             (0,) * len(strict_rows),
@@ -297,7 +297,7 @@ def arrangement(k: ConeUnion, extra: tuple[Vec, ...] = ()) -> Arrangement:
     return Arrangement(hyper, tuple(cells), k)
 
 
-def _sign_rows(hyper: tuple[IntVec, ...], signs) -> tuple[list[IntVec], list[IntVec]]:
+def sign_rows(hyper: tuple[IntVec, ...], signs) -> tuple[list[IntVec], list[IntVec]]:
     """(rows r with r.x < 0 on the cell's relative interior, rows with r.x = 0)."""
     ineq, eq = [], []
     for h, s in zip(hyper, signs):
@@ -309,7 +309,7 @@ def _sign_rows(hyper: tuple[IntVec, ...], signs) -> tuple[list[IntVec], list[Int
 
 
 def _closure_cone(hyper: tuple[IntVec, ...], signs, n: int) -> PolyhedralCone:
-    a, e = _sign_rows(hyper, signs)
+    a, e = sign_rows(hyper, signs)
     return PolyhedralCone.make(a=a, e=e, dim=n)
 
 

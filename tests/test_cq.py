@@ -1,13 +1,17 @@
 """CQ deciders on the worked fixture: the full ladder of Example-5.8-type data."""
 
 from fractions import Fraction as Q
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dircq.cq import (
     FAILS,
     HOLDS,
     UNDECIDED,
+    _Blocks,
     check_thm_nonpolyhedral,
     check_thm_polyhedral_I,
     check_thm_polyhedral_II,
@@ -188,3 +192,43 @@ def test_mstationarity_fails_with_farkas():
     v = mstationarity(sys, phi)
     assert v.status == FAILS
     assert v.certificate["pieces"]
+
+
+# ---------------------------------------------------------------------------
+# cell rows: one sign-vector mapping, rows in hyperplane order
+
+
+def _reference_cell_rows(blk, block, signs, hyper, closed=False, affine=None):
+    """Rows of the cell, one hyperplane at a time (strict or closed, and equality)."""
+    side = blk.row_le if closed else blk.row_lt
+    for hrow, s in zip(hyper, signs):
+        coef, rhs = hrow, 0
+        if affine is not None:
+            coef, rhs = mat_t_vec(affine[0], hrow), -dot(hrow, affine[1])
+        if s == 0:
+            blk.row_eq(block, coef, rhs=rhs)
+        elif s == 1:
+            side(block, tuple(-x for x in coef), rhs=-rhs)
+        else:
+            side(block, coef, rhs=rhs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_cell_rows_match_the_per_hyperplane_mapping(data):
+    m, n = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    rational = st.fractions(-4, 4, max_denominator=5)
+    row = st.lists(st.integers(-3, 3), min_size=m, max_size=m).map(tuple)
+    hyper = tuple(data.draw(row) for _ in range(data.draw(st.integers(0, 5))))
+    signs = tuple(data.draw(st.sampled_from((-1, 0, 1))) for _ in hyper)
+    affine = data.draw(st.sampled_from((None, "affine")))
+    if affine:
+        jac = tuple(tuple(data.draw(rational) for _ in range(n)) for _ in range(m))
+        affine = (jac, tuple(data.draw(rational) for _ in range(m)))
+    closed = affine is None and data.draw(st.booleans())
+    size = n if affine else m
+    new, ref = _Blocks({"s": size}), _Blocks({"s": size})
+    new.add_cell("s", SimpleNamespace(signs=signs), hyper, closed, affine)
+    _reference_cell_rows(ref, "s", signs, hyper, closed, affine)
+    for attr in ("strict_a", "strict_b", "a", "b", "e", "d"):
+        assert getattr(new, attr) == getattr(ref, attr), attr

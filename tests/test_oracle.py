@@ -185,7 +185,7 @@ def test_nearest_tie_keeps_the_first_hull():
 def clear_oracle_caches():
     oracle._piece_hulls.cache_clear()
     oracle._normal_candidates.cache_clear()
-    oracle._graph_point_generators.cache_clear()
+    oracle._graph_point_cone.cache_clear()
 
 
 @pytest.mark.parametrize("k_max", [12, 24])
@@ -287,10 +287,10 @@ def test_asym_reg_builds_normal_cones_once_per_graph_point(monkeypatch, k_max):
     cold = search_asym_reg_violation(m, vec([0]), vec([0]), vec([1]), schedule)
     assert isinstance(cold, WitnessSequence)
     assert calls and len(calls) == len(set(calls))
-    # repeated searches read every graph point's generators from the cache
+    # repeated searches read every graph point's normal cone from the cache
     for _ in range(2):
         assert search_asym_reg_violation(m, vec([0]), vec([0]), vec([1]), schedule).records == cold.records
-    assert len(calls) == len(set(calls)) == oracle._graph_point_generators.cache_info().misses
+    assert len(calls) == len(set(calls)) == oracle._graph_point_cone.cache_info().misses
 
 
 def test_asym_reg_violation_two_valued_graph():
@@ -384,6 +384,27 @@ def test_mpec_elimination_ex47():
     assert all(b2 <= b1 + 1e-15 for b1, b2 in zip(bounds[-6:], bounds[-5:]))
 
 
+@pytest.mark.parametrize("k_max", [12, 24])
+def test_mpec_searches_build_normal_cones_once_per_graph_point(monkeypatch, k_max):
+    calls = []
+    real = oracle.patch_regular_normal_cone
+
+    def counted(m, w):
+        calls.append((m, w))
+        return real(m, w)
+
+    monkeypatch.setattr(oracle, "patch_regular_normal_cone", counted)
+    mp, schedule = ex47_problem(), Schedule(k_max=k_max)
+    clear_oracle_caches()
+    # along u = (-1, 0) the offset y1 = t from Omega passes the sign conditions
+    first = search_mpec_normality(mp, vec([-1, 0]), vec([1]), schedule)
+    assert calls and len(calls) == len(set(calls))
+    # a second candidate and a repeated search visit the same graph points
+    search_mpec_normality(mp, vec([-1, 0]), vec([2]), schedule, mode="quasi")
+    assert search_mpec_normality(mp, vec([-1, 0]), vec([1]), schedule) == first
+    assert len(calls) == len(set(calls)) == oracle._graph_point_cone.cache_info().misses
+
+
 def test_mpec_pseudo_quasi_verdict_ex47():
     mp = ex47_problem()
     for u in (vec([0, 1]), vec([-1, 0]), vec([1, 0]), vec([0, -1])):
@@ -405,7 +426,7 @@ def test_probe_pseudo_coderivative_power_two():
         vec([1]),
         vec([1]),
         vec([Q(1, 2)]),
-        Schedule(k_max=16, coupling="power"),
+        Schedule(k_max=16),
         variant="power",
     )
     assert ev.records
@@ -424,7 +445,7 @@ def test_probe_super_on_linear_patch():
         vec([1]),
         vec([2]),
         vec([1]),
-        Schedule(k_max=12, coupling="ratio_to_zero"),
+        Schedule(k_max=12),
         variant="super",
     )
     for rec in ev.records:

@@ -253,6 +253,38 @@ def test_compiled_map_kernels_match_fraction_arithmetic(data):
         g.jacobian(x + (0,))
 
 
+def ref_y_coeffs(p: Poly, x) -> dict:
+    """Term-by-term Fraction coefficients of p(x, .) by power of the last variable."""
+    x, nx = vec(x), p.nvars - 1
+    coeffs: dict[int, Q] = {}
+    for exps, c in p.terms:
+        xval = Q(1)
+        for j in range(nx):
+            xval *= x[j] ** exps[j]
+        coeffs[exps[nx]] = coeffs.get(exps[nx], Q(0)) + c * xval
+    return {e: c for e, c in coeffs.items() if c != 0}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_y_coeffs_match_fraction_arithmetic(data):
+    nx = data.draw(st.integers(0, 3))
+    p = data.draw(_polys(nx + 1))
+    x = data.draw(_points(nx))
+    coeffs = p.y_coeffs(x)
+    assert coeffs == ref_y_coeffs(p, x) and _is_exact(coeffs.values())
+    with pytest.raises(ValueError, match="wrong dimension"):
+        p.y_coeffs(x + (1,))
+
+
+def test_y_coeffs_of_a_patch_arc():
+    # y0 - x0^2 at x0 = 1/3, and 1/4 - y0 (no x0) at any x0
+    names = ["x0", "y0"]
+    assert parse_poly("y0 - x0^2", names).y_coeffs((Q(1, 3),)) == {0: Q(-1, 9), 1: 1}
+    assert parse_poly("1/4 - y0", names).y_coeffs((Q(1, 2),)) == {0: Q(1, 4), 1: -1}
+    assert parse_poly("x0 y0 - x0 y0", names).y_coeffs((2,)) == {}
+
+
 def test_zero_polynomial_kernels():
     zero = Poly.make({(1, 0): Q(1), (0, 1): Q(2)}, 2) - Poly.make({(1, 0): Q(1), (0, 1): Q(2)}, 2)
     assert zero.is_zero() and zero == Poly.make({}, 2)

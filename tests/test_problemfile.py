@@ -106,3 +106,12 @@ def test_family_k_must_be_an_integer():
     data = replaced(fixture("comb"), ("patch", "family", "K"), "1/2")
     with pytest.raises(ProblemFormatError, match=r"patch\.family\.K: not an integer: '1/2'"):
         parse_problem(data)
+
+
+@pytest.mark.parametrize("name", ["ex58", "ex47", "staircase", "comb"])
+@pytest.mark.parametrize("schedule", [{"k_max": 12}, {}])
+def test_schedule_block_is_rejected(name, schedule):
+    # no decider reads a problem's schedule, so the block is an error, not a no-op
+    data = {**fixture(name), "schedule": schedule}
+    with pytest.raises(ProblemFormatError, match="schedule: problem files take no schedule block"):
+        parse_problem(data)

@@ -147,7 +147,7 @@ def test_certificate_checks_read_no_first_order_cache(ex58_report, monkeypatch):
     from dircq import oracle, report
 
     # the boundedness and clear-then-identical tests see both caches
-    assert {"dircq.cq._cached_context", "dircq.oracle._graph_point_generators"} <= set(cached_functions())
+    assert {"dircq.cq._cached_context", "dircq.oracle._graph_point_cone"} <= set(cached_functions())
     pr, rep = ex58_report
     # objective -x0 has no M-multiplier at 0, so mstationarity FAILS with a Farkas chain
     pr_neg = parse_problem({**EX58, "objective": "-x0"})
@@ -159,7 +159,7 @@ def test_certificate_checks_read_no_first_order_cache(ex58_report, monkeypatch):
         raise AssertionError("a certificate check read a first- or second-order cache")
 
     monkeypatch.setattr(cq, "_cached_context", unreadable)
-    monkeypatch.setattr(oracle, "_graph_point_generators", unreadable)
+    monkeypatch.setattr(oracle, "_graph_point_cone", unreadable)
     with pytest.raises(AssertionError, match="certificate check read"):
         cq.foscms(pr.system, pr.direction("minus"))
     checks = {
@@ -175,3 +175,33 @@ def test_certificate_checks_read_no_first_order_cache(ex58_report, monkeypatch):
             kinds.append(row["certificate"]["kind"])
     assert report._check_farkas_chain(pr_neg, farkas, farkas["certificate"]) is None
     assert set(kinds) == set(checks) and kinds.count("kernel_witness") == 3
+
+
+def test_quasi_witness_is_checked_per_basis_vector():
+    from fractions import Fraction as Q
+
+    from dircq import report
+
+    pr = parse_problem({**EX58, "basis": {"vectors": [[1, 1], [1, -1]]}})
+    u = pr.direction("minus")
+    rows = [
+        verdict_row(cq.pseudo_quasi_verdict(pr.system, u, basis=pr.basis, mode=mode), "xbar", "minus")
+        for mode in ("pseudo", "quasi")
+    ]
+    rep = json.loads(dumps({"problem": "ex58", "rows": rows}))
+    assert [r["check"] for r in rep["rows"]] == ["pseudo-normality", "quasi-normality"]
+    assert verify_report(rep, pr) == []
+    pseudo, quasi = rep["rows"]
+    assert quasi["certificate"]["candidate"] == ["0", "-1"]
+    # g(x) = (x, -x^2); z = (x + 2x^2, 0) stays in D with lambda = (0, -1) normal there,
+    # and gap = (-2x^2, -x^2) keeps <lambda, gap> > 0, but <gap, (1, -1)> = -x^2 < 0
+    # while <lambda, (1, -1)> = 1
+    for row in (pseudo, quasi):
+        rec = row["certificate"]["sequence"]["records"][-1]
+        x = Q(rec["x"][0])
+        rec["y"] = [str(x + 2 * x * x), "0"]
+    assert report._check_witness_sequence(pr, pseudo, pseudo["certificate"]) is None
+    k = quasi["certificate"]["sequence"]["records"][-1]["k"]
+    assert verify_report(rep, pr) == [
+        f"row 1 (quasi-normality/xbar/minus): quasi sign condition fails on basis vector 1 at k={k}"
+    ]

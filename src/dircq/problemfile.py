@@ -22,7 +22,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from dircq.linalg import Vec
+from dircq.linalg import Vec, is_orthogonal_basis
 from dircq.polyhedra import HPolyhedron, PolyhedralCone
 from dircq.polymaps import Poly, PolyMap, parse_poly
 from dircq.setmaps import ConstraintSystem, DeclaredCone, GraphPatch, PatchMap
@@ -246,9 +246,6 @@ def parse_problem(data: dict, truncate_k: int | None = None) -> Problem:
     points = {k: _vec(v) for k, v in data.get("points", {}).items()}
     directions = {k: _vec(v) for k, v in data.get("directions", {}).items()}
     objective = None
-    basis = None
-    if "basis" in data and "vectors" in data["basis"]:
-        basis = tuple(_vec(v) for v in data["basis"]["vectors"])
 
     kwargs: dict = {}
     blk = data[kind]
@@ -305,6 +302,15 @@ def parse_problem(data: dict, truncate_k: int | None = None) -> Problem:
                 data["objective"], [f"x{i}" for i in range(omega.dim + ny)]
             )
 
+    basis = None
+    if "basis" in data:
+        # quasi-normality takes its signs in the image space of g, resp. in Omega's space
+        dim = None
+        if kind == "constraint":
+            dim = kwargs["system"].m
+        elif kind == "mpec":
+            dim = kwargs["mpec_omega"].dim
+        basis = _basis(data["basis"], dim)
     return Problem(
         name=name,
         kind=kind,
@@ -314,3 +320,17 @@ def parse_problem(data: dict, truncate_k: int | None = None) -> Problem:
         basis=basis,
         **kwargs,
     )
+
+
+def _basis(blk, dim: int | None) -> tuple[Vec, ...]:
+    """The pairwise orthogonal nonzero vectors of a basis block, dim of them
+    (their count, when dim is None), each of length dim."""
+    vectors = _list_field(blk, "vectors", "basis")
+    if not all(isinstance(v, list) for v in vectors):
+        raise ProblemFormatError("basis.vectors: expected a list of vectors")
+    basis = tuple(_vec(v) for v in vectors)
+    if dim is None:
+        dim = len(basis)
+    if any(len(v) != dim for v in basis) or not is_orthogonal_basis(basis, dim):
+        raise ProblemFormatError(f"basis.vectors: expected {dim} pairwise orthogonal nonzero vectors of length {dim}")
+    return basis

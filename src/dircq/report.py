@@ -256,35 +256,64 @@ def _check_farkas_chain(problem, row, cert) -> str | None:
 
 
 def _check_witness_sequence(problem, row, cert) -> str | None:
-    """Replays a constraint witness: z_k in D, lambda normal at z_k and
-    <lambda, g(x_k) - z_k> > 0; a quasi-normality row also needs
-    <lambda, e> <g(x_k) - z_k, e> > 0 for every basis vector e with
-    <lambda, e> != 0 (the problem's basis, else the unit vectors)."""
+    """Replays every record of a witness sequence in plain Fractions.
+
+    For a constraint problem: z_k in D, lambda normal at z_k and
+    <lambda, g(x_k) - z_k> > 0.  For an MPEC problem: the first-block point
+    x1_k + y1_k lies in Omega and the offset y1_k satisfies the sign condition
+    of the row's mode, <lambda, y1_k> > 0 for pseudo-normality.  A
+    quasi-normality row needs <lambda, e> <gap, e> > 0 for every basis vector
+    e with <lambda, e> != 0 (the problem's basis, else the unit vectors),
+    where gap is g(x_k) - z_k, resp. y1_k.  A record that cannot be replayed
+    is an error.
+    """
     seq = cert.get("sequence", {})
     records = seq.get("records", [])
     if not records:
         return "empty witness sequence"
-    if problem.kind == "constraint":
-        from dircq.unions import regular_normal_cone
-
-        sys = problem.system
+    try:
         lam = _decode_vec(cert["candidate"])
         quasi_basis = ()
         if row["check"] == "quasi-normality":
             quasi_basis = problem.basis or tuple(unit(len(lam), i) for i in range(len(lam)))
+        replay = _replay_constraint_record if problem.kind == "constraint" else _replay_mpec_record
         for rec in records:
-            x = _decode_vec(rec["x"])
-            z = _decode_vec(rec["y"])
-            if not sys.d.contains(z):
-                return f"witness point at k={rec['k']} left the set"
-            ncone = regular_normal_cone(sys.d, z)
-            if ncone is None or not ncone.contains(lam):
-                return f"multiplier not normal at k={rec['k']}"
-            gap = tuple(a - b for a, b in zip(sys.g.eval(x), z))
-            if dot(lam, gap) <= 0:
-                return f"sign condition fails at k={rec['k']}"
-            for i, e in enumerate(quasi_basis):
-                le = dot(lam, e)
-                if le != 0 and le * dot(gap, e) <= 0:
-                    return f"quasi sign condition fails on basis vector {i} at k={rec['k']}"
+            err = replay(problem, lam, quasi_basis, _decode_vec(rec["x"]), _decode_vec(rec["y"]))
+            if err:
+                return f"{err} at k={rec['k']}"
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        return f"witness record cannot be replayed: {exc}"
+    return None
+
+
+def _replay_constraint_record(problem, lam: Vec, quasi_basis, x: Vec, z: Vec) -> str | None:
+    from dircq.unions import regular_normal_cone
+
+    sys = problem.system
+    if not sys.d.contains(z):
+        return "witness point left the set"
+    ncone = regular_normal_cone(sys.d, z)
+    if ncone is None or not ncone.contains(lam):
+        return "multiplier not normal"
+    gap = tuple(a - b for a, b in zip(sys.g.eval(x), z, strict=True))
+    if dot(lam, gap) <= 0:
+        return "sign condition fails"
+    return _quasi_sign_error(lam, gap, quasi_basis)
+
+
+def _replay_mpec_record(problem, lam: Vec, quasi_basis, x: Vec, y: Vec) -> str | None:
+    n1 = problem.mpec_omega.dim
+    y1 = y[:n1]
+    if not problem.mpec_omega.contains(tuple(a + b for a, b in zip(x[:n1], y1, strict=True))):
+        return "first-block point left Omega"
+    if not quasi_basis and dot(lam, y1) <= 0:
+        return "sign condition fails"
+    return _quasi_sign_error(lam, y1, quasi_basis)
+
+
+def _quasi_sign_error(lam: Vec, gap: Vec, basis) -> str | None:
+    for i, e in enumerate(basis):
+        le = dot(lam, e)
+        if le != 0 and le * dot(gap, e) <= 0:
+            return f"quasi sign condition fails on basis vector {i}"
     return None

@@ -9,6 +9,18 @@ cell duals.  The local graph of the limiting-normal-cone map is the union of
 the products (cell closure) x (cell dual), which drives the graphical
 derivative and subderivative of that map.
 
+The cells come from one depth-first search over sign vectors,
+``sign_cells``, which also drives the inclusion test ``subdivide_and_check``.
+Each node carries a point w of its cell and decides its children from w with
+at most one LP per child: the root takes the origin; a hyperplane in the
+span of the node's equality rows vanishes on the cell, which is then its own
+0-child; the child of sign(h.w) reuses w.  Without ambient inequalities a
+cell is relatively open in the null space of its equality rows, so a
+hyperplane that is not constant on it vanishes somewhere on it iff it takes
+both signs there: one LP for the sign w lacks settles the other two children,
+and when h.w = 0 both signed children are found by stepping off w, with no
+LP at all.
+
 Each cone has one builder.  Regular normal cones, of the union at a point and
 of the union on a cell, are ``polyhedra.intersect_generated`` of the active
 rows of the pieces there.  Limiting and directional limiting normal cones are
@@ -28,10 +40,12 @@ stay Fractions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from operator import mul
 
-from dircq.linalg import Vec, coprime_ints, int_row, is_zero, vec, zeros
+from dircq.linalg import Vec, coprime_ints, dot, int_row, is_zero, primitive, vec, zeros
 from dircq.polyhedra import (
     DimensionMismatch,
     HPolyhedron,
@@ -224,10 +238,33 @@ def sign_cells(hyper: tuple[IntVec, ...], n: int, alive=None, a: IntMat = (), e:
     """Yield (signs, witness) for each cell of the hyperplanes inside {a x <= 0, e x = 0}.
 
     A depth-first search over the signs (0, 1, -1) of each hyperplane in
-    turn, with one LP per node; a leaf reuses its parent's relative-interior
-    point as its witness.  ``alive(signs)``, when given, prunes every node
-    (leaves included) whose partial sign vector it rejects.
+    turn.  ``alive(signs)``, when given, prunes every node (leaves included)
+    whose partial sign vector it rejects, before any LP is spent on it.
+
+    Each node carries a point w of its cell C and the int reduced row echelon
+    form of its equality rows (its zero-sign hyperplanes and ``e``).  The
+    children of C under the next hyperplane h take their witnesses from w,
+    and at most one LP (``strict_feasible_point``) per child decides whether
+    it exists:
+
+    * root: the origin lies in {a x <= 0, e x = 0}, so the root needs no LP;
+    * rank test: if h lies in the span of the equality rows, h vanishes on C,
+      and the 0-child alone exists, with w;
+    * reuse: the child whose sign is sign(h.w) contains w;
+    * paired children, only when ``a`` is empty: C is then relatively open in
+      the null space L of its equality rows, and h is not constant on C, so
+      h.C is an open interval and contains 0 iff it holds both signs.  If
+      h.w != 0, one LP for the opposite sign decides both other children,
+      and the 0-child takes the point of the segment from w to that LP's
+      point where h vanishes.  If h.w = 0, both signed children exist, with
+      witnesses w + eps d and w - eps d, where d in L has h.d > 0 and eps is
+      half the largest step that keeps every strict row of C strict; no LP.
+
+    Under ``a`` a cell need not be relatively open in L, so each child the
+    rules leave open solves its own LP, only when the search reaches it: a
+    consumer that stops early (``subdivide_and_check``) pays for no more.
     """
+    open_cells = not a
 
     def feasible(signs: list[int]) -> Vec | None:
         strict_rows, eq_rows = sign_rows(hyper, signs)
@@ -241,24 +278,118 @@ def sign_cells(hyper: tuple[IntVec, ...], n: int, alive=None, a: IntMat = (), e:
             n=n,
         )
 
-    def dfs(signs: list[int], w: Vec | None):
-        """Extend signs, whose cell has relative-interior point w (None at the root)."""
-        if alive is not None and not alive(signs):
-            return
+    def dfs(signs: list[int], w: Vec, eqs: list[tuple[list[int], int]]):
+        """Extend signs, whose cell holds w and has equality rows eqs (in RREF)."""
         if len(signs) == len(hyper):
-            if w is None:
-                w = feasible(signs)
-            if w is not None:
-                yield tuple(signs), w
+            yield tuple(signs), w
             return
-        for s in (0, 1, -1):
-            signs.append(s)
-            child = feasible(signs)
-            if child is not None:
-                yield from dfs(signs, child)
+        h = hyper[len(signs)]
+        hr = _reduce(eqs, h)
+        if hr is None:
+            known = {0: w, 1: None, -1: None}
+        else:
+            hw = dot(h, w)
+            s = (hw > 0) - (hw < 0)
+            known = {s: w}
+            if open_cells and s == 0:
+                d = _null_direction(eqs, hr)
+                eps = _half_step(sign_rows(hyper, signs)[0], w, d)
+                known[1] = tuple(x + eps * y for x, y in zip(w, d))
+                known[-1] = tuple(x - eps * y for x, y in zip(w, d))
+        for c in (0, 1, -1):
+            signs.append(c)
+            if alive is None or alive(signs):
+                if c not in known:
+                    if open_cells:
+                        # one LP for the opposite sign decides the 0-child too
+                        signs[-1] = -s
+                        other = feasible(signs)
+                        signs[-1] = c
+                        known[-s] = other
+                        known[0] = None if other is None else _segment_zero(h, hw, w, other)
+                    else:
+                        known[c] = feasible(signs)
+                child = known[c]
+                if child is not None:
+                    yield from dfs(signs, child, _extend(eqs, hr) if c == 0 and hr is not None else eqs)
             signs.pop()
 
-    return dfs([], None)
+    if alive is not None and not alive([]):
+        return iter(())
+    eqs: list[tuple[list[int], int]] = []
+    for row in e:
+        r = _reduce(eqs, row)
+        if r is not None:
+            eqs = _extend(eqs, r)
+    return dfs([], zeros(n), eqs)
+
+
+def _reduce(eqs: list[tuple[list[int], int]], h) -> list[int] | None:
+    """h reduced by the RREF rows eqs (a positive multiple of h plus a
+    combination of them, zero at their pivots), or None if h is in their span."""
+    r = list(h)
+    for row, pc in eqs:
+        q = r[pc]
+        if q:
+            p = row[pc]
+            g = gcd(p, q)
+            p, q = p // g, q // g
+            r = [p * x - q * y for x, y in zip(r, row)]
+    return primitive(r) if any(r) else None
+
+
+def _extend(eqs: list[tuple[list[int], int]], hr: list[int]) -> list[tuple[list[int], int]]:
+    """The RREF rows eqs with the reduced row hr added; pivots stay positive."""
+    pc = next(j for j, x in enumerate(hr) if x)
+    if hr[pc] < 0:
+        hr = [-x for x in hr]
+    p = hr[pc]
+    out = []
+    for row, rc in eqs:
+        q = row[pc]
+        if q:
+            g = gcd(p, q)
+            row = primitive([p // g * x - q // g * y for x, y in zip(row, hr)])
+        out.append((row, rc))
+    out.append((hr, pc))
+    return out
+
+
+def _null_direction(eqs: list[tuple[list[int], int]], hr: list[int]) -> list[int]:
+    """An int d in the null space of the RREF rows eqs with hr.d > 0.
+
+    d is the null-space vector at hr's first nonzero column fc, which is not
+    a pivot; hr is zero at every pivot, so hr.d = hr[fc] d[fc].
+    """
+    fc = next(j for j, x in enumerate(hr) if x)
+    used = [(row, pc) for row, pc in eqs if row[fc]]
+    scale = lcm(*[row[pc] for row, pc in used]) if used else 1
+    if hr[fc] < 0:
+        scale = -scale
+    d = [0] * len(hr)
+    d[fc] = scale
+    for row, pc in used:
+        d[pc] = -row[fc] * (scale // row[pc])
+    return d
+
+
+def _half_step(strict_rows: list[IntVec], w: Vec, d: list[int]) -> Fraction:
+    """Half the largest eps with r.(w +- eps d) < 0 for every row r (r.w < 0)."""
+    eps = None
+    for r in strict_rows:
+        rd = sum(map(mul, r, d))
+        if rd:
+            t = -dot(r, w) / abs(rd)
+            if eps is None or t < eps:
+                eps = t
+    return Fraction(1) if eps is None else eps / 2
+
+
+def _segment_zero(h: IntVec, hw: Fraction, w: Vec, other: Vec) -> Vec:
+    """The point of the segment [w, other] where h vanishes (h.w, h.other of opposite signs)."""
+    ho = dot(h, other)
+    den = hw - ho
+    return tuple((hw * y - ho * x) / den for x, y in zip(w, other))
 
 
 @lru_cache(maxsize=CACHE_SIZE)

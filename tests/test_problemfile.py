@@ -115,3 +115,28 @@ def test_schedule_block_is_rejected(name, schedule):
     data = {**fixture(name), "schedule": schedule}
     with pytest.raises(ProblemFormatError, match="schedule: problem files take no schedule block"):
         parse_problem(data)
+
+
+@pytest.mark.parametrize(
+    "name, basis, message",
+    [
+        ("ex58", {"vecs": [[1, 1], [1, -1]]}, "basis: missing field 'vectors'"),
+        ("ex58", [[1, 1], [1, -1]], "basis: expected an object, got list"),
+        ("ex58", {"vectors": 5}, r"basis\.vectors: expected a list, got int"),
+        ("ex58", {"vectors": [5, 6]}, r"basis\.vectors: expected a list of vectors"),
+        ("ex58", {"vectors": [[1, 1], [1, 1]]}, r"basis\.vectors: expected 2 pairwise orthogonal nonzero vectors of length 2"),
+        ("ex58", {"vectors": [[1, 0], [0, 0]]}, r"expected 2 pairwise orthogonal"),
+        ("ex58", {"vectors": [[1, 0]]}, r"expected 2 pairwise orthogonal"),
+        ("ex58", {"vectors": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}, r"expected 2 pairwise orthogonal"),
+        ("ex47", {"vectors": [[1, 0], [0, 1]]}, r"expected 1 pairwise orthogonal nonzero vectors of length 1"),
+    ],
+)
+def test_malformed_basis_is_rejected(name, basis, message):
+    with pytest.raises(ProblemFormatError, match=message):
+        parse_problem({**fixture(name), "basis": basis})
+
+
+@pytest.mark.parametrize("name, vectors", [("ex58", [[1, 1], [1, -1]]), ("ex47", [["-1/2"]])])
+def test_orthogonal_basis_is_kept(name, vectors):
+    pr = parse_problem({**fixture(name), "basis": {"vectors": vectors}})
+    assert [[str(x) for x in v] for v in pr.basis] == [[str(x) for x in v] for v in vectors]

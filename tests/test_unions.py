@@ -4,9 +4,13 @@ import itertools
 import random
 from fractions import Fraction as Q
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from dircq import simplex
 from dircq.linalg import dot, vec
 from dircq.polyhedra import HPolyhedron, PolyhedralCone, generators, relint_point
+from dircq.simplex import strict_feasible_point
 from dircq.unions import (
     ConeUnion,
     PolyUnion,
@@ -19,6 +23,8 @@ from dircq.unions import (
     limiting_normal_cone,
     normal_graph,
     regular_normal_cone,
+    sign_cells,
+    sign_rows,
     tangent_cone,
     two_scale_admissible,
 )
@@ -347,10 +353,13 @@ def test_cone_union_inclusion_witness():
     assert not ok2 and w is not None and not b.contains(w)
 
 
-def test_arrangement_leaves_reuse_the_parent_lp(monkeypatch):
-    """On the ex58^2 tangent union (D = L x L in R^4, L the L-shape) the DFS
-    solves one LP per sign-vector node below the root: 111 LPs for 64 cells.
-    A leaf that solved its parent's LP again would make it 175."""
+def test_arrangement_of_coordinate_hyperplanes_solves_no_lp(monkeypatch):
+    """On the ex58^2 tangent union (D = L x L in R^4, L the L-shape) every
+    hyperplane is a coordinate hyperplane, so each one vanishes on the witness
+    its node got from the coordinates before it (the root's is the origin):
+    the 0-child reuses that witness, the two signed children step off it along
+    a null-space direction, and the 64 cells cost no LP.  The
+    one-LP-per-node search solved 111."""
     pieces = []
     for c0, c1 in itertools.product((0, 1), repeat=2):
         a = [[0] * 4, [0] * 4]
@@ -363,4 +372,65 @@ def test_arrangement_leaves_reuse_the_parent_lp(monkeypatch):
     monkeypatch.setattr(simplex, "solve_lp", lambda *a, **k: calls.append(1) or solve_lp(*a, **k))
     arr = arrangement.__wrapped__(t)  # bypass the cache
     assert len(arr.hyperplanes) == 4 and len(arr.cells) == 64
-    assert len(calls) == 111
+    assert len(calls) == 0
+
+
+def reference_sign_cells(hyper, n, alive=None, a=(), e=()):
+    """The one-LP-per-node search: every child solves its own cell's LP."""
+
+    def feasible(signs):
+        strict_rows, eq_rows = sign_rows(hyper, signs)
+        return strict_feasible_point(
+            tuple(strict_rows), (0,) * len(strict_rows), a=a, b=(0,) * len(a),
+            e=tuple(eq_rows) + e, d=(0,) * (len(eq_rows) + len(e)), n=n,
+        )
+
+    def dfs(signs, w):
+        if alive is not None and not alive(signs):
+            return
+        if len(signs) == len(hyper):
+            if w is None:
+                w = feasible(signs)
+            if w is not None:
+                yield tuple(signs), w
+            return
+        for s in (0, 1, -1):
+            signs.append(s)
+            child = feasible(signs)
+            if child is not None:
+                yield from dfs(signs, child)
+            signs.pop()
+
+    return dfs([], None)
+
+
+def int_rows(draw, count, n):
+    return tuple(tuple(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))) for _ in range(count))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_sign_cells_match_the_one_lp_per_node_search(data):
+    draw = data.draw
+    n = draw(st.integers(2, 4))
+    hyper = tuple(h for h in int_rows(draw, draw(st.integers(1, 4)), n) if any(h))
+    a = int_rows(draw, draw(st.integers(0, 2)), n)
+    e = int_rows(draw, draw(st.integers(0, 1)), n)
+    alive = None
+    if draw(st.booleans()):
+        # prune every sign vector that takes a drawn sign on a drawn hyperplane
+        banned = draw(st.lists(st.tuples(st.integers(0, len(hyper)), st.sampled_from((0, 1, -1))), max_size=3))
+
+        def alive(signs):
+            return not any(i < len(signs) and signs[i] == s for i, s in banned)
+
+    got = list(sign_cells(hyper, n, alive=alive, a=a, e=e))
+    want = list(reference_sign_cells(hyper, n, alive=alive, a=a, e=e))
+    assert [s for s, _ in got] == [s for s, _ in want]
+    for signs, w in got:
+        w = tuple(Q(x) for x in w)
+        for h, s in zip(hyper, signs, strict=True):
+            hw = sum(Q(x) * y for x, y in zip(h, w))
+            assert (hw > 0) - (hw < 0) == s
+        assert all(sum(Q(x) * y for x, y in zip(row, w)) <= 0 for row in a)
+        assert all(sum(Q(x) * y for x, y in zip(row, w)) == 0 for row in e)

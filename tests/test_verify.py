@@ -205,3 +205,39 @@ def test_quasi_witness_is_checked_per_basis_vector():
     assert verify_report(rep, pr) == [
         f"row 1 (quasi-normality/xbar/minus): quasi sign condition fails on basis vector 1 at k={k}"
     ]
+
+
+def mpec_fails_row(check: str, candidate: list[str], ys: list[str]) -> dict:
+    """A hand-built FAILS row on ex47 (Omega = [0, oo) in R^1), direction w:
+    x_k = (-t, 0) with t = 2^-k, and offset y_k = (ys[k-1], 0)."""
+    records = [
+        {"k": k, "x": [f"-1/{2**k}", "0"], "y": [y, "0"]} for k, y in enumerate(ys, start=1)
+    ]
+    cert = {"kind": "witness_sequence", "candidate": candidate, "sequence": {"records": records}}
+    return {"check": check, "status": "FAILS", "point": "xbar", "direction": "w", "certificate": cert}
+
+
+@pytest.mark.parametrize("check", ["pseudo-normality", "quasi-normality"])
+@pytest.mark.parametrize(
+    "candidate, ys, error",
+    [
+        # y_k projects x1_k = -t onto Omega: x1_k + y_k = 0, and <lambda, y_k> = t > 0
+        (["1"], ["1/2", "1/4", "1/8"], None),
+        (["1"], ["1/2", "1/8", "1/8"], "first-block point left Omega at k=2"),
+        (["-1"], ["1/2", "1/4", "1/8"], "sign condition fails"),
+        (["1"], ["1/2", "1/4", "x"], "witness record cannot be replayed"),
+        (["1", "0"], ["1/2", "1/4", "1/8"], "witness record cannot be replayed"),
+    ],
+)
+def test_mpec_witness_records_are_replayed(ex47_report, check, candidate, ys, error):
+    from dircq import report
+
+    pr, _ = ex47_report
+    row = mpec_fails_row(check, candidate, ys)
+    err = report._check_witness_sequence(pr, row, row["certificate"])
+    if error is None:
+        assert err is None
+    else:
+        assert err is not None and error in err
+    del row["certificate"]["sequence"]["records"][0]["y"]
+    assert "witness record cannot be replayed" in report._check_witness_sequence(pr, row, row["certificate"])

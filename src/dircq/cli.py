@@ -1,4 +1,4 @@
-"""Check dispatch for constraint and MPEC problems.
+"""Check dispatch for constraint, MPEC, graph-set and patch problems.
 
 ``run_check`` maps a check name, as a report row carries it, to its decider
 and runs it on a parsed problem.  ``report.verify_report`` recomputes every
@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dircq import cq, oracle
 from dircq.cq import Verdict
+from dircq.linalg import Vec
 from dircq.problemfile import Problem, ProblemFormatError
 
 # row name -> decider of each check that needs a direction
@@ -29,16 +30,19 @@ def run_check(
     point: str | None = None,
     direction: str | None = None,
     mode: str = "asym",
+    u: Vec | None = None,
 ) -> Verdict:
-    """Run the check a report row names on a constraint or MPEC problem at xbar.
+    """Run the check a report row names on a parsed problem.
 
-    ``direction`` names one of the problem's directions; the theorem
-    checkers also take ``mode``.
+    Constraint and MPEC checks run at xbar; ``direction`` names one of the
+    problem's directions, and the theorem checkers also take ``mode``.  A
+    graph set takes ``foscms`` at its point ``base`` in the x-direction
+    ``u``, and a patch map ``mstationarity`` at (xbar, ybar).
     """
-    if problem.kind not in ("constraint", "mpec"):
-        raise ProblemFormatError(
-            f"run_check takes constraint and mpec problems, not {problem.kind!r}"
-        )
+    if problem.kind == "graphset":
+        return _run_graph_check(problem, check, point, u)
+    if problem.kind == "patch":
+        return _run_patch_check(problem, check, point)
     if point not in (None, "xbar"):
         raise ProblemFormatError(f"{problem.kind} checks run at xbar, not at {point!r}")
     if problem.kind == "mpec":
@@ -72,3 +76,28 @@ def _run_mpec_check(problem: Problem, check: str, direction: str | None) -> Verd
     u = problem.direction(direction)
     mp = oracle.MpecProblem(problem.mpec_omega, problem.mpec_s, problem.point("xbar"))
     return cq.mpec_pseudo_quasi_verdict(mp, u, basis=problem.basis, mode=check.split("-")[0])
+
+
+def _run_graph_check(problem: Problem, check: str, point: str | None, u: Vec | None) -> Verdict:
+    """First-order condition of a graph-set map at its base point in direction u."""
+    if check != "foscms":
+        raise ProblemFormatError(f"unknown check {check!r} for graphset problems")
+    if point not in (None, "base"):
+        raise ProblemFormatError(f"graphset checks run at base, not at {point!r}")
+    if u is None:
+        raise ProblemFormatError("graphset foscms needs an x-direction u")
+    base = problem.point("base")
+    return cq.graph_foscms(problem.graph_set, base, u, problem.graph_nx, problem.graph_ny)
+
+
+def _run_patch_check(problem: Problem, check: str, point: str | None) -> Verdict:
+    """M-stationarity of a patch map at (xbar, ybar)."""
+    if check != "mstationarity":
+        raise ProblemFormatError(f"unknown check {check!r} for patch problems")
+    if point not in (None, "xbar"):
+        raise ProblemFormatError(f"patch checks run at xbar, not at {point!r}")
+    if problem.objective is None:
+        raise ProblemFormatError("mstationarity needs the problem's objective")
+    return cq.patch_mstationarity(
+        problem.patch_map, problem.objective, problem.point("xbar"), problem.point("ybar")
+    )

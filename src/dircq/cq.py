@@ -39,10 +39,14 @@ from dircq.linalg import (
     add,
     canon_ray,
     dot,
+    half_step,
     is_orthogonal_basis,
     is_zero,
     mat_t_vec,
     neg,
+    null_direction,
+    rref_reduce,
+    rref_span,
     scale,
     transpose,
     vec,
@@ -56,7 +60,7 @@ from dircq.polyhedra import (
 )
 from dircq.polymaps import Poly
 from dircq.setmaps import ConstraintSystem, InfeasiblePoint, patch_limiting_normals
-from dircq.simplex import OPTIMAL, UNBOUNDED, feasible_point, solve_lp, strict_feasible_point
+from dircq.simplex import OPTIMAL, feasible_point, relative_interior, strict_feasible_point
 from dircq.unions import (
     Cell,
     ConeUnion,
@@ -209,31 +213,37 @@ def _mixed_nonzero_solution(
 ) -> Vec | None:
     """A point of {strict rows < , closed rows <= , eq rows =} whose block != 0.
 
-    The strict region is dense in its closure, and "block != 0" is open, so
-    probing the closed system coordinate-wise and averaging with one strict
-    point decides the question exactly.
+    One relative-interior LP (``relative_interior``) on the closure, with the
+    strict rows closed, gives a point p and the implicit rows, those that
+    hold with equality on the whole closure.  The strict system is empty iff
+    a strict row is implicit; otherwise p meets every non-implicit row
+    strictly, strict rows included.  The strict set is dense in its closure
+    and "block != 0" is open, so the question is whether the block vanishes
+    on the closure.  It does iff each block unit vector lies in the span of
+    the equality and implicit rows (int RREF), as the block is then constant
+    on the affine hull and 0 at p.  Otherwise some block coordinate i is not
+    constant there: a null-space direction v of those rows with v_i != 0
+    moves p to p + eps v, with eps half the largest step that keeps every
+    non-implicit row strict, and there the block is nonzero.
     """
-    p0 = strict_feasible_point(strict_a, strict_b, a, b, e, d, n=nvars)
-    if p0 is None:
-        return None
-    if any(p0[i] != 0 for i in block):
-        return p0
     a_all = tuple(strict_a) + tuple(a)
     b_all = tuple(strict_b) + tuple(b)
+    rel = relative_interior(a_all, b_all, e, d, n=nvars)
+    if rel is None:
+        return None
+    p, implicit = rel
+    if implicit and implicit[0] < len(strict_a):
+        return None
+    if any(p[i] != 0 for i in block):
+        return p
+    eqs = rref_span((*e, *(a_all[i] for i in implicit)))
     for i in block:
-        for sgn in (1, -1):
-            obj = [Fraction(0)] * nvars
-            obj[i] = Fraction(sgn)
-            res = solve_lp(vec(obj), a_all, b_all, e, d, n=nvars)
-            if res.status == UNBOUNDED:
-                cand = add(p0, res.ray)
-                if any(cand[j] != 0 for j in block):
-                    return cand
-                continue
-            if res.status == OPTIMAL and res.objective > 0:
-                mid = scale(Fraction(1, 2), add(p0, res.x))
-                if any(mid[j] != 0 for j in block):
-                    return mid
+        hr = rref_reduce(eqs, [int(j == i) for j in range(nvars)])
+        if hr is not None:
+            v = null_direction(eqs, hr)
+            free = [j for j in range(len(a_all)) if j not in implicit]
+            eps = half_step([a_all[j] for j in free], p, v, [b_all[j] for j in free])
+            return tuple(x + eps * y for x, y in zip(p, v))
     return None
 
 

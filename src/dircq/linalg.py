@@ -16,12 +16,16 @@ so the int-level kernels are public too: ``int_row`` reads a row into ints
 over one denominator (an all-int row is taken as it is), ``coprime_ints``
 gives the canonical int key of a ray or line, and ``int_nullspace`` the null
 space as canonical int lines.  None of them builds a Fraction.
+``rref_reduce``, ``rref_extend`` and ``rref_span`` keep an int RREF that grows
+one row at a time; ``null_direction`` and ``half_step`` step off a point
+inside the null space of such rows while strict rows stay strict.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 Q = Fraction
@@ -211,6 +215,88 @@ def int_nullspace(m: Sequence[Sequence], dim: int) -> list[tuple[int, ...]]:
             v[pc] = -row[fc] * (scale_ // row[pc])
         basis.append(coprime_ints(v, line=True))
     return basis
+
+
+# Incremental int RREF.  ``eqs`` is a list of (row, pivot column) pairs: int
+# rows, coprime, each zero at the other rows' pivot columns and positive at
+# its own.  ``unions.sign_cells`` carries one down its search, and the cell
+# systems of ``cq`` build one of their equality and implicit rows; both step
+# off a point along a null-space direction with ``half_step``.
+
+
+def rref_reduce(eqs: list[tuple[list[int], int]], h: Sequence[int]) -> list[int] | None:
+    """h reduced by the RREF rows eqs (a positive multiple of h plus a
+    combination of them, zero at their pivots), or None if h is in their span."""
+    r = list(h)
+    for row, pc in eqs:
+        q = r[pc]
+        if q:
+            p = row[pc]
+            g = gcd(p, q)
+            p, q = p // g, q // g
+            r = [p * x - q * y for x, y in zip(r, row)]
+    return primitive(r) if any(r) else None
+
+
+def rref_extend(eqs: list[tuple[list[int], int]], hr: list[int]) -> list[tuple[list[int], int]]:
+    """The RREF rows eqs with the reduced row hr added; pivots stay positive."""
+    pc = next(j for j, x in enumerate(hr) if x)
+    if hr[pc] < 0:
+        hr = [-x for x in hr]
+    p = hr[pc]
+    out = []
+    for row, rc in eqs:
+        q = row[pc]
+        if q:
+            g = gcd(p, q)
+            row = primitive([p // g * x - q // g * y for x, y in zip(row, hr)])
+        out.append((row, rc))
+    out.append((hr, pc))
+    return out
+
+
+def rref_span(rows: Iterable[Sequence]) -> list[tuple[list[int], int]]:
+    """The RREF rows of the span of ``rows`` (ints or Fractions), in the order
+    their pivots were found."""
+    eqs: list[tuple[list[int], int]] = []
+    for row in rows:
+        r = rref_reduce(eqs, int_row(row)[0])
+        if r is not None:
+            eqs = rref_extend(eqs, r)
+    return eqs
+
+
+def null_direction(eqs: list[tuple[list[int], int]], hr: list[int]) -> list[int]:
+    """An int d in the null space of the RREF rows eqs with hr.d > 0.
+
+    d is the null-space vector at hr's first nonzero column fc, which is not
+    a pivot; hr is zero at every pivot, so hr.d = hr[fc] d[fc].
+    """
+    fc = next(j for j, x in enumerate(hr) if x)
+    used = [(row, pc) for row, pc in eqs if row[fc]]
+    scale_ = lcm(*[row[pc] for row, pc in used]) if used else 1
+    if hr[fc] < 0:
+        scale_ = -scale_
+    d = [0] * len(hr)
+    d[fc] = scale_
+    for row, pc in used:
+        d[pc] = -row[fc] * (scale_ // row[pc])
+    return d
+
+
+def half_step(rows: Sequence[Sequence], w: Vec, d: Sequence[int], rhs: Sequence | None = None) -> Fraction:
+    """Half the largest eps with r.(w +- eps d) < rhs_r for every row r.
+
+    Every row must hold strictly at w (r.w < rhs_r); ``rhs`` defaults to 0.
+    """
+    eps = None
+    for i, r in enumerate(rows):
+        rd = sum(map(mul, r, d))
+        if rd:
+            t = ((0 if rhs is None else rhs[i]) - dot(r, w)) / abs(rd)
+            if eps is None or t < eps:
+                eps = t
+    return Fraction(1) if eps is None else eps / 2
 
 
 def solve_linear(a: Mat, b: Vec) -> Vec | None:

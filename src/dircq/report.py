@@ -115,12 +115,14 @@ def _decode_vec(xs) -> Vec:
 def _recompute_row(problem, row) -> Verdict:
     from dircq import cli
 
+    u = row.get("u")
     return cli.run_check(
         problem,
         row["check"],
         row.get("point"),
         row.get("direction"),
         row.get("mode", "asym"),
+        None if u is None else _decode_vec(u),
     )
 
 

@@ -34,6 +34,15 @@ Free variables are split as x = x+ - x-, and the columns are x+, x-, slacks,
 then phase-1 artificials.  That layout fixes Bland's pivot path, and with it
 which optimal vertex, ray and certificate callers see; the reports derived
 from them depend on it.
+
+``relative_interior`` finds a relative-interior point of {a x <= b, e x = d}
+together with its implicit equalities (the rows a_i x <= b_i that hold with
+equality on the whole set) by the single LP of Freund, Roundy & Todd
+(*Identifying the set of always-active constraints in a system of linear
+inequalities by a single linear program*, MIT Sloan WP 1674-85, 1985):
+max sum t subject to a x + t <= b tau, e x = d tau, 0 <= t <= 1, tau >= 1.
+A homogeneous system drops tau.  It is one call of the module-level
+``solve_lp``, so it is counted and cached like every other LP here.
 """
 
 from __future__ import annotations
@@ -336,3 +345,47 @@ def strict_feasible_point(
     if res.status != OPTIMAL or res.objective is None or res.objective <= 0:
         return None
     return res.x[:n]
+
+
+def relative_interior(a: Mat, b: Vec, e: Mat, d: Vec, n: int) -> tuple[Vec, tuple[int, ...]] | None:
+    """(p, implicit) for P = {a x <= b, e x = d}, or None when P is empty.
+
+    ``implicit`` lists the rows i of a with a_i x = b_i on all of P, and p is
+    a point of the relative interior of P: a_i p < b_i on every other row.
+    One LP (Freund, Roundy & Todd 1985): max sum t subject to
+    a x + t <= b tau, e x = d tau, 0 <= t <= 1, tau >= 1.  At an optimum t_i
+    is 1 on every row that is not implicit and 0 on every implicit row, and
+    p = x / tau.  A homogeneous system (b = 0, d = 0) is a cone, so it
+    needs no tau: x itself is the point.
+    """
+    m = len(a)
+    homogeneous = not any(b) and not any(d)
+    # columns: x (n), t (m), then tau unless homogeneous
+    k = n + m + (not homogeneous)
+    a2 = []
+    for i, (row, bi) in enumerate(zip(a, b, strict=True)):
+        r = [*row] + [0] * (k - n)
+        r[n + i] = 1
+        if not homogeneous:
+            r[-1] = -bi
+        a2.append(tuple(r))
+    for sgn in (1, -1):
+        for i in range(m):
+            r = [0] * k
+            r[n + i] = sgn
+            a2.append(tuple(r))
+    b2 = [0] * m + [1] * m + [0] * m
+    pad = (0,) * m
+    if homogeneous:
+        e2 = tuple((*row, *pad) for row in e)
+    else:
+        a2.append((0,) * (k - 1) + (-1,))
+        b2.append(-1)
+        e2 = tuple((*row, *pad, -di) for row, di in zip(e, d, strict=True))
+    c = (0,) * n + (1,) * m + (0,) * (k - n - m)
+    res = solve_lp(c, a2, b2, e2, (0,) * len(e2), n=k)
+    if res.status != OPTIMAL:
+        return None
+    x = res.x
+    p = x[:n] if homogeneous else tuple(v / x[-1] for v in x[:n])
+    return p, tuple(i for i in range(m) if x[n + i] == 0)

@@ -42,10 +42,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
 from operator import mul
 
-from dircq.linalg import Vec, coprime_ints, dot, int_row, is_zero, primitive, vec, zeros
+from dircq.linalg import (
+    Vec,
+    coprime_ints,
+    dot,
+    half_step,
+    int_row,
+    is_zero,
+    null_direction,
+    rref_extend,
+    rref_reduce,
+    rref_span,
+    vec,
+    zeros,
+)
 from dircq.polyhedra import (
     DimensionMismatch,
     HPolyhedron,
@@ -284,7 +296,7 @@ def sign_cells(hyper: tuple[IntVec, ...], n: int, alive=None, a: IntMat = (), e:
             yield tuple(signs), w
             return
         h = hyper[len(signs)]
-        hr = _reduce(eqs, h)
+        hr = rref_reduce(eqs, h)
         if hr is None:
             known = {0: w, 1: None, -1: None}
         else:
@@ -292,8 +304,8 @@ def sign_cells(hyper: tuple[IntVec, ...], n: int, alive=None, a: IntMat = (), e:
             s = (hw > 0) - (hw < 0)
             known = {s: w}
             if open_cells and s == 0:
-                d = _null_direction(eqs, hr)
-                eps = _half_step(sign_rows(hyper, signs)[0], w, d)
+                d = null_direction(eqs, hr)
+                eps = half_step(sign_rows(hyper, signs)[0], w, d)
                 known[1] = tuple(x + eps * y for x, y in zip(w, d))
                 known[-1] = tuple(x - eps * y for x, y in zip(w, d))
         for c in (0, 1, -1):
@@ -311,78 +323,12 @@ def sign_cells(hyper: tuple[IntVec, ...], n: int, alive=None, a: IntMat = (), e:
                         known[c] = feasible(signs)
                 child = known[c]
                 if child is not None:
-                    yield from dfs(signs, child, _extend(eqs, hr) if c == 0 and hr is not None else eqs)
+                    yield from dfs(signs, child, rref_extend(eqs, hr) if c == 0 and hr is not None else eqs)
             signs.pop()
 
     if alive is not None and not alive([]):
         return iter(())
-    eqs: list[tuple[list[int], int]] = []
-    for row in e:
-        r = _reduce(eqs, row)
-        if r is not None:
-            eqs = _extend(eqs, r)
-    return dfs([], zeros(n), eqs)
-
-
-def _reduce(eqs: list[tuple[list[int], int]], h) -> list[int] | None:
-    """h reduced by the RREF rows eqs (a positive multiple of h plus a
-    combination of them, zero at their pivots), or None if h is in their span."""
-    r = list(h)
-    for row, pc in eqs:
-        q = r[pc]
-        if q:
-            p = row[pc]
-            g = gcd(p, q)
-            p, q = p // g, q // g
-            r = [p * x - q * y for x, y in zip(r, row)]
-    return primitive(r) if any(r) else None
-
-
-def _extend(eqs: list[tuple[list[int], int]], hr: list[int]) -> list[tuple[list[int], int]]:
-    """The RREF rows eqs with the reduced row hr added; pivots stay positive."""
-    pc = next(j for j, x in enumerate(hr) if x)
-    if hr[pc] < 0:
-        hr = [-x for x in hr]
-    p = hr[pc]
-    out = []
-    for row, rc in eqs:
-        q = row[pc]
-        if q:
-            g = gcd(p, q)
-            row = primitive([p // g * x - q // g * y for x, y in zip(row, hr)])
-        out.append((row, rc))
-    out.append((hr, pc))
-    return out
-
-
-def _null_direction(eqs: list[tuple[list[int], int]], hr: list[int]) -> list[int]:
-    """An int d in the null space of the RREF rows eqs with hr.d > 0.
-
-    d is the null-space vector at hr's first nonzero column fc, which is not
-    a pivot; hr is zero at every pivot, so hr.d = hr[fc] d[fc].
-    """
-    fc = next(j for j, x in enumerate(hr) if x)
-    used = [(row, pc) for row, pc in eqs if row[fc]]
-    scale = lcm(*[row[pc] for row, pc in used]) if used else 1
-    if hr[fc] < 0:
-        scale = -scale
-    d = [0] * len(hr)
-    d[fc] = scale
-    for row, pc in used:
-        d[pc] = -row[fc] * (scale // row[pc])
-    return d
-
-
-def _half_step(strict_rows: list[IntVec], w: Vec, d: list[int]) -> Fraction:
-    """Half the largest eps with r.(w +- eps d) < 0 for every row r (r.w < 0)."""
-    eps = None
-    for r in strict_rows:
-        rd = sum(map(mul, r, d))
-        if rd:
-            t = -dot(r, w) / abs(rd)
-            if eps is None or t < eps:
-                eps = t
-    return Fraction(1) if eps is None else eps / 2
+    return dfs([], zeros(n), rref_span(e))
 
 
 def _segment_zero(h: IntVec, hw: Fraction, w: Vec, other: Vec) -> Vec:

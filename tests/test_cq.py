@@ -12,6 +12,7 @@ from dircq.cq import (
     HOLDS,
     UNDECIDED,
     _Blocks,
+    _mixed_nonzero_solution,
     check_thm_nonpolyhedral,
     check_thm_polyhedral_I,
     check_thm_polyhedral_II,
@@ -20,10 +21,11 @@ from dircq.cq import (
     mstationarity,
     soscms,
 )
-from dircq.linalg import dot, mat_t_vec, vec
+from dircq.linalg import add, dot, mat_t_vec, scale, vec
 from dircq.polyhedra import HPolyhedron
 from dircq.polymaps import PolyMap, parse_poly
 from dircq.setmaps import ConstraintSystem
+from dircq.simplex import OPTIMAL, UNBOUNDED, solve_lp, strict_feasible_point
 from dircq.unions import PolyUnion
 
 
@@ -232,3 +234,94 @@ def test_cell_rows_match_the_per_hyperplane_mapping(data):
     _reference_cell_rows(ref, "s", signs, hyper, closed, affine)
     for attr in ("strict_a", "strict_b", "a", "b", "e", "d"):
         assert getattr(new, attr) == getattr(ref, attr), attr
+
+
+# ---------------------------------------------------------------------------
+# the nonzero-block test: one relative-interior LP against the probe search
+
+
+def reference_mixed_nonzero_solution(strict_a, strict_b, a, b, e, d, nvars, block):
+    """One strict point, then up to two +-x_i probes of the closure per block
+    coordinate, each averaged with the strict point (1 + 2|block| LPs)."""
+    p0 = strict_feasible_point(strict_a, strict_b, a, b, e, d, n=nvars)
+    if p0 is None:
+        return None
+    if any(p0[i] != 0 for i in block):
+        return p0
+    a_all = tuple(strict_a) + tuple(a)
+    b_all = tuple(strict_b) + tuple(b)
+    for i in block:
+        for sgn in (1, -1):
+            obj = [Q(0)] * nvars
+            obj[i] = Q(sgn)
+            res = solve_lp(vec(obj), a_all, b_all, e, d, n=nvars)
+            if res.status == UNBOUNDED:
+                cand = add(p0, res.ray)
+                if any(cand[j] != 0 for j in block):
+                    return cand
+                continue
+            if res.status == OPTIMAL and res.objective > 0:
+                mid = scale(Q(1, 2), add(p0, res.x))
+                if any(mid[j] != 0 for j in block):
+                    return mid
+    return None
+
+
+def check_mixed_nonzero(strict_a, strict_b, a, b, e, d, n, block):
+    """Same answer (None or a point) as the probe search; a point meets the
+    strict, closed and equality rows, in plain Fractions, and is nonzero on
+    the block."""
+    args = (tuple(map(tuple, strict_a)), tuple(strict_b), tuple(map(tuple, a)), tuple(b),
+            tuple(map(tuple, e)), tuple(d), n, block)
+    got = _mixed_nonzero_solution(*args)
+    want = reference_mixed_nonzero_solution(*args)
+    assert (got is None) == (want is None), (got, want)
+    if got is not None:
+        assert all(dot(r, got) < bi for r, bi in zip(strict_a, strict_b))
+        assert all(dot(r, got) <= bi for r, bi in zip(a, b))
+        assert all(dot(r, got) == di for r, di in zip(e, d))
+        assert any(got[i] != 0 for i in block)
+    return got
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mixed_nonzero_solution_matches_the_probe_search(data):
+    n = data.draw(st.integers(1, 4))
+    row = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    rhs = st.just(0) if data.draw(st.booleans()) else st.integers(-2, 2)
+
+    def rows(max_size):
+        rs = data.draw(st.lists(row, max_size=max_size))
+        return rs, [data.draw(rhs) for _ in rs]
+
+    strict_a, strict_b = rows(3)
+    a, b = rows(3)
+    e, d = rows(2)
+    if a and data.draw(st.booleans()):
+        # a closed pair a x <= b, -a x <= -b: an implicit equality
+        i = data.draw(st.integers(0, len(a) - 1))
+        a.append([-x for x in a[i]])
+        b.append(-b[i])
+    lo = data.draw(st.integers(0, n - 1))
+    block = range(lo, data.draw(st.integers(lo + 1, n)))
+    check_mixed_nonzero(strict_a, strict_b, a, b, e, d, n, block)
+
+
+def test_mixed_nonzero_solution_cases():
+    # a strict row that is implicit on the closure: x < 0 with x >= 0
+    assert check_mixed_nonzero([[1]], [0], [[-1]], [0], [], [], 1, range(1)) is None
+    # the block is 0 on the equality rows, or on an implicit closed pair
+    assert check_mixed_nonzero([[0, -1]], [0], [], [], [[1, 0]], [0], 2, range(1)) is None
+    assert check_mixed_nonzero([[0, -1]], [0], [[1, 0], [-1, 0]], [0, 0], [], [], 2, range(1)) is None
+    # ... but not when one implicit row and one equality leave a coordinate free
+    p = check_mixed_nonzero([[0, 0, -1]], [0], [[1, 1, 0], [-1, -1, 0]], [0, 0], [], [], 3, range(2))
+    assert p[0] == -p[1] != 0
+    # the relative-interior point is 0 on the block, which is free: one step off it
+    p = check_mixed_nonzero([[0, -1]], [0], [], [], [], [], 2, range(1))
+    assert p[0] != 0
+    # the step is bounded by strict rows with right-hand sides: -1 < x < 1, y > 0
+    p = check_mixed_nonzero([[1, 0], [-1, 0], [0, -1]], [1, 1, 0], [], [], [], [], 2, range(1))
+    assert p is not None and -1 < p[0] < 1
+    # a shifted system: x + y = 1 with y > 0 and x >= 0, block x
+    assert check_mixed_nonzero([[0, -1]], [0], [[-1, 0]], [0], [[1, 1]], [1], 2, range(1)) is not None

@@ -54,10 +54,10 @@ GRAPH_U = (1,)
 # solve_lp calls of each theorem checker (I, II, nonpolyhedral) over all
 # directions of a fixture, from cleared caches
 LP_COUNTS = {
-    ("ex58", "asym"): (16, 14, 81),
-    ("ex58", "strong"): (17, 15, 82),
-    ("ex58sq", "asym"): (177, 235, 1063),
-    ("ex58sq", "strong"): (172, 230, 1058),
+    ("ex58", "asym"): (8, 10, 21),
+    ("ex58", "strong"): (9, 11, 22),
+    ("ex58sq", "asym"): (81, 195, 191),
+    ("ex58sq", "strong"): (76, 190, 186),
 }
 
 

@@ -17,11 +17,15 @@ from dircq.linalg import (
     canon_line,
     canon_ray,
     dot,
+    half_step,
     mat,
     mat_t_vec,
+    null_direction,
     nullspace,
     rank,
     rref,
+    rref_reduce,
+    rref_span,
     solve_linear,
     vec,
 )
@@ -264,3 +268,40 @@ def test_fixed_edge_cases():
     assert rref(mat([[2, 4, 6, 8], [0, 0, 1, 1]])) == (((1, 2, 0, 1), (0, 0, 1, 1)), (0, 2))
     assert solve_linear(mat([[1, 1], [2, 2]]), vec([1, 3])) is None
     assert solve_linear(mat([[1, 1], [2, 2]]), vec([1, 2])) == (1, 0)
+
+
+# ---------------------------------------------------------------------------
+# the incremental RREF and the step off a point
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_incremental_rref_spans_the_rows(data):
+    n = data.draw(st.integers(1, 4))
+    entry = st.one_of(st.integers(-3, 3), st.fractions(-2, 2, max_denominator=3))
+    row = st.lists(entry, min_size=n, max_size=n)
+    rows = data.draw(st.lists(row, max_size=4))
+    h = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    eqs = rref_span(rows)
+    assert len(eqs) == (rank(mat(rows)) if rows else 0)
+    for r, pc in eqs:
+        assert r[pc] > 0 and all(other[pc] == 0 for other, opc in eqs if opc != pc)
+    hr = rref_reduce(eqs, h)
+    assert (hr is None) == (rank(mat(rows + [h])) == len(eqs))
+    if hr is not None:
+        v = null_direction(eqs, hr)
+        assert all(dot(r, v) == 0 for r in rows)
+        assert dot(h, v) > 0 and dot(hr, v) > 0
+
+
+def test_half_step_keeps_shifted_rows_strict():
+    # -1 < x < 2 and x - y < 3 at w = (0, 0), stepping along (1, 0)
+    rows, rhs, w, d = [[1, 0], [-1, 0], [1, -1]], [2, 1, 3], vec([0, 0]), [1, 0]
+    eps = half_step(rows, w, d, rhs)
+    assert eps == Fraction(1, 2)
+    for sgn in (1, -1):
+        p = [x + sgn * eps * y for x, y in zip(w, d)]
+        assert all(dot(r, p) < b for r, b in zip(rows, rhs))
+    # homogeneous rows: the right-hand side defaults to 0
+    assert half_step([[1, 1]], vec([-2, 0]), [0, 1]) == 1
+    assert half_step([[1, 0]], vec([-2, 0]), [0, 1]) == 1

@@ -1,4 +1,4 @@
-"""LP kernel: optimality, unboundedness, and Farkas certificates."""
+"""LP kernel: optimality, unboundedness, Farkas certificates and relative interiors."""
 
 import random
 from fractions import Fraction as Q
@@ -16,6 +16,7 @@ from dircq.simplex import (
     UNBOUNDED,
     LPResult,
     feasible_point,
+    relative_interior,
     solve_lp,
     strict_feasible_point,
     verify_farkas,
@@ -335,3 +336,105 @@ def test_int_and_fraction_inputs_agree():
             assert v is None or all(type(x) is Q for x in v)
         if res.status == INFEASIBLE:
             assert verify_farkas(ai, bi, ei, di, res.farkas_ineq, res.farkas_eq)
+
+
+# ---------------------------------------------------------------------------
+# relative interior and implicit equalities: one LP
+
+
+def check_relative_interior(a, b, e, d, n):
+    """relative_interior against feasible_point and one slack LP per implicit row,
+    with every row checked in plain Fractions."""
+    res = relative_interior(a, b, e, d, n=n)
+    feas = feasible_point(a, b, e, d, n=n)
+    assert (res is None) == (feas.status == INFEASIBLE)
+    if res is None:
+        return None
+    p, implicit = res
+    assert len(p) == n and all(type(x) is Q for x in p)
+    assert list(implicit) == sorted(set(implicit))
+    for row, bi in zip(e, d):
+        assert dot(row, p) == bi
+    for i, (row, bi) in enumerate(zip(a, b)):
+        if i in implicit:
+            assert dot(row, p) == bi
+            # the largest slack b_i - a_i x over the set is 0
+            slack = solve_lp(vec(-x for x in row), a, b, e, d, n=n)
+            assert slack.status == OPTIMAL and slack.objective == -bi
+        else:
+            assert dot(row, p) < bi
+    return res
+
+
+@st.composite
+def _linear_systems(draw):
+    """Small int systems {a x <= b, e x = d} with zero, duplicate, rescaled
+    (also by a Fraction) and paired rows a x <= b, -a x <= -b."""
+    n = draw(st.integers(1, 3))
+    row = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    homogeneous = draw(st.booleans())
+    rhs = st.just(0) if homogeneous else st.integers(-2, 2)
+    a = draw(st.lists(row, max_size=4))
+    b = [draw(rhs) for _ in a]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("zero", "duplicate", "rescale", "pair")))
+        if kind == "zero":
+            a.append([0] * n)
+            b.append(draw(rhs))
+            continue
+        if not a:
+            continue
+        i = draw(st.integers(0, len(a) - 1))
+        k = {"duplicate": 1, "pair": -1}.get(kind) or draw(st.sampled_from((2, 3, Q(1, 2), Q(2, 3))))
+        a.append([k * x for x in a[i]])
+        b.append(k * b[i])
+    e = draw(st.lists(row, max_size=2))
+    d = [draw(rhs) for _ in e]
+    order = draw(st.permutations(range(len(a))))
+    return [a[i] for i in order], [b[i] for i in order], e, d, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(_linear_systems())
+def test_relative_interior_point_and_implicit_rows(system):
+    check_relative_interior(*system)
+
+
+def test_relative_interior_cases():
+    # n = 1: an interval, a point (paired rows), an empty set, the whole line
+    assert check_relative_interior([[1], [-1]], [1, 0], [], [], 1)[1] == ()
+    assert check_relative_interior([[1], [-1]], [1, -1], [], [], 1) == ((Q(1),), (0, 1))
+    assert check_relative_interior([[1], [-1]], [0, -1], [], [], 1) is None
+    assert check_relative_interior([], [], [], [], 1) == ((Q(0),), ())
+    # zero rows: 0 <= 0 is implicit, 0 <= 1 is not, 0 <= -1 empties the set
+    assert check_relative_interior([[0, 0], [0, 0], [1, 1]], [0, 1, 2], [], [], 2)[1] == (0,)
+    assert check_relative_interior([[0, 0], [1, 1]], [-1, 2], [], [], 2) is None
+    # x + y = 2 as paired rows with a nonzero right-hand side, y <= 3 free
+    assert check_relative_interior([[1, 1], [-1, -1], [0, 1]], [2, -2, 3], [], [], 2)[1] == (0, 1)
+    # duplicate and rescaled rows of one implicit pair, in a homogeneous cone
+    cone = [[1, 0], [-2, 0], [Q(1, 2), 0], [0, -1]]
+    assert check_relative_interior(cone, [0, 0, 0, 0], [], [], 2)[1] == (0, 1, 2)
+    # an unbounded set with an equality row off the origin
+    p, implicit = check_relative_interior([[-1, 0, 0]], [0], [[0, 1, 1]], [1], 3)
+    assert implicit == () and p[0] > 0
+    # only equalities
+    assert check_relative_interior([], [], [[1, 1]], [1], 2)[1] == ()
+
+
+def test_relative_interior_is_one_counted_lp(monkeypatch):
+    calls = []
+    original = simplex.solve_lp
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(simplex, "solve_lp", counted)
+    for a, b, e, d, n in (
+        ([[1], [-1]], [1, 0], [], [], 1),  # bounded, tau column
+        ([[1, 0], [-1, 0]], [0, 0], [[0, 1]], [0], 2),  # homogeneous, no tau
+        ([[1], [-1]], [0, -1], [], [], 1),  # empty
+    ):
+        calls.clear()
+        relative_interior(a, b, e, d, n)
+        assert len(calls) == 1

@@ -241,3 +241,49 @@ def test_mpec_witness_records_are_replayed(ex47_report, check, candidate, ys, er
         assert err is not None and error in err
     del row["certificate"]["sequence"]["records"][0]["y"]
     assert "witness record cannot be replayed" in report._check_witness_sequence(pr, row, row["certificate"])
+
+
+def _golden(name: str):
+    from importlib import resources
+    from pathlib import Path
+
+    from dircq.problemfile import load_problem
+
+    pr = load_problem(str(resources.files("dircq") / "fixtures" / f"{name}.json"))
+    report = json.loads((Path(__file__).parent / "golden" / f"{name}.json").read_text())
+    return pr, report
+
+
+def test_patch_golden_verifies():
+    pr, report = _golden("comb")
+    assert [r["check"] for r in report["rows"]] == ["mstationarity"]
+    assert verify_report(report, pr) == []
+    # the row is recomputed, not taken on trust
+    flipped = [{**report["rows"][0], "status": "HOLDS"}]
+    assert verify_report({"rows": flipped}, pr) == [
+        "row 0 (mstationarity/xbar/None): recomputed status FAILS != reported HOLDS"
+    ]
+
+
+def test_graphset_foscms_row_verifies():
+    pr, report = _golden("staircase")
+    rows = [r for r in report["rows"] if r["check"] == "foscms"]
+    assert len(rows) == 1 and rows[0]["u"] == ["1"]
+    assert verify_report({"rows": rows}, pr) == []
+    # the row's u reaches the decider: -u is tangent to the staircase, +u is not
+    assert run_check(pr, "foscms", "base", u=(1,)).qualifier == "direction-not-tangent"
+    assert run_check(pr, "foscms", "base", u=(-1,)).qualifier == ""
+
+
+def test_run_check_rejects_bad_graph_and_patch_input():
+    graph, _ = _golden("staircase")
+    patch, _ = _golden("comb")
+    for pr, check, kwargs in (
+        (graph, "mordukhovich", {"point": "base", "u": (1,)}),
+        (graph, "foscms", {"point": "xbar", "u": (1,)}),
+        (graph, "foscms", {"point": "base"}),
+        (patch, "foscms", {"point": "xbar"}),
+        (patch, "mstationarity", {"point": "base"}),
+    ):
+        with pytest.raises(ProblemFormatError):
+            run_check(pr, check, **kwargs)

@@ -31,14 +31,18 @@ def run_check(
     direction: str | None = None,
     mode: str = "asym",
     u: Vec | None = None,
+    target: Vec | None = None,
 ) -> Verdict:
     """Run the check a report row names on a parsed problem.
 
     Constraint and MPEC checks run at xbar; ``direction`` names one of the
-    problem's directions, and the theorem checkers also take ``mode``.  A
-    graph set takes ``foscms`` at its point ``base`` in the x-direction
-    ``u``, and a patch map ``mstationarity`` at (xbar, ybar).
+    problem's directions, and the theorem checkers also take ``mode`` and an
+    explicit ``target`` x* (else the full range).  A graph set takes
+    ``foscms`` at its point ``base`` in the x-direction ``u``, and a patch
+    map ``mstationarity`` at (xbar, ybar).
     """
+    if target is not None and not check.startswith("thm-"):
+        raise ProblemFormatError(f"check {check!r} takes no target")
     if problem.kind == "graphset":
         return _run_graph_check(problem, check, point, u)
     if problem.kind == "patch":
@@ -63,7 +67,7 @@ def run_check(
     if check.endswith("-normality"):
         return decider(sys, u, basis=problem.basis, mode=check.split("-")[0])
     if check.startswith("thm-"):
-        return decider(sys, u, mode=mode)
+        return decider(sys, u, mode=mode, targets=None if target is None else [target])
     return decider(sys, u)
 
 

@@ -53,10 +53,10 @@ from dircq.linalg import (
 )
 from dircq.polyhedra import (
     PolyhedralCone,
-    cone_from_generators,
     generators,
     int_generators,
     nonzero_element,
+    polar_cone,
 )
 from dircq.polymaps import Poly
 from dircq.setmaps import ConstraintSystem, InfeasiblePoint, patch_limiting_normals
@@ -77,7 +77,6 @@ from dircq.unions import (
     sign_rows,
     tangent_cone,
     tangent_cone_of_union,
-    tangent_of_cone_at,
 )
 
 HOLDS = "HOLDS"
@@ -457,7 +456,7 @@ def _image_cone(cone: PolyhedralCone, image, n: int) -> PolyhedralCone:
     rays, lin = int_generators(cone)
     im_rays = [r for r in map(image, rays) if not is_zero(r)]
     im_lin = [l for l in map(image, lin) if not is_zero(l)]
-    return cone_from_generators(im_rays, im_lin, n)
+    return polar_cone(PolyhedralCone.make(a=im_rays, e=im_lin, dim=n))
 
 
 def _source_image(ctx: _Ctx, cone: PolyhedralCone) -> PolyhedralCone:
@@ -676,18 +675,9 @@ def check_thm_nonpolyhedral(
     dual_hyper = tuple(h for _, nc in model.cells for h in hyperplanes_of(ConeUnion.make([nc], m)))
     arr = arrangement(n_dir, extra=dual_hyper + ctx.ker_rows)
 
-    def groups(require_ju: bool) -> list:
-        """Each cell with the tangents of the graph cells it meets (with
-        ``require_ju``, only graph cells whose primal side holds J u)."""
-        out = []
-        for rho in arr.cells:
-            pieces = [
-                tangent_of_cone_at(nc, rho.witness)
-                for f, nc in model.cells
-                if (not require_ju or f.contains(ctx.ju)) and nc.contains(rho.witness)
-            ]
-            out.append((None, arr.hyperplanes, rho, pieces))
-        return out
+    def groups(v: Vec | None) -> list:
+        """Each cell with the graph section at its witness (in direction v)."""
+        return [(None, arr.hyperplanes, rho, model.section(rho.witness, v)) for rho in arr.cells]
 
     # condition "derivative-at-zero" (Ia) and "subderivative" (Ib): no nonzero
     # zhat in ker J^T in the graph section
@@ -704,9 +694,9 @@ def check_thm_nonpolyhedral(
                     return ConditionReport(cname, "fails", detail, witness)
         return ConditionReport(cname, "holds")
 
-    ju_groups = groups(True)
+    ju_groups = groups(ctx.ju)
     reports = [_kernel_report(ctx, ju_groups)]
-    rep_ia = zhat_condition(groups(False), "derivative-at-zero")
+    rep_ia = zhat_condition(groups(None), "derivative-at-zero")
     rep_ib = (
         zhat_condition(ju_groups, "subderivative")
         if not is_zero(ctx.ju)
@@ -880,24 +870,6 @@ def mpec_pseudo_quasi_verdict(
 # graph-described maps (graphset blocks and patch maps)
 
 
-def graph_directional_normals(
-    graph: PolyUnion,
-    base: Vec,
-    gdir: Vec,
-    declared_tangent: ConeUnion | None = None,
-) -> ConeUnion:
-    """Directional limiting normal cone of a graph set at a graph point.
-
-    When the fixture declares the exact tangent cone at the point (families
-    truncated at finite K are not locally exact there), the polyhedral
-    reduction evaluates the limiting normal cone of the declared tangent at
-    the direction instead.
-    """
-    if declared_tangent is not None:
-        return limiting_normal_cone_of_union(declared_tangent, gdir)
-    return directional_limiting_normal_cone(graph, base, gdir)
-
-
 def _dual_slice(n_union: ConeUnion, nx: int, ny: int) -> ConeUnion:
     """{ystar : (0, -ystar) in piece} for each piece of a graph normal union."""
     pieces = []
@@ -914,7 +886,6 @@ def graph_foscms(
     u: Vec,
     nx: int,
     ny: int,
-    declared_tangent: ConeUnion | None = None,
 ) -> Verdict:
     """First-order condition for a graph-described map in direction u.
 
@@ -924,7 +895,7 @@ def graph_foscms(
     if is_zero(u):
         raise ValueError("direction u must be nonzero")
     gdir = vec(tuple(u) + tuple(Fraction(0) for _ in range(ny)))
-    n_dir = graph_directional_normals(graph, base, gdir, declared_tangent)
+    n_dir = directional_limiting_normal_cone(graph, base, gdir)
     if n_dir.is_empty:
         return Verdict(
             "foscms",

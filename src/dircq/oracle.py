@@ -4,10 +4,12 @@ The exact layer decides cone identities; this module approaches the same
 objects through their defining sequences.  It samples normals along
 directional schedules, searches for the sequence witnesses that falsify
 asymptotic regularity or pseudo-/quasi-normality, and probes pseudo- and
-super-coderivative memberships on two-parameter schedules.  A failed search
-is always reported as NOT_FOUND and never interpreted as evidence that a
-property holds; witnesses are rationalized and re-verified exactly whenever
-they lie on rational patches.
+super-coderivative memberships on two-parameter schedules
+(``probe_pseudo_or_super_coderivative`` is the only implementation of the
+paper's pseudo- and super-coderivatives; no exact rule computes them and no
+decider calls it yet).  A failed search is always reported as NOT_FOUND and
+never interpreted as evidence that a property holds; witnesses are
+rationalized and re-verified exactly whenever they lie on rational patches.
 
 Three bounded caches serve the searches, which revisit the same pieces and
 points on every schedule step, every candidate multiplier and every call:
@@ -57,8 +59,8 @@ from dircq.polyhedra import (
     IntMat,
     IntVec,
     PolyhedralCone,
-    cone_from_generators,
     generators,
+    polar_cone,
     polyhedron_faces,
 )
 from dircq.setmaps import (
@@ -283,9 +285,9 @@ class SampleResult:
     fitted_lineality: tuple[Vec, ...]
 
     def fitted_union(self, dim: int) -> ConeUnion:
-        pieces = [
-            cone_from_generators([r], (), dim) for r in self.fitted_rays
-        ] + [cone_from_generators((), [l], dim) for l in self.fitted_lineality]
+        pieces = [polar_cone(PolyhedralCone.make(a=[r], dim=dim)) for r in self.fitted_rays] + [
+            polar_cone(PolyhedralCone.make(e=[l], dim=dim)) for l in self.fitted_lineality
+        ]
         return ConeUnion.make(pieces, dim)
 
 

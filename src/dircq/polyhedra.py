@@ -1,7 +1,7 @@
 """Exact polyhedral kernels: H/V conversion, faces, polars, projections.
 
-``polyhedron_faces`` is the one face enumerator (``enumerate_faces`` maps it
-over a cone), and ``intersect_generated`` the one builder of regular normal
+``polyhedron_faces`` is the one face enumerator, ``polar_cone`` the one
+polar builder, and ``intersect_generated`` the one builder of regular normal
 cones, which the union and patch layers call with their active rows.
 
 H-forms are {x : A x <= b, E x = d}; cones are the homogeneous case with
@@ -41,13 +41,7 @@ from dircq.linalg import (
     pivot_columns,
     rank,
 )
-from dircq.simplex import (
-    INFEASIBLE,
-    OPTIMAL,
-    feasible_point,
-    solve_lp,
-    strict_feasible_point,
-)
+from dircq.simplex import OPTIMAL, solve_lp, strict_feasible_point
 
 # Cones whose V-representation is kept; the cell duals of one analysis share
 # about 300 of them, and evicting shared entries makes later calls redo work.
@@ -172,18 +166,6 @@ class HPolyhedron:
     def active_rows(self, x: Vec) -> tuple[int, ...]:
         xs, den = int_row(x)
         return tuple(i for i, r in enumerate(self.iab) if sum(map(mul, r, xs)) == r[-1] * den)
-
-
-def lp_feasibility(p: HPolyhedron):
-    """Feasible(witness) or Infeasible(farkas) for an H-polyhedron.
-
-    Returns the raw LPResult; callers use .status/.x/.farkas_*.
-    """
-    return feasible_point(*_split(p.iab), *_split(p.ied), n=p.dim)
-
-
-def is_empty(p: HPolyhedron) -> bool:
-    return lp_feasibility(p).status == INFEASIBLE
 
 
 class PolyhedralCone:
@@ -344,10 +326,15 @@ def nonzero_element(c: PolyhedralCone) -> Vec | None:
     return None
 
 
-def cone_from_generators(rays, lin, dim: int) -> PolyhedralCone:
-    """H-form of cone(rays) + span(lin) via one polar round trip."""
-    prays, plin = int_generators(PolyhedralCone.make(a=rays, e=lin, dim=dim))
-    return PolyhedralCone.make(a=prays, e=plin, dim=dim)
+def polar_cone(c: PolyhedralCone) -> PolyhedralCone:
+    """{y : <y, x> <= 0 for all x in c}.
+
+    The polar of {x : a x <= 0, e x = 0} is cone(a) + span(e), so
+    ``polar_cone(PolyhedralCone.make(a=rays, e=lin, dim=dim))`` is the H-form
+    of a cone given by generators.
+    """
+    rays, lin = int_generators(c)
+    return PolyhedralCone.make(a=rays, e=lin, dim=c.dim)
 
 
 def intersect_generated(parts, dim: int) -> PolyhedralCone:
@@ -359,16 +346,10 @@ def intersect_generated(parts, dim: int) -> PolyhedralCone:
     rows_a: list[IntVec] = []
     rows_e: list[IntVec] = []
     for rays, lin in parts:
-        h = cone_from_generators(rays, lin, dim)
+        h = polar_cone(PolyhedralCone.make(a=rays, e=lin, dim=dim))
         rows_a.extend(h.ia)
         rows_e.extend(h.ie)
     return PolyhedralCone.make(a=rows_a, e=rows_e, dim=dim)
-
-
-def polar_cone(c: PolyhedralCone) -> PolyhedralCone:
-    """{y : <y, x> <= 0 for all x in c}."""
-    rays, lin = int_generators(c)
-    return PolyhedralCone.make(a=rays, e=lin, dim=c.dim)
 
 
 def polyhedron_faces(p: HPolyhedron) -> list[tuple[tuple[int, ...], Vec]]:
@@ -395,21 +376,6 @@ def polyhedron_faces(p: HPolyhedron) -> list[tuple[tuple[int, ...], Vec]]:
             if w is not None:
                 out.append((subset, w))
     return out
-
-
-def enumerate_faces(c: PolyhedralCone) -> list[tuple[PolyhedralCone, Vec]]:
-    """All faces with a relative-interior witness each, one per activity pattern."""
-    return [
-        (
-            PolyhedralCone.make(
-                a=[r for i, r in enumerate(c.ia) if i not in active],
-                e=c.ie + tuple(c.ia[i] for i in active),
-                dim=c.dim,
-            ),
-            w,
-        )
-        for active, w in polyhedron_faces(c.as_polyhedron())
-    ]
 
 
 def project_polyhedron(p: HPolyhedron, coords: tuple[int, ...]) -> HPolyhedron:
@@ -468,10 +434,3 @@ def _prune_rows(rows: list[tuple[IntVec, int]], dim: int) -> list[tuple[IntVec, 
             continue
         kept.append((row, rhs))
     return kept
-
-
-def relint_point(p: HPolyhedron) -> Vec | None:
-    """A point satisfying all inequality rows strictly, if one exists."""
-    a, b = _split(p.iab)
-    e, d = _split(p.ied)
-    return strict_feasible_point(a, b, e=e, d=d, n=p.dim)

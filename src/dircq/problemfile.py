@@ -9,11 +9,11 @@ integers).  It carries exactly one of four model blocks:
   mpec        an equilibrium assembly (Omega pieces plus solution-map patches),
 
 together with analysis points, named directions, an optional objective and
-basis, and optional declared cone data for points where the truncated model
-is not locally exact.  Families ("staircase", "comb") expand to K-indexed
-piece lists so truncation stays a load-time parameter.  The oracle's
-schedules are not part of a problem: a ``schedule`` block is rejected rather
-than ignored.
+basis.  Families ("staircase", "comb") expand to K-indexed piece lists so
+truncation stays a load-time parameter.  Every cone is computed from these
+data, and the oracle's schedules are not part of a problem: a
+``declared_cones`` key in a graph block and a ``schedule`` block are
+rejected rather than ignored.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from dircq.linalg import Vec, is_orthogonal_basis
-from dircq.polyhedra import HPolyhedron, PolyhedralCone
+from dircq.polyhedra import HPolyhedron
 from dircq.polymaps import Poly, PolyMap, parse_poly
-from dircq.setmaps import ConstraintSystem, DeclaredCone, GraphPatch, PatchMap
-from dircq.unions import ConeUnion, PolyUnion
+from dircq.setmaps import ConstraintSystem, GraphPatch, PatchMap
+from dircq.unions import PolyUnion
 
 SCHEMA_VERSION = 1
 
@@ -105,14 +105,6 @@ def _polyunion(obj, where: str) -> PolyUnion:
     return PolyUnion.make(pieces)
 
 
-def _coneunion(obj, dim: int, where: str) -> ConeUnion:
-    pieces = []
-    for p in _list_field(obj, "pieces", where):
-        p = _object(p, f"{where}.pieces")
-        pieces.append(PolyhedralCone.make(a=_mat(p.get("a", [])), e=_mat(p.get("e", [])), dim=dim))
-    return ConeUnion.make(pieces, dim)
-
-
 def _family(fam, where: str, truncate_k: int | None) -> tuple[str, int]:
     """(kind, K) of a family block; ``truncate_k`` overrides K (default 50)."""
     kind = _field(fam, "kind", where)
@@ -167,7 +159,6 @@ class Problem:
     graph_set: PolyUnion | None = None
     graph_nx: int = 0
     graph_ny: int = 0
-    graph_declared: tuple[DeclaredCone, ...] = ()
     mpec_omega: PolyUnion | None = None
     mpec_s: PatchMap | None = None
     basis: tuple[Vec, ...] | None = None
@@ -204,20 +195,11 @@ def _parse_patches(blk, nx: int, ny: int, where: str) -> list[GraphPatch]:
     return out
 
 
-def _parse_declared(blk, dim: int, where: str) -> tuple[DeclaredCone, ...]:
-    out = []
-    objs = _list_field(blk, "declared_cones", where, optional=True)
-    where = f"{where}.declared_cones"
-    for obj in objs:
-        out.append(
-            DeclaredCone(
-                point=_vec(_field(obj, "point", where)),
-                kind=_field(obj, "kind", where),
-                cones=_coneunion(obj, dim, where),
-                direction=_vec(obj["direction"]) if "direction" in obj else None,
-            )
-        )
-    return tuple(out)
+def _graph_block(blk, where: str) -> tuple[int, int]:
+    """(nx, ny) of a patch, graphset or mpec.s block, which declares no cones."""
+    if "declared_cones" in _object(blk, where):
+        raise ProblemFormatError(f"{where}.declared_cones: cones are computed from the problem data, not declared")
+    return _int_field(blk, "nx", where), _int_field(blk, "ny", where)
 
 
 def load_problem(path: str, truncate_k: int | None = None) -> Problem:
@@ -260,7 +242,7 @@ def parse_problem(data: dict, truncate_k: int | None = None) -> Problem:
         if "objective" in data:
             objective = parse_poly(data["objective"], [f"x{i}" for i in range(n)])
     elif kind == "patch":
-        nx, ny = _int_field(blk, "nx", kind), _int_field(blk, "ny", kind)
+        nx, ny = _graph_block(blk, kind)
         patches = _parse_patches(blk, nx, ny, kind)
         fam = blk.get("family")
         if fam:
@@ -269,12 +251,11 @@ def parse_problem(data: dict, truncate_k: int | None = None) -> Problem:
                 patches.extend(_comb_patches(truncation))
             else:
                 raise ProblemFormatError(f"unknown patch family {fam_kind!r}")
-        declared = _parse_declared(blk, nx + ny, kind)
-        kwargs["patch_map"] = PatchMap(tuple(patches), nx, ny, declared=declared)
+        kwargs["patch_map"] = PatchMap(tuple(patches), nx, ny)
         if "objective" in data:
             objective = parse_poly(data["objective"], [f"x{i}" for i in range(nx)])
     elif kind == "graphset":
-        nx, ny = _int_field(blk, "nx", kind), _int_field(blk, "ny", kind)
+        nx, ny = _graph_block(blk, kind)
         pieces = [_polyhedron(p, nx + ny, f"{kind}.pieces") for p in _list_field(blk, "pieces", kind, optional=True)]
         fam = blk.get("family")
         if fam:
@@ -286,17 +267,15 @@ def parse_problem(data: dict, truncate_k: int | None = None) -> Problem:
         kwargs["graph_set"] = PolyUnion.make(pieces)
         kwargs["graph_nx"] = nx
         kwargs["graph_ny"] = ny
-        kwargs["graph_declared"] = _parse_declared(blk, nx + ny, kind)
         if "objective" in data:
             objective = parse_poly(data["objective"], [f"x{i}" for i in range(nx)])
     else:
         omega = _polyunion(_field(blk, "omega", kind), "mpec.omega")
         sp = _field(blk, "s", kind)
-        nx, ny = _int_field(sp, "nx", "mpec.s"), _int_field(sp, "ny", "mpec.s")
+        nx, ny = _graph_block(sp, "mpec.s")
         patches = _parse_patches(sp, nx, ny, "mpec.s")
-        declared = _parse_declared(sp, nx + ny, "mpec.s")
         kwargs["mpec_omega"] = omega
-        kwargs["mpec_s"] = PatchMap(tuple(patches), nx, ny, declared=declared)
+        kwargs["mpec_s"] = PatchMap(tuple(patches), nx, ny)
         if "objective" in data:
             objective = parse_poly(
                 data["objective"], [f"x{i}" for i in range(omega.dim + ny)]

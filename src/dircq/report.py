@@ -1,10 +1,13 @@
 """Report assembly, canonical serialization, and certificate verification.
 
-The structured JSON report is the interface of record: every HOLDS/FAILS row
-links a certificate that `verify` re-checks with exact arithmetic, without
-trusting any cached cone data.  Rational scalars serialize as "p/q" strings;
-identical inputs and flags produce byte-identical reports apart from the
-``generated_at`` field.
+The structured JSON report is the interface of record.  ``verify_report``
+recomputes every verdict row through ``cli.run_check`` and re-checks its
+certificate in exact arithmetic; a sample row is checked sample by sample.
+Both the recomputation and the cone lookups of the certificate checks read
+the same ``lru_cache``s that the deciders fill in the same process, and the
+lists of pieces and cells a verdict rests on are recomputed, not certified.
+Rational scalars serialize as "p/q" strings; identical inputs and flags
+produce byte-identical reports apart from the ``generated_at`` field.
 """
 
 from __future__ import annotations
@@ -21,10 +24,8 @@ from dircq.linalg import Vec, dot, is_zero, mat_t_vec, unit, vec
 from dircq.simplex import verify_farkas
 
 REPORT_VERSION = 1
-
-
-class VerificationError(Exception):
-    pass
+# status of a row that records oracle samples rather than a verdict
+SAMPLED = "SAMPLED"
 
 
 def _encode(obj, typed: bool = True):
@@ -105,7 +106,7 @@ def exit_code(rows: list[dict]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verification (exact re-checks, no cached trust)
+# verification (recomputation and exact certificate checks)
 
 
 def _decode_vec(xs) -> Vec:
@@ -115,7 +116,7 @@ def _decode_vec(xs) -> Vec:
 def _recompute_row(problem, row) -> Verdict:
     from dircq import cli
 
-    u = row.get("u")
+    u, target = row.get("u"), row.get("target")
     return cli.run_check(
         problem,
         row["check"],
@@ -123,6 +124,7 @@ def _recompute_row(problem, row) -> Verdict:
         row.get("direction"),
         row.get("mode", "asym"),
         None if u is None else _decode_vec(u),
+        None if target is None else _decode_vec(target if isinstance(target, list) else [target]),
     )
 
 
@@ -135,6 +137,11 @@ def verify_report(report: dict, problem) -> list[str]:
         cert = row.get("certificate")
         if status in (HOLDS, FAILS) and cert is None:
             errors.append(f"{label}: {status} without a certificate")
+            continue
+        if status == SAMPLED:
+            err = _check_normal_samples(problem, cert)
+            if err:
+                errors.append(f"{label}: {err}")
             continue
         try:
             fresh = _recompute_row(problem, row)
@@ -163,6 +170,30 @@ def verify_report(report: dict, problem) -> list[str]:
             if err:
                 errors.append(f"{label}: {err}")
     return errors
+
+
+def _check_normal_samples(problem, cert) -> str | None:
+    """Each sample point lies in the graph set, and its rays and lineality
+    generate the regular normal cone there."""
+    from dircq.polyhedra import PolyhedralCone, polar_cone
+    from dircq.unions import regular_normal_cone
+
+    if problem.kind != "graphset":
+        return f"normal samples need a graphset problem, not {problem.kind!r}"
+    graph = problem.graph_set
+    try:
+        for sample in cert["result"]["samples"]:
+            point = _decode_vec(sample["point"])
+            if not graph.contains(point):
+                return f"sample point left the graph set at k={sample['k']}"
+            rays = [_decode_vec(r) for r in sample["rays"]]
+            lin = [_decode_vec(l) for l in sample["lineality"]]
+            sampled = polar_cone(PolyhedralCone.make(a=rays, e=lin, dim=graph.dim))
+            if not sampled.equals(regular_normal_cone(graph, point)):
+                return f"sampled normals differ from the regular normal cone at k={sample['k']}"
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        return f"normal sample cannot be read: {exc}"
+    return None
 
 
 def _problem_context(problem, row):

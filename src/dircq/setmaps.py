@@ -1,13 +1,12 @@
 """Set-valued map layer: constraint maps g(x) - D and piecewise graph patches.
 
-Constraint maps get exact coderivative calculus through the polyhedral cone
-machinery (smooth g is calm, so the regular/directional coderivative rules
-hold with equality; the directional equality convention is cross-validated
-by the oracle).  Graph patches carry exact tangent and regular normal cones
-at regular points, and first-order pattern enumeration produces certified
-sandwich bounds (certain subset, upper superset) for limiting and
-directional limiting normal cones of patch unions; consumers must check the
-``exact`` flag before treating the bounds as equalities.
+A constraint map carries its data (g, D, xbar); its cones come from the
+union layer.  Graph patches carry exact regular normal cones at regular
+points, and first-order pattern enumeration produces certified sandwich
+bounds (certain subset, upper superset) for limiting and directional
+limiting normal cones of patch unions; consumers must check the ``exact``
+flag before treating the bounds as equalities.  Every cone is computed from
+the patches themselves.
 
 Every patch cone passes one regularity gate, ``_gated_gradients``; regular
 normal cones, of a point and of an activity pattern, are built only by
@@ -19,29 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from dircq.linalg import (
-    Mat,
-    Vec,
-    canon_ray,
-    dot,
-    is_zero,
-    mat_t_vec,
-    rank,
-    sub,
-    vec,
-    zeros,
-)
+from dircq.linalg import Mat, Vec, dot, is_zero, rank, sub, vec, zeros
 from dircq.polyhedra import PolyhedralCone, intersect_generated, project_polyhedron
 from dircq.polymaps import Poly, PolyMap, read_point
 from dircq.simplex import strict_feasible_point
-from dircq.unions import (
-    ConeUnion,
-    PolyUnion,
-    cone_union_equal,
-    directional_limiting_normal_cone,
-    regular_normal_cone,
-    tangent_cone,
-)
+from dircq.unions import ConeUnion, PolyUnion, cone_union_equal
 
 
 class InfeasiblePoint(ValueError):
@@ -77,85 +58,6 @@ class ConstraintSystem:
     def feasible(self, x: Vec, y: Vec | None = None) -> bool:
         y = y if y is not None else zeros(self.m)
         return self.d.contains(sub(self.g.eval(x), y))
-
-
-def regular_coderivative(
-    sys: ConstraintSystem, x: Vec, y: Vec, ystar: Vec
-) -> Vec | None:
-    """D^*Phi(x, y)(ystar) for the constraint map; None is the empty marker.
-
-    Equals {grad g(x)^* ystar} exactly when ystar is a regular normal of D at
-    g(x) - y (calmness of smooth g upgrades the inclusion to equality).
-    """
-    z = sub(sys.g.eval(x), y)
-    n_reg = regular_normal_cone(sys.d, z)
-    if n_reg is None:
-        raise InfeasiblePoint("(x, y) is not on the graph of the constraint map")
-    if not n_reg.contains(ystar):
-        return None
-    return mat_t_vec(sys.g.jacobian(x), ystar)
-
-
-def directional_limiting_coderivative(
-    sys: ConstraintSystem, x: Vec, y: Vec, u: Vec, v: Vec, ystar: Vec
-) -> Vec | None:
-    """Directional coderivative value in graph direction (u, v).
-
-    For smooth g the graph direction pairs u with w = grad g(x) u, and the
-    membership test happens in direction w - v on D.
-    """
-    z = sub(sys.g.eval(x), y)
-    w = tuple(dot(row, u) for row in sys.g.jacobian(x))
-    n_dir = directional_limiting_normal_cone(sys.d, z, sub(w, v))
-    if not sys.d.contains(z):
-        raise InfeasiblePoint("(x, y) is not on the graph of the constraint map")
-    if n_dir.is_empty or not n_dir.contains(ystar):
-        return None
-    return mat_t_vec(sys.g.jacobian(x), ystar)
-
-
-@dataclass(frozen=True)
-class AffineConeUnion:
-    """Set offset - K for a cone union K (value of a graphical derivative)."""
-
-    offset: Vec
-    cones: ConeUnion
-
-    def contains(self, w: Vec) -> bool:
-        return self.cones.contains(sub(self.offset, w))
-
-    @property
-    def is_empty(self) -> bool:
-        return self.cones.is_empty
-
-    def contains_zero(self) -> bool:
-        return self.cones.contains(self.offset)
-
-
-def graphical_derivative(sys: ConstraintSystem, x: Vec, y: Vec, u: Vec) -> AffineConeUnion:
-    """DPhi(x, y)(u) = grad g(x) u - T_D(g(x) - y), exactly."""
-    z = sub(sys.g.eval(x), y)
-    if not sys.d.contains(z):
-        raise InfeasiblePoint("(x, y) is not on the graph of the constraint map")
-    ju = tuple(dot(row, u) for row in sys.g.jacobian(x))
-    return AffineConeUnion(ju, tangent_cone(sys.d, z))
-
-
-def critical_cells(sys: ConstraintSystem, phi: Poly, xbar: Vec) -> ConeUnion:
-    """{u : grad g(xbar) u in T_D(g(xbar)), <grad phi(xbar), u> <= 0}.
-
-    Nonzero members are exactly the critical directions, projectively.
-    """
-    t = tangent_cone(sys.d, sys.g.eval(xbar))
-    jac = sys.g.jacobian(xbar)
-    grad = phi.gradient(xbar)
-    pieces = []
-    for piece in t.pieces:
-        a_rows = [mat_t_vec(jac, row) for row in piece.ia]
-        e_rows = [mat_t_vec(jac, row) for row in piece.ie]
-        a_rows.append(grad)
-        pieces.append(PolyhedralCone.make(a=a_rows, e=e_rows, dim=sys.n))
-    return ConeUnion.make(pieces, sys.n)
 
 
 # ---------------------------------------------------------------------------
@@ -195,23 +97,12 @@ class GraphPatch:
 
 
 @dataclass(frozen=True)
-class DeclaredCone:
-    """User-supplied exact cone data attached to a graph point."""
-
-    point: Vec
-    kind: str  # "graph_tangent" | "graph_normal" | "graph_normal_directional"
-    cones: ConeUnion
-    direction: Vec | None = None
-
-
-@dataclass(frozen=True)
 class PatchMap:
     """Set-valued map given by a finite union of closed graph patches."""
 
     patches: tuple[GraphPatch, ...]
     nx: int
     ny: int
-    declared: tuple[DeclaredCone, ...] = ()
 
     @property
     def dim(self) -> int:
@@ -222,17 +113,6 @@ class PatchMap:
 
     def patches_at(self, w: Vec) -> tuple[int, ...]:
         return tuple(i for i, p in enumerate(self.patches) if p.contains(w))
-
-    def declared_cone(self, point: Vec, kind: str, direction: Vec | None = None):
-        for dc in self.declared:
-            if dc.point != point or dc.kind != kind:
-                continue
-            if direction is None and dc.direction is None:
-                return dc.cones
-            if direction is not None and dc.direction is not None:
-                if canon_ray(direction) == canon_ray(dc.direction):
-                    return dc.cones
-        return None
 
 
 def _gated_gradients(m: PatchMap, i: int, w: Vec) -> tuple[Mat, Mat, tuple[int, ...]]:
@@ -248,18 +128,6 @@ def _gated_gradients(m: PatchMap, i: int, w: Vec) -> tuple[Mat, Mat, tuple[int, 
     if rows and rank(rows) != len(rows):
         raise PatchRegularityError(f"patch {i} fails the regularity gate at {w}; use the oracle")
     return eg, qg, act
-
-
-def patch_tangent_cone(m: PatchMap, w: Vec) -> ConeUnion:
-    """Linearized tangent cones at a regular point of each active patch."""
-    declared = m.declared_cone(w, "graph_tangent")
-    if declared is not None:
-        return declared
-    cones = []
-    for i in m.patches_at(w):
-        eg, qg, act = _gated_gradients(m, i, w)
-        cones.append(PolyhedralCone.make(a=[qg[j] for j in act], e=eg, dim=m.dim))
-    return ConeUnion.make(cones, m.dim)
 
 
 def patch_regular_normal_cone(m: PatchMap, w: Vec) -> PolyhedralCone | None:
@@ -293,10 +161,6 @@ def patch_limiting_normals(
     approach exits every other active patch strictly.  The bounds coincide
     as sets on all shipped fixtures; the ``exact`` flag reports it.
     """
-    kind = "graph_normal" if direction is None else "graph_normal_directional"
-    declared = m.declared_cone(w, kind, direction)
-    if declared is not None:
-        return PatternBounds(declared, declared, True)
     dim = m.dim
     idx = m.patches_at(w)
     if not idx:
@@ -419,7 +283,7 @@ def patch_coderivative_image(
 
 
 # ---------------------------------------------------------------------------
-# constraint maps as patch maps, and the equilibrium-constraint assembly
+# constraint maps as patch maps
 
 
 def _affine_polys(rows: Mat, rhs: Vec, images: list[Poly], dim: int) -> tuple[Poly, ...]:
@@ -447,28 +311,3 @@ def constraint_graph_patches(sys: ConstraintSystem) -> PatchMap:
         for piece in sys.d.pieces
     ]
     return PatchMap(tuple(patches), n, mdim)
-
-
-def mpec_assemble(omega: PolyUnion, s: PatchMap) -> PatchMap:
-    """Graph patches of Phi(x) = (Omega - x1, S(x1) - x2).
-
-    Joint variables are (x1, x2, y1, y2); the graph condition reads
-    x1 + y1 in Omega and (x1, x2 + y2) in gph S.
-    """
-    n1, n2 = s.nx, s.ny
-    if omega.dim != n1:
-        raise ValueError("Omega must live in the domain space of S")
-    dim = 2 * (n1 + n2)
-    v = [Poly.variable(i, dim) for i in range(dim)]  # (x1, x2, y1, y2)
-    x1, x2, y1, y2 = v[:n1], v[n1 : n1 + n2], v[n1 + n2 : 2 * n1 + n2], v[2 * n1 + n2 :]
-    images = x1 + [a + b for a, b in zip(x2, y2)]
-    shifted = [a + b for a, b in zip(x1, y1)]
-    patches = []
-    for opiece in omega.pieces:
-        omega_rows = _affine_polys(opiece.a, opiece.b, shifted, dim)
-        omega_eqs = _affine_polys(opiece.e, opiece.d, shifted, dim)
-        for spatch in s.patches:
-            eqs = tuple(p.substitute_linear(images) for p in spatch.eqs) + omega_eqs
-            ineqs = tuple(q.substitute_linear(images) for q in spatch.ineqs) + omega_rows
-            patches.append(GraphPatch(eqs, ineqs, n1 + n2, n1 + n2))
-    return PatchMap(tuple(patches), n1 + n2, n1 + n2)

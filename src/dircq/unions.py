@@ -6,8 +6,8 @@ all facet hyperplanes: on the relative interior of an arrangement cell the
 active pattern of every piece is constant, so the regular normal cone is one
 fixed polyhedral cone per cell, and limiting objects are finite unions of
 cell duals.  The local graph of the limiting-normal-cone map is the union of
-the products (cell closure) x (cell dual), which drives the graphical
-derivative and subderivative of that map.
+the products (cell closure) x (cell dual), and ``NormalGraphModel.section``
+is the one rule that reads a section of it.
 
 The cells come from one depth-first search over sign vectors,
 ``sign_cells``, which also drives the inclusion test ``subdivide_and_check``.
@@ -66,7 +66,6 @@ from dircq.polyhedra import (
     PolyhedralCone,
     intersect_generated,
     nonzero_element,
-    project_polyhedron,
 )
 from dircq.simplex import strict_feasible_point
 
@@ -470,6 +469,21 @@ class NormalGraphModel:
     def contains(self, q: Vec, z: Vec) -> bool:
         return any(f.contains(q) and n.contains(z) for f, n in self.cells)
 
+    def section(self, ystar: Vec, v: Vec | None = None) -> list[PolyhedralCone]:
+        """Tangents at ystar of the dual sides N of the cells F x N with
+        v in F and ystar in N; v = None keeps every F.
+
+        On a product cell the tangent pairs at (0, ystar) are F x T_N(ystar),
+        so the union of the pieces is {w : (v, w) tangent to the model at
+        (0, ystar)}, the graphical derivative of the normal-cone map in
+        direction v.
+        """
+        return [
+            tangent_of_cone_at(n, ystar)
+            for f, n in self.cells
+            if (v is None or f.contains(v)) and n.contains(ystar)
+        ]
+
 
 @lru_cache(maxsize=CACHE_SIZE)
 def normal_graph(d: PolyUnion, y: Vec) -> NormalGraphModel | None:
@@ -498,54 +512,6 @@ def tangent_of_cone_at(c: PolyhedralCone, y: Vec) -> PolyhedralCone:
     ys = int_row(y)[0]
     act = [row for row in c.ia if sum(map(mul, row, ys)) == 0]
     return PolyhedralCone.make(a=act, e=c.ie, dim=c.dim)
-
-
-def graphical_derivative_of_normal_map(
-    d: PolyUnion, y: Vec, ystar: Vec, v: Vec
-) -> ConeUnion:
-    """{w : (v, w) tangent to gph N_D at (y, ystar)}."""
-    model = normal_graph(d, y)
-    if model is None:
-        return ConeUnion.empty(d.dim)
-    if not limiting_normal_cone(d, y).contains(ystar):
-        return ConeUnion.empty(d.dim)
-    pieces = []
-    for f, n in model.cells:
-        if n.contains(ystar) and f.contains(v):
-            pieces.append(tangent_of_cone_at(n, ystar))
-    return ConeUnion.make(pieces, d.dim)
-
-
-def graphical_subderivative_of_normal_map(
-    d: PolyUnion, y: Vec, ystar: Vec, v: Vec
-) -> ConeUnion:
-    """Two-scale directional sections of gph N_D; minus-origin semantics.
-
-    On a product cell F x N anchored at (0, ystar) the admissible pairs are
-    exactly v in F together with w tangent to N at ystar, so the result is
-    the graphical-derivative section without its origin.  Nonzero members of
-    the returned union are the subderivative values (scaled projectively).
-    """
-    if is_zero(v):
-        return ConeUnion.empty(d.dim)
-    section = graphical_derivative_of_normal_map(d, y, ystar, v)
-    return ConeUnion.make([t for t in section.pieces if not t.is_trivial()], d.dim)
-
-
-def two_scale_admissible(piece: PolyhedralCone, v: Vec, m: int) -> PolyhedralCone | None:
-    """{w : (0, w) in piece and v in proj_1(piece)} for a cone in R^{2m}.
-
-    Reference rule for the graphical subderivative of conic graph pieces:
-    on polyhedral cones the two-scale sequence condition reduces to this
-    membership pair because the primal projection is closed.
-    """
-    proj = project_polyhedron(piece.as_polyhedron(), tuple(range(m)))
-    if not proj.contains(v):
-        return None
-    # slice {w : (0, w) in piece}: substitute q = 0 in every row
-    a_rows = [row[m:] for row in piece.ia]
-    e_rows = [row[m:] for row in piece.ie]
-    return PolyhedralCone.make(a=a_rows, e=e_rows, dim=m)
 
 
 # ---------------------------------------------------------------------------

@@ -11,16 +11,12 @@ from dircq.linalg import canon_line, canon_ray, dot, is_zero, mat, nullspace, rr
 from dircq.polyhedra import (
     HPolyhedron,
     PolyhedralCone,
-    cone_from_generators,
-    enumerate_faces,
     generators,
-    is_empty,
-    lp_feasibility,
     polar_cone,
+    polyhedron_faces,
     project_polyhedron,
-    relint_point,
 )
-from dircq.simplex import INFEASIBLE, OPTIMAL, feasible_point
+from dircq.simplex import INFEASIBLE, OPTIMAL, feasible_point, strict_feasible_point
 
 
 def cone(a=(), e=(), dim=None):
@@ -81,7 +77,7 @@ def test_generator_roundtrip_random():
     for _ in range(40):
         c = _random_cone(rng, rng.randint(1, 4), rng.randint(0, 5))
         rays, lin = generators(c)
-        back = cone_from_generators(rays, lin, c.dim)
+        back = polar_cone(cone(a=rays, e=lin, dim=c.dim))
         assert back.equals(c)
 
 
@@ -162,16 +158,16 @@ def test_generators_match_reference_special_cones():
 
 def test_faces_quadrant():
     c = cone(a=[[-1, 0], [0, -1]])
-    faces = enumerate_faces(c)
+    faces = polyhedron_faces(c.as_polyhedron())
     assert len(faces) == 4  # whole cone, two rays, origin
-    for face, w in faces:
-        assert face.contains(w)
+    for active, w in faces:
         assert c.contains(w)
+        assert all(dot(c.a[i], w) == 0 for i in active)
 
 
 def test_faces_halfplane():
     c = cone(a=[[0, -1]])  # y >= 0 in the plane
-    faces = enumerate_faces(c)
+    faces = polyhedron_faces(c.as_polyhedron())
     assert len(faces) == 2  # the halfplane and the line y = 0
 
 
@@ -179,12 +175,10 @@ def test_faces_match_bruteforce_random():
     rng = random.Random(9)
     for _ in range(15):
         c = _random_cone(rng, 3, rng.randint(1, 5))
-        faces = enumerate_faces(c)
+        faces = polyhedron_faces(c.as_polyhedron())
         # brute force: distinct feasible strict activity patterns
         m = len(c.a)
         patterns = set()
-        from dircq.simplex import strict_feasible_point
-
         for size in range(m + 1):
             for s in itertools.combinations(range(m), size):
                 ins = tuple(c.a[i] for i in range(m) if i not in s)
@@ -204,11 +198,11 @@ def test_face_witness_activity():
     rng = random.Random(10)
     for _ in range(10):
         c = _random_cone(rng, 3, 4)
-        for face, w in enumerate_faces(c):
-            for row in face.e:
+        for active, w in polyhedron_faces(c.as_polyhedron()):
+            for row in c.e:
                 assert dot(row, w) == 0
-            for row in face.a:
-                assert dot(row, w) < 0
+            for i, row in enumerate(c.a):
+                assert (dot(row, w) == 0) if i in active else (dot(row, w) < 0)
 
 
 def test_projection_triangle():
@@ -248,15 +242,12 @@ def test_projection_membership_vs_lp_random():
 
 
 def test_lp_feasibility_certificates():
-    p = HPolyhedron.make(a=[[1], [-1]], b=[1, -2])
-    res = lp_feasibility(p)
+    # x <= 1 and x >= 2: the Farkas vector adds the two rows to 0 <= -1
+    res = feasible_point(((1,), (-1,)), (1, -2), n=1)
     assert res.status == INFEASIBLE and res.farkas_ineq == vec([1, 1])
-    q = HPolyhedron.make(a=[[-1, 0], [0, -1]], b=[0, 0], e=[[1, 1]], d=[1])
-    assert lp_feasibility(q).status == OPTIMAL
-    assert not is_empty(q)
+    assert feasible_point(((-1, 0), (0, -1)), (0, 0), ((1, 1),), (1,), n=2).status == OPTIMAL
 
 
 def test_relint_point():
-    p = HPolyhedron.make(a=[[-1, 0], [0, -1]], b=[0, 0])
-    w = relint_point(p)
+    w = strict_feasible_point(((-1, 0), (0, -1)), (0, 0), n=2)
     assert w is not None and w[0] > 0 and w[1] > 0

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import re
 from importlib import resources
 
 import pytest
@@ -78,9 +79,17 @@ def test_non_integer_field_is_named(name, path, message):
         parse_problem(replaced(fixture(name), path, "a"))
 
 
-def test_declared_cones_must_be_a_list():
-    data = replaced(fixture("comb"), ("patch", "declared_cones"), {"point": [0, 0]})
-    with pytest.raises(ProblemFormatError, match=r"patch\.declared_cones: expected a list, got dict"):
+@pytest.mark.parametrize(
+    "name, block",
+    [("comb", ("patch",)), ("staircase", ("graphset",)), ("ex47", ("mpec", "s"))],
+    ids=["patch", "graphset", "mpec.s"],
+)
+@pytest.mark.parametrize("value", [[], {"point": [0, 0]}], ids=["list", "dict"])
+def test_declared_cones_are_rejected(name, block, value):
+    # every cone is computed from the problem data, so declared cones are an error, not a no-op
+    data = replaced(fixture(name), block + ("declared_cones",), value)
+    where = re.escape(".".join(block))
+    with pytest.raises(ProblemFormatError, match=rf"{where}\.declared_cones: cones are computed"):
         parse_problem(data)
 
 

@@ -1,0 +1,81 @@
+"""Every public top-level function and class of ``dircq`` has a caller.
+
+A name counts as referenced when a module of ``src/dircq`` or ``perfbench``
+names it other than in its own definition: as a variable, an attribute, an
+imported name, or a string or dotted string (``cli.run_check`` and the
+tracer look functions up by name).  A public name with no reference is dead
+code unless ``KEEP`` lists it with the reason it stays; an entry that has
+gained a caller, or whose name is gone, is dropped from ``KEEP``.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "dircq"
+SOURCES = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+
+KEEP = {
+    "linalg": {
+        "canon_line": "reference helper: tests compare the int row canonicalization against it",
+    },
+    "oracle": {
+        "probe_pseudo_or_super_coderivative": "the only implementation of the paper's pseudo- and super-coderivatives",
+    },
+    "problemfile": {
+        "load_problem": "reads a problem file for the command-line check and verify commands",
+    },
+    "report": {
+        "build_report": "assembles the report the command-line check command writes",
+        "exit_code": "the exit status of the command-line check and verify commands",
+        "verify_report": "the checker behind the command-line verify command",
+    },
+    "setmaps": {
+        "constraint_graph_patches": "a constraint map as a patch map, to cross-check the exact deciders with the oracle",
+    },
+}
+
+
+def public_definitions() -> set[tuple[str, str]]:
+    out = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                out.add((path.stem, node.name))
+    return out
+
+
+def referenced_names() -> set[str]:
+    names = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                parts = node.value.split(".")
+                if all(p.isidentifier() for p in parts):
+                    names.update(parts)
+    return names
+
+
+def test_every_public_name_has_a_caller_or_a_reason():
+    refs = referenced_names()
+    dead = sorted(
+        f"{mod}.{name}"
+        for mod, name in public_definitions()
+        if name not in refs and name not in KEEP.get(mod, {})
+    )
+    assert not dead, f"public names that nothing in src/ or perfbench/ reaches: {dead}"
+
+
+def test_keep_list_names_only_unreferenced_definitions():
+    defined, refs = public_definitions(), referenced_names()
+    for mod, entries in KEEP.items():
+        for name, reason in entries.items():
+            assert (mod, name) in defined, f"{mod}.{name} is no longer defined"
+            assert name not in refs, f"{mod}.{name} has a caller now; drop it from KEEP"
+            assert reason

@@ -1,26 +1,21 @@
-"""Constraint maps, graph patches, and the equilibrium-constraint assembly."""
+"""Constraint maps and graph patches."""
 
 from fractions import Fraction as Q
 
 import pytest
 
-from dircq.linalg import vec
+from dircq.linalg import mat_t_vec, vec
 from dircq.polyhedra import HPolyhedron, PolyhedralCone
 from dircq.polymaps import PolyMap, parse_poly
 from dircq.setmaps import (
     ConstraintSystem,
     GraphPatch,
     PatchMap,
+    PatchRegularityError,
     constraint_graph_patches,
-    critical_cells,
-    directional_limiting_coderivative,
-    graphical_derivative,
-    mpec_assemble,
     patch_coderivative_image,
     patch_limiting_normals,
     patch_regular_normal_cone,
-    patch_tangent_cone,
-    regular_coderivative,
 )
 from dircq.unions import ConeUnion, PolyUnion, cone_union_equal
 
@@ -41,66 +36,6 @@ def joint_poly(s, nx, ny):
     return parse_poly(s, names)
 
 
-def test_regular_coderivative_rejects_non_normal():
-    sys = ex58_system()
-    # regular normal cone of D at 0 is {0}: only ystar = 0 passes
-    assert regular_coderivative(sys, vec([0]), vec([0, 0]), vec([0, -1])) is None
-    out = regular_coderivative(sys, vec([0]), vec([0, 0]), vec([0, 0]))
-    assert out == vec([0])
-
-
-def test_regular_coderivative_kkt_rows():
-    # D = R_-^2, active pattern gives the usual multiplier combination
-    g = PolyMap.parse(["x0 + x1", "x0 - x1"], 2)
-    d = PolyUnion.make([HPolyhedron.make(a=[[1, 0], [0, 1]], b=[0, 0])])
-    sys = ConstraintSystem(g, d, vec([0, 0]))
-    ystar = vec([2, 3])
-    out = regular_coderivative(sys, vec([0, 0]), vec([0, 0]), ystar)
-    assert out == vec([5, -1])
-
-
-def test_directional_coderivative_ex58():
-    sys = ex58_system()
-    x, y = vec([0]), vec([0, 0])
-    # u = -1: ystar = (0,-1) lies in the directional cone {0} x R-, adjoint kills it
-    out = directional_limiting_coderivative(sys, x, y, vec([-1]), vec([0, 0]), vec([0, -1]))
-    assert out == vec([0])
-    # u = 1: the directional cone is trivial, nonzero ystar rejected
-    assert (
-        directional_limiting_coderivative(sys, x, y, vec([1]), vec([0, 0]), vec([0, -1]))
-        is None
-    )
-
-
-def test_graphical_derivative_membership():
-    sys = ex58_system()
-    for u in (vec([1]), vec([-1])):
-        dz = graphical_derivative(sys, vec([0]), vec([0, 0]), u)
-        assert dz.contains_zero()
-    # direction pointing out of the tangent cone at a boundary-like setup
-    g = PolyMap.parse(["x0"], 1)
-    d = PolyUnion.make([HPolyhedron.make(a=[[1]], b=[0], dim=1)])  # R-
-    sys2 = ConstraintSystem(g, d, vec([0]))
-    dz2 = graphical_derivative(sys2, vec([0]), vec([0]), vec([1]))
-    assert not dz2.contains_zero()
-
-
-def test_critical_cells_ex58():
-    sys = ex58_system()
-    phi = parse_poly("-x0", ["x0"])
-    cells = critical_cells(sys, phi, vec([0]))
-    # descent of -x needs u >= 0; grad g(0) u = (u, 0) is tangent for all u
-    assert cells.contains(vec([1])) and cells.contains(vec([0]))
-    assert not cells.contains(vec([-1]))
-
-
-def test_critical_cells_zero_gradient():
-    sys = ex58_system()
-    phi = parse_poly("0 x0", ["x0"]) if False else parse_poly("3", ["x0"])
-    cells = critical_cells(sys, phi, vec([0]))
-    assert cells.contains(vec([1])) and cells.contains(vec([-1]))
-
-
 def test_patch_regular_normal_parabola_point():
     # parabola patch y = x^2 at (1/3, 1/9): normal line spanned by (2/3, -1)
     patch = GraphPatch((joint_poly("y0 - x0^2", 1, 1),), (), 1, 1)
@@ -113,13 +48,13 @@ def test_patch_regular_normal_parabola_point():
 
 
 def test_patch_tangent_requires_regularity():
-    # gradient of x^2 vanishes at the origin: the gate rejects
+    # gradient of x^2 vanishes at the origin, so the linearized tangent cone
+    # is not exact there: the gate rejects it, and with it the regular
+    # normal cone, which is its polar
     patch = GraphPatch((joint_poly("x0^2", 1, 1),), (), 1, 1)
     m = PatchMap((patch,), 1, 1)
-    from dircq.setmaps import PatchRegularityError
-
     with pytest.raises(PatchRegularityError):
-        patch_tangent_cone(m, vec([0, 0]))
+        patch_regular_normal_cone(m, vec([0, 0]))
 
 
 def test_patch_graph_of_constraint_system_matches():
@@ -145,8 +80,7 @@ def test_patch_graph_of_constraint_system_matches():
 
     rays, lin = generators(nd)
     for ystar in rays + lin:
-        xs = regular_coderivative(sys, x, y, ystar)
-        assert xs is not None
+        xs = mat_t_vec(sys.g.jacobian(x), ystar)
         assert n_patch.contains(vec(tuple(xs) + tuple(-c for c in ystar)))
         rays_checked += 1
     assert rays_checked > 0
@@ -185,64 +119,3 @@ def test_patch_directional_normals_region():
     img = patch_coderivative_image(m, vec([0, 0]), vec([1, 0]))
     assert img.exact
     assert cone_union_equal(img.upper, ConeUnion.trivial(1))
-
-
-def test_declared_cone_lookup():
-    patch = GraphPatch((joint_poly("y0", 1, 1),), (), 1, 1)
-    from dircq.setmaps import DeclaredCone
-
-    declared = DeclaredCone(
-        point=vec([0, 0]),
-        kind="graph_tangent",
-        cones=ConeUnion.make([PolyhedralCone.make(a=[[1, -1]], dim=2)], 2),
-    )
-    m = PatchMap((patch,), 1, 1, declared=(declared,))
-    t = patch_tangent_cone(m, vec([0, 0]))
-    assert t.contains(vec([1, 2])) and not t.contains(vec([1, 0]))
-
-
-def ex47_solution_map():
-    # S(t) = {-t^2} for t <= 0 and {sqrt(t)} for t > 0, as two patches
-    para = GraphPatch(
-        (joint_poly("y0 + x0^2", 1, 1),),
-        (joint_poly("x0", 1, 1),),
-        1,
-        1,
-    )
-    root = GraphPatch(
-        (joint_poly("x0 - y0^2", 1, 1),),
-        (joint_poly("-y0", 1, 1),),
-        1,
-        1,
-    )
-    return PatchMap((para, root), 1, 1)
-
-
-def test_ex47_tangent_cone_of_solution_graph():
-    s = ex47_solution_map()
-    t = patch_tangent_cone(s, vec([0, 0]))
-    expected = ConeUnion.make(
-        [
-            PolyhedralCone.make(a=[[1, 0]], e=[[0, 1]], dim=2),  # R- x {0}
-            PolyhedralCone.make(a=[[0, -1]], e=[[1, 0]], dim=2),  # {0} x R+
-        ],
-        2,
-    )
-    assert cone_union_equal(t, expected)
-
-
-def test_mpec_assembly_feasibility():
-    s = ex47_solution_map()
-    omega = PolyUnion.make([HPolyhedron.make(a=[[-1]], b=[0], dim=1)])  # R+
-    phi = mpec_assemble(omega, s)
-    # (x, 0) feasible iff x1 in Omega and x2 in S(x1)
-    assert phi.graph_contains(vec([0, 0]), vec([0, 0]))
-    assert phi.graph_contains(vec([4, 2]), vec([0, 0]))  # sqrt branch
-    assert not phi.graph_contains(vec([-1, -1]), vec([0, 0]))  # Omega violated
-    assert not phi.graph_contains(vec([4, 1]), vec([0, 0]))
-    # identity-style check: Omega = R, S the diagonal
-    diag = PatchMap((GraphPatch((joint_poly("y0 - x0", 1, 1),), (), 1, 1),), 1, 1)
-    omega_all = PolyUnion.make([HPolyhedron.make(a=(), b=(), dim=1)])
-    phi2 = mpec_assemble(omega_all, diag)
-    assert phi2.graph_contains(vec([3, 3]), vec([0, 0]))
-    assert not phi2.graph_contains(vec([3, 2]), vec([0, 0]))

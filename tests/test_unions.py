@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from dircq import simplex
 from dircq.linalg import dot, vec
-from dircq.polyhedra import HPolyhedron, PolyhedralCone, generators, relint_point
+from dircq.polyhedra import HPolyhedron, PolyhedralCone, generators
 from dircq.simplex import strict_feasible_point
 from dircq.unions import (
     ConeUnion,
@@ -18,15 +18,12 @@ from dircq.unions import (
     cone_union_equal,
     cone_union_subset,
     directional_limiting_normal_cone,
-    graphical_derivative_of_normal_map,
-    graphical_subderivative_of_normal_map,
     limiting_normal_cone,
     normal_graph,
     regular_normal_cone,
     sign_cells,
     sign_rows,
     tangent_cone,
-    two_scale_admissible,
 )
 
 R2 = 2
@@ -246,12 +243,19 @@ def limiting_normal_cone_via_point(d, q):
     return limiting_normal_cone(t.as_polyunion(), q)
 
 
+def graph_section(d, y, ystar, v, nonzero=False):
+    """The section of gph N_D at (y, ystar) in direction v, as a union;
+    ``nonzero`` drops its trivial pieces, leaving the subderivative values."""
+    pieces = normal_graph(d, y).section(ystar, v)
+    return ConeUnion.make([p for p in pieces if not (nonzero and p.is_trivial())], d.dim)
+
+
 def test_graphical_derivative_halfline_cases():
     d = PolyUnion.make([HPolyhedron.make(a=[[1]], b=[0], dim=1)])
     y, ystar = vec([0]), vec([0])
-    g_neg = graphical_derivative_of_normal_map(d, y, ystar, vec([-1]))
+    g_neg = graph_section(d, y, ystar, vec([-1]))
     assert cone_union_equal(g_neg, ConeUnion.trivial(1))
-    g_zero = graphical_derivative_of_normal_map(d, y, ystar, vec([0]))
+    g_zero = graph_section(d, y, ystar, vec([0]))
     expected = union_from_cones([PolyhedralCone.make(a=[[-1]], dim=1)], 1)
     assert cone_union_equal(g_zero, expected)
 
@@ -272,10 +276,10 @@ def test_graphical_derivative_critical_cone_oracle():
         ystar = cands[rng.randrange(len(cands))]
         t = tangent_cone(d, y).pieces[0]
         k = t.intersect(PolyhedralCone.make(e=[ystar], dim=n)) if any(ystar) else t
-        v = relint_point(k.as_polyhedron())
+        v = strict_feasible_point(k.ia, (0,) * len(k.ia), e=k.ie, d=(0,) * len(k.ie), n=n)
         if v is None:
             continue
-        lhs = graphical_derivative_of_normal_map(d, y, ystar, v)
+        lhs = graph_section(d, y, ystar, v)
         rhs = union_from_cones(
             [regular_normal_cone(PolyUnion.make([k.as_polyhedron()]), v)], n
         )
@@ -284,26 +288,30 @@ def test_graphical_derivative_critical_cone_oracle():
 
 
 def test_subderivative_product_piece_rule():
-    # piece {(q, w) : w >= 0} in R x R with v = 1: admissible w = R+
-    piece = PolyhedralCone.make(a=[[0, -1]], dim=2)
-    sl = two_scale_admissible(piece, vec([1]), 1)
-    assert sl is not None and sl.equals(PolyhedralCone.make(a=[[-1]], dim=1))
-    # diagonal piece {(q, w) : w = q}: slice at q = 0 is {0}, no nonzero w
-    diag = PolyhedralCone.make(e=[[1, -1]], dim=2)
-    sl2 = two_scale_admissible(diag, vec([7]), 1)
-    assert sl2 is not None and sl2.is_trivial()
+    # D = {y2 <= 0}: the model cells are (line y2 = 0) x ({0} x R+) and
+    # D x {0}; on a product cell F x N the admissible pairs are v in F with
+    # w tangent to N at y*
+    d = PolyUnion.make([HPolyhedron.make(a=[[0, 1]], b=[0])])
+    y, ray = vec([0, 0]), PolyhedralCone.make(a=[[0, -1]], e=[[1, 0]], dim=2)
+    sub = graph_section(d, y, vec([0, 0]), vec([1, 0]), nonzero=True)
+    assert cone_union_equal(sub, union_from_cones([ray], 2))
+    # at y* = (0, 1), inside the ray, its tangent is the whole line {0} x R
+    sub_in = graph_section(d, y, vec([0, 1]), vec([1, 0]), nonzero=True)
+    assert cone_union_equal(sub_in, union_from_cones([PolyhedralCone.make(e=[[1, 0]], dim=2)], 2))
+    # v = (0, -1) enters the interior, where N = {0}: no nonzero w
+    assert graph_section(d, y, vec([0, 0]), vec([0, -1]), nonzero=True).is_empty
 
 
 def test_subderivative_halfplane_union_too_large():
     # at y* = 0 in direction (-1, 0) the subderivative picks up {0} x R-
     d = halfplane_union()
-    sub = graphical_subderivative_of_normal_map(d, vec([0, 0]), vec([0, 0]), vec([-1, 0]))
+    sub = graph_section(d, vec([0, 0]), vec([0, 0]), vec([-1, 0]), nonzero=True)
     assert not sub.is_empty
     assert sub.contains(vec([0, -3]))
     assert not sub.contains(vec([-1, 0]))
     # direction (1, 0): no nonzero admissible values
-    sub2 = graphical_subderivative_of_normal_map(d, vec([0, 0]), vec([0, 0]), vec([1, 0]))
-    assert sub2.is_empty or sub2.is_trivial()
+    sub2 = graph_section(d, vec([0, 0]), vec([0, 0]), vec([1, 0]), nonzero=True)
+    assert sub2.is_empty
 
 
 def test_subderivative_contained_in_directional_cone():
@@ -327,11 +335,11 @@ def test_subderivative_contained_in_directional_cone():
         q = next((w for w in (vec([1, 0]), vec([0, 1]), vec([-1, 0]), vec([0, -1])) if t.contains(w)), None)
         if q is None:
             continue
-        der = graphical_derivative_of_normal_map(d, y, vec([0, 0]), q)
+        der = graph_section(d, y, vec([0, 0]), q)
         dir_cone = directional_limiting_normal_cone(d, y, q)
         ok, witness = cone_union_subset(der, dir_cone)
         assert ok, witness
-        sub = graphical_subderivative_of_normal_map(d, y, vec([0, 0]), q)
+        sub = graph_section(d, y, vec([0, 0]), q, nonzero=True)
         if not sub.is_empty:
             ok2, w2 = cone_union_subset(sub, dir_cone)
             assert ok2, w2

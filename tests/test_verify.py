@@ -1,12 +1,15 @@
 """problem file -> decider -> JSON report -> verify, on Example 5.8."""
 
+import copy
 import json
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
 from dircq import cq
 from dircq.cli import run_check
-from dircq.problemfile import ProblemFormatError, parse_problem
+from dircq.problemfile import ProblemFormatError, load_problem, parse_problem
 from dircq.report import dumps, verdict_row, verify_report
 
 EX58 = {
@@ -72,6 +75,7 @@ def test_run_check_rejects_bad_input():
         ("foscms", {}),
         ("foscms", {"direction": "sideways"}),
         ("mordukhovich", {"point": "ybar"}),
+        ("foscms", {"direction": "plus", "target": (0,)}),
     ):
         with pytest.raises(ProblemFormatError):
             run_check(pr, check, **kwargs)
@@ -82,10 +86,7 @@ def test_run_check_rejects_bad_input():
 
 @pytest.fixture(scope="module")
 def ex47_report():
-    from importlib import resources
-
     from dircq.oracle import MpecProblem
-    from dircq.problemfile import load_problem
 
     pr = load_problem(str(resources.files("dircq") / "fixtures" / "ex47.json"))
     mp = MpecProblem(pr.mpec_omega, pr.mpec_s, pr.point("xbar"))
@@ -243,15 +244,37 @@ def test_mpec_witness_records_are_replayed(ex47_report, check, candidate, ys, er
     assert "witness record cannot be replayed" in report._check_witness_sequence(pr, row, row["certificate"])
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
 def _golden(name: str):
-    from importlib import resources
-    from pathlib import Path
-
-    from dircq.problemfile import load_problem
-
-    pr = load_problem(str(resources.files("dircq") / "fixtures" / f"{name}.json"))
-    report = json.loads((Path(__file__).parent / "golden" / f"{name}.json").read_text())
+    """The golden report ``name`` and the problem of its fixture (the part
+    of the name before any ``-strong`` or ``-normality`` suffix)."""
+    pr = load_problem(str(resources.files("dircq") / "fixtures" / f"{name.split('-')[0]}.json"))
+    report = json.loads((GOLDEN / f"{name}.json").read_text())
     return pr, report
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in GOLDEN.glob("*.json")))
+def test_golden_report_verifies(name):
+    # rows at an explicit target x* and sample rows included
+    pr, report = _golden(name)
+    assert verify_report(report, pr) == []
+
+
+def test_normal_samples_are_checked():
+    pr, report = _golden("staircase")
+    row = copy.deepcopy(next(r for r in report["rows"] if r["status"] == "SAMPLED"))
+    label = f"row 0 (directional-normal-sample/base/{row['direction']})"
+    samples = row["certificate"]["result"]["samples"]
+    samples[2]["rays"] = samples[2]["rays"][:1]
+    assert verify_report({"rows": [row]}, pr) == [
+        f"{label}: sampled normals differ from the regular normal cone at k={samples[2]['k']}"
+    ]
+    samples[1]["point"] = ["1", "-1"]
+    assert verify_report({"rows": [row]}, pr) == [
+        f"{label}: sample point left the graph set at k={samples[1]['k']}"
+    ]
 
 
 def test_patch_golden_verifies():

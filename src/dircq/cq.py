@@ -18,6 +18,18 @@ are built.  The driver poses every system in the same columns (s, y, z) and
 rows, decides the kernel system on the groups, and turns them into the
 source cones of achievable x* and the test ``achievable(x*)``.
 
+Each checker call solves each distinct cell system once.  The checkers pose
+many systems more than once: pieces that share their rows tight at a cell
+give equal tangent cones, cells sigma that share N(sigma) give equal source
+groups and may share a shift probe, and the derivative-at-zero and
+subderivative conditions share graph sections.  A table that the call
+creates and passes down maps the exact rows of a system to its answers and
+is dropped when the call returns.  This preserves every report: the LP is
+deterministic, so a repeated system has the answer of its first occurrence,
+and that answer either was "empty", skipped again, or already ended the loop
+that posed it.  A feasibility question on a cone (no strict rows, zero right
+sides) needs no LP at all: 0 is a point.
+
 Directional pseudo- and quasi-normality share one candidate driver.  The
 constraint-map and equilibrium deciders each build their own kernel
 candidates and trivial-kernel certificate, then hand the nonzero candidates
@@ -87,6 +99,9 @@ UNDECIDED = "UNDECIDED"
 # keeps: one entry per direction, plus one undirected, per system; a pass of
 # five checkers over ex58^2 in its eight directions asks 40 times for 8.
 CONTEXT_CACHE_SIZE = 64
+
+# a table entry not yet solved (None is an answer: no nonzero-block point)
+_MISSING = object()
 
 
 @dataclass(frozen=True)
@@ -263,7 +278,11 @@ class _Blocks:
     """Constraint assembler over concatenated variable blocks.
 
     Rows are kept with int entries wherever the value is integral, so that
-    the cone layer's int rows reach ``solve_lp`` without a Fraction.
+    the cone layer's int rows reach ``solve_lp`` without a Fraction.  The
+    ``table`` that ``solve_nonzero`` and ``feasible`` take is the checker
+    call's record of solved systems: (``rows()``, block offset, block size)
+    -> the nonzero-block point or None, and ``rows()`` -> whether the system
+    has a point.
     """
 
     def __init__(self, sizes: dict[str, int]):
@@ -328,9 +347,9 @@ class _Blocks:
         for row in cone.ie:
             self.row_eq(block, row)
 
-    def solve_nonzero(self, block: str, size: int) -> Vec | None:
-        off = self.offsets[block]
-        return _mixed_nonzero_solution(
+    def rows(self) -> tuple:
+        """(strict_a, strict_b, a, b, e, d, n): the system exactly as it goes to the LP."""
+        return (
             tuple(self.strict_a),
             tuple(self.strict_b),
             tuple(self.a),
@@ -338,19 +357,26 @@ class _Blocks:
             tuple(self.e),
             tuple(self.d),
             self.n,
-            range(off, off + size),
         )
 
-    def solve(self) -> Vec | None:
-        return strict_feasible_point(
-            tuple(self.strict_a),
-            tuple(self.strict_b),
-            tuple(self.a),
-            tuple(self.b),
-            tuple(self.e),
-            tuple(self.d),
-            n=self.n,
-        )
+    def solve_nonzero(self, block: str, size: int, table: dict) -> Vec | None:
+        """A point of the system whose block is nonzero, or None."""
+        off = self.offsets[block]
+        key = (self.rows(), off, size)
+        sol = table.get(key, _MISSING)
+        if sol is _MISSING:
+            sol = table[key] = _mixed_nonzero_solution(*key[0], range(off, off + size))
+        return sol
+
+    def feasible(self, table: dict) -> bool:
+        """Whether the system (strict rows included) has a point."""
+        if not self.strict_a and not any(self.b) and not any(self.d):
+            return True  # a cone: 0 is a point
+        rows = self.rows()
+        ok = table.get(rows)
+        if ok is None:
+            ok = table[rows] = strict_feasible_point(*rows[:6], n=rows[6]) is not None
+        return ok
 
     def extract(self, point: Vec, block: str, size: int) -> Vec:
         off = self.offsets[block]
@@ -403,13 +429,13 @@ def _couple(ctx: _Ctx, blk: _Blocks, xstar: Vec | None = None) -> _Blocks:
     return blk
 
 
-def _kernel_report(ctx: _Ctx, groups) -> ConditionReport:
+def _kernel_report(ctx: _Ctx, groups, table: dict) -> ConditionReport:
     """The kernel system: no cell of the groups admits a nonzero y* with B y* + J^T z* = 0."""
     m = ctx.sys.m
     for shift, hyper, cell, pieces in groups:
         for tp in pieces:
             blk = _couple(ctx, _cell_blocks(ctx, hyper, cell, tp, shift))
-            sol = blk.solve_nonzero("y", m)
+            sol = blk.solve_nonzero("y", m, table)
             if sol is None:
                 continue
             witness = {"ystar": blk.extract(sol, "y", m), "zstar": blk.extract(sol, "z", m)}
@@ -420,18 +446,19 @@ def _kernel_report(ctx: _Ctx, groups) -> ConditionReport:
     return ConditionReport("kernel-system", "holds")
 
 
-def _sources(ctx: _Ctx, groups, y_rows: Mat = ()):
+def _sources(ctx: _Ctx, groups, table: dict, y_rows: Mat = ()):
     """The closed source cones of (y*, z*) in R^{2m}, and the test ``achievable(x*)``.
 
-    A cell contributes only when its relative interior meets the y* rows (one
-    probe LP per cell); x* is achievable when the relative-interior system of
-    some (cell, piece) admits B y* + J^T z* = x*.  Source groups carry no shift.
+    A cell contributes only when its relative interior meets the y* rows (at
+    most one probe LP per distinct cell system); x* is achievable when the
+    relative-interior system of some (cell, piece) admits B y* + J^T z* = x*.
+    Source groups carry no shift.
     """
     m = ctx.sys.m
     cones: list[PolyhedralCone] = []
     members = []
     for _, hyper, cell, pieces in groups:
-        if _cell_blocks(ctx, hyper, cell, y_rows=y_rows).solve() is None:
+        if not _cell_blocks(ctx, hyper, cell, y_rows=y_rows).feasible(table):
             continue
         for tp in pieces:
             blk = _cell_blocks(ctx, hyper, cell, tp, closed=True, y_rows=y_rows)
@@ -440,7 +467,7 @@ def _sources(ctx: _Ctx, groups, y_rows: Mat = ()):
 
     def achievable(xstar: Vec) -> bool:
         return any(
-            _couple(ctx, _cell_blocks(ctx, hyper, cell, tp, y_rows=y_rows), xstar).solve() is not None
+            _couple(ctx, _cell_blocks(ctx, hyper, cell, tp, y_rows=y_rows), xstar).feasible(table)
             for hyper, cell, tp in members
         )
 
@@ -588,8 +615,9 @@ def check_thm_polyhedral_I(
     w_union = limiting_normal_cone_of_union(k, ctx.ju)
     arr = arrangement(w_union, extra=ctx.ker_rows)
     groups = [(None, arr.hyperplanes, cell, cell_tangent_pieces(w_union, cell)) for cell in arr.cells]
-    reports = [_kernel_report(ctx, groups)]
-    cones, achievable = _sources(ctx, groups)
+    table: dict = {}
+    reports = [_kernel_report(ctx, groups, table)]
+    cones, achievable = _sources(ctx, groups, table)
     lam_union = limiting_normal_cone(sys.d, ctx.gx) if mode == "asym" else w_union
     reports.append(_lambda_condition(ctx, cones, lam_union, targets, achievable))
     return _assemble_theorem_verdict("thm-tangent-normals", reports)
@@ -618,6 +646,7 @@ def check_thm_polyhedral_II(
         return _vacuous_verdict("thm-doubled-tangent")
     arr_t = arrangement(tangent_cone_of_union(k, ctx.ju))
     h_half = scale(Fraction(1, 2), ctx.h)
+    table: dict = {}
 
     def groups(extra: Mat, shifted: bool):
         """The cells of N(sigma) over the cells sigma of T(u); with ``shifted``,
@@ -626,7 +655,7 @@ def check_thm_polyhedral_II(
             if shifted:
                 probe = _Blocks({"s": sys.n})
                 probe.add_cell("s", sigma, arr_t.hyperplanes, affine=(ctx.jac, h_half))
-                if probe.solve() is None:
+                if not probe.feasible(table):
                     continue
             n_sigma = limiting_union_at_cell(arr_t, sigma)
             arr_n = arrangement(n_sigma, extra=extra)
@@ -634,12 +663,12 @@ def check_thm_polyhedral_II(
             for rho in arr_n.cells:
                 yield shift, arr_n.hyperplanes, rho, cell_tangent_pieces(n_sigma, rho)
 
-    reports = [_kernel_report(ctx, groups(ctx.ker_rows, True))]
+    reports = [_kernel_report(ctx, groups(ctx.ker_rows, True), table)]
     # lambda hypothesis over the full (s, v) range: v absorbs the shift, so
     # every arrangement cell of T(u) is reachable and y* only keeps the
     # curvature sign row
     neg_h = tuple(-x for x in ctx.h)
-    cones, achievable = _sources(ctx, groups(ctx.ker_rows + (vec(ctx.h),), False), (neg_h,))
+    cones, achievable = _sources(ctx, groups(ctx.ker_rows + (vec(ctx.h),), False), table, (neg_h,))
     lam_union = (
         limiting_normal_cone(sys.d, ctx.gx)
         if mode == "asym"
@@ -680,14 +709,17 @@ def check_thm_nonpolyhedral(
         return [(None, arr.hyperplanes, rho, model.section(rho.witness, v)) for rho in arr.cells]
 
     # condition "derivative-at-zero" (Ia) and "subderivative" (Ib): no nonzero
-    # zhat in ker J^T in the graph section
+    # zhat in ker J^T in the graph section; the two sections of a cell share
+    # pieces, whose systems the table solves once
+    table: dict = {}
+
     def zhat_condition(cell_groups: list, cname: str) -> ConditionReport:
         for _, hyper, rho, pieces in cell_groups:
             for tp in pieces:
                 blk = _cell_blocks(ctx, hyper, rho, tp)
                 for row in ctx.ker_rows:
                     blk.row_eq("z", row)
-                sol = blk.solve_nonzero("z", m)
+                sol = blk.solve_nonzero("z", m, table)
                 if sol is not None:
                     witness = {"ystar": blk.extract(sol, "y", m), "zhat": blk.extract(sol, "z", m)}
                     detail = "nonzero kernel element in the graph section"
@@ -695,7 +727,7 @@ def check_thm_nonpolyhedral(
         return ConditionReport(cname, "holds")
 
     ju_groups = groups(ctx.ju)
-    reports = [_kernel_report(ctx, ju_groups)]
+    reports = [_kernel_report(ctx, ju_groups, table)]
     rep_ia = zhat_condition(groups(None), "derivative-at-zero")
     rep_ib = (
         zhat_condition(ju_groups, "subderivative")
@@ -703,7 +735,7 @@ def check_thm_nonpolyhedral(
         else ConditionReport("subderivative", "skipped", "grad g(xbar) u = 0; zero-direction branch uses derivative-at-zero")
     )
     reports += [rep_ia, rep_ib]
-    cones, achievable = _sources(ctx, ju_groups)
+    cones, achievable = _sources(ctx, ju_groups, table)
     lam_union = limiting_normal_cone(sys.d, ctx.gx) if mode == "asym" else n_dir
     reports.append(_lambda_condition(ctx, cones, lam_union, targets, achievable))
     # the kernel system and lambda hypothesis plus one of the two section conditions

@@ -60,7 +60,6 @@ from dircq.polyhedra import (
     IntVec,
     PolyhedralCone,
     generators,
-    polar_cone,
     polyhedron_faces,
 )
 from dircq.setmaps import (
@@ -138,12 +137,6 @@ class WitnessSequence:
     outside_directional_image: bool | None = None
     notes: str = ""
 
-    def max_final_residual(self, last: int = 1) -> float:
-        vals = []
-        for rec in self.records[-last:]:
-            vals.extend(float(v) for v in rec.residuals.values())
-        return max(vals) if vals else float("inf")
-
 
 @dataclass(frozen=True)
 class EliminationTrace:
@@ -183,12 +176,6 @@ class _FaceHull:
     def project_ints(self, q: list[int], dq: int) -> IntVec:
         """Numerators of the projection of q / dq, over dq * den."""
         return tuple(sum(map(mul, row, q)) + dq * c for row, c in zip(self.mat, self.shift))
-
-    def project(self, p: Vec) -> Vec:
-        """Exact Euclidean projection p - R^T G^-1 (R p - s)."""
-        q, dq = int_row(p)
-        den = dq * self.den
-        return tuple(Fraction(z, den) for z in self.project_ints(q, dq))
 
 
 def _face_hull(piece: HPolyhedron, active: tuple[int, ...]) -> _FaceHull:
@@ -283,12 +270,6 @@ class SampleResult:
     samples: tuple[NormalSample, ...]
     fitted_rays: tuple[Vec, ...]
     fitted_lineality: tuple[Vec, ...]
-
-    def fitted_union(self, dim: int) -> ConeUnion:
-        pieces = [polar_cone(PolyhedralCone.make(a=[r], dim=dim)) for r in self.fitted_rays] + [
-            polar_cone(PolyhedralCone.make(e=[l], dim=dim)) for l in self.fitted_lineality
-        ]
-        return ConeUnion.make(pieces, dim)
 
 
 def sample_directional_normals(

@@ -193,10 +193,6 @@ class PolyhedralCone:
     def full(dim: int) -> "PolyhedralCone":
         return PolyhedralCone((), (), dim)
 
-    @staticmethod
-    def origin(dim: int) -> "PolyhedralCone":
-        return PolyhedralCone.make(e=[[int(j == i) for j in range(dim)] for i in range(dim)], dim=dim)
-
     def __eq__(self, other) -> bool:
         if type(other) is not PolyhedralCone:
             return NotImplemented

@@ -315,8 +315,9 @@ class PolyMap:
         return tuple(tuple(row) for row in acc)
 
     def second_order(self, x: Sequence, u: Sequence) -> tuple[Mat, Vec]:
-        """(curvature matrix, second-order vector) at x in direction u, from
-        one Hessian evaluation per component."""
+        """(B, h) at x in direction u, from one Hessian evaluation per
+        component: the n x m curvature matrix B with B y* = Hess(<y*, g>)(x) u,
+        linear in y*, and the second-order vector h_i = <u, Hess(g_i)(x) u>."""
         u = vec(u)
         xs, den = read_point(x, self.n)
         # cols[k] is Hess(g_k) u
@@ -326,7 +327,3 @@ class PolyMap:
     def second_order_vector(self, x: Sequence, u: Sequence) -> Vec:
         """Component i equals <u, Hess(g_i)(x) u>."""
         return self.second_order(x, u)[1]
-
-    def curvature_matrix(self, x: Sequence, u: Sequence) -> Mat:
-        """n x m matrix B with B y* = Hess(<y*, g>)(x) u, linear in y*."""
-        return self.second_order(x, u)[0]

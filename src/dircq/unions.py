@@ -122,10 +122,6 @@ class ConeUnion:
     def empty(dim: int) -> "ConeUnion":
         return ConeUnion((), dim)
 
-    @staticmethod
-    def trivial(dim: int) -> "ConeUnion":
-        return ConeUnion.make([PolyhedralCone.origin(dim)], dim)
-
     @property
     def is_empty(self) -> bool:
         return not self.pieces

@@ -2,11 +2,13 @@
 
 from fractions import Fraction as Q
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dircq import cq
 from dircq.cq import (
     FAILS,
     HOLDS,
@@ -234,6 +236,26 @@ def test_cell_rows_match_the_per_hyperplane_mapping(data):
     _reference_cell_rows(ref, "s", signs, hyper, closed, affine)
     for attr in ("strict_a", "strict_b", "a", "b", "e", "d"):
         assert getattr(new, attr) == getattr(ref, attr), attr
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_blocks_feasible_matches_strict_feasible_point(data):
+    """``_Blocks.feasible`` answers as ``strict_feasible_point`` does, and on
+    a cone (no strict rows, zero right-hand sides) it solves no LP."""
+    n = data.draw(st.integers(1, 3))
+    row = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    cone = data.draw(st.booleans())
+    rhs = st.just(0) if cone else st.integers(-2, 2)
+    blk = _Blocks({"x": n})
+    for add_row, max_size in ((blk.row_lt, 0 if cone else 3), (blk.row_le, 3), (blk.row_eq, 2)):
+        for r in data.draw(st.lists(row, max_size=max_size)):
+            add_row("x", r, data.draw(rhs))
+    rows = blk.rows()
+    want = strict_feasible_point(*rows[:6], n=n) is not None
+    with mock.patch.object(cq, "strict_feasible_point", wraps=strict_feasible_point) as lp:
+        assert blk.feasible({}) == want
+    assert lp.call_count == (bool(rows[0]) or any(rows[3]) or any(rows[5]))
 
 
 # ---------------------------------------------------------------------------

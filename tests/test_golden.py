@@ -16,6 +16,7 @@ are pinned too.  After an intended change of reports, rewrite them with
 from __future__ import annotations
 
 import importlib
+import itertools
 import pkgutil
 import sys
 from importlib import resources
@@ -54,10 +55,10 @@ GRAPH_U = (1,)
 # solve_lp calls of each theorem checker (I, II, nonpolyhedral) over all
 # directions of a fixture, from cleared caches
 LP_COUNTS = {
-    ("ex58", "asym"): (8, 10, 21),
-    ("ex58", "strong"): (9, 11, 22),
-    ("ex58sq", "asym"): (81, 195, 191),
-    ("ex58sq", "strong"): (76, 190, 186),
+    ("ex58", "asym"): (6, 6, 13),
+    ("ex58", "strong"): (7, 7, 14),
+    ("ex58sq", "asym"): (73, 101, 127),
+    ("ex58sq", "strong"): (68, 96, 122),
 }
 
 
@@ -161,13 +162,18 @@ def test_normality_report_matches_golden(name):
     assert normality_report(name) == (GOLDEN / f"{name}-normality.json").read_text()
 
 
-@pytest.mark.parametrize("name, mode", sorted(LP_COUNTS))
-def test_checker_lp_counts(name, mode, monkeypatch):
+def frozen(x):
+    """Lists and tuples, nested, as tuples: a hashable copy of LP input."""
+    return tuple(map(frozen, x)) if isinstance(x, (list, tuple)) else x
+
+
+def record_solve_lp(monkeypatch) -> list:
+    """The inputs of every ``solve_lp`` call from now on, one entry per call."""
     calls = []
     original = simplex.solve_lp
 
-    def counted(*args, **kwargs):
-        calls.append(None)
+    def recorded(*args, **kwargs):
+        calls.append(frozen((args, sorted(kwargs.items()))))
         return original(*args, **kwargs)
 
     # every module that imported solve_lp by name holds its own binding
@@ -175,7 +181,13 @@ def test_checker_lp_counts(name, mode, monkeypatch):
         mod = importlib.import_module(f"dircq.{info.name}")
         for attr, val in list(vars(mod).items()):
             if val is original:
-                monkeypatch.setattr(mod, attr, counted)
+                monkeypatch.setattr(mod, attr, recorded)
+    return calls
+
+
+@pytest.mark.parametrize("name, mode", sorted(LP_COUNTS))
+def test_checker_lp_counts(name, mode, monkeypatch):
+    calls = record_solve_lp(monkeypatch)
     pr = load_problem(str(fixture_path(name)))
     counts = []
     for f in THEOREMS:
@@ -185,6 +197,40 @@ def test_checker_lp_counts(name, mode, monkeypatch):
             f(pr.system, pr.direction(dname), mode=mode)
         counts.append(len(calls))
     assert tuple(counts) == LP_COUNTS[name, mode]
+
+
+@pytest.mark.parametrize("name, mode", sorted(LP_COUNTS))
+def test_checker_call_solves_each_lp_once(name, mode, monkeypatch):
+    """Within one theorem-checker call no LP input repeats, from cleared
+    caches (the first direction) or warm ones (the others), and on ex58
+    with explicit targets too."""
+    calls = record_solve_lp(monkeypatch)
+    pr = load_problem(str(fixture_path(name)))
+    targets = [None, [vec([t]) for t in EX58_TARGETS]] if pr.system.n == 1 else [None]
+    for f in THEOREMS:
+        clear_caches()
+        for dname, xs in itertools.product(sorted(pr.directions), targets):
+            calls.clear()
+            f(pr.system, pr.direction(dname), mode=mode, targets=xs)
+            assert calls and len(set(calls)) == len(calls), (f.__name__, dname, xs)
+
+
+@pytest.mark.parametrize("f", THEOREMS, ids=lambda f: f.__name__)
+def test_checker_call_keeps_no_state(f, monkeypatch):
+    """Two calls in a row on warm caches make the same LPs and the same row:
+    the record of solved systems lives for one call only."""
+    calls = record_solve_lp(monkeypatch)
+    pr = load_problem(str(fixture_path("ex58sq")))
+    for dname in sorted(pr.directions):
+        u = pr.direction(dname)
+        f(pr.system, u)
+        runs = []
+        for _ in range(2):
+            calls.clear()
+            row = dumps(verdict_row(f(pr.system, u), "xbar", dname))
+            runs.append((len(calls), row))
+        assert runs[0] == runs[1], dname
+        assert runs[0][0] > 0, dname
 
 
 if __name__ == "__main__":

@@ -75,7 +75,7 @@ def cones(draw, n=None):
     if n is None:
         n = draw(st.integers(1, 4))
     if draw(st.integers(0, 9)) == 0:
-        return PolyhedralCone.origin(n)
+        return PolyhedralCone.make(e=[[int(j == i) for j in range(n)] for i in range(n)], dim=n)
     return PolyhedralCone.make(a=draw(rows_of(n, 5)), e=draw(rows_of(n, 2)), dim=n)
 
 

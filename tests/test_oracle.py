@@ -9,7 +9,7 @@ from test_caches import ex58_squared
 
 from dircq import oracle
 from dircq.cq import FAILS, HOLDS, UNDECIDED, mpec_pseudo_quasi_verdict, pseudo_quasi_verdict
-from dircq.linalg import dot, mat_t_vec, nullspace, rref, solve_linear, sub, vec
+from dircq.linalg import dot, int_row, mat_t_vec, nullspace, rref, solve_linear, sub, vec
 from dircq.oracle import (
     NOT_FOUND,
     EliminationTrace,
@@ -24,7 +24,7 @@ from dircq.oracle import (
     search_mpec_normality,
     search_normality_violation,
 )
-from dircq.polyhedra import DimensionMismatch, HPolyhedron
+from dircq.polyhedra import DimensionMismatch, HPolyhedron, PolyhedralCone, polar_cone
 from dircq.polymaps import PolyMap, parse_poly
 from dircq.problemfile import parse_problem
 from dircq.setmaps import ConstraintSystem, GraphPatch, PatchMap
@@ -63,7 +63,12 @@ def test_sample_directional_normals_halfplane_union():
     d = halfplane_union()
     res = sample_directional_normals(d, vec([0, 0]), vec([-1, 0]), Schedule(k_max=12))
     assert res.samples
-    fitted = res.fitted_union(2)
+    # the fitted rays and lines, as a union of one-generator cones
+    fitted = ConeUnion.make(
+        [polar_cone(PolyhedralCone.make(a=[r], dim=2)) for r in res.fitted_rays]
+        + [polar_cone(PolyhedralCone.make(e=[l], dim=2)) for l in res.fitted_lineality],
+        2,
+    )
     exact = directional_limiting_normal_cone(d, vec([0, 0]), vec([-1, 0]))
     ok, w = cone_union_subset(fitted, exact)
     assert ok, w
@@ -105,6 +110,12 @@ def _pieces(draw, n=None):
     return HPolyhedron.make(a=a, b=b, e=e or (), d=d, dim=n)
 
 
+def project(hull, p):
+    """The hull's exact projection of p, from its integer kernel."""
+    q, dq = int_row(p)
+    return tuple(Q(z, dq * hull.den) for z in hull.project_ints(q, dq))
+
+
 @settings(max_examples=40, deadline=None)
 @given(_pieces(), st.lists(st.fractions(-5, 5, max_denominator=7), min_size=3, max_size=3))
 def test_face_hull_projection_is_exact(piece, p):
@@ -115,7 +126,7 @@ def test_face_hull_projection_is_exact(piece, p):
     for hull, (active, _) in zip(hulls, faces):
         rows = piece.e + tuple(piece.a[i] for i in active)
         rhs = piece.d + tuple(piece.b[i] for i in active)
-        z = hull.project(p)
+        z = project(hull, p)
         assert all(dot(r, z) == s for r, s in zip(rows, rhs))
         gap = sub(p, z)
         assert all(dot(gap, v) == 0 for v in nullspace(rows, piece.dim))
@@ -171,7 +182,7 @@ def test_integer_projection_matches_gram_formula(data):
     faces = [(q, active) for q in pieces for active, _ in oracle.polyhedron_faces(q)]
     assert len(hulls) == len(faces)
     for hull, (q, active) in zip(hulls, faces):
-        assert hull.piece == q and hull.project(p) == _gram_projection(q, active, p)
+        assert hull.piece == q and project(hull, p) == _gram_projection(q, active, p)
     assert oracle._nearest_on_hulls(hulls, p) == _reference_nearest(pieces, p)
 
 
@@ -254,6 +265,11 @@ def test_asym_reg_propagates_unrelated_errors(monkeypatch):
         )
 
 
+def max_final_residual(seq: WitnessSequence) -> float:
+    """The largest residual of the sequence's last record."""
+    return max(float(v) for v in seq.records[-1].residuals.values())
+
+
 def test_asym_reg_violation_region_graph():
     # region graph, direction +1: the arc y = x^2 produces the witness family
     # with unit primal output and multipliers growing like 1/(2t)
@@ -264,7 +280,7 @@ def test_asym_reg_violation_region_graph():
     assert found.limit_xstar == vec([1])
     # x* = 1 escapes the directional image (exactly {0})
     assert found.outside_directional_image is True
-    assert found.max_final_residual() < 1e-8
+    assert max_final_residual(found) < 1e-8
     rec = found.records[-1]
     # on the arc: x = t, y = t^2, lambda = 1/(2t)
     t = rec.x[0]
@@ -300,7 +316,7 @@ def test_asym_reg_violation_two_valued_graph():
     assert found.limit_xstar == vec([1])
     # plain image is {0} here, so the witness escapes it
     assert found.outside_image is True
-    assert found.max_final_residual() < 1e-8
+    assert max_final_residual(found) < 1e-8
 
 
 def test_asym_reg_violation_harmonic_schedule_matches_closed_form():

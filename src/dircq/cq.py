@@ -6,7 +6,11 @@ chain, or a replayable sequence trace); UNDECIDED lists the sub-conditions
 that blocked a decision.  The quantified condition systems of the
 second-order checkers are decided by cell enumeration: on the relative
 interior of an arrangement cell every cone membership in the system is a
-fixed polyhedral constraint, so each cell contributes one exact LP.
+fixed polyhedral constraint, so each cell system is one exact LP.  The rows
+of ker J^T (and the curvature row h) need none: the checkers add them to
+their arrangements as extra hyperplanes, so on a cell's relative interior
+each is identically 0 or of one fixed sign, and the cell's witness decides
+whether the cell meets them (``_meets``).
 
 The three theorem checkers share one cell-system driver.  Each describes its
 systems as cell groups: iterables of (shift, hyperplanes, cell, tangent
@@ -16,7 +20,9 @@ J s + h/2 in that cell.  The groups of the doubled-tangent checker are
 generators, so that a kernel witness stops them before later arrangements
 are built.  The driver poses every system in the same columns (s, y, z) and
 rows, decides the kernel system on the groups, and turns them into the
-source cones of achievable x* and the test ``achievable(x*)``.
+source cones of achievable x* and the test ``achievable(x*)``.  A cell whose
+witness misses the extra-hyperplane rows is skipped before any of its
+systems reaches an LP.
 
 Each checker call solves each distinct cell system once.  The checkers pose
 many systems more than once: pieces that share their rows tight at a cell
@@ -50,6 +56,7 @@ from dircq.linalg import (
     Vec,
     add,
     canon_ray,
+    coprime_ints,
     dot,
     half_step,
     is_orthogonal_basis,
@@ -387,6 +394,23 @@ class _Blocks:
 # the cell-system driver shared by the theorem checkers
 
 
+def _meets(ctx: _Ctx, hyper: tuple[Vec, ...], cell: Cell, y_rows: Mat = ()) -> bool:
+    """Whether the cell's relative interior meets J^T y* = 0 and <r, y*> <= 0
+    for each r in ``y_rows``, decided by the cell's witness with no LP.
+
+    Each nonzero such row must be, up to scale, one of the hyperplanes
+    ``hyper`` of the cell's arrangement.  On the relative interior it is then
+    identically 0 or of one fixed sign, its sign at the witness, which also
+    meets every row that the relative interior can meet.  A nonzero row
+    outside ``hyper`` raises ValueError, as the witness would not decide it.
+    """
+    for r in (*ctx.ker_rows, *y_rows):
+        if not is_zero(r) and coprime_ints(r, line=True) not in hyper:
+            raise ValueError(f"row {r} is not a hyperplane of the cell's arrangement")
+    w = cell.witness
+    return all(dot(r, w) == 0 for r in ctx.ker_rows) and all(dot(r, w) <= 0 for r in y_rows)
+
+
 def _cell_blocks(
     ctx: _Ctx,
     hyper: tuple[Vec, ...],
@@ -433,6 +457,8 @@ def _kernel_report(ctx: _Ctx, groups, table: dict) -> ConditionReport:
     """The kernel system: no cell of the groups admits a nonzero y* with B y* + J^T z* = 0."""
     m = ctx.sys.m
     for shift, hyper, cell, pieces in groups:
+        if not _meets(ctx, hyper, cell):
+            continue
         for tp in pieces:
             blk = _couple(ctx, _cell_blocks(ctx, hyper, cell, tp, shift))
             sol = blk.solve_nonzero("y", m, table)
@@ -449,16 +475,16 @@ def _kernel_report(ctx: _Ctx, groups, table: dict) -> ConditionReport:
 def _sources(ctx: _Ctx, groups, table: dict, y_rows: Mat = ()):
     """The closed source cones of (y*, z*) in R^{2m}, and the test ``achievable(x*)``.
 
-    A cell contributes only when its relative interior meets the y* rows (at
-    most one probe LP per distinct cell system); x* is achievable when the
-    relative-interior system of some (cell, piece) admits B y* + J^T z* = x*.
-    Source groups carry no shift.
+    A cell contributes only when its relative interior meets ker J^T and the
+    y* rows, which its witness decides (``_meets``); x* is achievable when
+    the relative-interior system of some (cell, piece) admits
+    B y* + J^T z* = x*.  Source groups carry no shift.
     """
     m = ctx.sys.m
     cones: list[PolyhedralCone] = []
     members = []
     for _, hyper, cell, pieces in groups:
-        if not _cell_blocks(ctx, hyper, cell, y_rows=y_rows).feasible(table):
+        if not _meets(ctx, hyper, cell, y_rows):
             continue
         for tp in pieces:
             blk = _cell_blocks(ctx, hyper, cell, tp, closed=True, y_rows=y_rows)
@@ -715,6 +741,8 @@ def check_thm_nonpolyhedral(
 
     def zhat_condition(cell_groups: list, cname: str) -> ConditionReport:
         for _, hyper, rho, pieces in cell_groups:
+            if not _meets(ctx, hyper, rho):
+                continue
             for tp in pieces:
                 blk = _cell_blocks(ctx, hyper, rho, tp)
                 for row in ctx.ker_rows:

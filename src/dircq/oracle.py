@@ -29,11 +29,13 @@ from their key alone.
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import sqrt
 from operator import mul
+from typing import Sequence
 
 import numpy as np
 
@@ -272,6 +274,23 @@ class SampleResult:
     fitted_lineality: tuple[Vec, ...]
 
 
+def fitted_normals(samples: Sequence[NormalSample]) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
+    """(rays, lineality) of the cone fitted to a run of normal samples.
+
+    The fit keeps the generator directions that persist along the tail, the
+    samples with k >= (last k) - 5: each ray (as ``canon_ray``) and each
+    lineality vector that at least two tail samples list.  It reads the
+    samples alone, so ``report.verify_report`` re-fits a sample row with it.
+    """
+    tail = [s for s in samples if s.k >= samples[-1].k - 5] if samples else []
+    rays = Counter(canon_ray(r) for s in tail for r in s.rays)
+    lin = Counter(l for s in tail for l in s.lineality)
+    return (
+        tuple(sorted(r for r, c in rays.items() if c >= 2)),
+        tuple(sorted(l for l, c in lin.items() if c >= 2)),
+    )
+
+
 def sample_directional_normals(
     d: PolyUnion, base: Vec, direction: Vec, schedule: Schedule
 ) -> SampleResult:
@@ -279,11 +298,9 @@ def sample_directional_normals(
 
     The projection and the normal generators are exact; the fitted cone is
     the set of generator directions that persist along the tail of the
-    schedule.
+    samples (``fitted_normals``).
     """
     samples = []
-    tail_rays: dict[Vec, int] = {}
-    tail_lin: dict[Vec, int] = {}
     ks = list(schedule.steps())[: min(schedule.k_max, 25)]
     hulls = _face_hulls(d.pieces)
     for k in ks:
@@ -291,17 +308,9 @@ def sample_directional_normals(
         z = _nearest_on_hulls(hulls, pt)
         if z is None:
             continue
-        n = regular_normal_cone(d, z)
-        rays, lin = generators(n)
+        rays, lin = generators(regular_normal_cone(d, z))
         samples.append(NormalSample(k, z, rays, lin))
-        if k >= ks[-1] - 5:
-            for r in rays:
-                tail_rays[canon_ray(r)] = tail_rays.get(canon_ray(r), 0) + 1
-            for l in lin:
-                tail_lin[l] = tail_lin.get(l, 0) + 1
-    fitted_rays = tuple(sorted(r for r, c in tail_rays.items() if c >= 2))
-    fitted_lin = tuple(sorted(l for l, c in tail_lin.items() if c >= 2))
-    return SampleResult(tuple(samples), fitted_rays, fitted_lin)
+    return SampleResult(tuple(samples), *fitted_normals(samples))
 
 
 # ---------------------------------------------------------------------------

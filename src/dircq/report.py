@@ -2,10 +2,12 @@
 
 The structured JSON report is the interface of record.  ``verify_report``
 recomputes every verdict row through ``cli.run_check`` and re-checks its
-certificate in exact arithmetic; a sample row is checked sample by sample.
-Both the recomputation and the cone lookups of the certificate checks read
-the same ``lru_cache``s that the deciders fill in the same process, and the
-lists of pieces and cells a verdict rests on are recomputed, not certified.
+certificate in exact arithmetic; a sample row is checked sample by sample,
+and its fitted cone is fitted again from its samples.  Both the recomputation
+and the cone lookups of the certificate checks read the same ``lru_cache``s
+that the deciders fill in the same process (the cone queries of ``unions``,
+``cone_union_subset`` among them), and the lists of pieces and cells a
+verdict rests on are recomputed, not certified.
 Rational scalars serialize as "p/q" strings; identical inputs and flags
 produce byte-identical reports apart from the ``generated_at`` field.
 """
@@ -173,24 +175,38 @@ def verify_report(report: dict, problem) -> list[str]:
 
 
 def _check_normal_samples(problem, cert) -> str | None:
-    """Each sample point lies in the graph set, and its rays and lineality
-    generate the regular normal cone there."""
+    """Each sample point lies in the graph set, its rays and lineality
+    generate the regular normal cone there, and the row's fitted rays and
+    lineality are those that ``oracle.fitted_normals`` fits to the samples.
+
+    The limit is not checked: that the sample points tend to the base point
+    along the row's direction waits for the curve certificates of ROADMAP
+    item 3.
+    """
+    from dircq.oracle import NormalSample, fitted_normals
     from dircq.polyhedra import PolyhedralCone, polar_cone
     from dircq.unions import regular_normal_cone
 
     if problem.kind != "graphset":
         return f"normal samples need a graphset problem, not {problem.kind!r}"
     graph = problem.graph_set
+    samples = []
     try:
         for sample in cert["result"]["samples"]:
             point = _decode_vec(sample["point"])
             if not graph.contains(point):
                 return f"sample point left the graph set at k={sample['k']}"
-            rays = [_decode_vec(r) for r in sample["rays"]]
-            lin = [_decode_vec(l) for l in sample["lineality"]]
+            rays = tuple(_decode_vec(r) for r in sample["rays"])
+            lin = tuple(_decode_vec(l) for l in sample["lineality"])
             sampled = polar_cone(PolyhedralCone.make(a=rays, e=lin, dim=graph.dim))
             if not sampled.equals(regular_normal_cone(graph, point)):
                 return f"sampled normals differ from the regular normal cone at k={sample['k']}"
+            samples.append(NormalSample(int(sample["k"]), point, rays, lin))
+        fit_rays, fit_lin = fitted_normals(samples)
+        if tuple(map(_decode_vec, cert["result"]["fitted_rays"])) != fit_rays:
+            return "fitted rays differ from the fit of the samples"
+        if tuple(map(_decode_vec, cert["result"]["fitted_lineality"])) != fit_lin:
+            return "fitted lineality differs from the fit of the samples"
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         return f"normal sample cannot be read: {exc}"
     return None

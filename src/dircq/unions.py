@@ -531,8 +531,14 @@ def subdivide_and_check(
     return next((w for _, w in cells if not target.contains(w)), None)
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def cone_union_subset(a: ConeUnion, b: ConeUnion) -> tuple[bool, Vec | None]:
-    """Exact inclusion test with a failure witness."""
+    """Exact inclusion test with a failure witness.
+
+    Cached like ``arrangement``: the theorem checkers' representation
+    hypothesis and the exact-bound test of the patch maps ask the same few
+    inclusions on every call.
+    """
     if a.is_empty:
         return True, None
     if b.is_empty:

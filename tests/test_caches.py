@@ -5,13 +5,23 @@ import itertools
 import pkgutil
 
 import dircq
-from dircq.cq import check_thm_polyhedral_I, foscms, mordukhovich, soscms
+from dircq import unions
+from dircq.cq import (
+    check_thm_nonpolyhedral,
+    check_thm_polyhedral_I,
+    check_thm_polyhedral_II,
+    foscms,
+    mordukhovich,
+    soscms,
+)
 from dircq.linalg import vec
 from dircq.polyhedra import HPolyhedron
 from dircq.polymaps import PolyMap
 from dircq.report import dumps, verdict_row
 from dircq.setmaps import ConstraintSystem
 from dircq.unions import PolyUnion
+
+THEOREMS = (check_thm_polyhedral_I, check_thm_polyhedral_II, check_thm_nonpolyhedral)
 
 
 def cached_functions():
@@ -49,7 +59,8 @@ def ex58_squared_report() -> str:
         name = f"({u[0]},{u[1]})"
         rows.append(verdict_row(foscms(sys, vec(u)), direction=name))
         rows.append(verdict_row(soscms(sys, vec(u)), direction=name))
-    rows.append(verdict_row(check_thm_polyhedral_I(sys, vec([-1, -1]), mode="asym"), direction="(-1,-1)"))
+    for check in THEOREMS:
+        rows.append(verdict_row(check(sys, vec([-1, -1]), mode="asym"), direction="(-1,-1)"))
     return dumps({"problem": "ex58^2", "rows": rows})
 
 
@@ -67,3 +78,22 @@ def test_report_identical_after_cache_clear():
     clear_caches()
     assert ex58_squared_report() == cold == warm
     assert '"status": "FAILS"' in cold and '"status": "HOLDS"' in cold
+
+
+def test_second_pass_asks_no_new_inclusion(monkeypatch):
+    """After one pass of the three theorem checkers over ex58^2 in all eight
+    directions, a second pass finds every cone-union inclusion in the cache:
+    no ``subdivide_and_check`` call, so none of its LPs."""
+    sys = ex58_squared()
+    directions = [vec(u) for u in itertools.product((-1, 0, 1), repeat=2) if any(u)]
+    calls = []
+    subdivide = unions.subdivide_and_check
+    monkeypatch.setattr(unions, "subdivide_and_check", lambda *args: calls.append(args) or subdivide(*args))
+    clear_caches()
+    passes = []
+    for _ in range(2):
+        calls.clear()
+        rows = [dumps(verdict_row(f(sys, u))) for f in THEOREMS for u in directions]
+        passes.append((len(calls), rows))
+    assert passes[0][0] > 0 and passes[1][0] == 0
+    assert passes[0][1] == passes[1][1]

@@ -1,5 +1,7 @@
 """CQ deciders on the worked fixture: the full ladder of Example-5.8-type data."""
 
+import dataclasses
+import itertools
 from fractions import Fraction as Q
 from types import SimpleNamespace
 from unittest import mock
@@ -26,9 +28,11 @@ from dircq.cq import (
 from dircq.linalg import add, dot, mat_t_vec, scale, vec
 from dircq.polyhedra import HPolyhedron
 from dircq.polymaps import PolyMap, parse_poly
+from dircq.problemfile import load_problem
 from dircq.setmaps import ConstraintSystem
 from dircq.simplex import OPTIMAL, UNBOUNDED, solve_lp, strict_feasible_point
-from dircq.unions import PolyUnion
+from dircq.unions import PolyUnion, arrangement, directional_limiting_normal_cone
+from test_golden import THEOREMS, fixture_path
 
 
 def ex58():
@@ -256,6 +260,67 @@ def test_blocks_feasible_matches_strict_feasible_point(data):
     with mock.patch.object(cq, "strict_feasible_point", wraps=strict_feasible_point) as lp:
         assert blk.feasible({}) == want
     assert lp.call_count == (bool(rows[0]) or any(rows[3]) or any(rows[5]))
+
+
+# ---------------------------------------------------------------------------
+# cell witnesses decide the kernel and curvature rows
+
+
+def lp_meets(ctx, hyper, cell, y_rows=()) -> bool:
+    """Whether the LP finds a point of the cell's y* system: relative
+    interior, J^T y* = 0 and <r, y*> <= 0 for r in y_rows."""
+    rows = cq._cell_blocks(ctx, hyper, cell, y_rows=y_rows).rows()
+    return strict_feasible_point(*rows[:6], n=rows[6]) is not None
+
+
+@pytest.mark.parametrize("name", ("ex58", "ex58sq"))
+def test_cell_witness_decides_what_the_lp_decides(name, monkeypatch):
+    """At every source, kernel and section cell that a theorem checker
+    visits (every direction, both modes), ``_meets`` answers as the LP."""
+    pr = load_problem(str(fixture_path(name)))
+    meets = cq._meets
+    answers = []
+
+    def checked(ctx, hyper, cell, y_rows=()):
+        got = meets(ctx, hyper, cell, y_rows)
+        assert got == lp_meets(ctx, hyper, cell, y_rows)
+        answers.append(got)
+        return got
+
+    monkeypatch.setattr(cq, "_meets", checked)
+    for f, mode, dname in itertools.product(THEOREMS, ("asym", "strong"), sorted(pr.directions)):
+        f(pr.system, pr.direction(dname), mode=mode)
+    # ex58's checkers visit no cell off ker J^T
+    assert set(answers) == ({True} if name == "ex58" else {True, False})
+
+
+def test_cell_witness_decides_the_curvature_row():
+    """On every cell of ex58sq's directional arrangements cut by ker J^T and
+    h, ``_meets`` with y_rows (), (h,) or (-h,) answers as the LP; the
+    fixture's checkers only pose -h, which no cell there violates."""
+    pr = load_problem(str(fixture_path("ex58sq")))
+    decided_by_h = 0
+    for dname in sorted(pr.directions):
+        ctx = cq._context(pr.system, pr.direction(dname))
+        n_dir = directional_limiting_normal_cone(pr.system.d, ctx.gx, ctx.ju)
+        arr = arrangement(n_dir, extra=ctx.ker_rows + (ctx.h,))
+        for cell, y_rows in itertools.product(arr.cells, ((), (ctx.h,), (tuple(-x for x in ctx.h),))):
+            got = cq._meets(ctx, arr.hyperplanes, cell, y_rows)
+            assert got == lp_meets(ctx, arr.hyperplanes, cell, y_rows), (dname, cell.signs, y_rows)
+            decided_by_h += not got and cq._meets(ctx, arr.hyperplanes, cell)
+    assert decided_by_h > 0
+
+
+def test_meets_rejects_a_row_outside_the_arrangement():
+    sys = ex58()
+    ctx = cq._context(sys, vec([-1]))
+    arr = arrangement(directional_limiting_normal_cone(sys.d, ctx.gx, ctx.ju), extra=ctx.ker_rows)
+    cell = arr.cells[0]
+    assert cq._meets(ctx, arr.hyperplanes, cell, ((0, 0),)) in (True, False)
+    with pytest.raises(ValueError):
+        cq._meets(ctx, arr.hyperplanes, cell, ((1, 1),))
+    with pytest.raises(ValueError):
+        cq._meets(dataclasses.replace(ctx, ker_rows=((1, 1),)), arr.hyperplanes, cell)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from test_caches import clear_caches
+from test_caches import THEOREMS, clear_caches
 
 import dircq
 from dircq import cq, oracle, simplex
@@ -40,11 +40,6 @@ STRONG_FIXTURES = ("ex58", "ex58sq")
 NORMALITY_FIXTURES = ("ex58", "ex58sq")
 GOLDEN = Path(__file__).parent / "golden"
 
-THEOREMS = (
-    cq.check_thm_polyhedral_I,
-    cq.check_thm_polyhedral_II,
-    cq.check_thm_nonpolyhedral,
-)
 DIRECTIONAL = (cq.foscms, cq.soscms) + THEOREMS
 # explicit targets x* in R^1, each checked on its own row for ex58
 EX58_TARGETS = (-1, 0, 1)
@@ -55,10 +50,10 @@ GRAPH_U = (1,)
 # solve_lp calls of each theorem checker (I, II, nonpolyhedral) over all
 # directions of a fixture, from cleared caches
 LP_COUNTS = {
-    ("ex58", "asym"): (6, 6, 13),
-    ("ex58", "strong"): (7, 7, 14),
-    ("ex58sq", "asym"): (73, 101, 127),
-    ("ex58sq", "strong"): (68, 96, 122),
+    ("ex58", "asym"): (5, 5, 12),
+    ("ex58", "strong"): (6, 6, 13),
+    ("ex58sq", "asym"): (33, 53, 85),
+    ("ex58sq", "strong"): (44, 64, 96),
 }
 
 

@@ -277,6 +277,24 @@ def test_normal_samples_are_checked():
     ]
 
 
+def test_fitted_normals_are_refitted():
+    """A sample row's fitted rays and lineality must be the fit of its own
+    samples."""
+    pr, report = _golden("staircase")
+    row = next(r for r in report["rows"] if r["status"] == "SAMPLED")
+    label = f"row 0 (directional-normal-sample/base/{row['direction']})"
+    result = row["certificate"]["result"]
+    assert result["fitted_rays"] and verify_report({"rows": [row]}, pr) == []
+    for key, value, err in (
+        ("fitted_rays", [["5", "7"]], "fitted rays differ from the fit of the samples"),
+        ("fitted_rays", result["fitted_rays"][:-1], "fitted rays differ from the fit of the samples"),
+        ("fitted_lineality", [["0", "1"]], "fitted lineality differs from the fit of the samples"),
+    ):
+        bad = copy.deepcopy(row)
+        bad["certificate"]["result"][key] = value
+        assert verify_report({"rows": [bad]}, pr) == [f"{label}: {err}"]
+
+
 def test_patch_golden_verifies():
     pr, report = _golden("comb")
     assert [r["check"] for r in report["rows"]] == ["mstationarity"]

@@ -71,11 +71,12 @@ from dircq.linalg import (
     vec,
 )
 from dircq.polyhedra import (
+    IntMat,
     PolyhedralCone,
     generators,
-    int_generators,
+    image_cone,
     nonzero_element,
-    polar_cone,
+    preimage_cone,
 )
 from dircq.polymaps import Poly
 from dircq.setmaps import ConstraintSystem, InfeasiblePoint, patch_limiting_normals
@@ -504,14 +505,6 @@ def _sources(ctx: _Ctx, groups, table: dict, y_rows: Mat = ()):
 # the lambda-representation hypothesis shared by the theorem checkers
 
 
-def _image_cone(cone: PolyhedralCone, image, n: int) -> PolyhedralCone:
-    """The cone generated by the nonzero images of the cone's generators."""
-    rays, lin = int_generators(cone)
-    im_rays = [r for r in map(image, rays) if not is_zero(r)]
-    im_lin = [l for l in map(image, lin) if not is_zero(l)]
-    return polar_cone(PolyhedralCone.make(a=im_rays, e=im_lin, dim=n))
-
-
 def _source_image(ctx: _Ctx, cone: PolyhedralCone) -> PolyhedralCone:
     """x* = B y* + J^T z* over a source cone of (y*, z*) pairs."""
     m = ctx.sys.m
@@ -519,11 +512,11 @@ def _source_image(ctx: _Ctx, cone: PolyhedralCone) -> PolyhedralCone:
     def image(w: Vec) -> Vec:
         return add(tuple(dot(row, w[:m]) for row in ctx.bu), mat_t_vec(ctx.jac, w[m:]))
 
-    return _image_cone(cone, image, ctx.sys.n)
+    return image_cone(cone, image, ctx.sys.n)
 
 
 def _lambda_targets(ctx: _Ctx, lam_union: ConeUnion) -> ConeUnion:
-    pieces = [_image_cone(p, lambda r: mat_t_vec(ctx.jac, r), ctx.sys.n) for p in lam_union.pieces]
+    pieces = [image_cone(p, lambda r: mat_t_vec(ctx.jac, r), ctx.sys.n) for p in lam_union.pieces]
     return ConeUnion.make(pieces, ctx.sys.n)
 
 
@@ -543,14 +536,12 @@ def _piecewise_point(systems) -> tuple[Vec | None, int, list[dict]]:
     return None, -1, farkas
 
 
-def _find_multiplier(
-    ctx: _Ctx, lam_union: ConeUnion, xstar: Vec
-) -> tuple[Vec | None, int, list[dict]]:
-    """lambda in the union with J^T lambda = xstar, or per-piece Farkas data."""
-    return _piecewise_point(
-        (p.ia, (0,) * len(p.ia), p.ie + ctx.ker_rows, (0,) * len(p.ie) + tuple(xstar), ctx.sys.m)
-        for p in lam_union.pieces
-    )
+def multiplier_systems(lam_union: ConeUnion, jac: Mat, xstar: Vec):
+    """The system {lambda in the piece, J^T lambda = x*} of each piece of the
+    union, as (a, b, e, d, n); the deciders and ``verify`` pose the same ones."""
+    ker_rows = transpose(jac)
+    for p in lam_union.pieces:
+        yield p.ia, (0,) * len(p.ia), p.ie + ker_rows, (0,) * len(p.ie) + tuple(xstar), lam_union.dim
 
 
 def _lambda_condition(
@@ -569,7 +560,7 @@ def _lambda_condition(
         ok, witness = cone_union_subset(xstar_union, _lambda_targets(ctx, lam_union))
         if ok:
             return ConditionReport(name, "holds", "full achievable range covered")
-        _, _, farkas = _find_multiplier(ctx, lam_union, witness)
+        _, _, farkas = _piecewise_point(multiplier_systems(lam_union, ctx.jac, witness))
         return ConditionReport(
             name,
             "fails",
@@ -582,7 +573,7 @@ def _lambda_condition(
         if not achievable(xstar):
             details.append({"xstar": xstar, "status": "not-achievable"})
             continue
-        lam, piece, farkas = _find_multiplier(ctx, lam_union, xstar)
+        lam, piece, farkas = _piecewise_point(multiplier_systems(lam_union, ctx.jac, xstar))
         if lam is None:
             return ConditionReport(
                 name,
@@ -781,7 +772,8 @@ def mstationarity(sys: ConstraintSystem, phi: Poly) -> Verdict:
     ctx = _context(sys)
     grad = phi.gradient(sys.xbar)
     target = tuple(-x for x in grad)
-    lam, i, farkas = _find_multiplier(ctx, limiting_normal_cone(sys.d, ctx.gx), target)
+    n_lim = limiting_normal_cone(sys.d, ctx.gx)
+    lam, i, farkas = _piecewise_point(multiplier_systems(n_lim, ctx.jac, target))
     if lam is not None:
         residual = add(grad, mat_t_vec(ctx.jac, lam))
         cert = {"kind": "multiplier", "lam": lam, "piece": i, "residual": residual}
@@ -930,16 +922,6 @@ def mpec_pseudo_quasi_verdict(
 # graph-described maps (graphset blocks and patch maps)
 
 
-def _dual_slice(n_union: ConeUnion, nx: int, ny: int) -> ConeUnion:
-    """{ystar : (0, -ystar) in piece} for each piece of a graph normal union."""
-    pieces = []
-    for p in n_union.pieces:
-        a_rows = [tuple(-c for c in row[nx:]) for row in p.ia]
-        e_rows = [row[nx:] for row in p.ie]
-        pieces.append(PolyhedralCone.make(a=a_rows, e=e_rows, dim=ny))
-    return ConeUnion.make(pieces, ny)
-
-
 def graph_foscms(
     graph: PolyUnion,
     base: Vec,
@@ -963,8 +945,21 @@ def graph_foscms(
             {"kind": "trivial_kernel", "pieces_checked": 0, "cone": "graph-directional"},
             qualifier="direction-not-tangent",
         )
-    kernel = _dual_slice(n_dir, nx, ny)
+    # the preimage of each piece under y* -> (0, -y*)
+    kernel = ConeUnion.make([preimage_cone(p, lambda r: neg(r[nx:]), ny) for p in n_dir.pieces], ny)
     return _kernel_verdict("foscms", kernel.pieces, {"cone": "graph-directional"})
+
+
+def graph_multiplier_systems(n_union: ConeUnion, grad: Vec, nx: int):
+    """The system {lambda : (-grad, -lambda) in the piece} of each piece of a
+    graph normal union in R^{nx+ny}, as (a, b, e, d, ny); the decider and
+    ``verify`` pose the same ones."""
+
+    def rows(piece_rows: IntMat) -> tuple[Mat, Vec]:
+        return tuple(neg(r[nx:]) for r in piece_rows), vec(dot(r[:nx], grad) for r in piece_rows)
+
+    for p in n_union.pieces:
+        yield (*rows(p.ia), *rows(p.ie), n_union.dim - nx)
 
 
 def patch_mstationarity(m, phi: Poly, xbar: Vec, ybar: Vec) -> Verdict:
@@ -976,20 +971,9 @@ def patch_mstationarity(m, phi: Poly, xbar: Vec, ybar: Vec) -> Verdict:
     base = vec(tuple(xbar) + tuple(ybar))
     grad = phi.gradient(xbar)
     bounds = patch_limiting_normals(m, base)
-    nx, ny = m.nx, m.ny
 
     def search(union: ConeUnion):
-        # lambda with (-grad, -lambda) in the piece
-        return _piecewise_point(
-            (
-                tuple(tuple(-c for c in row[nx:]) for row in p.ia),
-                vec(dot(row[:nx], grad) for row in p.ia),
-                tuple(tuple(-c for c in row[nx:]) for row in p.ie),
-                vec(dot(row[:nx], grad) for row in p.ie),
-                ny,
-            )
-            for p in union.pieces
-        )
+        return _piecewise_point(graph_multiplier_systems(union, grad, m.nx))
 
     lam, piece, _ = search(bounds.certain)
     if lam is not None:

@@ -63,6 +63,7 @@ from dircq.polyhedra import (
     PolyhedralCone,
     generators,
     polyhedron_faces,
+    preimage_cone,
 )
 from dircq.setmaps import (
     ConstraintSystem,
@@ -702,39 +703,16 @@ class MpecProblem:
         return self.s.ny
 
 
-def _slice_first_block(u: ConeUnion, n1: int) -> ConeUnion:
-    """{w : (w, 0) in piece} for each piece of a product-space cone union."""
-    pieces = []
-    for p in u.pieces:
-        pieces.append(
-            PolyhedralCone.make(
-                a=[row[:n1] for row in p.ia], e=[row[:n1] for row in p.ie], dim=n1
-            )
-        )
-    return ConeUnion.make(pieces, n1)
-
-
-def _negate_union(u: ConeUnion) -> ConeUnion:
-    pieces = [
-        PolyhedralCone.make(
-            a=[tuple(-c for c in row) for row in p.ia],
-            e=p.ie,
-            dim=u.dim,
-        )
-        for p in u.pieces
-    ]
-    return ConeUnion.make(pieces, u.dim)
-
-
 def mpec_normality_candidates(mp: MpecProblem, u: Vec) -> tuple[ConeUnion, bool]:
     """Upper estimate of the kernel candidates: coderivative directions of S
     paired with outward normals of Omega; (candidates, exact flag)."""
     n1 = mp.n1
     bounds = patch_limiting_normals(mp.s, mp.xbar, vec(u))
-    s_side = _slice_first_block(bounds.upper, n1)
+    # the preimages of the pieces under w -> (w, 0) and x -> -x
+    s_side = ConeUnion.make([preimage_cone(p, lambda r: r[:n1], n1) for p in bounds.upper.pieces], n1)
     u1 = vec(u[:n1])
     omega_dir = directional_limiting_normal_cone(mp.omega, vec(mp.xbar[:n1]), u1)
-    omega_side = _negate_union(omega_dir)
+    omega_side = ConeUnion.make([preimage_cone(p, neg, n1) for p in omega_dir.pieces], n1)
     if s_side.is_empty or omega_side.is_empty:
         return ConeUnion.empty(n1), bounds.exact
     pieces = []

@@ -1,8 +1,12 @@
-"""Exact polyhedral kernels: H/V conversion, faces, polars, projections.
+"""Exact polyhedral kernels: H/V conversion, faces, polars, and the images
+and preimages of cones under linear maps.
 
 ``polyhedron_faces`` is the one face enumerator, ``polar_cone`` the one
 polar builder, and ``intersect_generated`` the one builder of regular normal
 cones, which the union and patch layers call with their active rows.
+``image_cone`` is the one image rule: it maps a cone's generators and
+returns the cone they generate, through ``polar_cone``.  ``preimage_cone``
+is the one preimage rule: it maps a cone's rows.
 
 H-forms are {x : A x <= b, E x = d}; cones are the homogeneous case with
 cached generator data.  Dimensions stay at desk scale (n <= 8), so the
@@ -37,11 +41,10 @@ from dircq.linalg import (
     coprime_ints,
     int_nullspace,
     int_row,
-    is_zero,
     pivot_columns,
     rank,
 )
-from dircq.simplex import OPTIMAL, solve_lp, strict_feasible_point
+from dircq.simplex import strict_feasible_point
 
 # Cones whose V-representation is kept; the cell duals of one analysis share
 # about 300 of them, and evicting shared entries makes later calls redo work.
@@ -333,6 +336,25 @@ def polar_cone(c: PolyhedralCone) -> PolyhedralCone:
     return PolyhedralCone.make(a=rays, e=lin, dim=c.dim)
 
 
+def image_cone(c: PolyhedralCone, image, dim: int) -> PolyhedralCone:
+    """{M x : x in c} for a linear map ``image`` = M into R^dim.
+
+    The image is generated by the images of c's rays and lineality
+    generators; ``make`` drops the zero ones and ``polar_cone`` turns the
+    generators into an H-form.
+    """
+    rays, lin = int_generators(c)
+    return polar_cone(PolyhedralCone.make(a=map(image, rays), e=map(image, lin), dim=dim))
+
+
+def preimage_cone(c: PolyhedralCone, pull, dim: int) -> PolyhedralCone:
+    """{x in R^dim : M x in c}, given the map on rows ``pull``: a -> a M.
+
+    A row a of c holds at M x iff the row a M holds at x.
+    """
+    return PolyhedralCone.make(a=map(pull, c.ia), e=map(pull, c.ie), dim=dim)
+
+
 def intersect_generated(parts, dim: int) -> PolyhedralCone:
     """The intersection over (rays, lin) parts of cone(rays) + span(lin).
 
@@ -372,61 +394,3 @@ def polyhedron_faces(p: HPolyhedron) -> list[tuple[tuple[int, ...], Vec]]:
             if w is not None:
                 out.append((subset, w))
     return out
-
-
-def project_polyhedron(p: HPolyhedron, coords: tuple[int, ...]) -> HPolyhedron:
-    """Exact shadow of p onto the given coordinates (Fourier-Motzkin)."""
-    coords = tuple(coords)
-    if any(c < 0 or c >= p.dim for c in coords):
-        raise DimensionMismatch("projection index out of range")
-    # work with inequality rows only: equalities become two inequalities
-    rows = [(r[:-1], r[-1]) for r in p.iab]
-    for r in p.ied:
-        rows.append((r[:-1], r[-1]))
-        rows.append((tuple(-x for x in r[:-1]), -r[-1]))
-    keep = list(coords)
-    elim = [j for j in range(p.dim) if j not in coords]
-    for j in elim:
-        pos = [rw for rw in rows if rw[0][j] > 0]
-        negs = [rw for rw in rows if rw[0][j] < 0]
-        zero = [rw for rw in rows if rw[0][j] == 0]
-        new_rows = list(zero)
-        for (rp, bp) in pos:
-            for (rn, bn) in negs:
-                cp, cn = rp[j], -rn[j]
-                row = tuple(cn * x + cp * y for x, y in zip(rp, rn))
-                rhs = cn * bp + cp * bn
-                if is_zero(row):
-                    if rhs < 0:
-                        # empty projection: keep the contradiction row
-                        new_rows.append((row, rhs))
-                    continue
-                new_rows.append((row, rhs))
-        rows = _prune_rows(new_rows, p.dim)
-    a = tuple(tuple(r[j] for j in keep) for r, _ in rows)
-    b = tuple(rhs for _, rhs in rows)
-    return HPolyhedron.make(a, b, dim=len(keep))
-
-
-def _prune_rows(rows: list[tuple[IntVec, int]], dim: int) -> list[tuple[IntVec, int]]:
-    """Drop duplicate and (when the count grows) LP-redundant rows."""
-    seen = set()
-    dedup = []
-    for row, rhs in rows:
-        key = coprime_ints((*row, rhs))
-        if key in seen:
-            continue
-        seen.add(key)
-        dedup.append((row, rhs))
-    if len(dedup) <= 12:
-        return dedup
-    kept: list[tuple[IntVec, int]] = []
-    for i, (row, rhs) in enumerate(dedup):
-        others = kept + dedup[i + 1 :]
-        a = tuple(r for r, _ in others)
-        b = tuple(x for _, x in others)
-        res = solve_lp(row, a, b, n=dim)
-        if res.status == OPTIMAL and res.objective <= rhs:
-            continue
-        kept.append((row, rhs))
-    return kept

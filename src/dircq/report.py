@@ -3,11 +3,28 @@
 The structured JSON report is the interface of record.  ``verify_report``
 recomputes every verdict row through ``cli.run_check`` and re-checks its
 certificate in exact arithmetic; a sample row is checked sample by sample,
-and its fitted cone is fitted again from its samples.  Both the recomputation
-and the cone lookups of the certificate checks read the same ``lru_cache``s
-that the deciders fill in the same process (the cone queries of ``unions``,
-``cone_union_subset`` among them), and the lists of pieces and cells a
-verdict rests on are recomputed, not certified.
+and its fitted cone is fitted again from its samples.  The certificates
+checked beyond the recomputed status are:
+
+- ``multiplier`` (HOLDS): a zero residual, and lambda in the recomputed
+  limiting normal cone; ``multiplier_graph``: (-grad, -lambda) in the
+  recomputed upper graph-normal bound;
+- ``kernel_witness`` (FAILS) of a constraint problem and of a graph set:
+  y* != 0 lies in the recomputed kernel;
+- ``farkas_chain`` (FAILS) of a constraint problem and ``farkas_chain_graph``
+  of a patch map: the chain is at the objective's gradient, and one Farkas
+  vector per piece verifies against the multiplier system that the decider
+  poses (``cq.multiplier_systems``, ``cq.graph_multiplier_systems``);
+- ``witness_sequence`` (FAILS): every record is replayed; the limit is not
+  checked.
+
+The other kinds (``trivial_kernel``, ``condition_suite``, ``vacuous``,
+``elimination_traces``) are checked only through the recomputed status.
+
+Both the recomputation and the cone lookups of the certificate checks read
+the same ``lru_cache``s that the deciders fill in the same process (the cone
+queries of ``unions``, ``cone_union_subset`` among them), and the lists of
+pieces and cells a verdict rests on are recomputed, not certified.
 Rational scalars serialize as "p/q" strings; identical inputs and flags
 produce byte-identical reports apart from the ``generated_at`` field.
 """
@@ -21,8 +38,8 @@ from datetime import datetime, timezone
 from fractions import Fraction
 
 from dircq import __version__
-from dircq.cq import FAILS, HOLDS, UNDECIDED, Verdict
-from dircq.linalg import Vec, dot, is_zero, mat_t_vec, unit, vec
+from dircq.cq import FAILS, HOLDS, UNDECIDED, Verdict, graph_multiplier_systems, multiplier_systems
+from dircq.linalg import Vec, dot, is_zero, mat_t_vec, neg, unit, vec, zeros
 from dircq.simplex import verify_farkas
 
 REPORT_VERSION = 1
@@ -227,12 +244,28 @@ def _problem_context(problem, row):
 
 
 def _check_kernel_witness(problem, row, cert) -> str | None:
-    if problem.kind != "constraint":
-        return None
-    sys, gx, jac, u, cone_union = _problem_context(problem, row)
+    """A nonzero y* in the recomputed kernel.
+
+    For a constraint problem: J^T y* = 0 and y* in the (directional) limiting
+    normal cone, with <h, y*> >= 0 for a SOSCMS row.  For a graph set:
+    (0, -y*) in the directional limiting normal cone of the graph at the
+    base point in the direction (u, 0).
+    """
     y = _decode_vec(cert["ystar"])
     if is_zero(y):
         return "kernel witness is zero"
+    if problem.kind == "graphset":
+        from dircq.unions import directional_limiting_normal_cone
+
+        nx, ny = problem.graph_nx, problem.graph_ny
+        gdir = vec((*_decode_vec(row["u"]), *zeros(ny)))
+        n_dir = directional_limiting_normal_cone(problem.graph_set, problem.point("base"), gdir)
+        if not n_dir.contains(vec((*zeros(nx), *neg(y)))):
+            return "(0, -y*) lies outside the recomputed graph normal cone"
+        return None
+    if problem.kind != "constraint":
+        return f"a kernel witness needs a constraint or graphset problem, not {problem.kind!r}"
+    sys, gx, jac, u, cone_union = _problem_context(problem, row)
     if not is_zero(mat_t_vec(jac, y)):
         return "kernel witness fails the adjoint condition"
     if not cone_union.contains(y):
@@ -277,30 +310,40 @@ def _check_multiplier(problem, row, cert) -> str | None:
 
 
 def _check_farkas_chain(problem, row, cert) -> str | None:
-    if problem.kind != "constraint":
-        return None
-    from dircq.linalg import zeros
-    from dircq.unions import limiting_normal_cone
+    """One verified Farkas vector per piece of the multiplier systems that
+    M-stationarity poses (``cq.multiplier_systems`` for a constraint problem,
+    ``cq.graph_multiplier_systems`` over the upper graph-normal bound of a
+    patch map), at the objective's gradient."""
+    try:
+        if problem.kind == "constraint":
+            from dircq.unions import limiting_normal_cone
 
-    sys = problem.system
-    gx = sys.g.eval(sys.xbar)
-    n_lim = limiting_normal_cone(sys.d, gx)
-    target = _decode_vec(cert["target"])
-    jac = sys.g.jacobian(sys.xbar)
-    ker_rows = tuple(zip(*jac, strict=True))
-    entries = {p["piece"]: p for p in cert["pieces"]}
-    for i, piece in enumerate(n_lim.pieces):
-        entry = entries.get(i)
-        if entry is None:
-            return f"missing Farkas entry for piece {i}"
-        fi = _decode_vec(entry["farkas_ineq"])
-        fe = _decode_vec(entry["farkas_eq"])
-        a = piece.a
-        b = zeros(len(piece.a))
-        e = piece.e + ker_rows
-        d = zeros(len(piece.e)) + target
-        if not verify_farkas(a, b, e, d, fi, fe):
-            return f"Farkas vector for piece {i} does not verify"
+            sys = problem.system
+            target = neg(problem.objective.gradient(sys.xbar))
+            if _decode_vec(cert["target"]) != target:
+                return "Farkas target is not minus the objective gradient"
+            n_lim = limiting_normal_cone(sys.d, sys.g.eval(sys.xbar))
+            systems = list(multiplier_systems(n_lim, sys.g.jacobian(sys.xbar), target))
+        elif problem.kind == "patch":
+            from dircq.setmaps import patch_limiting_normals
+
+            m = problem.patch_map
+            xbar = problem.point("xbar")
+            grad = problem.objective.gradient(xbar)
+            if _decode_vec(cert["grad"]) != grad:
+                return "Farkas gradient differs from the objective gradient"
+            bounds = patch_limiting_normals(m, vec((*xbar, *problem.point("ybar"))))
+            systems = list(graph_multiplier_systems(bounds.upper, grad, m.nx))
+        else:
+            return f"a Farkas chain needs a constraint or patch problem, not {problem.kind!r}"
+        entries = cert["pieces"]
+        if [entry["piece"] for entry in entries] != list(range(len(systems))):
+            return f"Farkas chain needs one entry per piece, in order, for {len(systems)} pieces"
+        for i, ((a, b, e, d, _), entry) in enumerate(zip(systems, entries)):
+            if not verify_farkas(a, b, e, d, _decode_vec(entry["farkas_ineq"]), _decode_vec(entry["farkas_eq"])):
+                return f"Farkas vector for piece {i} does not verify"
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        return f"Farkas chain cannot be read: {exc}"
     return None
 
 

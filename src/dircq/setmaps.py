@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from dircq.linalg import Mat, Vec, dot, is_zero, rank, sub, vec, zeros
-from dircq.polyhedra import PolyhedralCone, intersect_generated, project_polyhedron
+from dircq.polyhedra import PolyhedralCone, image_cone, intersect_generated
 from dircq.polymaps import Poly, PolyMap, read_point
 from dircq.simplex import strict_feasible_point
 from dircq.unions import ConeUnion, PolyUnion, cone_union_equal
@@ -260,23 +260,14 @@ def patch_coderivative_image(
 ) -> PatternBounds:
     """Bounds for Im D*Phi at a graph point (optionally in a graph direction).
 
-    The image is the first-coordinate projection of the graph normal cone;
-    projecting both bounds preserves the sandwich.
+    The image is the x-part of the graph normal cone: each piece of both
+    bounds is mapped by (x*, y*) -> x* (``image_cone``), which preserves the
+    sandwich.
     """
     bounds = patch_limiting_normals(m, w, direction)
-    coords = tuple(range(m.nx))
 
     def proj(u: ConeUnion) -> ConeUnion:
-        pieces = []
-        for c in u.pieces:
-            shadow = project_polyhedron(c.as_polyhedron(), coords)
-            # the shadow of a cone is a cone: every rhs is 0
-            pieces.append(
-                PolyhedralCone.make(
-                    a=[r[:-1] for r in shadow.iab], e=[r[:-1] for r in shadow.ied], dim=m.nx
-                )
-            )
-        return ConeUnion.make(pieces, m.nx)
+        return ConeUnion.make([image_cone(c, lambda v: v[: m.nx], m.nx) for c in u.pieces], m.nx)
 
     cu, uu = proj(bounds.certain), proj(bounds.upper)
     return PatternBounds(cu, uu, cone_union_equal(cu, uu))

@@ -1,4 +1,4 @@
-"""Polyhedral kernel: generators, faces, polars, projections."""
+"""Polyhedral kernel: generators, faces, polars, images and preimages."""
 
 import itertools
 import random
@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from dircq.linalg import canon_line, canon_ray, dot, is_zero, mat, nullspace, rref, unit, vec, zeros
 from dircq.polyhedra import (
-    HPolyhedron,
     PolyhedralCone,
     generators,
+    image_cone,
     polar_cone,
     polyhedron_faces,
-    project_polyhedron,
+    preimage_cone,
 )
 from dircq.simplex import INFEASIBLE, OPTIMAL, feasible_point, strict_feasible_point
 
@@ -205,40 +205,45 @@ def test_face_witness_activity():
                 assert (dot(row, w) == 0) if i in active else (dot(row, w) < 0)
 
 
-def test_projection_triangle():
-    # {x + y <= 1, x >= 0, y >= 0} onto x -> [0, 1]
-    p = HPolyhedron.make(a=[[1, 1], [-1, 0], [0, -1]], b=[1, 0, 0])
-    px = project_polyhedron(p, (0,))
-    assert px.contains(vec([0])) and px.contains(vec([1]))
-    assert not px.contains(vec([Q(11, 10)])) and not px.contains(vec([Q(-1, 10)]))
+def _random_rows(rng, count, n):
+    return [[rng.randint(-2, 2) for _ in range(n)] for _ in range(count)]
 
 
-def test_projection_line():
-    # {y = 2x, 0 <= x <= 1} onto y -> [0, 2]
-    p = HPolyhedron.make(a=[[-1, 0], [1, 0]], b=[0, 1], e=[[2, -1]], d=[0])
-    py = project_polyhedron(p, (1,))
-    assert py.contains(vec([0])) and py.contains(vec([2]))
-    assert not py.contains(vec([Q(21, 10)])) and not py.contains(vec([Q(-1, 10)]))
-
-
-def test_projection_membership_vs_lp_random():
+def test_image_membership_vs_lp_random():
+    """y lies in the image of c under M iff some x in c has M x = y (an LP);
+    the cones have equality rows and lineality, and some maps send c to {0}."""
     rng = random.Random(11)
-    for _ in range(20):
-        n = 4
-        m = rng.randint(2, 6)
-        a = [[Q(rng.randint(-2, 2)) for _ in range(n)] for _ in range(m)]
-        b = [Q(rng.randint(0, 3)) for _ in range(m)]  # feasible at 0
-        p = HPolyhedron.make(a, b)
-        shadow = project_polyhedron(p, (0, 1))
-        for _ in range(8):
-            x01 = vec([rng.randint(-2, 2), rng.randint(-2, 2)])
-            # exists completion iff the restricted system is feasible
-            a2 = [row[2:] for row in a]
-            b2 = [bi - dot(row[:2], x01) for row, bi in zip(a, b)]
-            from dircq.simplex import feasible_point
+    n = 4
+    grid = [vec(p) for p in itertools.product(range(-2, 3), repeat=2)]
+    with_lineality = 0
+    for trial in range(30):
+        c = cone(a=_random_rows(rng, rng.randint(0, 4), n), e=_random_rows(rng, rng.randint(0, 1), n), dim=n)
+        rows = [[0] * n] * 2 if trial % 6 == 0 else _random_rows(rng, 2, n)
+        img = image_cone(c, lambda x: tuple(dot(r, x) for r in rows), 2)
+        with_lineality += bool(generators(c)[1])
+        for y in grid:
+            has = feasible_point(c.a, zeros(len(c.a)), c.e + mat(rows), zeros(len(c.e)) + y, n=n)
+            assert img.contains(y) == (has.status == OPTIMAL), (c, rows, y)
+        if trial % 6 == 0:
+            assert img.is_trivial()
+    assert with_lineality >= 10
 
-            has = feasible_point(mat(a2), vec(b2), n=2).status == OPTIMAL
-            assert shadow.contains(x01) == has
+
+def test_preimage_membership_random():
+    """x lies in the preimage of c under M iff M x lies in c, given the map
+    on rows a -> a M; checked at random points and at the preimage's own
+    generators."""
+    rng = random.Random(12)
+    for _ in range(40):
+        k, n = rng.randint(1, 4), rng.randint(1, 4)
+        c = cone(a=_random_rows(rng, rng.randint(0, 4), k), e=_random_rows(rng, rng.randint(0, 1), k), dim=k)
+        rows = _random_rows(rng, k, n)
+        cols = list(zip(*rows))
+        pre = preimage_cone(c, lambda a: tuple(dot(a, col) for col in cols), n)
+        rays, lin = generators(pre)
+        points = [vec(_random_rows(rng, 1, n)[0]) for _ in range(20)] + list(rays) + list(lin)
+        for x in points + [tuple(-v for v in l) for l in lin]:
+            assert pre.contains(x) == c.contains(tuple(dot(r, x) for r in rows)), (c, rows, x)
 
 
 def test_lp_feasibility_certificates():

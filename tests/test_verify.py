@@ -328,3 +328,75 @@ def test_run_check_rejects_bad_graph_and_patch_input():
     ):
         with pytest.raises(ProblemFormatError):
             run_check(pr, check, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "edit, error",
+    [
+        pytest.param({"farkas_ineq": ["0"]}, "Farkas vector for piece 0 does not verify", id="zero-vector"),
+        pytest.param({"farkas_ineq": ["-5"]}, "Farkas vector for piece 0 does not verify", id="negative-vector"),
+        pytest.param({"pieces": []}, "Farkas chain needs one entry per piece, in order, for 1 pieces", id="no-pieces"),
+        pytest.param({"grad": ["3"]}, "Farkas gradient differs from the objective gradient", id="wrong-gradient"),
+    ],
+)
+def test_patch_farkas_chain_is_checked(edit, error):
+    """The comb row's Farkas chain is checked against the systems that
+    ``patch_mstationarity`` poses, one per piece of the upper bound."""
+    pr, report = _golden("comb")
+    row = copy.deepcopy(report["rows"][0])
+    cert = row["certificate"]
+    assert cert["kind"] == "farkas_chain_graph" and len(cert["pieces"]) == 1
+    if "farkas_ineq" in edit:
+        cert["pieces"][0].update(edit)
+    else:
+        cert.update(edit)
+    assert verify_report({"rows": [row]}, pr) == [f"row 0 (mstationarity/xbar/None): {error}"]
+
+
+def test_graphset_kernel_witness_is_checked():
+    """gph = {x <= 0} u {x >= 0, y <= 0} at (0, 0) in the direction u = 1:
+    N = {0} x [0, oo), so the kernel {y* : (0, -y*) in N} is (-oo, 0]."""
+    pr = parse_problem(
+        {
+            "version": 1,
+            "graphset": {"nx": 1, "ny": 1, "pieces": [{"a": [[1, 0]], "b": [0]}, {"a": [[-1, 0], [0, 1]], "b": [0, 0]}]},
+            "points": {"base": [0, 0]},
+        }
+    )
+    verdict = run_check(pr, "foscms", "base", u=(1,))
+    row = json.loads(dumps({"rows": [verdict_row(verdict, "base", None, {"u": ["1"]})]}))["rows"][0]
+    assert (row["status"], row["certificate"]["ystar"]) == ("FAILS", ["-1"])
+    assert verify_report({"rows": [row]}, pr) == []
+    for ystar, error in (
+        (["0"], "kernel witness is zero"),
+        (["1"], "(0, -y*) lies outside the recomputed graph normal cone"),
+    ):
+        bad = copy.deepcopy(row)
+        bad["certificate"]["ystar"] = ystar
+        assert verify_report({"rows": [bad]}, pr) == [f"row 0 (foscms/base/None): {error}"]
+
+
+def _golden_fails_rows():
+    """(golden name, row index) of every FAILS row with a kernel witness or a Farkas chain."""
+    out = []
+    for path in sorted(GOLDEN.glob("*.json")):
+        for i, row in enumerate(json.loads(path.read_text())["rows"]):
+            kind = (row["certificate"] or {}).get("kind")
+            if row["status"] == "FAILS" and kind in ("kernel_witness", "farkas_chain", "farkas_chain_graph"):
+                out.append((path.stem, i))
+    return out
+
+
+@pytest.mark.parametrize("name, idx", _golden_fails_rows())
+def test_zeroed_fails_certificate_is_reported(name, idx):
+    pr, report = _golden(name)
+    row = copy.deepcopy(report["rows"][idx])
+    cert = row["certificate"]
+    if cert["kind"] == "kernel_witness":
+        cert["ystar"] = ["0"] * len(cert["ystar"])
+    else:
+        for entry in cert["pieces"]:
+            entry["farkas_ineq"] = ["0"] * len(entry["farkas_ineq"])
+            entry["farkas_eq"] = ["0"] * len(entry["farkas_eq"])
+    errors = verify_report({"rows": [row]}, pr)
+    assert len(errors) == 1 and errors[0].startswith(f"row 0 ({row['check']}/{row['point']}/{row['direction']}): ")

@@ -5,11 +5,11 @@ here is immutable and hashable so that cones built from this data can be
 cached and compared structurally.
 
 Fractions in, Fractions out, ints inside: the kernels (``dot``, the coprime
-scaling of ``canon_ray``/``canon_line``, and ``rref`` with
-``rank``, ``nullspace`` and ``solve_linear`` on top of it) accept int and
-Fraction entries, scale each row to Python ints by the lcm of its
-denominators, and build a Fraction only for each value they return.  Every
-result equals the one plain Fraction arithmetic gives.
+scaling of ``canon_ray``/``canon_line``, and ``rref`` with ``rank`` and
+``nullspace`` on top of it) accept int and Fraction entries, scale each row
+to Python ints by the lcm of its denominators, and build a Fraction only for
+each value they return.  Every result equals the one plain Fraction
+arithmetic gives.
 
 The cone layer (``dircq.polyhedra``) stores its rows as coprime int tuples,
 so the int-level kernels are public too: ``int_row`` reads a row into ints
@@ -297,21 +297,6 @@ def half_step(rows: Sequence[Sequence], w: Vec, d: Sequence[int], rhs: Sequence 
             if eps is None or t < eps:
                 eps = t
     return Fraction(1) if eps is None else eps / 2
-
-
-def solve_linear(a: Mat, b: Vec) -> Vec | None:
-    """One exact solution of a x = b, or None if inconsistent."""
-    if not a:
-        return zeros(0) if is_zero(b) else None
-    n = len(a[0])
-    rows, pivots = _int_rref(tuple(row + (bi,) for row, bi in zip(a, b, strict=True)))
-    if pivots and pivots[-1] == n:
-        return None
-    x = [Fraction(0)] * n
-    for row, pc in zip(rows, pivots):
-        if row[n]:
-            x[pc] = Fraction(row[n], row[pc])
-    return tuple(x)
 
 
 def coprime_ints(v: Sequence[Fraction], line: bool = False) -> tuple[int, ...]:

@@ -2,14 +2,11 @@
 
 The exact layer decides cone identities; this module approaches the same
 objects through their defining sequences.  It samples normals along
-directional schedules, searches for the sequence witnesses that falsify
-asymptotic regularity or pseudo-/quasi-normality, and probes pseudo- and
-super-coderivative memberships on two-parameter schedules
-(``probe_pseudo_or_super_coderivative`` is the only implementation of the
-paper's pseudo- and super-coderivatives; no exact rule computes them and no
-decider calls it yet).  A failed search is always reported as NOT_FOUND and
-never interpreted as evidence that a property holds; witnesses are
-rationalized and re-verified exactly whenever they lie on rational patches.
+directional schedules and searches for the sequence witnesses that falsify
+asymptotic regularity or pseudo-/quasi-normality.  A failed search is
+always reported as NOT_FOUND and never interpreted as evidence that a
+property holds; witnesses are rationalized and re-verified exactly whenever
+they lie on rational patches.
 
 Three bounded caches serve the searches, which revisit the same pieces and
 points on every schedule step, every candidate multiplier and every call:
@@ -20,9 +17,8 @@ regular normal cone, keyed on the ``PolyUnion`` and the point; and
 ``_graph_point_cone`` keeps the regular normal cone of a patch map at a
 graph point, or None when an active patch fails the regularity gate, keyed
 on the ``PatchMap`` and the point.  Every search that needs a patch normal
-cone (asymptotic regularity, the equilibrium normality search and the
-coderivative probes) reads it there.  All three hold exact data derived
-from their key alone.
+cone (asymptotic regularity and the equilibrium normality search) reads
+it there.  All three hold exact data derived from their key alone.
 ``report.verify_report`` checks witnesses without reading any of them.
 """
 
@@ -50,7 +46,6 @@ from dircq.linalg import (
     neg,
     rref,
     scale,
-    solve_linear,
     sub,
     unit,
     vec,
@@ -89,19 +84,21 @@ CANDIDATE_CACHE_SIZE = 1024
 # ``_graph_point_cone`` keeps: a pass of the sequence workload meets 86
 # distinct graph points.
 GRAPH_POINT_CACHE_SIZE = 512
+# ``search_mpec_normality`` eliminates a candidate lam when its float
+# alignment bound on each of the last five schedule steps is at most
+# ELIMINATION_TOL * max(1, |lam|^2): the bound that counts as collapsed to 0.
+ELIMINATION_TOL = 1e-8
 
 _log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
 class Schedule:
-    """Deterministic decreasing scales t_k; ``gamma`` is the power of the
-    coderivative probes' second scale."""
+    """Deterministic decreasing scales t_k."""
 
     kind: str = "geometric"  # t_k = 2^-k; "harmonic" gives 1/k
     k_min: int = 1
     k_max: int = 60
-    gamma: Fraction = Fraction(2)
 
     def steps(self) -> range:
         return range(self.k_min, self.k_max + 1)
@@ -110,12 +107,6 @@ class Schedule:
         if self.kind == "harmonic":
             return Fraction(1, k)
         return Fraction(1, 2**k)
-
-
-def _rational_power(base: Fraction, gamma: Fraction) -> Fraction:
-    if gamma.denominator == 1:
-        return Fraction(base.numerator**gamma.numerator, base.denominator**gamma.numerator)
-    return Fraction(float(base) ** float(gamma)).limit_denominator(10**12)
 
 
 @dataclass(frozen=True)
@@ -595,94 +586,6 @@ def _normality_residuals(x, z, gxbar, ju, xbar) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# pseudo-/super-coderivative probes
-
-
-@dataclass(frozen=True)
-class ProbeRecord:
-    k: int
-    point: Vec
-    scale: Fraction
-    xstar_values: tuple[Vec, ...]
-
-
-@dataclass(frozen=True)
-class ProbeEvidence:
-    kind: str
-    records: tuple[ProbeRecord, ...]
-    limit_candidates: tuple[Vec, ...]
-
-
-def probe_pseudo_or_super_coderivative(
-    m: PatchMap,
-    xbar: Vec,
-    ybar: Vec,
-    u: Vec,
-    v: Vec,
-    ystar: Vec,
-    schedule: Schedule | None = None,
-    variant: str = "power",
-) -> ProbeEvidence:
-    """Membership evidence along a two-parameter schedule.
-
-    variant "power": dual offsets (t_k |u|)^gamma v with outputs rescaled by
-    (t_k |u|)^(gamma - 1); "gfrerer": offsets t_k v, same rescaling;
-    "super": offsets tau_k v with tau_k / t_k -> 0 and outputs rescaled by
-    (tau_k |v|) / (t_k |u|).
-    """
-    schedule = schedule or Schedule()
-    nx, ny = m.nx, m.ny
-    unorm = Fraction(rationalize(_norm(u), 10**9))
-    vnorm = Fraction(rationalize(_norm(v), 10**9))
-    records = []
-    limits: dict[Vec, int] = {}
-    for k in schedule.steps():
-        t = schedule.t(k)
-        x = add(xbar, scale(t, u))
-        if variant == "power":
-            off = _rational_power(t * unorm, schedule.gamma)
-            y = add(ybar, scale(off, v))
-            out_scale = off / (t * unorm)
-        elif variant == "gfrerer":
-            y = add(ybar, scale(t, v))
-            out_scale = _rational_power(t * unorm, schedule.gamma - 1)
-        else:
-            tau = schedule.t(k) ** 2
-            y = add(ybar, scale(tau, v))
-            out_scale = (tau * vnorm) / (t * unorm)
-        w = vec(tuple(x) + tuple(y))
-        if not m.graph_contains(x, y):
-            continue
-        ncone = _graph_point_cone(m, w)
-        if ncone is None:
-            _log.debug("skipping probe point %s: an active patch fails the regularity gate", w)
-            continue
-        # D^*Phi(point)(ystar) = {w : (w, -ystar) in N}: an affine slice
-        values = _coderivative_slice(ncone, ystar, nx, ny)
-        scaled = tuple(scale(Fraction(1) / out_scale, val) for val in values)
-        records.append(ProbeRecord(k, w, out_scale, scaled))
-        for val in scaled:
-            key = tuple(rationalize(float(c), 10**6) for c in val)
-            limits[key] = limits.get(key, 0) + 1
-    cands = tuple(sorted(k for k, c in limits.items() if c >= max(2, len(records) // 3)))
-    return ProbeEvidence(kind=variant, records=tuple(records), limit_candidates=cands)
-
-
-def _coderivative_slice(ncone: PolyhedralCone, ystar: Vec, nx: int, ny: int) -> tuple[Vec, ...]:
-    """Representative solutions w of (w, -ystar) in the cone."""
-    # solve the linear system on the cone's equality rows, then check rows
-    rows_e = [r[:nx] for r in ncone.ie]
-    rhs_e = [dot(r[nx:], ystar) for r in ncone.ie]
-    sol = solve_linear(tuple(rows_e), tuple(rhs_e)) if rows_e else zeros(nx)
-    if sol is None:
-        return ()
-    w = vec(tuple(sol) + tuple(-c for c in ystar))
-    if ncone.contains(w):
-        return (sol,)
-    return ()
-
-
-# ---------------------------------------------------------------------------
 # equilibrium-constraint route: candidates and normality elimination
 
 
@@ -733,7 +636,6 @@ def search_mpec_normality(
     schedule: Schedule | None = None,
     mode: str = "pseudo",
     basis: tuple[Vec, ...] | None = None,
-    tol: float = 1e-8,
 ) -> WitnessSequence | EliminationTrace:
     """Witness search / elimination for one kernel candidate of the assembly.
 
@@ -821,7 +723,7 @@ def search_mpec_normality(
             )
     tail_bounds = [float(r["alignment_bound"]) for r in rows[-5:]]
     eliminated = bool(tail_bounds) and all(
-        b <= tol * max(1.0, float(lam_sq)) for b in tail_bounds
+        b <= ELIMINATION_TOL * max(1.0, float(lam_sq)) for b in tail_bounds
     )
     return EliminationTrace(
         candidate=lam,

@@ -20,6 +20,7 @@ checked beyond the recomputed status are:
 
 The other kinds (``trivial_kernel``, ``condition_suite``, ``vacuous``,
 ``elimination_traces``) are checked only through the recomputed status.
+A certificate that cannot be decoded is an error line for its row.
 
 Both the recomputation and the cone lookups of the certificate checks read
 the same ``lru_cache``s that the deciders fill in the same process (the cone
@@ -251,61 +252,67 @@ def _check_kernel_witness(problem, row, cert) -> str | None:
     (0, -y*) in the directional limiting normal cone of the graph at the
     base point in the direction (u, 0).
     """
-    y = _decode_vec(cert["ystar"])
-    if is_zero(y):
-        return "kernel witness is zero"
-    if problem.kind == "graphset":
-        from dircq.unions import directional_limiting_normal_cone
+    try:
+        y = _decode_vec(cert["ystar"])
+        if is_zero(y):
+            return "kernel witness is zero"
+        if problem.kind == "graphset":
+            from dircq.unions import directional_limiting_normal_cone
 
-        nx, ny = problem.graph_nx, problem.graph_ny
-        gdir = vec((*_decode_vec(row["u"]), *zeros(ny)))
-        n_dir = directional_limiting_normal_cone(problem.graph_set, problem.point("base"), gdir)
-        if not n_dir.contains(vec((*zeros(nx), *neg(y)))):
-            return "(0, -y*) lies outside the recomputed graph normal cone"
-        return None
-    if problem.kind != "constraint":
-        return f"a kernel witness needs a constraint or graphset problem, not {problem.kind!r}"
-    sys, gx, jac, u, cone_union = _problem_context(problem, row)
-    if not is_zero(mat_t_vec(jac, y)):
-        return "kernel witness fails the adjoint condition"
-    if not cone_union.contains(y):
-        return "kernel witness lies outside the recomputed cone"
-    if row["check"] == "soscms":
-        h = sys.g.second_order_vector(sys.xbar, problem.direction(row["direction"]))
-        if dot(h, y) < 0:
-            return "kernel witness violates the curvature sign"
+            nx, ny = problem.graph_nx, problem.graph_ny
+            gdir = vec((*_decode_vec(row["u"]), *zeros(ny)))
+            n_dir = directional_limiting_normal_cone(problem.graph_set, problem.point("base"), gdir)
+            if not n_dir.contains(vec((*zeros(nx), *neg(y)))):
+                return "(0, -y*) lies outside the recomputed graph normal cone"
+            return None
+        if problem.kind != "constraint":
+            return f"a kernel witness needs a constraint or graphset problem, not {problem.kind!r}"
+        sys, gx, jac, u, cone_union = _problem_context(problem, row)
+        if not is_zero(mat_t_vec(jac, y)):
+            return "kernel witness fails the adjoint condition"
+        if not cone_union.contains(y):
+            return "kernel witness lies outside the recomputed cone"
+        if row["check"] == "soscms":
+            h = sys.g.second_order_vector(sys.xbar, problem.direction(row["direction"]))
+            if dot(h, y) < 0:
+                return "kernel witness violates the curvature sign"
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        return f"kernel witness cannot be read: {exc}"
     return None
 
 
 def _check_multiplier(problem, row, cert) -> str | None:
-    lam = _decode_vec(cert["lam"])
-    if problem.kind == "constraint":
-        from dircq.unions import limiting_normal_cone
+    try:
+        lam = _decode_vec(cert["lam"])
+        if problem.kind == "constraint":
+            from dircq.unions import limiting_normal_cone
 
-        sys = problem.system
-        gx = sys.g.eval(sys.xbar)
-        grad = problem.objective.gradient(sys.xbar)
-        residual = tuple(
-            a + b for a, b in zip(grad, mat_t_vec(sys.g.jacobian(sys.xbar), lam))
-        )
-        if not is_zero(residual):
-            return "multiplier residual is nonzero"
-        if not limiting_normal_cone(sys.d, gx).contains(lam):
-            return "multiplier lies outside the recomputed normal cone"
-        return None
-    if problem.kind == "patch":
-        from dircq.setmaps import patch_limiting_normals
+            sys = problem.system
+            gx = sys.g.eval(sys.xbar)
+            grad = problem.objective.gradient(sys.xbar)
+            residual = tuple(
+                a + b for a, b in zip(grad, mat_t_vec(sys.g.jacobian(sys.xbar), lam))
+            )
+            if not is_zero(residual):
+                return "multiplier residual is nonzero"
+            if not limiting_normal_cone(sys.d, gx).contains(lam):
+                return "multiplier lies outside the recomputed normal cone"
+            return None
+        if problem.kind == "patch":
+            from dircq.setmaps import patch_limiting_normals
 
-        m = problem.patch_map
-        xbar = problem.point("xbar")
-        ybar = problem.point("ybar")
-        base = vec(tuple(xbar) + tuple(ybar))
-        grad = problem.objective.gradient(xbar)
-        bounds = patch_limiting_normals(m, base)
-        w = vec(tuple(-c for c in grad) + tuple(-c for c in lam))
-        if not bounds.upper.contains(w):
-            return "graph multiplier pair is outside the recomputed normal bound"
-        return None
+            m = problem.patch_map
+            xbar = problem.point("xbar")
+            ybar = problem.point("ybar")
+            base = vec(tuple(xbar) + tuple(ybar))
+            grad = problem.objective.gradient(xbar)
+            bounds = patch_limiting_normals(m, base)
+            w = vec(tuple(-c for c in grad) + tuple(-c for c in lam))
+            if not bounds.upper.contains(w):
+                return "graph multiplier pair is outside the recomputed normal bound"
+            return None
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        return f"multiplier cannot be read: {exc}"
     return None
 
 

@@ -26,7 +26,6 @@ from dircq.linalg import (
     rref,
     rref_reduce,
     rref_span,
-    solve_linear,
     vec,
 )
 
@@ -94,17 +93,6 @@ def ref_nullspace(m, n):
             v[pc] = -row[fc]
         basis.append(tuple(v))
     return basis
-
-
-def ref_solve_linear(a, b):
-    n = len(a[0])
-    red, pivots = ref_rref(tuple(row + (bi,) for row, bi in zip(a, b)))
-    if n in pivots:
-        return None
-    x = [Fraction(0)] * n
-    for row, pc in zip(red, pivots):
-        x[pc] = row[n]
-    return tuple(x)
 
 
 def ref_mat_t_vec(m, v):
@@ -196,19 +184,10 @@ def test_rref_rank_nullspace_match_reference(m):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(1, 6).flatmap(lambda n: st.tuples(matrices(n), vectors(FRACTION, n))))
-def test_solve_linear_and_mat_t_vec_match_reference(mx):
-    m, x = mx
+@given(matrices())
+def test_mat_t_vec_matches_reference(m):
     if not m:
         return
-    b = tuple(ref_dot(row, x) for row in m)
-    # a consistent right-hand side, and one made inconsistent where possible
-    for rhs in (b, b[:-1] + (b[-1] + 1,)):
-        got = solve_linear(m, rhs)
-        assert got == ref_solve_linear(m, rhs)
-        if got is not None:
-            assert all_fractions(got)
-            assert tuple(ref_dot(row, got) for row in m) == rhs
     y = tuple(Fraction(i - 2, i + 1) for i in range(len(m)))
     got = mat_t_vec(m, y)
     assert got == ref_mat_t_vec(m, y) and all_fractions(got)
@@ -266,8 +245,6 @@ def test_fixed_edge_cases():
     assert rref(zero_rows) == ((), ()) and rank(zero_rows) == 0
     assert nullspace(zero_rows) == [(1, 0), (0, 1)]
     assert rref(mat([[2, 4, 6, 8], [0, 0, 1, 1]])) == (((1, 2, 0, 1), (0, 0, 1, 1)), (0, 2))
-    assert solve_linear(mat([[1, 1], [2, 2]]), vec([1, 3])) is None
-    assert solve_linear(mat([[1, 1], [2, 2]]), vec([1, 2])) == (1, 0)
 
 
 # ---------------------------------------------------------------------------

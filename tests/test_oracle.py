@@ -1,4 +1,4 @@
-"""Sequence oracle: sampling, witness searches, probes, and its caches."""
+"""Sequence oracle: sampling, witness searches, and its caches."""
 
 from fractions import Fraction as Q
 
@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from test_caches import ex58_squared
 
 from dircq import oracle
-from dircq.cq import FAILS, HOLDS, UNDECIDED, mpec_pseudo_quasi_verdict, pseudo_quasi_verdict
-from dircq.linalg import dot, int_row, mat_t_vec, nullspace, rref, solve_linear, sub, vec
+from dircq.cq import FAILS, HOLDS, mpec_pseudo_quasi_verdict, pseudo_quasi_verdict
+from dircq.linalg import dot, int_row, mat_t_vec, nullspace, rref, sub, vec
 from dircq.oracle import (
     NOT_FOUND,
     EliminationTrace,
@@ -18,7 +18,6 @@ from dircq.oracle import (
     WitnessSequence,
     graph_points_near,
     mpec_normality_candidates,
-    probe_pseudo_or_super_coderivative,
     sample_directional_normals,
     search_asym_reg_violation,
     search_mpec_normality,
@@ -152,9 +151,11 @@ def _gram_projection(piece, active, p):
     if not red:
         return p
     rows, rhs = tuple(r[:-1] for r in red), tuple(r[-1] for r in red)
-    gram = tuple(tuple(dot(a, b) for b in rows) for a in rows)
-    resid = tuple(dot(r, p) - s for r, s in zip(rows, rhs))
-    return sub(p, mat_t_vec(rows, solve_linear(gram, resid)))
+    # G c = R p - s by RREF of [G | R p - s]: G is invertible, so the
+    # reduced rows are [I | c]
+    gram = tuple(tuple(dot(a, b) for b in rows) + (dot(a, p) - s,) for a, s in zip(rows, rhs))
+    coef = tuple(r[-1] for r in rref(gram)[0])
+    return sub(p, mat_t_vec(rows, coef))
 
 
 def _dist2(z, p):
@@ -429,42 +430,3 @@ def test_mpec_pseudo_quasi_verdict_ex47():
     v = mpec_pseudo_quasi_verdict(mp, vec([0, 1]))
     assert v.qualifier == "oracle-exhaustion"
     assert v.certificate["traces"]
-
-
-def test_probe_pseudo_coderivative_power_two():
-    # on the two-valued graph with gamma = 2 and (u, v) = (1, 1), y* = 1/2:
-    # the rescaled outputs sit at 1 along the whole schedule
-    m = graph_line_and_parabola()
-    ev = probe_pseudo_or_super_coderivative(
-        m,
-        vec([0]),
-        vec([0]),
-        vec([1]),
-        vec([1]),
-        vec([Q(1, 2)]),
-        Schedule(k_max=16),
-        variant="power",
-    )
-    assert ev.records
-    for rec in ev.records:
-        assert rec.xstar_values and rec.xstar_values[0] == vec([1])
-    assert vec([1]) in [vec(c) for c in ev.limit_candidates]
-
-
-def test_probe_super_on_linear_patch():
-    # linear graph: the super-coderivative probe returns the adjoint row only
-    m = PatchMap((GraphPatch((joint("y0 - 2 x0", 1, 1),), (), 1, 1),), 1, 1)
-    ev = probe_pseudo_or_super_coderivative(
-        m,
-        vec([0]),
-        vec([0]),
-        vec([1]),
-        vec([2]),
-        vec([1]),
-        Schedule(k_max=12),
-        variant="super",
-    )
-    for rec in ev.records:
-        for val in rec.xstar_values:
-            # D^*Phi(x)(1) = {2} before rescaling
-            assert val[0] * rec.scale == 2

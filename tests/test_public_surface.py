@@ -9,6 +9,9 @@ of any object passes unseen.  A public name with no reference is dead code
 unless ``KEEP`` lists it, under its module, as ``name`` or
 ``Class.method``, with the reason it stays; an entry that has gained a
 caller, or whose name is gone, is dropped from ``KEEP``.
+
+Every module-level import of a ``src/dircq`` module is used in that module,
+so a deletion cannot leave a stale import behind.
 """
 
 import ast
@@ -20,28 +23,26 @@ SOURCES = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"
 
 KEEP = {
     "linalg": {
-        "canon_line": "reference helper: tests compare the int row canonicalization against it",
+        "canon_line": "test reference: tests compare the int row canonicalization against it",
     },
     "cq": {
-        "Verdict.condition": "reads one sub-condition of a theorem-checker verdict by name, for library callers",
-    },
-    "oracle": {
-        "probe_pseudo_or_super_coderivative": "the only implementation of the paper's pseudo- and super-coderivatives",
+        "Verdict.condition": "test reference: tests read one sub-condition of a theorem-checker verdict by name",
     },
     "polymaps": {
-        "PolyMap.hessian_scalarized": "the Hessian of <y*, g> that the second-order conditions are stated in; "
+        "PolyMap.hessian_scalarized": "ROADMAP item 4: the jet search on the open face of the second-order rule; "
         "tests check second_order against it",
     },
     "problemfile": {
-        "load_problem": "reads a problem file for the command-line check and verify commands",
+        "load_problem": "ROADMAP item 1: reads the problem file of the check and verify commands",
     },
     "report": {
-        "build_report": "assembles the report the command-line check command writes",
-        "exit_code": "the exit status of the command-line check and verify commands",
-        "verify_report": "the checker behind the command-line verify command",
+        "build_report": "ROADMAP item 1: assembles the report the check command writes",
+        "exit_code": "ROADMAP item 1: the exit status of the check and verify commands",
+        "verify_report": "ROADMAP item 1: the checker behind the verify command",
     },
     "setmaps": {
-        "constraint_graph_patches": "a constraint map as a patch map, to cross-check the exact deciders with the oracle",
+        "constraint_graph_patches": "ROADMAP item 5: a constraint map as a patch map, for the harness that "
+        "cross-checks the theorem checkers with the oracle",
     },
 }
 
@@ -100,3 +101,23 @@ def test_keep_list_names_only_unreferenced_definitions():
             assert (mod, name) in defined, f"{mod}.{name} is no longer defined"
             assert not referenced(name, refs), f"{mod}.{name} has a caller now; drop it from KEEP"
             assert reason
+
+
+def module_imports(tree: ast.Module) -> list[str]:
+    """The names the module-level imports of a module bind."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            out += [a.asname or a.name.partition(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            out += [a.asname or a.name for a in node.names]
+    return out
+
+
+def test_every_module_level_import_is_used():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.stem}: {name}" for name in module_imports(tree) if name not in used]
+    assert not unused, f"module-level imports that their module never uses: {unused}"

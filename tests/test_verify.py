@@ -400,3 +400,24 @@ def test_zeroed_fails_certificate_is_reported(name, idx):
             entry["farkas_eq"] = ["0"] * len(entry["farkas_eq"])
     errors = verify_report({"rows": [row]}, pr)
     assert len(errors) == 1 and errors[0].startswith(f"row 0 ({row['check']}/{row['point']}/{row['direction']}): ")
+
+
+@pytest.mark.parametrize("value", [["x"], ["1"]], ids=["non-numeric", "wrong-length"])
+@pytest.mark.parametrize("check", ["mordukhovich", "foscms", "soscms", "mstationarity"])
+def test_malformed_certificate_is_reported(check, value):
+    """A y* or lambda that cannot be decoded is an error line for its row:
+    the ex58 golden's kernel-witness FAILS rows, and a multiplier HOLDS row
+    of ex58 with the objective x0."""
+    if check == "mstationarity":
+        pr = parse_problem(EX58)
+        row = json.loads(dumps({"rows": [verdict_row(run_check(pr, check), "xbar")]}))["rows"][0]
+        key, reason = "lam", "multiplier cannot be read"
+    else:
+        pr, report = _golden("ex58")
+        row = copy.deepcopy(next(r for r in report["rows"] if r["check"] == check and r["status"] == "FAILS"))
+        key, reason = "ystar", "kernel witness cannot be read"
+    assert row["certificate"][key] and verify_report({"rows": [row]}, pr) == []
+    row["certificate"][key] = value
+    errors = verify_report({"rows": [row]}, pr)
+    assert len(errors) == 1
+    assert errors[0].startswith(f"row 0 ({check}/xbar/{row['direction']}): {reason}: ")

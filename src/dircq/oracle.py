@@ -97,11 +97,10 @@ class Schedule:
     """Deterministic decreasing scales t_k."""
 
     kind: str = "geometric"  # t_k = 2^-k; "harmonic" gives 1/k
-    k_min: int = 1
     k_max: int = 60
 
     def steps(self) -> range:
-        return range(self.k_min, self.k_max + 1)
+        return range(1, self.k_max + 1)
 
     def t(self, k: int) -> Fraction:
         if self.kind == "harmonic":

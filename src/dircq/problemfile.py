@@ -9,8 +9,8 @@ integers).  It carries exactly one of four model blocks:
   mpec        an equilibrium assembly (Omega pieces plus solution-map patches),
 
 together with analysis points, named directions, an optional objective and
-basis.  Families ("staircase", "comb") expand to K-indexed piece lists so
-truncation stays a load-time parameter.  Every cone is computed from these
+basis.  Families ("staircase", "comb") expand to K-indexed piece lists, K
+set by the family block (default 50).  Every cone is computed from these
 data, and the oracle's schedules are not part of a problem: a
 ``declared_cones`` key in a graph block and a ``schedule`` block are
 rejected rather than ignored.
@@ -105,11 +105,9 @@ def _polyunion(obj, where: str) -> PolyUnion:
     return PolyUnion.make(pieces)
 
 
-def _family(fam, where: str, truncate_k: int | None) -> tuple[str, int]:
-    """(kind, K) of a family block; ``truncate_k`` overrides K (default 50)."""
+def _family(fam, where: str) -> tuple[str, int]:
+    """(kind, K) of a family block; K defaults to 50."""
     kind = _field(fam, "kind", where)
-    if truncate_k:
-        return kind, truncate_k
     return kind, _int_field(fam, "K", where) if "K" in fam else 50
 
 
@@ -163,16 +161,6 @@ class Problem:
     mpec_s: PatchMap | None = None
     basis: tuple[Vec, ...] | None = None
 
-    @property
-    def n(self) -> int:
-        if self.kind == "constraint":
-            return self.system.n
-        if self.kind == "patch":
-            return self.patch_map.nx
-        if self.kind == "graphset":
-            return self.graph_nx
-        return self.mpec_omega.dim + self.mpec_s.ny
-
     def point(self, name: str) -> Vec:
         if name not in self.points:
             raise ProblemFormatError(f"unknown point {name!r}")
@@ -202,16 +190,16 @@ def _graph_block(blk, where: str) -> tuple[int, int]:
     return _int_field(blk, "nx", where), _int_field(blk, "ny", where)
 
 
-def load_problem(path: str, truncate_k: int | None = None) -> Problem:
+def load_problem(path: str) -> Problem:
     with open(path) as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ProblemFormatError(f"{path}: invalid JSON at line {exc.lineno}") from exc
-    return parse_problem(data, truncate_k=truncate_k)
+    return parse_problem(data)
 
 
-def parse_problem(data: dict, truncate_k: int | None = None) -> Problem:
+def parse_problem(data: dict) -> Problem:
     if data.get("version") != SCHEMA_VERSION:
         raise ProblemFormatError(
             f"unsupported problem version {data.get('version')!r}; expected {SCHEMA_VERSION}"
@@ -246,7 +234,7 @@ def parse_problem(data: dict, truncate_k: int | None = None) -> Problem:
         patches = _parse_patches(blk, nx, ny, kind)
         fam = blk.get("family")
         if fam:
-            fam_kind, truncation = _family(fam, f"{kind}.family", truncate_k)
+            fam_kind, truncation = _family(fam, f"{kind}.family")
             if fam_kind == "comb":
                 patches.extend(_comb_patches(truncation))
             else:
@@ -259,7 +247,7 @@ def parse_problem(data: dict, truncate_k: int | None = None) -> Problem:
         pieces = [_polyhedron(p, nx + ny, f"{kind}.pieces") for p in _list_field(blk, "pieces", kind, optional=True)]
         fam = blk.get("family")
         if fam:
-            fam_kind, truncation = _family(fam, f"{kind}.family", truncate_k)
+            fam_kind, truncation = _family(fam, f"{kind}.family")
             if fam_kind == "staircase":
                 pieces.extend(_staircase_pieces(truncation))
             else:

@@ -1,26 +1,32 @@
 """Report assembly, canonical serialization, and certificate verification.
 
 The structured JSON report is the interface of record.  ``verify_report``
-recomputes every verdict row through ``cli.run_check`` and re-checks its
-certificate in exact arithmetic; a sample row is checked sample by sample,
-and its fitted cone is fitted again from its samples.  The certificates
-checked beyond the recomputed status are:
+recomputes every verdict row through ``cli.run_check`` (a sample row is not
+a verdict and is not recomputed), and then runs the check that one table,
+``_CHECKS``, maps the row's status and certificate kind to.  Each check
+works in exact arithmetic:
 
-- ``multiplier`` (HOLDS): a zero residual, and lambda in the recomputed
-  limiting normal cone; ``multiplier_graph``: (-grad, -lambda) in the
-  recomputed upper graph-normal bound;
+- ``multiplier``, ``multiplier_graph`` (HOLDS): lambda solves, in plain
+  Fractions, the multiplier system of the piece the certificate names, as
+  M-stationarity poses it: ``cq.multiplier_systems`` over N_D(g(xbar)), for
+  a patch map ``cq.graph_multiplier_systems`` over the certified
+  graph-normal bound, the one the decider searches;
+- ``farkas_chain``, ``farkas_chain_graph`` (FAILS): the chain is at the
+  objective's gradient, and one Farkas vector per piece verifies against the
+  same systems, over the upper bound for a patch map;
 - ``kernel_witness`` (FAILS) of a constraint problem and of a graph set:
   y* != 0 lies in the recomputed kernel;
-- ``farkas_chain`` (FAILS) of a constraint problem and ``farkas_chain_graph``
-  of a patch map: the chain is at the objective's gradient, and one Farkas
-  vector per piece verifies against the multiplier system that the decider
-  poses (``cq.multiplier_systems``, ``cq.graph_multiplier_systems``);
 - ``witness_sequence`` (FAILS): every record is replayed; the limit is not
-  checked.
+  checked;
+- ``normal_samples`` (SAMPLED): each sample is checked against the regular
+  normal cone at its point, and the fitted cone is fitted again from them.
 
-The other kinds (``trivial_kernel``, ``condition_suite``, ``vacuous``,
-``elimination_traces``) are checked only through the recomputed status.
-A certificate that cannot be decoded is an error line for its row.
+The table also lists the kinds checked only through the recomputed status
+(``trivial_kernel``, ``condition_suite``, ``vacuous``,
+``elimination_traces``); a kind it does not list is an error.  A
+certificate that is not an object, or that its check cannot decode (a
+missing key, a vector of the wrong length, a non-numeric entry), is one
+error line for its row, not an exception.
 
 Both the recomputation and the cone lookups of the certificate checks read
 the same ``lru_cache``s that the deciders fill in the same process (the cone
@@ -40,8 +46,11 @@ from fractions import Fraction
 
 from dircq import __version__
 from dircq.cq import FAILS, HOLDS, UNDECIDED, Verdict, graph_multiplier_systems, multiplier_systems
-from dircq.linalg import Vec, dot, is_zero, mat_t_vec, neg, unit, vec, zeros
+from dircq.linalg import Vec, dot, is_zero, mat_t_vec, mat_vec, neg, unit, vec, zeros
+from dircq.polyhedra import PolyhedralCone, polar_cone
+from dircq.setmaps import patch_limiting_normals
 from dircq.simplex import verify_farkas
+from dircq.unions import directional_limiting_normal_cone, limiting_normal_cone, regular_normal_cone
 
 REPORT_VERSION = 1
 # status of a row that records oracle samples rather than a verdict
@@ -130,6 +139,8 @@ def exit_code(rows: list[dict]) -> int:
 
 
 def _decode_vec(xs) -> Vec:
+    if isinstance(xs, str):
+        raise TypeError(f"{xs!r} is not a list of scalars")
     return vec(Fraction(x) for x in xs)
 
 
@@ -149,50 +160,48 @@ def _recompute_row(problem, row) -> Verdict:
 
 
 def verify_report(report: dict, problem) -> list[str]:
-    """Re-check every certificate; returns a list of human-readable failures."""
+    """Re-check every row; returns one human-readable failure per failing row."""
     errors: list[str] = []
     for idx, row in enumerate(report.get("rows", [])):
-        label = f"row {idx} ({row.get('check')}/{row.get('point')}/{row.get('direction')})"
-        status = row.get("status")
-        cert = row.get("certificate")
-        if status in (HOLDS, FAILS) and cert is None:
-            errors.append(f"{label}: {status} without a certificate")
-            continue
-        if status == SAMPLED:
-            err = _check_normal_samples(problem, cert)
-            if err:
-                errors.append(f"{label}: {err}")
-            continue
-        try:
-            fresh = _recompute_row(problem, row)
-        except Exception as exc:
-            errors.append(f"{label}: recomputation failed: {exc}")
-            continue
-        if fresh.status != status:
-            errors.append(
-                f"{label}: recomputed status {fresh.status} != reported {status}"
-            )
-            continue
-        if status == HOLDS and cert.get("kind") in ("multiplier", "multiplier_graph"):
-            err = _check_multiplier(problem, row, cert)
-            if err:
-                errors.append(f"{label}: {err}")
-        elif status == FAILS and cert.get("kind") == "kernel_witness":
-            err = _check_kernel_witness(problem, row, cert)
-            if err:
-                errors.append(f"{label}: {err}")
-        elif status == FAILS and cert.get("kind") in ("farkas_chain", "farkas_chain_graph"):
-            err = _check_farkas_chain(problem, row, cert)
-            if err:
-                errors.append(f"{label}: {err}")
-        elif status == FAILS and cert.get("kind") == "witness_sequence":
-            err = _check_witness_sequence(problem, row, cert)
-            if err:
-                errors.append(f"{label}: {err}")
+        err = _verify_row(problem, row)
+        if err:
+            errors.append(f"row {idx} ({row.get('check')}/{row.get('point')}/{row.get('direction')}): {err}")
     return errors
 
 
-def _check_normal_samples(problem, cert) -> str | None:
+def _verify_row(problem, row) -> str | None:
+    status, cert = row.get("status"), row.get("certificate")
+    if cert is None:
+        return f"{status} without a certificate" if status in (HOLDS, FAILS, SAMPLED) else None
+    if not isinstance(cert, dict):
+        return "certificate is not an object"
+    if status != SAMPLED:
+        try:
+            fresh = _recompute_row(problem, row)
+        except Exception as exc:
+            return f"recomputation failed: {exc}"
+        if fresh.status != status:
+            return f"recomputed status {fresh.status} != reported {status}"
+    return _check_certificate(problem, row, cert)
+
+
+def _check_certificate(problem, row, cert: dict) -> str | None:
+    """The check that ``_CHECKS`` names for the row's status and certificate
+    kind; a certificate it cannot decode is an error, not an exception."""
+    status, kind = row.get("status"), cert.get("kind")
+    if not isinstance(kind, str) or (status, kind) not in _CHECKS:
+        return f"no check for a {status} certificate of kind {kind!r}"
+    entry = _CHECKS[status, kind]
+    if entry is None:
+        return None
+    check, unreadable = entry
+    try:
+        return check(problem, row, cert)
+    except (AttributeError, KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as exc:
+        return f"{unreadable}: {exc}"
+
+
+def _check_normal_samples(problem, row, cert) -> str | None:
     """Each sample point lies in the graph set, its rays and lineality
     generate the regular normal cone there, and the row's fitted rays and
     lineality are those that ``oracle.fitted_normals`` fits to the samples.
@@ -202,46 +211,28 @@ def _check_normal_samples(problem, cert) -> str | None:
     item 3.
     """
     from dircq.oracle import NormalSample, fitted_normals
-    from dircq.polyhedra import PolyhedralCone, polar_cone
-    from dircq.unions import regular_normal_cone
 
     if problem.kind != "graphset":
         return f"normal samples need a graphset problem, not {problem.kind!r}"
     graph = problem.graph_set
     samples = []
-    try:
-        for sample in cert["result"]["samples"]:
-            point = _decode_vec(sample["point"])
-            if not graph.contains(point):
-                return f"sample point left the graph set at k={sample['k']}"
-            rays = tuple(_decode_vec(r) for r in sample["rays"])
-            lin = tuple(_decode_vec(l) for l in sample["lineality"])
-            sampled = polar_cone(PolyhedralCone.make(a=rays, e=lin, dim=graph.dim))
-            if not sampled.equals(regular_normal_cone(graph, point)):
-                return f"sampled normals differ from the regular normal cone at k={sample['k']}"
-            samples.append(NormalSample(int(sample["k"]), point, rays, lin))
-        fit_rays, fit_lin = fitted_normals(samples)
-        if tuple(map(_decode_vec, cert["result"]["fitted_rays"])) != fit_rays:
-            return "fitted rays differ from the fit of the samples"
-        if tuple(map(_decode_vec, cert["result"]["fitted_lineality"])) != fit_lin:
-            return "fitted lineality differs from the fit of the samples"
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        return f"normal sample cannot be read: {exc}"
+    for sample in cert["result"]["samples"]:
+        k = int(sample["k"])
+        point = _decode_vec(sample["point"])
+        if not graph.contains(point):
+            return f"sample point left the graph set at k={k}"
+        rays = tuple(_decode_vec(r) for r in sample["rays"])
+        lin = tuple(_decode_vec(l) for l in sample["lineality"])
+        sampled = polar_cone(PolyhedralCone.make(a=rays, e=lin, dim=graph.dim))
+        if not sampled.equals(regular_normal_cone(graph, point)):
+            return f"sampled normals differ from the regular normal cone at k={k}"
+        samples.append(NormalSample(k, point, rays, lin))
+    fit_rays, fit_lin = fitted_normals(samples)
+    if tuple(map(_decode_vec, cert["result"]["fitted_rays"])) != fit_rays:
+        return "fitted rays differ from the fit of the samples"
+    if tuple(map(_decode_vec, cert["result"]["fitted_lineality"])) != fit_lin:
+        return "fitted lineality differs from the fit of the samples"
     return None
-
-
-def _problem_context(problem, row):
-    from dircq.unions import directional_limiting_normal_cone, limiting_normal_cone
-
-    sys = problem.system
-    gx = sys.g.eval(sys.xbar)
-    jac = sys.g.jacobian(sys.xbar)
-    if row.get("direction"):
-        u = problem.direction(row["direction"])
-        ju = tuple(dot(r, u) for r in jac)
-        n_dir = directional_limiting_normal_cone(sys.d, gx, ju)
-        return sys, gx, jac, u, n_dir
-    return sys, gx, jac, None, limiting_normal_cone(sys.d, gx)
 
 
 def _check_kernel_witness(problem, row, cert) -> str | None:
@@ -252,105 +243,87 @@ def _check_kernel_witness(problem, row, cert) -> str | None:
     (0, -y*) in the directional limiting normal cone of the graph at the
     base point in the direction (u, 0).
     """
-    try:
-        y = _decode_vec(cert["ystar"])
-        if is_zero(y):
-            return "kernel witness is zero"
-        if problem.kind == "graphset":
-            from dircq.unions import directional_limiting_normal_cone
-
-            nx, ny = problem.graph_nx, problem.graph_ny
-            gdir = vec((*_decode_vec(row["u"]), *zeros(ny)))
-            n_dir = directional_limiting_normal_cone(problem.graph_set, problem.point("base"), gdir)
-            if not n_dir.contains(vec((*zeros(nx), *neg(y)))):
-                return "(0, -y*) lies outside the recomputed graph normal cone"
-            return None
-        if problem.kind != "constraint":
-            return f"a kernel witness needs a constraint or graphset problem, not {problem.kind!r}"
-        sys, gx, jac, u, cone_union = _problem_context(problem, row)
-        if not is_zero(mat_t_vec(jac, y)):
-            return "kernel witness fails the adjoint condition"
-        if not cone_union.contains(y):
-            return "kernel witness lies outside the recomputed cone"
-        if row["check"] == "soscms":
-            h = sys.g.second_order_vector(sys.xbar, problem.direction(row["direction"]))
-            if dot(h, y) < 0:
-                return "kernel witness violates the curvature sign"
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        return f"kernel witness cannot be read: {exc}"
+    y = _decode_vec(cert["ystar"])
+    if is_zero(y):
+        return "kernel witness is zero"
+    if problem.kind == "graphset":
+        nx, ny = problem.graph_nx, problem.graph_ny
+        gdir = vec((*_decode_vec(row["u"]), *zeros(ny)))
+        n_dir = directional_limiting_normal_cone(problem.graph_set, problem.point("base"), gdir)
+        if not n_dir.contains(vec((*zeros(nx), *neg(y)))):
+            return "(0, -y*) lies outside the recomputed graph normal cone"
+        return None
+    if problem.kind != "constraint":
+        return f"a kernel witness needs a constraint or graphset problem, not {problem.kind!r}"
+    sys = problem.system
+    gx = sys.g.eval(sys.xbar)
+    jac = sys.g.jacobian(sys.xbar)
+    u = problem.direction(row["direction"]) if row.get("direction") else None
+    if u is None:
+        cone = limiting_normal_cone(sys.d, gx)
+    else:
+        cone = directional_limiting_normal_cone(sys.d, gx, mat_vec(jac, u))
+    if not is_zero(mat_t_vec(jac, y)):
+        return "kernel witness fails the adjoint condition"
+    if not cone.contains(y):
+        return "kernel witness lies outside the recomputed cone"
+    if row["check"] == "soscms" and dot(sys.g.second_order_vector(sys.xbar, u), y) < 0:
+        return "kernel witness violates the curvature sign"
     return None
 
 
+def _multiplier_systems(problem, certified: bool) -> tuple[Vec, list]:
+    """(grad, systems): the objective's gradient at xbar and the multiplier
+    systems that M-stationarity poses there, one per piece, as
+    (a, b, e, d, n).  Over N_D(g(xbar)) (``cq.multiplier_systems``) for a
+    constraint problem; over the certified or the upper graph-normal bound
+    (``cq.graph_multiplier_systems``) for a patch map."""
+    if problem.kind == "constraint":
+        sys = problem.system
+        grad = problem.objective.gradient(sys.xbar)
+        n_lim = limiting_normal_cone(sys.d, sys.g.eval(sys.xbar))
+        return grad, list(multiplier_systems(n_lim, sys.g.jacobian(sys.xbar), neg(grad)))
+    if problem.kind == "patch":
+        xbar = problem.point("xbar")
+        grad = problem.objective.gradient(xbar)
+        bounds = patch_limiting_normals(problem.patch_map, vec((*xbar, *problem.point("ybar"))))
+        union = bounds.certain if certified else bounds.upper
+        return grad, list(graph_multiplier_systems(union, grad, problem.patch_map.nx))
+    raise ValueError(f"M-stationarity needs a constraint or patch problem, not {problem.kind!r}")
+
+
 def _check_multiplier(problem, row, cert) -> str | None:
-    try:
-        lam = _decode_vec(cert["lam"])
-        if problem.kind == "constraint":
-            from dircq.unions import limiting_normal_cone
-
-            sys = problem.system
-            gx = sys.g.eval(sys.xbar)
-            grad = problem.objective.gradient(sys.xbar)
-            residual = tuple(
-                a + b for a, b in zip(grad, mat_t_vec(sys.g.jacobian(sys.xbar), lam))
-            )
-            if not is_zero(residual):
-                return "multiplier residual is nonzero"
-            if not limiting_normal_cone(sys.d, gx).contains(lam):
-                return "multiplier lies outside the recomputed normal cone"
-            return None
-        if problem.kind == "patch":
-            from dircq.setmaps import patch_limiting_normals
-
-            m = problem.patch_map
-            xbar = problem.point("xbar")
-            ybar = problem.point("ybar")
-            base = vec(tuple(xbar) + tuple(ybar))
-            grad = problem.objective.gradient(xbar)
-            bounds = patch_limiting_normals(m, base)
-            w = vec(tuple(-c for c in grad) + tuple(-c for c in lam))
-            if not bounds.upper.contains(w):
-                return "graph multiplier pair is outside the recomputed normal bound"
-            return None
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        return f"multiplier cannot be read: {exc}"
+    """lambda solves, in plain Fractions, the multiplier system of the piece
+    the certificate names; for a patch map that is a piece of the certified
+    bound, the one the decider searches."""
+    if problem.kind == "patch" and cert["bound"] != "certified":
+        return f"graph multiplier names the bound {cert['bound']!r}, not the certified one"
+    _, systems = _multiplier_systems(problem, certified=True)
+    piece = cert["piece"]
+    if type(piece) is not int or piece not in range(len(systems)):
+        return f"multiplier piece {piece!r} is not one of the {len(systems)} pieces"
+    a, b, e, d, _ = systems[piece]
+    lam = _decode_vec(cert["lam"])
+    if any(dot(r, lam) > c for r, c in zip(a, b)) or any(dot(r, lam) != c for r, c in zip(e, d)):
+        return f"multiplier does not solve the system of piece {piece}"
     return None
 
 
 def _check_farkas_chain(problem, row, cert) -> str | None:
-    """One verified Farkas vector per piece of the multiplier systems that
-    M-stationarity poses (``cq.multiplier_systems`` for a constraint problem,
-    ``cq.graph_multiplier_systems`` over the upper graph-normal bound of a
-    patch map), at the objective's gradient."""
-    try:
-        if problem.kind == "constraint":
-            from dircq.unions import limiting_normal_cone
-
-            sys = problem.system
-            target = neg(problem.objective.gradient(sys.xbar))
-            if _decode_vec(cert["target"]) != target:
-                return "Farkas target is not minus the objective gradient"
-            n_lim = limiting_normal_cone(sys.d, sys.g.eval(sys.xbar))
-            systems = list(multiplier_systems(n_lim, sys.g.jacobian(sys.xbar), target))
-        elif problem.kind == "patch":
-            from dircq.setmaps import patch_limiting_normals
-
-            m = problem.patch_map
-            xbar = problem.point("xbar")
-            grad = problem.objective.gradient(xbar)
-            if _decode_vec(cert["grad"]) != grad:
-                return "Farkas gradient differs from the objective gradient"
-            bounds = patch_limiting_normals(m, vec((*xbar, *problem.point("ybar"))))
-            systems = list(graph_multiplier_systems(bounds.upper, grad, m.nx))
-        else:
-            return f"a Farkas chain needs a constraint or patch problem, not {problem.kind!r}"
-        entries = cert["pieces"]
-        if [entry["piece"] for entry in entries] != list(range(len(systems))):
-            return f"Farkas chain needs one entry per piece, in order, for {len(systems)} pieces"
-        for i, ((a, b, e, d, _), entry) in enumerate(zip(systems, entries)):
-            if not verify_farkas(a, b, e, d, _decode_vec(entry["farkas_ineq"]), _decode_vec(entry["farkas_eq"])):
-                return f"Farkas vector for piece {i} does not verify"
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        return f"Farkas chain cannot be read: {exc}"
+    """One verified Farkas vector per piece of the multiplier systems, over
+    the upper bound for a patch map, at the objective's gradient."""
+    grad, systems = _multiplier_systems(problem, certified=False)
+    if problem.kind == "constraint":
+        if _decode_vec(cert["target"]) != neg(grad):
+            return "Farkas target is not minus the objective gradient"
+    elif _decode_vec(cert["grad"]) != grad:
+        return "Farkas gradient differs from the objective gradient"
+    entries = cert["pieces"]
+    if [entry["piece"] for entry in entries] != list(range(len(systems))):
+        return f"Farkas chain needs one entry per piece, in order, for {len(systems)} pieces"
+    for i, ((a, b, e, d, _), entry) in enumerate(zip(systems, entries)):
+        if not verify_farkas(a, b, e, d, _decode_vec(entry["farkas_ineq"]), _decode_vec(entry["farkas_eq"])):
+            return f"Farkas vector for piece {i} does not verify"
     return None
 
 
@@ -363,31 +336,25 @@ def _check_witness_sequence(problem, row, cert) -> str | None:
     of the row's mode, <lambda, y1_k> > 0 for pseudo-normality.  A
     quasi-normality row needs <lambda, e> <gap, e> > 0 for every basis vector
     e with <lambda, e> != 0 (the problem's basis, else the unit vectors),
-    where gap is g(x_k) - z_k, resp. y1_k.  A record that cannot be replayed
-    is an error.
+    where gap is g(x_k) - z_k, resp. y1_k.
     """
-    seq = cert.get("sequence", {})
-    records = seq.get("records", [])
+    records = cert["sequence"]["records"]
     if not records:
         return "empty witness sequence"
-    try:
-        lam = _decode_vec(cert["candidate"])
-        quasi_basis = ()
-        if row["check"] == "quasi-normality":
-            quasi_basis = problem.basis or tuple(unit(len(lam), i) for i in range(len(lam)))
-        replay = _replay_constraint_record if problem.kind == "constraint" else _replay_mpec_record
-        for rec in records:
-            err = replay(problem, lam, quasi_basis, _decode_vec(rec["x"]), _decode_vec(rec["y"]))
-            if err:
-                return f"{err} at k={rec['k']}"
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        return f"witness record cannot be replayed: {exc}"
+    lam = _decode_vec(cert["candidate"])
+    quasi_basis = ()
+    if row["check"] == "quasi-normality":
+        quasi_basis = problem.basis or tuple(unit(len(lam), i) for i in range(len(lam)))
+    replay = _replay_constraint_record if problem.kind == "constraint" else _replay_mpec_record
+    for rec in records:
+        k = int(rec["k"])
+        err = replay(problem, lam, quasi_basis, _decode_vec(rec["x"]), _decode_vec(rec["y"]))
+        if err:
+            return f"{err} at k={k}"
     return None
 
 
 def _replay_constraint_record(problem, lam: Vec, quasi_basis, x: Vec, z: Vec) -> str | None:
-    from dircq.unions import regular_normal_cone
-
     sys = problem.system
     if not sys.d.contains(z):
         return "witness point left the set"
@@ -416,3 +383,21 @@ def _quasi_sign_error(lam: Vec, gap: Vec, basis) -> str | None:
         if le != 0 and le * dot(gap, e) <= 0:
             return f"quasi sign condition fails on basis vector {i}"
     return None
+
+
+# (status, certificate kind) -> (check, its error text for a certificate it
+# cannot decode), or None for a kind checked through the recomputed status
+# alone
+_CHECKS = {
+    (HOLDS, "multiplier"): (_check_multiplier, "multiplier cannot be read"),
+    (HOLDS, "multiplier_graph"): (_check_multiplier, "multiplier cannot be read"),
+    (FAILS, "kernel_witness"): (_check_kernel_witness, "kernel witness cannot be read"),
+    (FAILS, "farkas_chain"): (_check_farkas_chain, "Farkas chain cannot be read"),
+    (FAILS, "farkas_chain_graph"): (_check_farkas_chain, "Farkas chain cannot be read"),
+    (FAILS, "witness_sequence"): (_check_witness_sequence, "witness record cannot be replayed"),
+    (SAMPLED, "normal_samples"): (_check_normal_samples, "normal sample cannot be read"),
+    (HOLDS, "trivial_kernel"): None,
+    (HOLDS, "condition_suite"): None,
+    (HOLDS, "vacuous"): None,
+    (HOLDS, "elimination_traces"): None,
+}

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from dircq.linalg import Mat, Vec, dot, is_zero, rank, sub, vec, zeros
+from dircq.linalg import Mat, Vec, dot, is_zero, rank, vec, zeros
 from dircq.polyhedra import PolyhedralCone, image_cone, intersect_generated
 from dircq.polymaps import Poly, PolyMap, read_point
 from dircq.simplex import strict_feasible_point
@@ -54,10 +54,6 @@ class ConstraintSystem:
     @property
     def m(self) -> int:
         return self.g.m
-
-    def feasible(self, x: Vec, y: Vec | None = None) -> bool:
-        y = y if y is not None else zeros(self.m)
-        return self.d.contains(sub(self.g.eval(x), y))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from dircq.linalg import mat_t_vec, vec
+from dircq.linalg import mat_t_vec, sub, vec
 from dircq.polyhedra import HPolyhedron, PolyhedralCone
 from dircq.polymaps import PolyMap, parse_poly
 from dircq.setmaps import (
@@ -67,7 +67,7 @@ def test_patch_graph_of_constraint_system_matches():
     x = vec([Q(1, 2)])
     z = vec([-1, 0])  # g(x) - y, on the boundary of the second piece
     y = vec([Q(1, 2) - (-1), Q(-1, 4) - 0])
-    assert sys.feasible(x, y)
+    assert sys.d.contains(sub(sys.g.eval(x), y))
     w = vec(tuple(x) + tuple(y))
     n_patch = patch_regular_normal_cone(m, w)
     # constraint route: ystar in regular normal of D at g(x)-y maps to

@@ -235,13 +235,13 @@ def test_mpec_witness_records_are_replayed(ex47_report, check, candidate, ys, er
 
     pr, _ = ex47_report
     row = mpec_fails_row(check, candidate, ys)
-    err = report._check_witness_sequence(pr, row, row["certificate"])
+    err = report._check_certificate(pr, row, row["certificate"])
     if error is None:
         assert err is None
     else:
         assert err is not None and error in err
     del row["certificate"]["sequence"]["records"][0]["y"]
-    assert "witness record cannot be replayed" in report._check_witness_sequence(pr, row, row["certificate"])
+    assert "witness record cannot be replayed" in report._check_certificate(pr, row, row["certificate"])
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -402,7 +402,7 @@ def test_zeroed_fails_certificate_is_reported(name, idx):
     assert len(errors) == 1 and errors[0].startswith(f"row 0 ({row['check']}/{row['point']}/{row['direction']}): ")
 
 
-@pytest.mark.parametrize("value", [["x"], ["1"]], ids=["non-numeric", "wrong-length"])
+@pytest.mark.parametrize("value", [["x"], ["1"], "10"], ids=["non-numeric", "wrong-length", "string"])
 @pytest.mark.parametrize("check", ["mordukhovich", "foscms", "soscms", "mstationarity"])
 def test_malformed_certificate_is_reported(check, value):
     """A y* or lambda that cannot be decoded is an error line for its row:
@@ -421,3 +421,139 @@ def test_malformed_certificate_is_reported(check, value):
     errors = verify_report({"rows": [row]}, pr)
     assert len(errors) == 1
     assert errors[0].startswith(f"row 0 ({check}/xbar/{row['direction']}): {reason}: ")
+
+
+# per certificate kind, the paths of the keys its check reads (0 stands for
+# the first entry of a list); each str-keyed prefix of a path is read too
+FARKAS_PATHS = tuple(("pieces", 0, key) for key in ("piece", "farkas_ineq", "farkas_eq"))
+READ_PATHS = {
+    "kernel_witness": (("ystar",),),
+    "farkas_chain": (("target",), *FARKAS_PATHS),
+    "farkas_chain_graph": (("grad",), *FARKAS_PATHS),
+    "witness_sequence": (("candidate",), *(("sequence", "records", 0, key) for key in ("k", "x", "y"))),
+    "normal_samples": (
+        *(("result", "samples", 0, key) for key in ("k", "point", "rays", "lineality")),
+        ("result", "fitted_rays"),
+        ("result", "fitted_lineality"),
+    ),
+}
+
+
+def _at(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+def _certificate_edits(cert) -> dict:
+    """id -> edit (a function of the certificate that returns the edited
+    one) of each single edit that ``verify_report`` must report."""
+    edits = {"certificate-list": lambda c: ["x"]}
+    if cert is None:
+        return edits
+    if cert["kind"] == "witness_sequence":
+        edits["sequence-list"] = lambda c: {**c, "sequence": ["x"]}
+    keys = {("kind",)}
+    vectors = set()
+    for path in READ_PATHS.get(cert["kind"], ()):
+        keys |= {path[: i + 1] for i, key in enumerate(path) if isinstance(key, str)}
+        value = _at(cert, path)
+        while isinstance(value, list) and value and isinstance(value[0], list):
+            path, value = (*path, 0), value[0]
+        if isinstance(value, list) and value:
+            vectors.add(path)
+
+    def delete(path):
+        def edit(c):
+            del _at(c, path[:-1])[path[-1]]
+            return c
+
+        return edit
+
+    def replace(path, value):
+        def edit(c):
+            _at(c, path[:-1])[path[-1]] = value(_at(c, path))
+            return c
+
+        return edit
+
+    for path in keys:
+        edits["delete-" + "/".join(map(str, path))] = delete(path)
+    for path in vectors:
+        name = "/".join(map(str, path))
+        edits["short-" + name] = replace(path, lambda v: v[:-1])
+        edits["nonnumeric-" + name] = replace(path, lambda v: ["x", *v[1:]])
+    return edits
+
+
+def _golden_edits():
+    out = []
+    for path in sorted(GOLDEN.glob("*.json")):
+        for i, row in enumerate(json.loads(path.read_text())["rows"]):
+            edits = _certificate_edits(row["certificate"])
+            out += [pytest.param(path.stem, i, e, id=f"{path.stem}-{i}-{e}") for e in edits]
+    return out
+
+
+@pytest.fixture(scope="module")
+def goldens():
+    return {p.stem: _golden(p.stem) for p in GOLDEN.glob("*.json")}
+
+
+@pytest.mark.parametrize("name, idx, edit", _golden_edits())
+def test_certificate_edit_is_one_error_line(goldens, name, idx, edit):
+    """One edit of one golden row's certificate: a list in place of the
+    certificate or of its sequence, a deleted key that its check reads, a
+    vector cut short or a non-numeric entry.  ``verify_report`` reports the
+    row and does not raise."""
+    pr, report = goldens[name]
+    row = copy.deepcopy(report["rows"][idx])
+    row["certificate"] = _certificate_edits(row["certificate"])[edit](row["certificate"])
+    errors = verify_report({"rows": [row]}, pr)
+    assert len(errors) == 1 and errors[0].startswith(f"row 0 ({row['check']}/{row['point']}/{row['direction']}): ")
+
+
+@pytest.fixture(scope="module")
+def multiplier_problems():
+    """Problems whose M-stationarity row is HOLDS with a multiplier: ex58
+    with objective x0 (lambda = (-1, 0), piece 1 of 2); its g over the
+    quadrant D = [0, oo)^2 (one piece, lambda_1 <= 0 free); the comb with
+    objective -x0 (a graph multiplier lambda = 0, piece 0 of 1 of the
+    certified bound)."""
+    quadrant = {"dim": 2, "pieces": [{"a": [[-1, 0], [0, -1]], "b": [0, 0]}]}
+    comb = json.loads(Path(str(resources.files("dircq") / "fixtures" / "comb.json")).read_text())
+    return {
+        "ex58": parse_problem(EX58),
+        "quadrant": parse_problem({**EX58, "constraint": {**EX58["constraint"], "D": quadrant}}),
+        "comb": parse_problem({**comb, "objective": "-x0"}),
+    }
+
+
+@pytest.mark.parametrize(
+    "name, edit, error",
+    [
+        ("ex58", {}, None),
+        ("ex58", {"piece": 5}, "multiplier piece 5 is not one of the 2 pieces"),
+        ("ex58", {"piece": "x"}, "multiplier piece 'x' is not one of the 2 pieces"),
+        ("ex58", {"piece": 0}, "multiplier does not solve the system of piece 0"),
+        ("ex58", {"lam": ["-1", "1"]}, "multiplier does not solve the system of piece 1"),
+        ("quadrant", {}, None),
+        ("quadrant", {"lam": ["-1", "1"]}, "multiplier does not solve the system of piece 0"),
+        ("comb", {}, None),
+        ("comb", {"piece": 7}, "multiplier piece 7 is not one of the 1 pieces"),
+        ("comb", {"piece": "x"}, "multiplier piece 'x' is not one of the 1 pieces"),
+        ("comb", {"lam": ["1"]}, "multiplier does not solve the system of piece 0"),
+        ("comb", {"bound": "upper"}, "graph multiplier names the bound 'upper', not the certified one"),
+    ],
+)
+def test_multiplier_is_checked_against_its_piece(multiplier_problems, name, edit, error):
+    """A multiplier solves the system of the piece it names: over
+    N_D(g(xbar)) for a constraint problem, over the certified graph-normal
+    bound for a patch map."""
+    pr = multiplier_problems[name]
+    row = json.loads(dumps({"rows": [verdict_row(run_check(pr, "mstationarity"), "xbar")]}))["rows"][0]
+    kind = "multiplier_graph" if name == "comb" else "multiplier"
+    assert row["status"] == "HOLDS" and row["certificate"]["kind"] == kind
+    row["certificate"].update(edit)
+    expected = [] if error is None else [f"row 0 (mstationarity/xbar/None): {error}"]
+    assert verify_report({"rows": [row]}, pr) == expected

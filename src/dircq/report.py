@@ -171,9 +171,7 @@ def verify_report(report: dict, problem) -> list[str]:
 
 def _verify_row(problem, row) -> str | None:
     status, cert = row.get("status"), row.get("certificate")
-    if cert is None:
-        return f"{status} without a certificate" if status in (HOLDS, FAILS, SAMPLED) else None
-    if not isinstance(cert, dict):
+    if cert is not None and not isinstance(cert, dict):
         return "certificate is not an object"
     if status != SAMPLED:
         try:
@@ -182,6 +180,8 @@ def _verify_row(problem, row) -> str | None:
             return f"recomputation failed: {exc}"
         if fresh.status != status:
             return f"recomputed status {fresh.status} != reported {status}"
+    if cert is None:
+        return f"{status} without a certificate" if status in (HOLDS, FAILS, SAMPLED) else None
     return _check_certificate(problem, row, cert)
 
 
@@ -302,8 +302,10 @@ def _check_multiplier(problem, row, cert) -> str | None:
     piece = cert["piece"]
     if type(piece) is not int or piece not in range(len(systems)):
         return f"multiplier piece {piece!r} is not one of the {len(systems)} pieces"
-    a, b, e, d, _ = systems[piece]
+    a, b, e, d, n = systems[piece]
     lam = _decode_vec(cert["lam"])
+    if len(lam) != n:
+        raise ValueError(f"lambda has length {len(lam)}, not {n}")
     if any(dot(r, lam) > c for r, c in zip(a, b)) or any(dot(r, lam) != c for r, c in zip(e, d)):
         return f"multiplier does not solve the system of piece {piece}"
     return None

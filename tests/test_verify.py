@@ -262,6 +262,26 @@ def test_golden_report_verifies(name):
     assert verify_report(report, pr) == []
 
 
+@pytest.mark.parametrize(
+    "status, new_status, certificate",
+    [
+        ("UNDECIDED", "HOLDS", None),
+        ("UNDECIDED", "BOGUS", None),
+        ("FAILS", "UNDECIDED", None),
+    ],
+)
+def test_row_without_certificate_is_recomputed(status, new_status, certificate):
+    """A row with no certificate is still recomputed: a relabelled status is
+    reported, also when the certificate it had is dropped."""
+    pr, report = _golden("ex58")
+    row = copy.deepcopy(next(r for r in report["rows"] if r["status"] == status))
+    row["status"], row["certificate"] = new_status, certificate
+    errors = verify_report({"rows": [row]}, pr)
+    assert errors == [
+        f"row 0 ({row['check']}/{row['point']}/{row['direction']}): recomputed status {status} != reported {new_status}"
+    ]
+
+
 def test_normal_samples_are_checked():
     pr, report = _golden("staircase")
     row = copy.deepcopy(next(r for r in report["rows"] if r["status"] == "SAMPLED"))
@@ -543,6 +563,8 @@ def multiplier_problems():
         ("comb", {"piece": 7}, "multiplier piece 7 is not one of the 1 pieces"),
         ("comb", {"piece": "x"}, "multiplier piece 'x' is not one of the 1 pieces"),
         ("comb", {"lam": ["1"]}, "multiplier does not solve the system of piece 0"),
+        ("comb", {"lam": []}, "multiplier cannot be read: lambda has length 0, not 1"),
+        ("ex58", {"lam": ["-1"]}, "multiplier cannot be read: lambda has length 1, not 2"),
         ("comb", {"bound": "upper"}, "graph multiplier names the bound 'upper', not the certified one"),
     ],
 )

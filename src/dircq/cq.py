@@ -18,18 +18,19 @@ pieces), where the cell fixes the sign pattern of y*, each tangent piece is a
 cone for z*, and a shift (hyperplanes, cell) adds the variables s with
 J s + h/2 in that cell.  The groups of the doubled-tangent checker are
 generators, so that a kernel witness stops them before later arrangements
-are built.  The driver poses every system in the same columns (s, y, z) and
-rows, decides the kernel system on the groups, and turns them into the
-source cones of achievable x* and the test ``achievable(x*)``.  A cell whose
-witness misses the extra-hyperplane rows is skipped before any of its
-systems reaches an LP.
+are built.  One lazy loop (``_cell_pieces``) reads the groups for the kernel
+system, the source cones and the graph-section conditions alike: a cell
+whose witness misses the extra-hyperplane rows is skipped before any of its
+systems is built.  Every system is a plain row tuple
+(strict_a, strict_b, a, b, e, d, n), exactly as it goes to the LP, in the
+fixed columns (s, y, z) (``_cell_system``); a witness is read by slicing.
 
 Each checker call solves each distinct cell system once.  The checkers pose
 many systems more than once: pieces that share their rows tight at a cell
 give equal tangent cones, cells sigma that share N(sigma) give equal source
 groups and may share a shift probe, and the derivative-at-zero and
 subderivative conditions share graph sections.  A table that the call
-creates and passes down maps the exact rows of a system to its answers and
+creates and passes down maps the row tuple of a system to its answers and
 is dropped when the call returns.  This preserves every report: the LP is
 deterministic, so a repeated system has the answer of its first occurrence,
 and that answer either was "empty", skipped again, or already ended the loop
@@ -270,7 +271,7 @@ def _mixed_nonzero_solution(
 
 
 # ---------------------------------------------------------------------------
-# joint condition systems (variables are concatenated blocks)
+# cell systems as row tuples: (strict_a, strict_b, a, b, e, d, n)
 
 
 def _exact(x):
@@ -282,113 +283,43 @@ def _exact(x):
     return x.numerator if x.denominator == 1 else x
 
 
-class _Blocks:
-    """Constraint assembler over concatenated variable blocks.
+def _system(lt: list, le: list, eq: list, size: int) -> tuple:
+    """(strict_a, strict_b, a, b, e, d, n) from lists of (row, rhs) pairs,
+    for rows < rhs, <= rhs and = rhs: the system exactly as it goes to the LP.
 
-    Rows are kept with int entries wherever the value is integral, so that
-    the cone layer's int rows reach ``solve_lp`` without a Fraction.  The
-    ``table`` that ``solve_nonzero`` and ``feasible`` take is the checker
-    call's record of solved systems: (``rows()``, block offset, block size)
-    -> the nonzero-block point or None, and ``rows()`` -> whether the system
-    has a point.
+    Each row is padded with zeros to ``size`` columns, and every integral
+    entry becomes an int, so that the cone layer's int rows reach
+    ``solve_lp`` without a Fraction.
     """
 
-    def __init__(self, sizes: dict[str, int]):
-        self.offsets: dict[str, int] = {}
-        off = 0
-        for name, size in sizes.items():
-            self.offsets[name] = off
-            off += size
-        self.n = off
-        self.strict_a: list[tuple] = []
-        self.strict_b: list = []
-        self.a: list[tuple] = []
-        self.b: list = []
-        self.e: list[tuple] = []
-        self.d: list = []
-
-    def _embed(self, block: str, row: Vec) -> tuple:
-        full = [0] * self.n
-        off = self.offsets[block]
-        for j, v in enumerate(row):
-            full[off + j] = _exact(v)
-        return tuple(full)
-
-    def row_le(self, block: str, row: Vec, rhs=0):
-        self.a.append(self._embed(block, row))
-        self.b.append(_exact(rhs))
-
-    def row_lt(self, block: str, row: Vec, rhs=0):
-        self.strict_a.append(self._embed(block, row))
-        self.strict_b.append(_exact(rhs))
-
-    def row_eq(self, block: str, row: Vec, rhs=0):
-        self.e.append(self._embed(block, row))
-        self.d.append(_exact(rhs))
-
-    def row_multi_eq(self, parts: dict[str, Vec], rhs=0):
-        full = [0] * self.n
-        for block, row in parts.items():
-            off = self.offsets[block]
-            for j, v in enumerate(row):
-                full[off + j] += v
-        self.e.append(tuple(map(_exact, full)))
-        self.d.append(_exact(rhs))
-
-    def add_cell(
-        self, block: str, cell: Cell, hyper: tuple[Vec, ...], closed: bool = False, affine=None
-    ):
-        """Rows putting the block in the cell's relative interior, or its
-        closure; with ``affine`` = (J, c), rows putting J x + c there."""
-        ineq, eq = sign_rows(hyper, cell.signs)
-        side = self.row_le if closed else self.row_lt
-        for add_row, rows in ((side, ineq), (self.row_eq, eq)):
-            for r in rows:
-                if affine is None:
-                    add_row(block, r)
-                else:
-                    add_row(block, mat_t_vec(affine[0], r), rhs=-dot(r, affine[1]))
-
-    def add_cone(self, block: str, cone: PolyhedralCone):
-        for row in cone.ia:
-            self.row_le(block, row)
-        for row in cone.ie:
-            self.row_eq(block, row)
-
-    def rows(self) -> tuple:
-        """(strict_a, strict_b, a, b, e, d, n): the system exactly as it goes to the LP."""
+    def pack(rows: list) -> tuple:
         return (
-            tuple(self.strict_a),
-            tuple(self.strict_b),
-            tuple(self.a),
-            tuple(self.b),
-            tuple(self.e),
-            tuple(self.d),
-            self.n,
+            tuple(tuple(map(_exact, r)) + (0,) * (size - len(r)) for r, _ in rows),
+            tuple(_exact(rhs) for _, rhs in rows),
         )
 
-    def solve_nonzero(self, block: str, size: int, table: dict) -> Vec | None:
-        """A point of the system whose block is nonzero, or None."""
-        off = self.offsets[block]
-        key = (self.rows(), off, size)
-        sol = table.get(key, _MISSING)
-        if sol is _MISSING:
-            sol = table[key] = _mixed_nonzero_solution(*key[0], range(off, off + size))
-        return sol
+    return (*pack(lt), *pack(le), *pack(eq), size)
 
-    def feasible(self, table: dict) -> bool:
-        """Whether the system (strict rows included) has a point."""
-        if not self.strict_a and not any(self.b) and not any(self.d):
-            return True  # a cone: 0 is a point
-        rows = self.rows()
-        ok = table.get(rows)
-        if ok is None:
-            ok = table[rows] = strict_feasible_point(*rows[:6], n=rows[6]) is not None
-        return ok
 
-    def extract(self, point: Vec, block: str, size: int) -> Vec:
-        off = self.offsets[block]
-        return point[off : off + size]
+def _solve_nonzero(rows: tuple, off: int, size: int, table: dict) -> Vec | None:
+    """A point of the system whose columns off .. off + size - 1 are not all
+    0, or None; the ``table`` keeps the answer under (rows, off, size)."""
+    key = (rows, off, size)
+    sol = table.get(key, _MISSING)
+    if sol is _MISSING:
+        sol = table[key] = _mixed_nonzero_solution(*rows, range(off, off + size))
+    return sol
+
+
+def _feasible(rows: tuple, table: dict) -> bool:
+    """Whether the system (strict rows included) has a point; the ``table``
+    keeps the answer under the rows."""
+    if not rows[0] and not any(rows[3]) and not any(rows[5]):
+        return True  # a cone: 0 is a point
+    ok = table.get(rows)
+    if ok is None:
+        ok = table[rows] = strict_feasible_point(*rows[:6], n=rows[6]) is not None
+    return ok
 
 
 # ---------------------------------------------------------------------------
@@ -412,64 +343,71 @@ def _meets(ctx: _Ctx, hyper: tuple[Vec, ...], cell: Cell, y_rows: Mat = ()) -> b
     return all(dot(r, w) == 0 for r in ctx.ker_rows) and all(dot(r, w) <= 0 for r in y_rows)
 
 
-def _cell_blocks(
+def _cell_pieces(ctx: _Ctx, groups, y_rows: Mat = ()):
+    """(shift, hyperplanes, cell, tangent piece) of each cell of the groups
+    that ``_meets`` ker J^T and the y* rows, read lazily from the groups."""
+    for shift, hyper, cell, pieces in groups:
+        if _meets(ctx, hyper, cell, y_rows):
+            for tp in pieces:
+                yield shift, hyper, cell, tp
+
+
+def _shift_rows(ctx: _Ctx, shift) -> list[list]:
+    """[strict rows, equality rows], as (row, rhs) over s, that put J s + h/2
+    in the relative interior of the cell of ``shift`` = (hyperplanes, cell)."""
+    hyper, cell = shift
+    h_half = scale(Fraction(1, 2), ctx.h)
+    return [[(mat_t_vec(ctx.jac, r), -dot(r, h_half)) for r in rows] for rows in sign_rows(hyper, cell.signs)]
+
+
+def _cell_system(
     ctx: _Ctx,
     hyper: tuple[Vec, ...],
     cell: Cell,
-    tp: PolyhedralCone | None = None,
+    tp: PolyhedralCone,
     shift=None,
     closed: bool = False,
     y_rows: Mat = (),
-) -> _Blocks:
-    """The system of one cell in the variables (s, y, z).
+    xstar: Vec | None = None,
+    z_rows: Mat = (),
+) -> tuple:
+    """The system of one cell in the columns (s, y, z), s only with a ``shift``.
 
-    Rows, in order: J s + h/2 in the shift cell, y* in the cell (its relative
-    interior, or its closure when ``closed``), J^T y* = 0, <r, y*> <= 0 for
-    each r in ``y_rows``, and z* in the tangent piece ``tp``.  The s block
-    exists only with a ``shift`` = (hyperplanes, cell), the z block only with
-    a piece.
+    Rows of each kind, in order: J s + h/2 in the shift cell, y* in the cell
+    (its relative interior, or its closure when ``closed``), J^T y* = 0,
+    <r, y*> <= 0 for each r in ``y_rows``, z* in the tangent piece ``tp``,
+    <r, z*> = 0 for each r in ``z_rows`` and, with an ``xstar``,
+    B y* + J^T z* = x*.
     """
     m = ctx.sys.m
-    sizes = {"s": ctx.sys.n} if shift else {}
-    sizes["y"] = m
-    if tp is not None:
-        sizes["z"] = m
-    blk = _Blocks(sizes)
-    if shift:
-        blk.add_cell("s", shift[1], shift[0], affine=(ctx.jac, scale(Fraction(1, 2), ctx.h)))
-    blk.add_cell("y", cell, hyper, closed)
-    for row in ctx.ker_rows:
-        blk.row_eq("y", row)
-    for row in y_rows:
-        blk.row_le("y", row)
-    if tp is not None:
-        blk.add_cone("z", tp)
-    return blk
-
-
-def _couple(ctx: _Ctx, blk: _Blocks, xstar: Vec | None = None) -> _Blocks:
-    """Adds the rows B y* + J^T z* = x*, with x* = 0 by default."""
-    for j in range(ctx.sys.n):
-        blk.row_multi_eq({"y": ctx.bu[j], "z": ctx.ker_rows[j]}, rhs=0 if xstar is None else xstar[j])
-    return blk
+    lt, eq = _shift_rows(ctx, shift) if shift else ([], [])
+    le: list = []
+    y = (0,) * (ctx.sys.n if shift else 0)
+    z = y + (0,) * m
+    ineq, cell_eq = sign_rows(hyper, cell.signs)
+    (le if closed else lt).extend((y + r, 0) for r in ineq)
+    eq += [(y + r, 0) for r in (*cell_eq, *ctx.ker_rows)]
+    le += [(y + r, 0) for r in y_rows]
+    le += [(z + r, 0) for r in tp.ia]
+    eq += [(z + r, 0) for r in (*tp.ie, *z_rows)]
+    if xstar is not None:
+        eq += [(y + ctx.bu[j] + ctx.ker_rows[j], xstar[j]) for j in range(ctx.sys.n)]
+    return _system(lt, le, eq, len(z) + m)
 
 
 def _kernel_report(ctx: _Ctx, groups, table: dict) -> ConditionReport:
     """The kernel system: no cell of the groups admits a nonzero y* with B y* + J^T z* = 0."""
-    m = ctx.sys.m
-    for shift, hyper, cell, pieces in groups:
-        if not _meets(ctx, hyper, cell):
+    n, m = ctx.sys.n, ctx.sys.m
+    for shift, hyper, cell, tp in _cell_pieces(ctx, groups):
+        y = n if shift else 0
+        sol = _solve_nonzero(_cell_system(ctx, hyper, cell, tp, shift, xstar=(0,) * n), y, m, table)
+        if sol is None:
             continue
-        for tp in pieces:
-            blk = _couple(ctx, _cell_blocks(ctx, hyper, cell, tp, shift))
-            sol = blk.solve_nonzero("y", m, table)
-            if sol is None:
-                continue
-            witness = {"ystar": blk.extract(sol, "y", m), "zstar": blk.extract(sol, "z", m)}
-            if not shift:
-                return ConditionReport("kernel-system", "fails", "nonzero y* solves the system", witness)
-            witness["shift"] = blk.extract(sol, "s", ctx.sys.n)
-            return ConditionReport("kernel-system", "fails", "nonzero y* solves a shifted system", witness)
+        witness = {"ystar": sol[y : y + m], "zstar": sol[y + m :]}
+        if not shift:
+            return ConditionReport("kernel-system", "fails", "nonzero y* solves the system", witness)
+        witness["shift"] = sol[:n]
+        return ConditionReport("kernel-system", "fails", "nonzero y* solves a shifted system", witness)
     return ConditionReport("kernel-system", "holds")
 
 
@@ -481,20 +419,16 @@ def _sources(ctx: _Ctx, groups, table: dict, y_rows: Mat = ()):
     the relative-interior system of some (cell, piece) admits
     B y* + J^T z* = x*.  Source groups carry no shift.
     """
-    m = ctx.sys.m
     cones: list[PolyhedralCone] = []
     members = []
-    for _, hyper, cell, pieces in groups:
-        if not _meets(ctx, hyper, cell, y_rows):
-            continue
-        for tp in pieces:
-            blk = _cell_blocks(ctx, hyper, cell, tp, closed=True, y_rows=y_rows)
-            cones.append(PolyhedralCone.make(a=blk.a, e=blk.e, dim=2 * m))
-            members.append((hyper, cell, tp))
+    for _, hyper, cell, tp in _cell_pieces(ctx, groups, y_rows):
+        rows = _cell_system(ctx, hyper, cell, tp, closed=True, y_rows=y_rows)
+        cones.append(PolyhedralCone.make(a=rows[2], e=rows[4], dim=rows[6]))
+        members.append((hyper, cell, tp))
 
     def achievable(xstar: Vec) -> bool:
         return any(
-            _couple(ctx, _cell_blocks(ctx, hyper, cell, tp, y_rows=y_rows), xstar).feasible(table)
+            _feasible(_cell_system(ctx, hyper, cell, tp, y_rows=y_rows, xstar=xstar), table)
             for hyper, cell, tp in members
         )
 
@@ -662,21 +596,19 @@ def check_thm_polyhedral_II(
     if not k.contains(ctx.ju):
         return _vacuous_verdict("thm-doubled-tangent")
     arr_t = arrangement(tangent_cone_of_union(k, ctx.ju))
-    h_half = scale(Fraction(1, 2), ctx.h)
     table: dict = {}
 
     def groups(extra: Mat, shifted: bool):
         """The cells of N(sigma) over the cells sigma of T(u); with ``shifted``,
         only the sigma that some shift w_s(u, 0) = J s + h/2 reaches."""
         for sigma in arr_t.cells:
+            shift = (arr_t.hyperplanes, sigma) if shifted else None
             if shifted:
-                probe = _Blocks({"s": sys.n})
-                probe.add_cell("s", sigma, arr_t.hyperplanes, affine=(ctx.jac, h_half))
-                if not probe.feasible(table):
+                lt, eq = _shift_rows(ctx, shift)
+                if not _feasible(_system(lt, [], eq, sys.n), table):
                     continue
             n_sigma = limiting_union_at_cell(arr_t, sigma)
             arr_n = arrangement(n_sigma, extra=extra)
-            shift = (arr_t.hyperplanes, sigma) if shifted else None
             for rho in arr_n.cells:
                 yield shift, arr_n.hyperplanes, rho, cell_tangent_pieces(n_sigma, rho)
 
@@ -731,18 +663,12 @@ def check_thm_nonpolyhedral(
     table: dict = {}
 
     def zhat_condition(cell_groups: list, cname: str) -> ConditionReport:
-        for _, hyper, rho, pieces in cell_groups:
-            if not _meets(ctx, hyper, rho):
-                continue
-            for tp in pieces:
-                blk = _cell_blocks(ctx, hyper, rho, tp)
-                for row in ctx.ker_rows:
-                    blk.row_eq("z", row)
-                sol = blk.solve_nonzero("z", m, table)
-                if sol is not None:
-                    witness = {"ystar": blk.extract(sol, "y", m), "zhat": blk.extract(sol, "z", m)}
-                    detail = "nonzero kernel element in the graph section"
-                    return ConditionReport(cname, "fails", detail, witness)
+        for _, hyper, rho, tp in _cell_pieces(ctx, cell_groups):
+            sol = _solve_nonzero(_cell_system(ctx, hyper, rho, tp, z_rows=ctx.ker_rows), m, m, table)
+            if sol is not None:
+                witness = {"ystar": sol[:m], "zhat": sol[m:]}
+                detail = "nonzero kernel element in the graph section"
+                return ConditionReport(cname, "fails", detail, witness)
         return ConditionReport(cname, "holds")
 
     ju_groups = groups(ctx.ju)
@@ -846,7 +772,6 @@ def pseudo_quasi_verdict(
     u: Vec,
     basis=None,
     mode: str = "pseudo",
-    schedule=None,
 ) -> Verdict:
     """Directional pseudo-/quasi-normality of the constraint map at (xbar, 0).
 
@@ -876,7 +801,7 @@ def pseudo_quasi_verdict(
         return Verdict(name, HOLDS, {"kind": "trivial_kernel", "pieces_checked": len(kernel.pieces)})
 
     def search(cand: Vec):
-        return oracle.search_normality_violation(sys, vec(u), cand, basis=basis, schedule=schedule, mode=mode)
+        return oracle.search_normality_violation(sys, vec(u), cand, basis=basis, mode=mode)
 
     return _candidate_verdict(name, candidates, search, "nonzero candidates survived the search")
 
@@ -886,7 +811,6 @@ def mpec_pseudo_quasi_verdict(
     u: Vec,
     basis=None,
     mode: str = "pseudo",
-    schedule=None,
 ) -> Verdict:
     """Pseudo-/quasi-normality for the equilibrium-constraint assembly.
 
@@ -894,7 +818,9 @@ def mpec_pseudo_quasi_verdict(
     with outward normals of the feasible region; candidates are then either
     realized by a sequence witness (FAILS) or eliminated by the exact
     alignment bounds collapsing to zero (HOLDS by oracle exhaustion, with the
-    contradiction trace attached).
+    contradiction trace attached).  A step with no admissible graph point
+    contributes bound 0, so a candidate whose steps all have none is
+    eliminated without a single alignment LP.
     """
     from dircq import oracle
 
@@ -907,7 +833,7 @@ def mpec_pseudo_quasi_verdict(
         return Verdict(name, HOLDS, {"kind": "trivial_kernel", "exact_candidates": exact})
 
     def search(cand: Vec):
-        return oracle.search_mpec_normality(mp, vec(u), cand, schedule=schedule, mode=mode, basis=basis)
+        return oracle.search_mpec_normality(mp, vec(u), cand, mode=mode, basis=basis)
 
     return _candidate_verdict(
         name,

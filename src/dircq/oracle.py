@@ -643,7 +643,9 @@ def search_mpec_normality(
     second), the sign conditions filter them, and an exact LP maximizes the
     candidate alignment <lam, lambda> subject to the coderivative relation
     with vanishing slack envelopes.  Bounds collapsing to zero eliminate the
-    candidate and the per-step rows form the contradiction trace.
+    candidate and the per-step rows form the contradiction trace.  A step
+    with no admissible point (``points`` 0) contributes bound 0: it solves
+    no LP and still counts toward the elimination.
     """
     schedule = schedule or Schedule(k_max=30)
     n1, n2 = mp.n1, mp.n2

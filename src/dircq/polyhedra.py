@@ -192,10 +192,6 @@ class PolyhedralCone:
         dim = _system_dim(dim, a, e)
         return PolyhedralCone(_canon_rows(a, line=False), _canon_rows(e, line=True), dim)
 
-    @staticmethod
-    def full(dim: int) -> "PolyhedralCone":
-        return PolyhedralCone((), (), dim)
-
     def __eq__(self, other) -> bool:
         if type(other) is not PolyhedralCone:
             return NotImplemented

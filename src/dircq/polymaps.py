@@ -14,9 +14,9 @@ their lcm L, with the total degree d.
 Fractions in, Fractions out, ints inside: ``read_point`` scales a point to
 ints xs over one denominator den (``linalg.int_row``; int, Fraction and
 float entries), and ``int_value`` gives L den^d p(xs / den) as an int, whose
-sign is the sign of p there.  ``eval``, ``gradient``, ``hessian`` and
-``y_coeffs`` build a Fraction only for each value they return, and ``PolyMap`` reads a point once
-for all its components.  Every value equals the one plain Fraction
+sign is the sign of p there.  ``eval``, ``gradient``, ``hessian_ints`` and
+``y_coeffs`` build a Fraction only for each value they return, and
+``PolyMap`` reads a point once for all its components.  Every value equals the one plain Fraction
 arithmetic gives.
 """
 
@@ -167,12 +167,6 @@ class Poly:
 
     def gradient(self, x: Sequence) -> Vec:
         return self.gradient_ints(*read_point(x, self.nvars))
-
-    def hessian(self, x: Sequence) -> Mat:
-        return self.hessian_ints(*read_point(x, self.nvars))
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def substitute_linear(self, images: Sequence["Poly"]) -> "Poly":
         """Compose with x_i -> images[i]; images live in a common new space."""

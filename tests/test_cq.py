@@ -15,8 +15,11 @@ from dircq.cq import (
     FAILS,
     HOLDS,
     UNDECIDED,
-    _Blocks,
+    _cell_system,
+    _feasible,
     _mixed_nonzero_solution,
+    _shift_rows,
+    _system,
     check_thm_nonpolyhedral,
     check_thm_polyhedral_I,
     check_thm_polyhedral_II,
@@ -26,7 +29,7 @@ from dircq.cq import (
     soscms,
 )
 from dircq.linalg import add, dot, mat_t_vec, scale, vec
-from dircq.polyhedra import HPolyhedron
+from dircq.polyhedra import HPolyhedron, PolyhedralCone
 from dircq.polymaps import PolyMap, parse_poly
 from dircq.problemfile import load_problem
 from dircq.setmaps import ConstraintSystem
@@ -206,59 +209,66 @@ def test_mstationarity_fails_with_farkas():
 # cell rows: one sign-vector mapping, rows in hyperplane order
 
 
-def _reference_cell_rows(blk, block, signs, hyper, closed=False, affine=None):
-    """Rows of the cell, one hyperplane at a time (strict or closed, and equality)."""
-    side = blk.row_le if closed else blk.row_lt
+def _reference_cell_rows(signs, hyper, closed=False, affine=None):
+    """Rows (strict, closed, equality) of the cell, one hyperplane at a time."""
+    lt, le, eq = [], [], []
+    side = le if closed else lt
     for hrow, s in zip(hyper, signs):
         coef, rhs = hrow, 0
         if affine is not None:
             coef, rhs = mat_t_vec(affine[0], hrow), -dot(hrow, affine[1])
         if s == 0:
-            blk.row_eq(block, coef, rhs=rhs)
+            eq.append((coef, rhs))
         elif s == 1:
-            side(block, tuple(-x for x in coef), rhs=-rhs)
+            side.append((tuple(-x for x in coef), -rhs))
         else:
-            side(block, coef, rhs=rhs)
+            side.append((coef, rhs))
+    return lt, le, eq
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_cell_rows_match_the_per_hyperplane_mapping(data):
+    """The rows of a y* cell (``_cell_system``) and of a shift cell
+    (``_shift_rows``, J s + h/2 in the cell) match the reference mapping."""
     m, n = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
     rational = st.fractions(-4, 4, max_denominator=5)
     row = st.lists(st.integers(-3, 3), min_size=m, max_size=m).map(tuple)
     hyper = tuple(data.draw(row) for _ in range(data.draw(st.integers(0, 5))))
     signs = tuple(data.draw(st.sampled_from((-1, 0, 1))) for _ in hyper)
-    affine = data.draw(st.sampled_from((None, "affine")))
-    if affine:
+    cell = SimpleNamespace(signs=signs)
+    if data.draw(st.booleans()):
         jac = tuple(tuple(data.draw(rational) for _ in range(n)) for _ in range(m))
-        affine = (jac, tuple(data.draw(rational) for _ in range(m)))
-    closed = affine is None and data.draw(st.booleans())
-    size = n if affine else m
-    new, ref = _Blocks({"s": size}), _Blocks({"s": size})
-    new.add_cell("s", SimpleNamespace(signs=signs), hyper, closed, affine)
-    _reference_cell_rows(ref, "s", signs, hyper, closed, affine)
-    for attr in ("strict_a", "strict_b", "a", "b", "e", "d"):
-        assert getattr(new, attr) == getattr(ref, attr), attr
+        c = tuple(data.draw(rational) for _ in range(m))
+        lt, eq = _shift_rows(SimpleNamespace(jac=jac, h=scale(2, c)), (hyper, cell))
+        new = _system(lt, [], eq, n)
+        ref = _system(*_reference_cell_rows(signs, hyper, affine=(jac, c)), n)
+    else:
+        closed = data.draw(st.booleans())
+        ctx = SimpleNamespace(sys=SimpleNamespace(n=n, m=m), ker_rows=())
+        new = _cell_system(ctx, hyper, cell, PolyhedralCone.make(dim=m), closed=closed)
+        ref = _system(*_reference_cell_rows(signs, hyper, closed), 2 * m)
+    for i, attr in enumerate(("strict_a", "strict_b", "a", "b", "e", "d", "n")):
+        assert new[i] == ref[i], attr
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_blocks_feasible_matches_strict_feasible_point(data):
-    """``_Blocks.feasible`` answers as ``strict_feasible_point`` does, and on
-    a cone (no strict rows, zero right-hand sides) it solves no LP."""
+def test_feasible_matches_strict_feasible_point(data):
+    """``_feasible`` answers as ``strict_feasible_point`` does, and on a cone
+    (no strict rows, zero right-hand sides) it solves no LP."""
     n = data.draw(st.integers(1, 3))
     row = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
     cone = data.draw(st.booleans())
     rhs = st.just(0) if cone else st.integers(-2, 2)
-    blk = _Blocks({"x": n})
-    for add_row, max_size in ((blk.row_lt, 0 if cone else 3), (blk.row_le, 3), (blk.row_eq, 2)):
-        for r in data.draw(st.lists(row, max_size=max_size)):
-            add_row("x", r, data.draw(rhs))
-    rows = blk.rows()
+    kinds = [
+        [(r, data.draw(rhs)) for r in data.draw(st.lists(row, max_size=max_size))]
+        for max_size in (0 if cone else 3, 3, 2)
+    ]
+    rows = _system(*kinds, n)
     want = strict_feasible_point(*rows[:6], n=n) is not None
     with mock.patch.object(cq, "strict_feasible_point", wraps=strict_feasible_point) as lp:
-        assert blk.feasible({}) == want
+        assert _feasible(rows, {}) == want
     assert lp.call_count == (bool(rows[0]) or any(rows[3]) or any(rows[5]))
 
 
@@ -268,8 +278,8 @@ def test_blocks_feasible_matches_strict_feasible_point(data):
 
 def lp_meets(ctx, hyper, cell, y_rows=()) -> bool:
     """Whether the LP finds a point of the cell's y* system: relative
-    interior, J^T y* = 0 and <r, y*> <= 0 for r in y_rows."""
-    rows = cq._cell_blocks(ctx, hyper, cell, y_rows=y_rows).rows()
+    interior, J^T y* = 0 and <r, y*> <= 0 for r in y_rows (z* is free)."""
+    rows = _cell_system(ctx, hyper, cell, PolyhedralCone.make(dim=ctx.sys.m), y_rows=y_rows)
     return strict_feasible_point(*rows[:6], n=rows[6]) is not None
 
 

@@ -220,19 +220,20 @@ def test_searches_build_faces_once_per_piece(monkeypatch, k_max):
         assert len(calls) == len(set(pieces))
 
 
-@pytest.mark.parametrize("k_max", [12, 24])
-def test_verdict_candidates_and_modes_share_projections(monkeypatch, k_max):
+@pytest.mark.parametrize(
+    "modes", [("pseudo", "quasi"), ("quasi", "pseudo")], ids=["pseudo-first", "quasi-first"]
+)
+def test_verdict_candidates_and_modes_share_projections(monkeypatch, modes):
     calls = _count_faces(monkeypatch)
-    sys, u, schedule = ex58_squared(), vec([0, -1]), Schedule(k_max=k_max)
+    sys, u, k_max = ex58_squared(), vec([0, -1]), Schedule().k_max
     clear_oracle_caches()
-    # two kernel candidates: the first survives its search, the second fails
-    assert pseudo_quasi_verdict(sys, u, schedule=schedule).status == FAILS
-    assert len(calls) == len(set(sys.d.pieces))
-    # one projection set per schedule point, shared by both candidates
-    assert oracle._normal_candidates.cache_info().misses == k_max
-    assert pseudo_quasi_verdict(sys, u, mode="quasi", schedule=schedule).status == FAILS
-    assert len(calls) == len(set(sys.d.pieces))
-    assert oracle._normal_candidates.cache_info().misses == k_max
+    # two kernel candidates: the first survives its search, the second fails;
+    # one projection set per schedule point, shared by both candidates, and
+    # the second mode reads the first mode's sets
+    for mode in modes:
+        assert pseudo_quasi_verdict(sys, u, mode=mode).status == FAILS
+        assert len(calls) == len(set(sys.d.pieces))
+        assert oracle._normal_candidates.cache_info().misses == k_max
 
 
 def test_graph_points_on_comb_teeth():

@@ -47,7 +47,7 @@ def test_halfplane_polar_ray():
 
 
 def test_polar_involution_and_specials():
-    assert polar_cone(PolyhedralCone.full(2)).equals(cone(e=[[1, 0], [0, 1]]))
+    assert polar_cone(PolyhedralCone.make(dim=2)).equals(cone(e=[[1, 0], [0, 1]]))
     # polar(R+ x R) = R- x {0}
     c = cone(a=[[-1, 0]])
     p = polar_cone(c)
@@ -147,7 +147,7 @@ def test_generators_match_reference_with_extreme_ray_filter(c):
 def test_generators_match_reference_special_cones():
     for c in (
         cone(e=[[1, 0, 0], [0, 1, 0], [0, 0, 1]]),  # {0}
-        PolyhedralCone.full(3),
+        PolyhedralCone.make(dim=3),
         cone(e=[[1, 1, 0]], dim=3),  # a plane: lineality only
         cone(a=[[-1, 0, 0]], e=[[0, 1, -1]], dim=3),  # half-plane with a line
         cone(a=[[-1, 0], [1, 0]], dim=2),  # x = 0 written as two inequalities

@@ -3,12 +3,14 @@
 A name counts as referenced when a module of ``src/dircq`` or ``perfbench``
 names it other than in its own definition: as a variable, an attribute, an
 imported name, or a string or dotted string (``cli.run_check`` and the
-tracer look functions up by name).  Methods (of any class, public or not)
-count by their name alone, so a method named like a referenced attribute
-of any object passes unseen.  A public name with no reference is dead code
-unless ``KEEP`` lists it, under its module, as ``name`` or
-``Class.method``, with the reason it stays; an entry that has gained a
-caller, or whose name is gone, is dropped from ``KEEP``.
+tracer look functions up by name).  A method (of any class, public or not)
+counts by its name alone, and only as an attribute or in a string: a local
+variable or function spelled like it is not a call of it, but a method
+named like a referenced attribute of any object passes unseen.  A public
+name with no reference is dead code unless ``KEEP`` lists it, under its
+module, as ``name`` or ``Class.method``, with the reason it stays; an
+entry that has gained a caller, or whose name is gone, is dropped from
+``KEEP``.
 
 Every module-level import of a ``src/dircq`` module is used in that module,
 so a deletion cannot leave a stale import behind.
@@ -62,26 +64,29 @@ def public_definitions() -> set[tuple[str, str]]:
     return out
 
 
-def referenced_names() -> set[str]:
-    names = set()
+def referenced_names() -> tuple[set[str], set[str]]:
+    """(every referenced name, the names referenced as an attribute or in a string)."""
+    names, members = set(), set()
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
+                members.add(node.attr)
             elif isinstance(node, ast.alias):
                 names.add(node.name)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 parts = node.value.split(".")
                 if all(p.isidentifier() for p in parts):
-                    names.update(parts)
-    return names
+                    members.update(parts)
+    return names | members, members
 
 
-def referenced(name: str, refs: set[str]) -> bool:
-    """A method is referenced by its own name, without its class."""
-    return name.rpartition(".")[2] in refs
+def referenced(name: str, refs: tuple[set[str], set[str]]) -> bool:
+    """A method is referenced by its own name, without its class, as an
+    attribute or in a string; any other name by any reference."""
+    cls, _, attr = name.rpartition(".")
+    return attr in refs[1] if cls else attr in refs[0]
 
 
 def test_every_public_name_has_a_caller_or_a_reason():

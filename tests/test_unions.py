@@ -56,7 +56,7 @@ def test_tangent_cone_interior_point_full():
         [HPolyhedron.make(a=[[1, 0], [-1, 0], [0, 1], [0, -1]], b=[1, 0, 1, 0])]
     )
     t = tangent_cone(box, vec([Q(1, 2), Q(1, 2)]))
-    assert cone_union_equal(t, union_from_cones([PolyhedralCone.full(2)], R2))
+    assert cone_union_equal(t, union_from_cones([PolyhedralCone.make(dim=2)], R2))
 
 
 def test_tangent_cone_outside_is_empty_marker():
@@ -191,7 +191,7 @@ def test_convex_identity_directional_cone():
         if v is None:
             continue
         lhs = directional_limiting_normal_cone(d, y, v)
-        perp = PolyhedralCone.make(e=[v], dim=n) if not all(x == 0 for x in v) else PolyhedralCone.full(n)
+        perp = PolyhedralCone.make(e=[v], dim=n) if not all(x == 0 for x in v) else PolyhedralCone.make(dim=n)
         rhs = union_from_cones([regular_normal_cone(d, y).intersect(perp)], n)
         assert cone_union_equal(lhs, rhs)
 
@@ -356,7 +356,7 @@ def test_cone_union_inclusion_witness():
     )
     ok, _ = cone_union_subset(a, b)
     assert ok
-    c = union_from_cones([PolyhedralCone.full(2)], 2)
+    c = union_from_cones([PolyhedralCone.make(dim=2)], 2)
     ok2, w = cone_union_subset(c, b)
     assert not ok2 and w is not None and not b.contains(w)
 

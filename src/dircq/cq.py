@@ -3,14 +3,21 @@
 Every decider returns a three-valued Verdict.  HOLDS and FAILS always carry
 exactly verifiable data (a nonzero kernel witness, a multiplier, a Farkas
 chain, or a replayable sequence trace); UNDECIDED lists the sub-conditions
-that blocked a decision.  The quantified condition systems of the
-second-order checkers are decided by cell enumeration: on the relative
-interior of an arrangement cell every cone membership in the system is a
-fixed polyhedral constraint, so each cell system is one exact LP.  The rows
-of ker J^T (and the curvature row h) need none: the checkers add them to
-their arrangements as extra hyperplanes, so on a cell's relative interior
-each is identically 0 or of one fixed sign, and the cell's witness decides
-whether the cell meets them (``_meets``).
+that blocked a decision.
+
+Every directional decider starts from ``_directional``, which rejects u = 0
+and returns the data along u with the directional limiting normal cone
+N_D(g(xbar); grad g(xbar) u).  That cone is empty exactly when
+grad g(xbar) u is not tangent to D, the one tangency test; in strong mode
+it is also the theorem checkers' multiplier union (``_lambda_condition``).
+
+The quantified condition systems of the second-order checkers are decided by
+cell enumeration: on the relative interior of an arrangement cell every cone
+membership in the system is a fixed polyhedral constraint, so each cell
+system is one exact LP.  The rows of ker J^T (and the curvature row h) need
+none: the checkers add them to their arrangements as extra hyperplanes, so
+on a cell's relative interior each is identically 0 or of one fixed sign,
+and the cell's witness decides whether the cell meets them (``_meets``).
 
 The three theorem checkers share one cell-system driver.  Each describes its
 systems as cell groups: iterables of (shift, hyperplanes, cell, tangent
@@ -93,7 +100,6 @@ from dircq.unions import (
     hyperplanes_of,
     limiting_normal_cone,
     limiting_normal_cone_of_union,
-    limiting_union_at_cell,
     normal_graph,
     sign_rows,
     tangent_cone,
@@ -183,12 +189,6 @@ def _kernel_pieces(ctx: _Ctx, union: ConeUnion, a_extra: Mat = ()) -> list[Polyh
     ]
 
 
-def _directional_context(sys: ConstraintSystem, u: Vec) -> _Ctx:
-    if is_zero(u):
-        raise ValueError("direction u must be nonzero")
-    return _context(sys, u)
-
-
 def mordukhovich(sys: ConstraintSystem) -> Verdict:
     """Metric-regularity criterion: N_D(g(xbar)) meets ker grad g(xbar)^* only at 0."""
     ctx = _context(sys)
@@ -196,14 +196,29 @@ def mordukhovich(sys: ConstraintSystem) -> Verdict:
     return _kernel_verdict("mordukhovich", pieces, {"cone": "limiting"})
 
 
+def _directional(sys: ConstraintSystem, u: Vec) -> tuple[_Ctx, ConeUnion]:
+    """The data along u and the directional limiting normal cone
+    N_D(g(xbar); grad g(xbar) u), which is empty exactly when grad g(xbar) u
+    is not tangent to D."""
+    if is_zero(u):
+        raise ValueError("direction u must be nonzero")
+    ctx = _context(sys, u)
+    return ctx, directional_limiting_normal_cone(sys.d, ctx.gx, ctx.ju)
+
+
+def _not_tangent(name: str, **extra) -> Verdict:
+    """HOLDS with an empty kernel: the direction is not tangent, so no
+    directional normal exists."""
+    cert = {"kind": "trivial_kernel", "pieces_checked": 0, **extra}
+    return Verdict(name, HOLDS, cert, qualifier="direction-not-tangent")
+
+
 def _directional_kernel_verdict(name: str, sys: ConstraintSystem, u: Vec, curvature: bool) -> Verdict:
     """The kernel check on the directional limiting normal cone; with
     ``curvature`` each piece also keeps the row <h, y*> >= 0."""
-    ctx = _directional_context(sys, u)
-    n_dir = directional_limiting_normal_cone(sys.d, ctx.gx, ctx.ju)
+    ctx, n_dir = _directional(sys, u)
     if n_dir.is_empty:
-        cert = {"kind": "trivial_kernel", "pieces_checked": 0, "cone": "directional"}
-        return Verdict(name, HOLDS, cert, qualifier="direction-not-tangent")
+        return _not_tangent(name, cone="directional")
     if not curvature:
         return _kernel_verdict(name, _kernel_pieces(ctx, n_dir), {"cone": "directional"})
     pieces = _kernel_pieces(ctx, n_dir, (tuple(-x for x in ctx.h),))
@@ -481,12 +496,15 @@ def multiplier_systems(lam_union: ConeUnion, jac: Mat, xstar: Vec):
 def _lambda_condition(
     ctx: _Ctx,
     cones: list[PolyhedralCone],
-    lam_union: ConeUnion,
+    n_dir: ConeUnion,
+    mode: str,
     targets: list[Vec] | None,
     achievable,
 ) -> ConditionReport:
-    """The representation hypothesis: every achievable x* equals J^T lambda."""
+    """The representation hypothesis: every achievable x* equals J^T lambda,
+    with lambda in N_D(g(xbar)) in "asym" mode and else in ``n_dir``."""
     name = "lambda-representation"
+    lam_union = limiting_normal_cone(ctx.sys.d, ctx.gx) if mode == "asym" else n_dir
     if targets is None:
         if not cones:
             return ConditionReport(name, "vacuous", "no achievable x*")
@@ -559,18 +577,15 @@ def check_thm_polyhedral_I(
     HOLDS certifies (strong, per mode) directional asymptotic regularity of
     the constraint map at (xbar, 0) in direction u.
     """
-    ctx = _directional_context(sys, u)
-    k = tangent_cone(sys.d, ctx.gx)
-    if not k.contains(ctx.ju):
+    ctx, n_dir = _directional(sys, u)
+    if n_dir.is_empty:
         return _vacuous_verdict("thm-tangent-normals")
-    w_union = limiting_normal_cone_of_union(k, ctx.ju)
-    arr = arrangement(w_union, extra=ctx.ker_rows)
-    groups = [(None, arr.hyperplanes, cell, cell_tangent_pieces(w_union, cell)) for cell in arr.cells]
+    arr = arrangement(n_dir, extra=ctx.ker_rows)
+    groups = [(None, arr.hyperplanes, cell, cell_tangent_pieces(n_dir, cell)) for cell in arr.cells]
     table: dict = {}
     reports = [_kernel_report(ctx, groups, table)]
     cones, achievable = _sources(ctx, groups, table)
-    lam_union = limiting_normal_cone(sys.d, ctx.gx) if mode == "asym" else w_union
-    reports.append(_lambda_condition(ctx, cones, lam_union, targets, achievable))
+    reports.append(_lambda_condition(ctx, cones, n_dir, mode, targets, achievable))
     return _assemble_theorem_verdict("thm-tangent-normals", reports)
 
 
@@ -591,11 +606,10 @@ def check_thm_polyhedral_II(
     orthogonal to w, and with y* in ker J^T the pairing <y*, v> equals
     <y*, h/2>-scaled curvature, so the reduction is exact.
     """
-    ctx = _directional_context(sys, u)
-    k = tangent_cone(sys.d, ctx.gx)
-    if not k.contains(ctx.ju):
+    ctx, n_dir = _directional(sys, u)
+    if n_dir.is_empty:
         return _vacuous_verdict("thm-doubled-tangent")
-    arr_t = arrangement(tangent_cone_of_union(k, ctx.ju))
+    arr_t = arrangement(tangent_cone_of_union(tangent_cone(sys.d, ctx.gx), ctx.ju))
     table: dict = {}
 
     def groups(extra: Mat, shifted: bool):
@@ -607,7 +621,7 @@ def check_thm_polyhedral_II(
                 lt, eq = _shift_rows(ctx, shift)
                 if not _feasible(_system(lt, [], eq, sys.n), table):
                     continue
-            n_sigma = limiting_union_at_cell(arr_t, sigma)
+            n_sigma = limiting_normal_cone_of_union(arr_t.union, sigma.witness)
             arr_n = arrangement(n_sigma, extra=extra)
             for rho in arr_n.cells:
                 yield shift, arr_n.hyperplanes, rho, cell_tangent_pieces(n_sigma, rho)
@@ -618,12 +632,7 @@ def check_thm_polyhedral_II(
     # curvature sign row
     neg_h = tuple(-x for x in ctx.h)
     cones, achievable = _sources(ctx, groups(ctx.ker_rows + (vec(ctx.h),), False), table, (neg_h,))
-    lam_union = (
-        limiting_normal_cone(sys.d, ctx.gx)
-        if mode == "asym"
-        else limiting_normal_cone_of_union(k, ctx.ju)
-    )
-    reports.append(_lambda_condition(ctx, cones, lam_union, targets, achievable))
+    reports.append(_lambda_condition(ctx, cones, n_dir, mode, targets, achievable))
     return _assemble_theorem_verdict("thm-doubled-tangent", reports)
 
 
@@ -643,10 +652,9 @@ def check_thm_nonpolyhedral(
     is modeled cell-wise, and the graphical derivative and subderivative
     sections become per-cell polyhedral constraints.
     """
-    ctx = _directional_context(sys, u)
+    ctx, n_dir = _directional(sys, u)
     m = sys.m
     name = "thm-normal-graph"
-    n_dir = directional_limiting_normal_cone(sys.d, ctx.gx, ctx.ju)
     if n_dir.is_empty:
         return _vacuous_verdict(name)
     model = normal_graph(sys.d, ctx.gx)
@@ -681,8 +689,7 @@ def check_thm_nonpolyhedral(
     )
     reports += [rep_ia, rep_ib]
     cones, achievable = _sources(ctx, ju_groups, table)
-    lam_union = limiting_normal_cone(sys.d, ctx.gx) if mode == "asym" else n_dir
-    reports.append(_lambda_condition(ctx, cones, lam_union, targets, achievable))
+    reports.append(_lambda_condition(ctx, cones, n_dir, mode, targets, achievable))
     # the kernel system and lambda hypothesis plus one of the two section conditions
     section = rep_ia if rep_ia.status == "holds" else rep_ib
     holds = all(r.status == "holds" for r in (reports[0], section, reports[-1]))
@@ -782,19 +789,11 @@ def pseudo_quasi_verdict(
     """
     from dircq import oracle
 
-    if is_zero(u):
-        raise ValueError("direction u must be nonzero")
+    ctx, n_dir = _directional(sys, u)
     basis = _validate_basis(basis, sys.m)
-    ctx = _context(sys, u)
-    n_dir = directional_limiting_normal_cone(sys.d, ctx.gx, ctx.ju)
     name = f"{mode}-normality"
     if n_dir.is_empty:
-        return Verdict(
-            name,
-            HOLDS,
-            {"kind": "trivial_kernel", "pieces_checked": 0},
-            qualifier="direction-not-tangent",
-        )
+        return _not_tangent(name)
     kernel = ConeUnion.make(_kernel_pieces(ctx, n_dir), sys.m)
     candidates = _candidate_rays(kernel)
     if not candidates:
@@ -865,12 +864,7 @@ def graph_foscms(
     gdir = vec(tuple(u) + tuple(Fraction(0) for _ in range(ny)))
     n_dir = directional_limiting_normal_cone(graph, base, gdir)
     if n_dir.is_empty:
-        return Verdict(
-            "foscms",
-            HOLDS,
-            {"kind": "trivial_kernel", "pieces_checked": 0, "cone": "graph-directional"},
-            qualifier="direction-not-tangent",
-        )
+        return _not_tangent("foscms", cone="graph-directional")
     # the preimage of each piece under y* -> (0, -y*)
     kernel = ConeUnion.make([preimage_cone(p, lambda r: neg(r[nx:]), ny) for p in n_dir.pieces], ny)
     return _kernel_verdict("foscms", kernel.pieces, {"cone": "graph-directional"})

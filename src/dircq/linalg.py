@@ -5,7 +5,7 @@ here is immutable and hashable so that cones built from this data can be
 cached and compared structurally.
 
 Fractions in, Fractions out, ints inside: the kernels (``dot``, the coprime
-scaling of ``canon_ray``/``canon_line``, and ``rref`` with ``rank`` and
+scaling of ``canon_ray``/``coprime_ints``, and ``rref`` with ``rank`` and
 ``nullspace`` on top of it) accept int and Fraction entries, scale each row
 to Python ints by the lcm of its denominators, and build a Fraction only for
 each value they return.  Every result equals the one plain Fraction
@@ -57,10 +57,6 @@ def primitive(row: list[int]) -> list[int]:
 
 def vec(xs: Iterable) -> Vec:
     return tuple(x if type(x) is Fraction else Fraction(x) for x in xs)
-
-
-def mat(rows: Iterable[Iterable]) -> Mat:
-    return tuple(vec(r) for r in rows)
 
 
 def zeros(n: int) -> Vec:
@@ -197,7 +193,7 @@ def nullspace(m: Mat, dim: int | None = None) -> list[Vec]:
 
 
 def int_nullspace(m: Sequence[Sequence], dim: int) -> list[tuple[int, ...]]:
-    """The basis of ``nullspace(m, dim)``, each vector as its ``canon_line`` ints."""
+    """The basis of ``nullspace(m, dim)``, each vector as its ``coprime_ints(v, line=True)``."""
     if not m:
         return [tuple(int(j == i) for j in range(dim)) for i in range(dim)]
     rows, pivots = _int_rref(m)
@@ -316,11 +312,6 @@ def coprime_ints(v: Sequence[Fraction], line: bool = False) -> tuple[int, ...]:
 def canon_ray(v: Sequence[Fraction]) -> Vec:
     """Canonical representative of the ray R_+ v: its positive rescale to coprime ints."""
     return vec(coprime_ints(v))
-
-
-def canon_line(v: Sequence[Fraction]) -> Vec:
-    """Canonical representative of the line R v: coprime, first nonzero > 0."""
-    return vec(coprime_ints(v, line=True))
 
 
 def is_orthogonal_basis(vs: Sequence[Vec], dim: int) -> bool:

@@ -57,6 +57,7 @@ from dircq.polyhedra import (
     IntVec,
     PolyhedralCone,
     generators,
+    image_cone,
     polyhedron_faces,
     preimage_cone,
 )
@@ -65,7 +66,6 @@ from dircq.setmaps import (
     GraphPatch,
     PatchMap,
     PatchRegularityError,
-    patch_coderivative_image,
     patch_limiting_normals,
     patch_regular_normal_cone,
 )
@@ -365,14 +365,15 @@ def _graph_point_cone(m: PatchMap, w: Vec) -> PolyhedralCone | None:
 
 
 def _outside_image(m: PatchMap, base: Vec, xstar: Vec, gdir: Vec | None = None) -> bool | None:
-    """Whether x* lies outside the exact upper bound of Im D*m at base (in
-    the graph direction gdir), or None when the exact analysis is rejected."""
+    """Whether x* lies outside Im D*m at base (in the graph direction gdir),
+    or None when the exact analysis is rejected: the image, the x-part of the
+    graph normals, lies in the x-parts of the pieces of their upper bound."""
     try:
-        img = patch_coderivative_image(m, base, gdir)
+        upper = patch_limiting_normals(m, base, gdir).upper
     except PatchRegularityError as exc:
         _log.debug("no image check at %s in direction %s: %s", base, gdir, exc)
         return None
-    return not img.upper.contains(xstar)
+    return not any(image_cone(c, lambda v: v[: m.nx], m.nx).contains(xstar) for c in upper.pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -391,9 +392,10 @@ def search_asym_reg_violation(
     Deterministic: graph points are solved on the schedule x_k = xbar + t_k u,
     the multiplier scale is normalized so the primal output has unit size,
     and the candidate is admitted only if every sequence residual decreases
-    over the tail while the multipliers grow.  The limit is then checked
-    against the exact coderivative image at the base point; a tight exact
-    bound there upgrades the witness to a proof.
+    over the tail while the multipliers grow.  The limit x* is then checked
+    against the coderivative image at the base point, plain and in the graph
+    direction (u, 0), through the exact upper bound of the graph normals: x*
+    outside that bound is outside the image (``_outside_image``).
 
     Whether x_k lies in the preimage of ybar is only recorded per step:
     maps whose preimage is everything still carry the classical blow-up

@@ -264,8 +264,8 @@ class PolyhedralCone:
 def int_generators(c: PolyhedralCone) -> tuple[IntMat, IntMat]:
     """(rays, lineality) as sorted coprime ints, exact double description.
 
-    Rays are ``coprime_ints`` keys, lineality generators ``canon_line``
-    ints.  The lineality space is the null space of all rows.  On the
+    Rays are ``coprime_ints`` keys, lineality generators their line form
+    ``coprime_ints(v, line=True)``.  The lineality space is the null space of all rows.  On the
     coordinates outside the pivots of its rref the cone is pointed, and there
     every feasible ray with a rank-(k-1) active set is extreme, so the rays
     are found by rank-(k-1) activity sets (fine at desk scale) and

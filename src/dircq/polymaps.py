@@ -317,7 +317,3 @@ class PolyMap:
         # cols[k] is Hess(g_k) u
         cols = tuple(mat_vec(p.hessian_ints(xs, den), u) for p in self.components)
         return transpose(cols), tuple(dot(u, c) for c in cols)
-
-    def second_order_vector(self, x: Sequence, u: Sequence) -> Vec:
-        """Component i equals <u, Hess(g_i)(x) u>."""
-        return self.second_order(x, u)[1]

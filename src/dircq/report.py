@@ -267,7 +267,7 @@ def _check_kernel_witness(problem, row, cert) -> str | None:
         return "kernel witness fails the adjoint condition"
     if not cone.contains(y):
         return "kernel witness lies outside the recomputed cone"
-    if row["check"] == "soscms" and dot(sys.g.second_order_vector(sys.xbar, u), y) < 0:
+    if row["check"] == "soscms" and dot(sys.g.second_order(sys.xbar, u)[1], y) < 0:
         return "kernel witness violates the curvature sign"
     return None
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from dircq.linalg import Mat, Vec, dot, is_zero, rank, vec, zeros
-from dircq.polyhedra import PolyhedralCone, image_cone, intersect_generated
+from dircq.polyhedra import PolyhedralCone, intersect_generated
 from dircq.polymaps import Poly, PolyMap, read_point
 from dircq.simplex import strict_feasible_point
 from dircq.unions import ConeUnion, PolyUnion, cone_union_equal
@@ -249,24 +249,6 @@ def _exits_strictly(patch: GraphPatch, w: Vec, v: Vec) -> bool:
         if dot(qg[j], v) > 0:
             return True
     return False
-
-
-def patch_coderivative_image(
-    m: PatchMap, w: Vec, direction: Vec | None = None
-) -> PatternBounds:
-    """Bounds for Im D*Phi at a graph point (optionally in a graph direction).
-
-    The image is the x-part of the graph normal cone: each piece of both
-    bounds is mapped by (x*, y*) -> x* (``image_cone``), which preserves the
-    sandwich.
-    """
-    bounds = patch_limiting_normals(m, w, direction)
-
-    def proj(u: ConeUnion) -> ConeUnion:
-        return ConeUnion.make([image_cone(c, lambda v: v[: m.nx], m.nx) for c in u.pieces], m.nx)
-
-    cu, uu = proj(bounds.certain), proj(bounds.upper)
-    return PatternBounds(cu, uu, cone_union_equal(cu, uu))
 
 
 # ---------------------------------------------------------------------------

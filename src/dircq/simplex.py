@@ -299,17 +299,8 @@ def solve_lp(
     return LPResult(OPTIMAL, x=point, objective=dot(c, point))
 
 
-def feasible_point(
-    a: Mat, b: Vec, e: Mat = (), d: Vec = (), n: int | None = None
-) -> LPResult:
-    """Feasibility of {a x <= b, e x = d}; witness or Farkas certificate."""
-    if n is None:
-        if a:
-            n = len(a[0])
-        elif e:
-            n = len(e[0])
-        else:
-            raise ValueError("cannot infer dimension")
+def feasible_point(a: Mat, b: Vec, e: Mat = (), d: Vec = (), *, n: int) -> LPResult:
+    """Feasibility of {a x <= b, e x = d} in R^n; witness or Farkas certificate."""
     return solve_lp(zeros(n), a, b, e, d, n=n)
 
 
@@ -320,19 +311,13 @@ def strict_feasible_point(
     b: Vec = (),
     e: Mat = (),
     d: Vec = (),
-    n: int | None = None,
+    *,
+    n: int,
 ) -> Vec | None:
-    """A point with a_strict x < b_strict, a x <= b, e x = d, or None.
+    """A point of R^n with a_strict x < b_strict, a x <= b, e x = d, or None.
 
     Decided exactly by maximizing the margin t of the strict rows, capped at 1.
     """
-    if n is None:
-        for m_ in (a_strict, a, e):
-            if m_:
-                n = len(m_[0])
-                break
-        else:
-            raise ValueError("cannot infer dimension")
     if not a_strict:
         res = feasible_point(a, b, e, d, n=n)
         return res.x if res.status == OPTIMAL else None

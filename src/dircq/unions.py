@@ -32,9 +32,9 @@ Empty queries (base point outside the set, direction not tangent) return the
 distinguished empty union, which is different from the trivial cone {0}.
 
 Everything here runs on the int rows of the cone layer: hyperplanes are
-``canon_line`` int tuples, and cell systems go to the LPs as int rows.  The
-hyperplanes never reach a report; cell witnesses and cone accessors do, and
-stay Fractions.
+``coprime_ints(r, line=True)`` int tuples, and cell systems go to the LPs as
+int rows.  The hyperplanes never reach a report; cell witnesses and cone
+accessors do, and stay Fractions.
 """
 
 from __future__ import annotations
@@ -190,7 +190,7 @@ class Cell:
 
 @dataclass(frozen=True)
 class Arrangement:
-    hyperplanes: tuple[IntVec, ...]  # canon_line ints
+    hyperplanes: tuple[IntVec, ...]  # coprime_ints(r, line=True)
     cells: tuple[Cell, ...]  # only cells inside the union
     union: ConeUnion
 
@@ -235,7 +235,7 @@ def _piece_sign_requirements(
 
 
 def hyperplanes_of(u: ConeUnion) -> tuple[IntVec, ...]:
-    """Distinct facet hyperplanes (canon_line ints) of the union's pieces."""
+    """Distinct facet hyperplanes (line-canonical ``coprime_ints``) of the union's pieces."""
     return tuple(
         dict.fromkeys(coprime_ints(row, line=True) for p in u.pieces for row in p.ia + p.ie)
     )
@@ -400,12 +400,6 @@ def _cell_dual(
 def cell_tangent_pieces(k: ConeUnion, cell: Cell) -> list[PolyhedralCone]:
     """Tangent cones of the union on the cell's relative interior, per piece."""
     return [tangent_of_cone_at(k.pieces[i], cell.witness) for i in cell.piece_idx]
-
-
-def limiting_union_at_cell(arr: Arrangement, cell: Cell) -> ConeUnion:
-    """Limiting normal cone of the union at points of the cell's relint."""
-    duals = [c.dual for c in arr.cells if _sign_compatible(c.signs, cell.signs)]
-    return ConeUnion.make(duals, arr.union.dim)
 
 
 # ---------------------------------------------------------------------------

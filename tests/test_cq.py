@@ -35,7 +35,7 @@ from dircq.problemfile import load_problem
 from dircq.setmaps import ConstraintSystem
 from dircq.simplex import OPTIMAL, UNBOUNDED, solve_lp, strict_feasible_point
 from dircq.unions import PolyUnion, arrangement, directional_limiting_normal_cone
-from test_golden import THEOREMS, fixture_path
+from test_golden import THEOREMS, fixture_path, record_solve_lp
 
 
 def ex58():
@@ -82,6 +82,30 @@ def test_foscms_interior_direction_vacuous():
     d = PolyUnion.make([HPolyhedron.make(a=[[-1, 0], [0, -1]], b=[0, 0])])
     sys = ConstraintSystem(g, d, vec([1]))  # g(1) = (1,1), interior of D
     assert foscms(sys, vec([1])).status == HOLDS
+
+
+def test_direction_not_tangent_holds_without_an_lp(monkeypatch):
+    # D = {y <= 0}, g(x) = x, xbar = 0: grad g(xbar) u = 1 is not tangent to
+    # D, so the directional normal cone is empty and every directional
+    # decider holds at once
+    d = PolyUnion.make([HPolyhedron.make(a=[[1]], b=[0])])
+    sys = ConstraintSystem(PolyMap.parse(["x0"], 1), d, vec([0]))
+    u = vec([1])
+    calls = record_solve_lp(monkeypatch)
+    for f in (foscms, soscms):
+        v = f(sys, u)
+        assert (v.status, v.qualifier) == (HOLDS, "direction-not-tangent")
+        assert v.certificate == {"kind": "trivial_kernel", "pieces_checked": 0, "cone": "directional"}
+    for f, mode in itertools.product(THEOREMS, ("asym", "strong")):
+        v = f(sys, u, mode=mode)
+        assert v.status == HOLDS
+        assert v.certificate == {"kind": "vacuous", "reason": "direction"}
+        assert [(c.name, c.status) for c in v.conditions] == [("direction", "vacuous")]
+    for mode in ("pseudo", "quasi"):
+        v = cq.pseudo_quasi_verdict(sys, u, mode=mode)
+        assert (v.name, v.status, v.qualifier) == (f"{mode}-normality", HOLDS, "direction-not-tangent")
+        assert v.certificate == {"kind": "trivial_kernel", "pieces_checked": 0}
+    assert calls == []
 
 
 def test_soscms_ladder():

@@ -12,7 +12,7 @@ from fractions import Fraction as Q
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dircq.linalg import canon_line, dot, int_nullspace, nullspace, vec
+from dircq.linalg import coprime_ints, dot, int_nullspace, nullspace, vec
 from dircq.polyhedra import HPolyhedron, PolyhedralCone, generators
 
 # ---------------------------------------------------------------------------
@@ -155,7 +155,7 @@ def test_fraction_points_against_integer_right_hand_sides():
 def test_int_nullspace_is_the_canonical_nullspace(data):
     n = data.draw(st.integers(1, 5))
     m = data.draw(rows_of(n, 4))
-    assert int_nullspace(m, n) == [tuple(canon_line(v)) for v in nullspace(m, dim=n)]
+    assert int_nullspace(m, n) == [coprime_ints(v, line=True) for v in nullspace(m, dim=n)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Integer kernels of linalg against plain Fraction reference implementations.
 
 The references below are the straightforward Fraction versions of ``dot``,
-``canon_ray``, ``canon_line`` and ``rref`` (and of the null space and the
+``canon_ray``, the line scaling ``coprime_ints(v, line=True)`` and ``rref`` (and of the null space and the
 linear solve on top of ``rref``).  The kernels under test compute in ints and
 must return equal values, built as Fractions.
 """
@@ -14,11 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dircq.linalg import (
-    canon_line,
     canon_ray,
+    coprime_ints,
     dot,
     half_step,
-    mat,
     mat_t_vec,
     null_direction,
     nullspace,
@@ -160,13 +159,11 @@ def test_dot_matches_reference(ab):
 @settings(max_examples=200, deadline=None)
 @given(vectors())
 def test_canonical_scalings_match_reference(v):
-    for got, want in (
-        (canon_ray(v), ref_integerize(v)),
-        (canon_line(v), ref_canon_line(v)),
-    ):
-        assert got == want
-        assert all_fractions(got)
-        assert all(x.denominator == 1 for x in got)
+    got = canon_ray(v)
+    assert got == ref_integerize(v)
+    assert all_fractions(got)
+    assert all(x.denominator == 1 for x in got)
+    assert coprime_ints(v, line=True) == ref_canon_line(v)
 
 
 @settings(max_examples=150, deadline=None)
@@ -224,7 +221,7 @@ def test_seeded_kernels_match_reference():
         for row in m:
             assert dot(row, m[0]) == ref_dot(row, m[0])
             assert canon_ray(row) == ref_integerize(vec(row))
-            assert canon_line(row) == ref_canon_line(vec(row))
+            assert coprime_ints(row, line=True) == ref_canon_line(vec(row))
         fm = tuple(vec(row) for row in m)
         assert rref(fm) == ref_rref(fm)
         if fm:
@@ -236,15 +233,15 @@ def test_fixed_edge_cases():
     assert dot((1, 2), (3, 4)) == 11 and type(dot((1, 2), (3, 4))) is Fraction
     assert dot((Fraction(1, 3), 2), (Fraction(3, 5), Fraction(-1, 10))) == 0
     assert canon_ray((Fraction(0), Fraction(0))) == (0, 0)
-    assert canon_line((Fraction(0), Fraction(-2, 3), Fraction(4, 9))) == (0, 3, -2)
+    assert coprime_ints((Fraction(0), Fraction(-2, 3), Fraction(4, 9)), line=True) == (0, 3, -2)
     assert canon_ray((Fraction(0), Fraction(-2, 3), Fraction(4, 9))) == (0, -3, 2)
     big = Fraction(10**50 + 1, 3)
-    assert canon_line((big, -2 * big)) == (1, -2)
+    assert coprime_ints((big, -2 * big), line=True) == (1, -2)
     assert rref(()) == ((), ())
     zero_rows = ((Fraction(0), Fraction(0)),) * 3
     assert rref(zero_rows) == ((), ()) and rank(zero_rows) == 0
     assert nullspace(zero_rows) == [(1, 0), (0, 1)]
-    assert rref(mat([[2, 4, 6, 8], [0, 0, 1, 1]])) == (((1, 2, 0, 1), (0, 0, 1, 1)), (0, 2))
+    assert rref(((2, 4, 6, 8), (0, 0, 1, 1))) == (((1, 2, 0, 1), (0, 0, 1, 1)), (0, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -260,11 +257,11 @@ def test_incremental_rref_spans_the_rows(data):
     rows = data.draw(st.lists(row, max_size=4))
     h = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
     eqs = rref_span(rows)
-    assert len(eqs) == (rank(mat(rows)) if rows else 0)
+    assert len(eqs) == (rank(rows) if rows else 0)
     for r, pc in eqs:
         assert r[pc] > 0 and all(other[pc] == 0 for other, opc in eqs if opc != pc)
     hr = rref_reduce(eqs, h)
-    assert (hr is None) == (rank(mat(rows + [h])) == len(eqs))
+    assert (hr is None) == (rank(rows + [h]) == len(eqs))
     if hr is not None:
         v = null_direction(eqs, hr)
         assert all(dot(r, v) == 0 for r in rows)

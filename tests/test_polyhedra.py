@@ -7,7 +7,7 @@ from fractions import Fraction as Q
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dircq.linalg import canon_line, canon_ray, dot, is_zero, mat, nullspace, rref, unit, vec, zeros
+from dircq.linalg import canon_ray, coprime_ints, dot, is_zero, nullspace, rref, unit, vec, zeros
 from dircq.polyhedra import (
     PolyhedralCone,
     generators,
@@ -86,10 +86,10 @@ def reference_generators(c):
     LP filter that drops rays in the cone of the others plus the lineality."""
     n = c.dim
     all_rows = c.a + c.e
-    lin = tuple(sorted(canon_line(v) for v in nullspace(all_rows, dim=n)))
+    lin = tuple(sorted(vec(coprime_ints(v, line=True)) for v in nullspace(all_rows, dim=n)))
     if not all_rows:
         return (), lin
-    pivots = rref(mat(lin))[1] if lin else ()
+    pivots = rref(lin)[1] if lin else ()
     comp = [unit(n, j) for j in range(n) if j not in pivots]
     k = len(comp)
     if k == 0:
@@ -222,7 +222,7 @@ def test_image_membership_vs_lp_random():
         img = image_cone(c, lambda x: tuple(dot(r, x) for r in rows), 2)
         with_lineality += bool(generators(c)[1])
         for y in grid:
-            has = feasible_point(c.a, zeros(len(c.a)), c.e + mat(rows), zeros(len(c.e)) + y, n=n)
+            has = feasible_point(c.a, zeros(len(c.a)), c.e + tuple(map(vec, rows)), zeros(len(c.e)) + y, n=n)
             assert img.contains(y) == (has.status == OPTIMAL), (c, rows, y)
         if trial % 6 == 0:
             assert img.is_trivial()

@@ -1,16 +1,18 @@
 """Every public function, class and method of ``dircq`` has a caller.
 
-A name counts as referenced when a module of ``src/dircq`` or ``perfbench``
-names it other than in its own definition: as a variable, an attribute, an
-imported name, or a string or dotted string (``cli.run_check`` and the
-tracer look functions up by name).  A method (of any class, public or not)
-counts by its name alone, and only as an attribute or in a string: a local
-variable or function spelled like it is not a call of it, but a method
-named like a referenced attribute of any object passes unseen.  A public
-name with no reference is dead code unless ``KEEP`` lists it, under its
-module, as ``name`` or ``Class.method``, with the reason it stays; an
-entry that has gained a caller, or whose name is gone, is dropped from
-``KEEP``.
+A top-level function or class counts as referenced when a module of
+``src/dircq`` or ``perfbench`` names it other than in its own definition: as
+a variable (but not as a field annotated in a class body), an imported name,
+a string or dotted string (``cli.run_check`` and the tracer look functions
+up by name), or an attribute of a ``dircq`` module (``cq.foscms``).  An
+attribute of any other object (``self.mat``) is not a reference to it.  A
+method (of any class, public or not) counts by its name alone, and only as
+an attribute or in a string: a local variable or function spelled like it
+is not a call of it, but a method named like a referenced attribute of any
+object passes unseen.  A public name with no reference is dead code unless
+``KEEP`` lists it, under its module, as ``name`` or ``Class.method``, with
+the reason it stays; an entry that has gained a caller, or whose name is
+gone, is dropped from ``KEEP``.
 
 Every module-level import of a ``src/dircq`` module is used in that module,
 so a deletion cannot leave a stale import behind.
@@ -24,9 +26,6 @@ PACKAGE = ROOT / "src" / "dircq"
 SOURCES = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
 
 KEEP = {
-    "linalg": {
-        "canon_line": "test reference: tests compare the int row canonicalization against it",
-    },
     "cq": {
         "Verdict.condition": "test reference: tests read one sub-condition of a theorem-checker verdict by name",
     },
@@ -64,27 +63,46 @@ def public_definitions() -> set[tuple[str, str]]:
     return out
 
 
+def annotated_fields(tree: ast.Module) -> set[int]:
+    """The ids of the Name nodes that a class body annotates as its fields."""
+    return {
+        id(item.target)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.AnnAssign)
+    }
+
+
 def referenced_names() -> tuple[set[str], set[str]]:
-    """(every referenced name, the names referenced as an attribute or in a string)."""
+    """(the names referenced as a top-level name, the names referenced as an
+    attribute or in a string)."""
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
     names, members = set(), set()
     for path in SOURCES:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
+        tree = ast.parse(path.read_text())
+        fields = annotated_fields(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and id(node) not in fields:
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 members.add(node.attr)
+                owner = node.value
+                if getattr(owner, "id", getattr(owner, "attr", None)) in modules:
+                    names.add(node.attr)
             elif isinstance(node, ast.alias):
                 names.add(node.name)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 parts = node.value.split(".")
                 if all(p.isidentifier() for p in parts):
+                    names.update(parts)
                     members.update(parts)
-    return names | members, members
+    return names, members
 
 
 def referenced(name: str, refs: tuple[set[str], set[str]]) -> bool:
     """A method is referenced by its own name, without its class, as an
-    attribute or in a string; any other name by any reference."""
+    attribute or in a string; any other name as a top-level name."""
     cls, _, attr = name.rpartition(".")
     return attr in refs[1] if cls else attr in refs[0]
 

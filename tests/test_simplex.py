@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from dircq import simplex
-from dircq.linalg import dot, is_zero, mat, vec, zeros
+from dircq.linalg import dot, is_zero, vec, zeros
 from dircq.simplex import (
     INFEASIBLE,
     OPTIMAL,
@@ -21,6 +21,11 @@ from dircq.simplex import (
     strict_feasible_point,
     verify_farkas,
 )
+
+
+def mat(rows):
+    """The rows as a matrix of Fractions."""
+    return tuple(vec(r) for r in rows)
 
 
 def test_simple_max():
@@ -43,7 +48,7 @@ def test_unbounded():
 def test_infeasible_with_farkas():
     # x <= 1, -x <= -2
     a, b = mat([[1], [-1]]), vec([1, -2])
-    res = feasible_point(a, b)
+    res = feasible_point(a, b, n=1)
     assert res.status == INFEASIBLE
     assert verify_farkas(a, b, (), (), res.farkas_ineq, res.farkas_eq)
     assert res.farkas_ineq == vec([1, 1])
@@ -51,7 +56,7 @@ def test_infeasible_with_farkas():
 
 def test_equality_feasible():
     # x >= 0, y >= 0, x + y = 1
-    res = feasible_point(mat([[-1, 0], [0, -1]]), vec([0, 0]), mat([[1, 1]]), vec([1]))
+    res = feasible_point(mat([[-1, 0], [0, -1]]), vec([0, 0]), mat([[1, 1]]), vec([1]), n=2)
     assert res.status == OPTIMAL
     x = res.x
     assert x[0] >= 0 and x[1] >= 0 and x[0] + x[1] == 1
@@ -60,15 +65,15 @@ def test_equality_feasible():
 def test_equality_infeasible_farkas():
     a, b = mat([[-1, 0], [0, -1]]), vec([0, 0])
     e, d = mat([[1, 1]]), vec([-1])
-    res = feasible_point(a, b, e, d)
+    res = feasible_point(a, b, e, d, n=2)
     assert res.status == INFEASIBLE
     assert verify_farkas(a, b, e, d, res.farkas_ineq, res.farkas_eq)
 
 
 def test_strict_feasibility():
     # x < 0 together with x >= 0 is impossible
-    assert strict_feasible_point(mat([[1]]), vec([0]), mat([[-1]]), vec([0])) is None
-    p = strict_feasible_point(mat([[-1, 0], [0, -1]]), vec([0, 0]))
+    assert strict_feasible_point(mat([[1]]), vec([0]), mat([[-1]]), vec([0]), n=1) is None
+    p = strict_feasible_point(mat([[-1, 0], [0, -1]]), vec([0, 0]), n=2)
     assert p is not None and p[0] > 0 and p[1] > 0
 
 
@@ -82,7 +87,7 @@ def test_random_feasibility_agrees_with_float_lp():
         m = rng.randint(1, 6)
         a = [[Q(rng.randint(-4, 4)) for _ in range(n)] for _ in range(m)]
         b = [Q(rng.randint(-3, 3)) for _ in range(m)]
-        res = feasible_point(mat(a), vec(b))
+        res = feasible_point(mat(a), vec(b), n=n)
         af = np.array([[float(x) for x in row] for row in a])
         bf = np.array([float(x) for x in b])
         lp = linprog(

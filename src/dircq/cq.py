@@ -44,6 +44,19 @@ and that answer either was "empty", skipped again, or already ended the loop
 that posed it.  A feasibility question on a cone (no strict rows, zero right
 sides) needs no LP at all: 0 is a point.
 
+What the checkers build from the context alone is kept with the context, in
+its ``memo``: each checker's cell groups (the cells with their tangent
+pieces or graph sections), each cell system's row tuple and shift probe,
+each closed source cone, and the source images and multiplier targets of the
+lambda hypothesis.  The split is deliberate.  LP answers stay in the
+per-call table, so every call still solves its cell systems; rows and cones,
+which depend only on (g, D, xbar, u) and the cached arrangements, are built
+once per context and live and die with its ``_context`` cache entry.  The
+memo is keyed on int data (hyperplanes, sign vectors, int-row cones), never
+on cells, whose witnesses are Fractions.  A system with a nonzero target x*
+(``achievable``) is never kept: its target comes from the caller, so keeping
+it would let the memo grow without bound.
+
 Directional pseudo- and quasi-normality share one candidate driver.  The
 constraint-map and equilibrium deciders each build their own kernel
 candidates and trivial-kernel certificate, then hand the nonzero candidates
@@ -54,7 +67,7 @@ is eliminated, else UNDECIDED with the survivors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -80,6 +93,7 @@ from dircq.linalg import (
 )
 from dircq.polyhedra import (
     IntMat,
+    IntVec,
     PolyhedralCone,
     generators,
     image_cone,
@@ -111,9 +125,11 @@ FAILS = "FAILS"
 UNDECIDED = "UNDECIDED"
 
 # (system, direction) pairs whose first- and second-order data ``_context``
-# keeps: one entry per direction, plus one undirected, per system; a pass of
-# five checkers over ex58^2 in its eight directions asks 40 times for 8.
-CONTEXT_CACHE_SIZE = 64
+# keeps, each with its memo of rows and cones: one entry per direction, plus
+# one undirected, per system.  A pass of five checkers over ex58^2 in its
+# eight directions asks 40 times for 8, so 16 keeps a warm pass whole; a cold
+# pass over fresh problems only fills it with memos it never reads again.
+CONTEXT_CACHE_SIZE = 16
 
 # a table entry not yet solved (None is an answer: no nonzero-block point)
 _MISSING = object()
@@ -142,16 +158,25 @@ class Verdict:
 # The data of g at xbar (and along u) that every decider reads.  ``_context``
 # keeps it in an lru_cache keyed on (system, vec(u)), CONTEXT_CACHE_SIZE
 # entries; an infeasible base point raises on every call and is not kept.
-@dataclass(frozen=True)
+# The context hashes by identity, and its ``memo`` (see the module docstring)
+# is dropped with it.
+@dataclass(frozen=True, eq=False)
 class _Ctx:
     sys: ConstraintSystem
     gx: Vec
     jac: Mat  # m x n
-    ker_rows: Mat  # rows of J^T; {y : J^T y = 0}
+    ker_rows: Mat  # rows of J^T, integral entries as ints; {y : J^T y = 0}
     u: Vec | None = None
     ju: Vec | None = None
     bu: Mat | None = None  # n x m curvature matrix, B y* = Hess<y*, g>(xbar) u
     h: Vec | None = None  # second-order vector Hess g(xbar)[u, u]
+    # coprime_ints(r, line=True) of each nonzero ker row, which ``_meets`` looks up
+    ker_keys: tuple[IntVec, ...] = field(init=False)
+    memo: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        keys = tuple(coprime_ints(r, line=True) for r in self.ker_rows if not is_zero(r))
+        object.__setattr__(self, "ker_keys", keys)
 
 
 def _context(sys: ConstraintSystem, u: Vec | None = None) -> _Ctx:
@@ -164,11 +189,19 @@ def _cached_context(sys: ConstraintSystem, u: Vec | None) -> _Ctx:
     if not sys.d.contains(gx):
         raise InfeasiblePoint("base point is not feasible")
     jac = sys.g.jacobian(sys.xbar)
-    ker_rows = transpose(jac)
+    ker_rows = tuple(map(_exact_row, transpose(jac)))
     if u is None:
         return _Ctx(sys, gx, jac, ker_rows)
     bu, h = sys.g.second_order(sys.xbar, u)
     return _Ctx(sys, gx, jac, ker_rows, u=u, ju=tuple(dot(row, u) for row in jac), bu=bu, h=h)
+
+
+def _memo(ctx: _Ctx, key: tuple, build):
+    """``ctx.memo[key]``, built by ``build()`` on the first request."""
+    got = ctx.memo.get(key, _MISSING)
+    if got is _MISSING:
+        got = ctx.memo[key] = build()
+    return got
 
 
 def _kernel_verdict(name: str, pieces: Sequence[PolyhedralCone], extra: dict) -> Verdict:
@@ -298,18 +331,24 @@ def _exact(x):
     return x.numerator if x.denominator == 1 else x
 
 
+def _exact_row(r) -> tuple:
+    return tuple(map(_exact, r))
+
+
 def _system(lt: list, le: list, eq: list, size: int) -> tuple:
     """(strict_a, strict_b, a, b, e, d, n) from lists of (row, rhs) pairs,
     for rows < rhs, <= rhs and = rhs: the system exactly as it goes to the LP.
 
-    Each row is padded with zeros to ``size`` columns, and every integral
-    entry becomes an int, so that the cone layer's int rows reach
-    ``solve_lp`` without a Fraction.
+    Each row is padded with zeros to ``size`` columns and each rhs made
+    exact.  The rows come exact, every integral entry an int, so that the
+    cone layer's int rows reach ``solve_lp`` without a Fraction: the
+    hyperplanes and tangent pieces are int rows already, and only the rows
+    built from J, B and h/2 go through ``_exact``, where they are built.
     """
 
     def pack(rows: list) -> tuple:
         return (
-            tuple(tuple(map(_exact, r)) + (0,) * (size - len(r)) for r, _ in rows),
+            tuple((*r, *(0,) * (size - len(r))) for r, _ in rows),
             tuple(_exact(rhs) for _, rhs in rows),
         )
 
@@ -351,9 +390,10 @@ def _meets(ctx: _Ctx, hyper: tuple[Vec, ...], cell: Cell, y_rows: Mat = ()) -> b
     meets every row that the relative interior can meet.  A nonzero row
     outside ``hyper`` raises ValueError, as the witness would not decide it.
     """
-    for r in (*ctx.ker_rows, *y_rows):
-        if not is_zero(r) and coprime_ints(r, line=True) not in hyper:
-            raise ValueError(f"row {r} is not a hyperplane of the cell's arrangement")
+    keys = (*ctx.ker_keys, *(coprime_ints(r, line=True) for r in y_rows if not is_zero(r)))
+    for key in keys:
+        if key not in hyper:
+            raise ValueError(f"row {key} is not, up to scale, a hyperplane of the cell's arrangement")
     w = cell.witness
     return all(dot(r, w) == 0 for r in ctx.ker_rows) and all(dot(r, w) <= 0 for r in y_rows)
 
@@ -372,7 +412,22 @@ def _shift_rows(ctx: _Ctx, shift) -> list[list]:
     in the relative interior of the cell of ``shift`` = (hyperplanes, cell)."""
     hyper, cell = shift
     h_half = scale(Fraction(1, 2), ctx.h)
-    return [[(mat_t_vec(ctx.jac, r), -dot(r, h_half)) for r in rows] for rows in sign_rows(hyper, cell.signs)]
+    return [
+        [(_exact_row(mat_t_vec(ctx.jac, r)), -dot(r, h_half)) for r in rows]
+        for rows in sign_rows(hyper, cell.signs)
+    ]
+
+
+def _shift_system(ctx: _Ctx, shift) -> tuple:
+    """The system over s alone of J s + h/2 in the cell of ``shift``; the
+    context's memo keeps it."""
+    hyper, cell = shift
+
+    def build() -> tuple:
+        lt, eq = _shift_rows(ctx, shift)
+        return _system(lt, [], eq, ctx.sys.n)
+
+    return _memo(ctx, ("shift", hyper, cell.signs), build)
 
 
 def _cell_system(
@@ -392,22 +447,32 @@ def _cell_system(
     (its relative interior, or its closure when ``closed``), J^T y* = 0,
     <r, y*> <= 0 for each r in ``y_rows``, z* in the tangent piece ``tp``,
     <r, z*> = 0 for each r in ``z_rows`` and, with an ``xstar``,
-    B y* + J^T z* = x*.
+    B y* + J^T z* = x*.  The context's memo keeps the system, unless x* is
+    a nonzero target.
     """
-    m = ctx.sys.m
-    lt, eq = _shift_rows(ctx, shift) if shift else ([], [])
-    le: list = []
-    y = (0,) * (ctx.sys.n if shift else 0)
-    z = y + (0,) * m
-    ineq, cell_eq = sign_rows(hyper, cell.signs)
-    (le if closed else lt).extend((y + r, 0) for r in ineq)
-    eq += [(y + r, 0) for r in (*cell_eq, *ctx.ker_rows)]
-    le += [(y + r, 0) for r in y_rows]
-    le += [(z + r, 0) for r in tp.ia]
-    eq += [(z + r, 0) for r in (*tp.ie, *z_rows)]
-    if xstar is not None:
-        eq += [(y + ctx.bu[j] + ctx.ker_rows[j], xstar[j]) for j in range(ctx.sys.n)]
-    return _system(lt, le, eq, len(z) + m)
+
+    def build() -> tuple:
+        m = ctx.sys.m
+        lt, eq = _shift_rows(ctx, shift) if shift else ([], [])
+        le: list = []
+        y = (0,) * (ctx.sys.n if shift else 0)
+        z = y + (0,) * m
+        ineq, cell_eq = sign_rows(hyper, cell.signs)
+        (le if closed else lt).extend((y + r, 0) for r in ineq)
+        eq += [(y + r, 0) for r in (*cell_eq, *ctx.ker_rows)]
+        le += [(y + _exact_row(r), 0) for r in y_rows]
+        le += [(z + r, 0) for r in tp.ia]
+        eq += [(z + r, 0) for r in tp.ie]
+        eq += [(z + _exact_row(r), 0) for r in z_rows]
+        if xstar is not None:
+            eq += [(y + _exact_row(ctx.bu[j]) + ctx.ker_rows[j], xstar[j]) for j in range(ctx.sys.n)]
+        return _system(lt, le, eq, len(z) + m)
+
+    if xstar is not None and any(xstar):
+        return build()
+    shift_key = shift and (shift[0], shift[1].signs)
+    key = ("system", hyper, cell.signs, tp, shift_key, closed, y_rows, xstar is None, z_rows)
+    return _memo(ctx, key, build)
 
 
 def _kernel_report(ctx: _Ctx, groups, table: dict) -> ConditionReport:
@@ -432,13 +497,18 @@ def _sources(ctx: _Ctx, groups, table: dict, y_rows: Mat = ()):
     A cell contributes only when its relative interior meets ker J^T and the
     y* rows, which its witness decides (``_meets``); x* is achievable when
     the relative-interior system of some (cell, piece) admits
-    B y* + J^T z* = x*.  Source groups carry no shift.
+    B y* + J^T z* = x*.  Source groups carry no shift.  The context's memo
+    keeps each cone.
     """
+
+    def cone(hyper, cell, tp) -> PolyhedralCone:
+        rows = _cell_system(ctx, hyper, cell, tp, closed=True, y_rows=y_rows)
+        return PolyhedralCone.make(a=rows[2], e=rows[4], dim=rows[6])
+
     cones: list[PolyhedralCone] = []
     members = []
     for _, hyper, cell, tp in _cell_pieces(ctx, groups, y_rows):
-        rows = _cell_system(ctx, hyper, cell, tp, closed=True, y_rows=y_rows)
-        cones.append(PolyhedralCone.make(a=rows[2], e=rows[4], dim=rows[6]))
+        cones.append(_memo(ctx, ("source", hyper, cell.signs, tp, y_rows), lambda: cone(hyper, cell, tp)))
         members.append((hyper, cell, tp))
 
     def achievable(xstar: Vec) -> bool:
@@ -455,18 +525,24 @@ def _sources(ctx: _Ctx, groups, table: dict, y_rows: Mat = ()):
 
 
 def _source_image(ctx: _Ctx, cone: PolyhedralCone) -> PolyhedralCone:
-    """x* = B y* + J^T z* over a source cone of (y*, z*) pairs."""
+    """x* = B y* + J^T z* over a source cone of (y*, z*) pairs; the context's
+    memo keeps it."""
     m = ctx.sys.m
 
     def image(w: Vec) -> Vec:
         return add(tuple(dot(row, w[:m]) for row in ctx.bu), mat_t_vec(ctx.jac, w[m:]))
 
-    return image_cone(cone, image, ctx.sys.n)
+    return _memo(ctx, ("image", cone), lambda: image_cone(cone, image, ctx.sys.n))
 
 
 def _lambda_targets(ctx: _Ctx, lam_union: ConeUnion) -> ConeUnion:
-    pieces = [image_cone(p, lambda r: mat_t_vec(ctx.jac, r), ctx.sys.n) for p in lam_union.pieces]
-    return ConeUnion.make(pieces, ctx.sys.n)
+    """J^T lambda over the multiplier union; the context's memo keeps it."""
+
+    def build() -> ConeUnion:
+        pieces = [image_cone(p, lambda r: mat_t_vec(ctx.jac, r), ctx.sys.n) for p in lam_union.pieces]
+        return ConeUnion.make(pieces, ctx.sys.n)
+
+    return _memo(ctx, ("targets", lam_union), build)
 
 
 def _piecewise_point(systems) -> tuple[Vec | None, int, list[dict]]:
@@ -580,8 +656,13 @@ def check_thm_polyhedral_I(
     ctx, n_dir = _directional(sys, u)
     if n_dir.is_empty:
         return _vacuous_verdict("thm-tangent-normals")
-    arr = arrangement(n_dir, extra=ctx.ker_rows)
-    groups = [(None, arr.hyperplanes, cell, cell_tangent_pieces(n_dir, cell)) for cell in arr.cells]
+
+    def build() -> list:
+        """Each cell with its tangent pieces; the context's memo keeps them."""
+        arr = arrangement(n_dir, extra=ctx.ker_rows)
+        return [(None, arr.hyperplanes, cell, cell_tangent_pieces(n_dir, cell)) for cell in arr.cells]
+
+    groups = _memo(ctx, ("tangent-normals",), build)
     table: dict = {}
     reports = [_kernel_report(ctx, groups, table)]
     cones, achievable = _sources(ctx, groups, table)
@@ -614,17 +695,19 @@ def check_thm_polyhedral_II(
 
     def groups(extra: Mat, shifted: bool):
         """The cells of N(sigma) over the cells sigma of T(u); with ``shifted``,
-        only the sigma that some shift w_s(u, 0) = J s + h/2 reaches."""
+        only the sigma that some shift w_s(u, 0) = J s + h/2 reaches.  The
+        context's memo keeps the cells of each sigma."""
         for sigma in arr_t.cells:
             shift = (arr_t.hyperplanes, sigma) if shifted else None
-            if shifted:
-                lt, eq = _shift_rows(ctx, shift)
-                if not _feasible(_system(lt, [], eq, sys.n), table):
-                    continue
-            n_sigma = limiting_normal_cone_of_union(arr_t.union, sigma.witness)
-            arr_n = arrangement(n_sigma, extra=extra)
-            for rho in arr_n.cells:
-                yield shift, arr_n.hyperplanes, rho, cell_tangent_pieces(n_sigma, rho)
+            if shifted and not _feasible(_shift_system(ctx, shift), table):
+                continue
+            key = ("doubled-tangent", sigma.signs, shifted)
+            yield from _memo(ctx, key, lambda: sigma_groups(sigma, shift, extra))
+
+    def sigma_groups(sigma: Cell, shift, extra: Mat) -> list:
+        n_sigma = limiting_normal_cone_of_union(arr_t.union, sigma.witness)
+        arr_n = arrangement(n_sigma, extra=extra)
+        return [(shift, arr_n.hyperplanes, rho, cell_tangent_pieces(n_sigma, rho)) for rho in arr_n.cells]
 
     reports = [_kernel_report(ctx, groups(ctx.ker_rows, True), table)]
     # lambda hypothesis over the full (s, v) range: v absorbs the shift, so
@@ -657,13 +740,18 @@ def check_thm_nonpolyhedral(
     name = "thm-normal-graph"
     if n_dir.is_empty:
         return _vacuous_verdict(name)
-    model = normal_graph(sys.d, ctx.gx)
-    dual_hyper = tuple(h for _, nc in model.cells for h in hyperplanes_of(ConeUnion.make([nc], m)))
-    arr = arrangement(n_dir, extra=dual_hyper + ctx.ker_rows)
 
     def groups(v: Vec | None) -> list:
-        """Each cell with the graph section at its witness (in direction v)."""
-        return [(None, arr.hyperplanes, rho, model.section(rho.witness, v)) for rho in arr.cells]
+        """Each cell with the graph section at its witness (in direction v);
+        the context's memo keeps them."""
+
+        def build() -> list:
+            model = normal_graph(sys.d, ctx.gx)
+            dual_hyper = tuple(h for _, nc in model.cells for h in hyperplanes_of(ConeUnion.make([nc], m)))
+            arr = arrangement(n_dir, extra=dual_hyper + ctx.ker_rows)
+            return [(None, arr.hyperplanes, rho, model.section(rho.witness, v)) for rho in arr.cells]
+
+        return _memo(ctx, ("normal-graph", v), build)
 
     # condition "derivative-at-zero" (Ia) and "subderivative" (Ib): no nonzero
     # zhat in ker J^T in the graph section; the two sections of a cell share

@@ -5,7 +5,7 @@ import itertools
 import pkgutil
 
 import dircq
-from dircq import unions
+from dircq import cq, polyhedra, unions
 from dircq.cq import (
     check_thm_nonpolyhedral,
     check_thm_polyhedral_I,
@@ -80,20 +80,61 @@ def test_report_identical_after_cache_clear():
     assert '"status": "FAILS"' in cold and '"status": "HOLDS"' in cold
 
 
+def counted(monkeypatch, calls: dict, module, name: str, alias=None) -> None:
+    """Count the calls of ``module.name`` under ``calls[name]``; ``alias`` is
+    a module that imported the function by name and calls it from there."""
+    fn = getattr(module, name)
+    calls[name] = 0
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    for mod in (module, alias) if alias else (module,):
+        monkeypatch.setattr(mod, name, wrapper)
+
+
 def test_second_pass_asks_no_new_inclusion(monkeypatch):
     """After one pass of the three theorem checkers over ex58^2 in all eight
-    directions, a second pass finds every cone-union inclusion in the cache:
-    no ``subdivide_and_check`` call, so none of its LPs."""
+    directions, a second pass finds every cone-union inclusion in the cache
+    and every cell system, source image and tangent piece in the contexts'
+    memos: no ``subdivide_and_check`` call, so none of its LPs, and no image
+    cone, tangent cone or cell-system row tuple is built again."""
     sys = ex58_squared()
     directions = [vec(u) for u in itertools.product((-1, 0, 1), repeat=2) if any(u)]
-    calls = []
-    subdivide = unions.subdivide_and_check
-    monkeypatch.setattr(unions, "subdivide_and_check", lambda *args: calls.append(args) or subdivide(*args))
+    calls: dict = {}
+    counted(monkeypatch, calls, unions, "subdivide_and_check")
+    counted(monkeypatch, calls, polyhedra, "image_cone", alias=cq)
+    counted(monkeypatch, calls, unions, "tangent_of_cone_at")
+    counted(monkeypatch, calls, cq, "_system")
     clear_caches()
     passes = []
     for _ in range(2):
-        calls.clear()
+        calls.update(dict.fromkeys(calls, 0))
         rows = [dumps(verdict_row(f(sys, u))) for f in THEOREMS for u in directions]
-        passes.append((len(calls), rows))
-    assert passes[0][0] > 0 and passes[1][0] == 0
+        passes.append((dict(calls), rows))
+    assert all(passes[0][0].values()), passes[0][0]
+    assert not any(passes[1][0].values()), passes[1][0]
     assert passes[0][1] == passes[1][1]
+
+
+def test_explicit_targets_leave_the_memo_unchanged(monkeypatch):
+    """A system with a nonzero target x* is built on every call and never
+    kept: after one call of each theorem checker, 50 distinct targets leave
+    the context's memo as it was."""
+    sys, u = ex58_squared(), vec([-1, -1])
+    for check in THEOREMS:
+        check(sys, u, targets=[vec([1, 1])])
+    memo = cq._context(sys, u).memo
+    size = len(memo)
+    calls: dict = {}
+    counted(monkeypatch, calls, cq, "_system")
+    statuses = set()
+    for k in range(50):
+        for check in THEOREMS:
+            verdict = check(sys, u, targets=[vec([k + 2, 1 - k])])
+            witness = verdict.condition("lambda-representation").witness
+            statuses.update(t["status"] for t in witness.get("targets", ()))
+    assert cq._context(sys, u).memo is memo and len(memo) == size
+    # the targets were tested, each against systems built anew
+    assert calls["_system"] > 0 and statuses

@@ -30,7 +30,7 @@ from dircq.cq import (
 )
 from dircq.linalg import add, dot, mat_t_vec, scale, vec
 from dircq.polyhedra import HPolyhedron, PolyhedralCone
-from dircq.polymaps import PolyMap, parse_poly
+from dircq.polymaps import Poly, PolyMap, parse_poly
 from dircq.problemfile import load_problem
 from dircq.setmaps import ConstraintSystem
 from dircq.simplex import OPTIMAL, UNBOUNDED, solve_lp, strict_feasible_point
@@ -250,6 +250,17 @@ def _reference_cell_rows(signs, hyper, closed=False, affine=None):
     return lt, le, eq
 
 
+def _affine_context(jac, c) -> cq._Ctx:
+    """The context at x = 0 along u = e_0 of g_i(x) = <jac_i, x> + c_i x_0^2,
+    with D = R^m: its Jacobian is ``jac`` and its curvature vector h = 2c."""
+    m, n = len(jac), len(jac[0])
+    linear = [{tuple(int(k == j) for k in range(n)): q for j, q in enumerate(row)} for row in jac]
+    square = tuple(2 * int(k == 0) for k in range(n))
+    g = PolyMap.make([Poly.make({**lin, square: ci}, n) for lin, ci in zip(linear, c)])
+    sys = ConstraintSystem(g, PolyUnion.make([HPolyhedron.make(dim=m)]), vec([0] * n))
+    return cq._context(sys, vec([int(k == 0) for k in range(n)]))
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_cell_rows_match_the_per_hyperplane_mapping(data):
@@ -261,15 +272,18 @@ def test_cell_rows_match_the_per_hyperplane_mapping(data):
     hyper = tuple(data.draw(row) for _ in range(data.draw(st.integers(0, 5))))
     signs = tuple(data.draw(st.sampled_from((-1, 0, 1))) for _ in hyper)
     cell = SimpleNamespace(signs=signs)
+    jac = tuple(tuple(data.draw(rational) for _ in range(n)) for _ in range(m))
+    c = tuple(data.draw(rational) for _ in range(m))
+    ctx = _affine_context(jac, c)
+    assert ctx.jac == jac and ctx.h == scale(2, c)
     if data.draw(st.booleans()):
-        jac = tuple(tuple(data.draw(rational) for _ in range(n)) for _ in range(m))
-        c = tuple(data.draw(rational) for _ in range(m))
-        lt, eq = _shift_rows(SimpleNamespace(jac=jac, h=scale(2, c)), (hyper, cell))
+        lt, eq = _shift_rows(ctx, (hyper, cell))
         new = _system(lt, [], eq, n)
         ref = _system(*_reference_cell_rows(signs, hyper, affine=(jac, c)), n)
     else:
         closed = data.draw(st.booleans())
-        ctx = SimpleNamespace(sys=SimpleNamespace(n=n, m=m), ker_rows=())
+        # without the rows of ker J^T the system is the cell's rows alone
+        ctx = dataclasses.replace(ctx, ker_rows=())
         new = _cell_system(ctx, hyper, cell, PolyhedralCone.make(dim=m), closed=closed)
         ref = _system(*_reference_cell_rows(signs, hyper, closed), 2 * m)
     for i, attr in enumerate(("strict_a", "strict_b", "a", "b", "e", "d", "n")):

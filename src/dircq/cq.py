@@ -46,16 +46,17 @@ sides) needs no LP at all: 0 is a point.
 
 What the checkers build from the context alone is kept with the context, in
 its ``memo``: each checker's cell groups (the cells with their tangent
-pieces or graph sections), each cell system's row tuple and shift probe,
-each closed source cone, and the source images and multiplier targets of the
-lambda hypothesis.  The split is deliberate.  LP answers stay in the
-per-call table, so every call still solves its cell systems; rows and cones,
-which depend only on (g, D, xbar, u) and the cached arrangements, are built
-once per context and live and die with its ``_context`` cache entry.  The
-memo is keyed on int data (hyperplanes, sign vectors, int-row cones), never
-on cells, whose witnesses are Fractions.  A system with a nonzero target x*
-(``achievable``) is never kept: its target comes from the caller, so keeping
-it would let the memo grow without bound.
+pieces or graph sections), each cell's meet decision (``_meets``), each cell
+system's row tuple and shift probe, each closed source cone, and the source
+images and multiplier targets of the lambda hypothesis.  The split is
+deliberate.  LP answers stay in the per-call table, so every call still
+solves its cell systems; rows, cones and meet decisions (read off cell
+witnesses, with no LP), which depend only on (g, D, xbar, u) and the cached
+arrangements, are built once per context and live and die with its
+``_context`` cache entry.  The memo is keyed on int data (hyperplanes, sign
+vectors, int-row cones), never on cells, whose witnesses are Fractions.  A
+system with a nonzero target x* (``achievable``) is never kept: its target
+comes from the caller, so keeping it would let the memo grow without bound.
 
 Directional pseudo- and quasi-normality share one candidate driver.  The
 constraint-map and equilibrium deciders each build their own kernel
@@ -400,9 +401,10 @@ def _meets(ctx: _Ctx, hyper: tuple[Vec, ...], cell: Cell, y_rows: Mat = ()) -> b
 
 def _cell_pieces(ctx: _Ctx, groups, y_rows: Mat = ()):
     """(shift, hyperplanes, cell, tangent piece) of each cell of the groups
-    that ``_meets`` ker J^T and the y* rows, read lazily from the groups."""
+    that ``_meets`` ker J^T and the y* rows, read lazily from the groups.
+    The context's memo keeps each meet decision."""
     for shift, hyper, cell, pieces in groups:
-        if _meets(ctx, hyper, cell, y_rows):
+        if _memo(ctx, ("meets", hyper, cell.signs, y_rows), lambda: _meets(ctx, hyper, cell, y_rows)):
             for tp in pieces:
                 yield shift, hyper, cell, tp
 
@@ -712,8 +714,8 @@ def check_thm_polyhedral_II(
     reports = [_kernel_report(ctx, groups(ctx.ker_rows, True), table)]
     # lambda hypothesis over the full (s, v) range: v absorbs the shift, so
     # every arrangement cell of T(u) is reachable and y* only keeps the
-    # curvature sign row
-    neg_h = tuple(-x for x in ctx.h)
+    # curvature sign row, in int form as it keys the context's memo
+    neg_h = _exact_row(-x for x in ctx.h)
     cones, achievable = _sources(ctx, groups(ctx.ker_rows + (vec(ctx.h),), False), table, (neg_h,))
     reports.append(_lambda_condition(ctx, cones, n_dir, mode, targets, achievable))
     return _assemble_theorem_verdict("thm-doubled-tangent", reports)

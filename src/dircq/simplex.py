@@ -21,19 +21,33 @@ Phase 1 depends only on the constraint system, not on the objective, and
 callers often maximize several objectives over one system.  ``_phase1`` keeps
 its result in a bounded ``lru_cache`` (``PHASE1_CACHE_SIZE`` entries) keyed by
 the system's integer rows, one (ints..., rhs, den) tuple per row, together
-with n and the number m1 of inequality rows: either the Farkas vector or the
-phase-2 start rows and basis, all tuples.  Every call still runs its own
-phase 2 on fresh lists, so it takes the same Bland pivots and returns the same
-``LPResult`` as without the cache, and every returned Farkas vector is checked
-by ``verify_farkas`` against the caller's data.  The cone layer passes its
-canonical int rows straight through: a row whose entries are all ints is its
-own key over the denominator 1, without a pass through ``int_row``, and an
-equal row given as Fractions reads into the same key and shares the entry.
+with n, the number m1 of inequality rows and the bounded columns (below):
+either the Farkas vector or the phase-2 start rows and basis, all tuples.
+Every call still runs its own phase 2 on fresh lists, so it takes the same
+Bland pivots and returns the same ``LPResult`` as without the cache, and every
+returned Farkas vector is checked by ``verify_farkas`` against the caller's
+data.  The cone layer passes its canonical int rows straight through: a row
+whose entries are all ints is its own key over the denominator 1, without a
+pass through ``int_row``, and an equal row given as Fractions reads into the
+same key and shares the entry.
 
-Free variables are split as x = x+ - x-, and the columns are x+, x-, slacks,
-then phase-1 artificials.  That layout fixes Bland's pivot path, and with it
-which optimal vertex, ray and certificate callers see; the reports derived
-from them depend on it.
+A sign row, an inequality -k x_j <= 0 with k > 0 and right-hand side 0, is
+read as the bound x_j >= 0: the row is dropped and x_j keeps one nonnegative
+column (Chvatal, *Linear Programming*, 1983, ch. 8).  Every other variable is
+free and split as x = x+ - x-.  The columns are x+ for every variable, x- for
+the free ones only, slacks of the remaining inequality rows, then phase-1
+artificials.  That layout fixes Bland's pivot path, and with it which optimal
+vertex, ray and certificate callers see; the reports derived from them
+depend on it.  With no row left, only the bounds constrain x, and the ray of
+an unbounded answer is c with its negative bounded entries set to 0.
+
+A Farkas vector stays in the caller's terms.  Phase 1 of the bounded system
+gives multipliers (y, z) of the remaining rows whose combination
+w = y^T A + z^T E is 0 on the free columns and >= 0 on the bounded ones.  The
+first sign row -k x_j <= 0 of each bounded column takes w_j / k, which clears
+column j, and later sign rows on the same column take 0; the vector over all
+the caller's rows then passes ``verify_farkas``, which checks it before it is
+returned.
 
 ``relative_interior`` finds a relative-interior point of {a x <= b, e x = d}
 together with its implicit equalities (the rows a_i x <= b_i that hold with
@@ -42,7 +56,8 @@ equality on the whole set) by the single LP of Freund, Roundy & Todd
 inequalities by a single linear program*, MIT Sloan WP 1674-85, 1985):
 max sum t subject to a x + t <= b tau, e x = d tau, 0 <= t <= 1, tau >= 1.
 A homogeneous system drops tau.  It is one call of the module-level
-``solve_lp``, so it is counted and cached like every other LP here.
+``solve_lp``, so it is counted and cached like every other LP here, and its
+rows -t_i <= 0 are sign rows, so each t_i is one bounded column.
 """
 
 from __future__ import annotations
@@ -185,32 +200,54 @@ class _Tableau:
             self.pivot(leave, enter)
 
 
-def _unconstrained(c: Vec, n: int) -> LPResult:
-    """max c.x over all of R^n."""
-    if is_zero(c):
+def _unconstrained(c: Vec, n: int, bounded=()) -> LPResult:
+    """max c.x over {x in R^n : x_j >= 0 for j in bounded}.
+
+    The ray is c with its negative bounded entries set to 0.
+    """
+    ray = tuple(_ZERO if v < 0 and j in bounded else v for j, v in enumerate(c))
+    if is_zero(ray):
         return LPResult(OPTIMAL, x=zeros(n), objective=Fraction(0))
-    return LPResult(UNBOUNDED, ray=c)
+    return LPResult(UNBOUNDED, ray=ray)
+
+
+def _bound_column(row: tuple[int, ...]) -> int | None:
+    """j when the int row (coeffs..., rhs, den) reads -k x_j <= 0 with k > 0."""
+    if row[-2] != 0:
+        return None
+    col = None
+    for j, v in enumerate(row[:-2]):
+        if v:
+            if v > 0 or col is not None:
+                return None
+            col = j
+    return col
 
 
 @lru_cache(maxsize=PHASE1_CACHE_SIZE)
-def _phase1(rows: tuple[tuple[int, ...], ...], n: int, m1: int) -> tuple:
-    """Phase 1 of the system whose rows (coeffs, rhs, den) are ints over den.
+def _phase1(rows: tuple[tuple[int, ...], ...], n: int, m1: int, bounded: tuple[int, ...]) -> tuple:
+    """Phase 1 of the system whose rows (coeffs, rhs, den) are ints over den,
+    with x_j >= 0 for each column j in ``bounded``.
 
     The first m1 rows are inequalities, the rest equalities.  Returns
     (INFEASIBLE, farkas_ineq, farkas_eq) or (OPTIMAL, rows, basis): the
     phase-2 start tableau on the original columns, empty when every row
-    reduced to 0 = 0.
+    reduced to 0 = 0.  The Farkas vector is one of the bounded system: its
+    combination of the rows is 0 on the free columns and >= 0 on the bounded
+    ones.
     """
-    # columns: x+ (n), x- (n), slacks (m1), artificials (m1 + m2), rhs; each
-    # row is sign-flipped so that its rhs is >= 0
+    # columns: x+ (n), x- of the free columns, slacks (m1), artificials
+    # (m1 + m2), rhs; each row is sign-flipped so that its rhs is >= 0
+    free = [j for j in range(n) if j not in bounded]
     mrows = len(rows)
-    ncols = 2 * n + m1
+    nx = n + len(free)
+    ncols = nx + m1
     tab: list[list[int]] = []
     flip: list[int] = []
     for i, (*ints, h, den) in enumerate(rows):
-        r = ints + [-x for x in ints] + [0] * (m1 + mrows) + [h]
+        r = ints + [-ints[j] for j in free] + [0] * (m1 + mrows) + [h]
         if i < m1:
-            r[2 * n + i] = den
+            r[nx + i] = den
         s = -1 if h < 0 else 1
         if s < 0:
             r = [-x for x in r]
@@ -258,45 +295,70 @@ def solve_lp(
     if n is None:
         n = len(c)
     m1 = len(a)
-    if m1 + len(e) == 0:
-        return _unconstrained(c, n)
     rows = []
-    for coeffs, hv in (*zip(a, b, strict=True), *zip(e, d, strict=True)):
+    kept = []  # the caller's index of each inequality row that stays a row
+    bounds: dict[int, int] = {}  # bounded column -> the caller's index of its first sign row
+    for i, (coeffs, hv) in enumerate((*zip(a, b, strict=True), *zip(e, d, strict=True))):
         row = (*coeffs, hv)
         if all(map(_is_int, row)):
             # the key int_row would give: the row itself over den 1
-            rows.append((*row, 1))
+            row = (*row, 1)
         else:
             ints, den = int_row(row)
             ints.append(den)
-            rows.append(tuple(ints))
-    phase1 = _phase1(tuple(rows), n, m1)
+            row = tuple(ints)
+        if i < m1:
+            j = _bound_column(row)
+            if j is not None:
+                bounds.setdefault(j, i)
+                continue
+            kept.append(i)
+        rows.append(row)
+    if not rows:
+        return _unconstrained(c, n, bounds)
+    phase1 = _phase1(tuple(rows), n, len(kept), tuple(sorted(bounds)))
     if phase1[0] == INFEASIBLE:
         _, y, z = phase1
+        if bounds:
+            y = _bound_multipliers(a, e, y, z, kept, bounds)
         if not verify_farkas(a, b, e, d, y, z):  # pragma: no cover
             raise AssertionError("internal: invalid Farkas certificate")
         return LPResult(INFEASIBLE, farkas_ineq=y, farkas_eq=z)
     _, start, basis = phase1
     if not start:
-        # every row reduced to 0 = 0, so the constraints hold on all of R^n
-        return _unconstrained(c, n)
+        # every row reduced to 0 = 0, so only the bounds constrain x
+        return _unconstrained(c, n, bounds)
 
     # phase 2 on fresh lists; the cached start rows are never pivoted
     t = _Tableau([list(r) for r in start], list(basis))
     cints, cden = int_row(c)
-    status, enter, _, _ = t.solve_max(cints + [-x for x in cints] + [0] * m1, cden)
+    free = [j for j in range(n) if j not in bounds]
+    status, enter, _, _ = t.solve_max(cints + [-cints[j] for j in free] + [0] * len(kept), cden)
     w = t.point() if status == OPTIMAL else t.ray(enter)
     # x+_j and x-_j have opposite columns, so at most one of them is in w
     point = [_ZERO] * n
     for j, v in w.items():
         if j < n:
             point[j] = v
-        elif j < 2 * n:
-            point[j - n] = -v
+        elif j < n + len(free):
+            point[free[j - n]] = -v
     point = tuple(point)
     if status == UNBOUNDED:
         return LPResult(UNBOUNDED, ray=point)
     return LPResult(OPTIMAL, x=point, objective=dot(c, point))
+
+
+def _bound_multipliers(a: Mat, e: Mat, y: Vec, z: Vec, kept: list[int], bounds: dict[int, int]) -> Vec:
+    """The Farkas vector of the bounded system as one over all the caller's
+    inequality rows: the first sign row -k x_j <= 0 of each bounded column j
+    takes (y^T A + z^T E)_j / k, which clears column j, and every later one 0."""
+    full = [_ZERO] * len(a)
+    for i, yi in zip(kept, y, strict=True):
+        full[i] = yi
+    for j, i in bounds.items():
+        comb = sum((full[r] * a[r][j] for r in kept), _ZERO) + sum((zr * row[j] for zr, row in zip(z, e)), _ZERO)
+        full[i] = comb / -a[i][j]
+    return tuple(full)
 
 
 def feasible_point(a: Mat, b: Vec, e: Mat = (), d: Vec = (), *, n: int) -> LPResult:
@@ -341,7 +403,8 @@ def relative_interior(a: Mat, b: Vec, e: Mat, d: Vec, n: int) -> tuple[Vec, tupl
     a x + t <= b tau, e x = d tau, 0 <= t <= 1, tau >= 1.  At an optimum t_i
     is 1 on every row that is not implicit and 0 on every implicit row, and
     p = x / tau.  A homogeneous system (b = 0, d = 0) is a cone, so it
-    needs no tau: x itself is the point.
+    needs no tau: x itself is the point.  The rows -t_i <= 0 are sign rows,
+    which ``solve_lp`` reads as the bounds t_i >= 0 on single columns.
     """
     m = len(a)
     homogeneous = not any(b) and not any(d)

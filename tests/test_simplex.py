@@ -173,25 +173,49 @@ class _RationalTableau:
             self.pivot(leave, enter)
 
 
-def _reference_unconstrained(c, n):
-    if is_zero(c):
+def _reference_unconstrained(c, n, bounded=()):
+    ray = vec(Q(0) if x < 0 and j in bounded else x for j, x in enumerate(c))
+    if is_zero(ray):
         return LPResult(OPTIMAL, x=zeros(n), objective=Q(0))
-    return LPResult(UNBOUNDED, ray=c)
+    return LPResult(UNBOUNDED, ray=ray)
 
 
-def reference_solve_lp(c, a=(), b=(), e=(), d=(), n=None):
+def bound_column(row, hv):
+    """j when row . x <= hv reads -k x_j <= 0 with k > 0, else None."""
+    nonzero = [j for j, x in enumerate(row) if x != 0]
+    if hv == 0 and len(nonzero) == 1 and row[nonzero[0]] < 0:
+        return nonzero[0]
+    return None
+
+
+def reference_solve_lp(c, a=(), b=(), e=(), d=(), n=None, presolve=True):
+    """The rational Bland tableau in solve_lp's column layout.
+
+    With ``presolve`` each sign row -k x_j <= 0 becomes the bound x_j >= 0 on
+    one column, as in solve_lp; without it every row stays a row and every
+    variable is split, which is the same LP with a different pivot path.
+    """
     a, b, e, d, c = mat(a), vec(b), mat(e), vec(d), vec(c)
     if n is None:
         n = len(c)
-    m1, m2 = len(a), len(e)
-    ncols = 2 * n + m1
+    kept, bounds = [], {}
+    for i, (row, hv) in enumerate(zip(a, b)):
+        j = bound_column(row, hv) if presolve else None
+        if j is None:
+            kept.append(i)
+        else:
+            bounds.setdefault(j, i)
+    free = [j for j in range(n) if j not in bounds]
+    nx = n + len(free)
+    m1, m2 = len(kept), len(e)
+    ncols = nx + m1
     rows, rhs, flip = [], [], []
     for i in range(m1 + m2):
-        coeffs = a[i] if i < m1 else e[i - m1]
-        r = list(coeffs) + [-x for x in coeffs] + [Q(0)] * m1
+        coeffs = a[kept[i]] if i < m1 else e[i - m1]
+        r = list(coeffs) + [-coeffs[j] for j in free] + [Q(0)] * m1
         if i < m1:
-            r[2 * n + i] = Q(1)
-        hv = b[i] if i < m1 else d[i - m1]
+            r[nx + i] = Q(1)
+        hv = b[kept[i]] if i < m1 else d[i - m1]
         if hv < 0:
             r, hv = [-x for x in r], -hv
             flip.append(Q(-1))
@@ -201,13 +225,20 @@ def reference_solve_lp(c, a=(), b=(), e=(), d=(), n=None):
         rhs.append(hv)
     mrows = len(rows)
     if mrows == 0:
-        return _reference_unconstrained(c, n)
+        return _reference_unconstrained(c, n, bounds)
     g1 = [row + [Q(1 if j == i else 0) for j in range(mrows)] for i, row in enumerate(rows)]
     t = _RationalTableau(g1, list(rhs), [ncols + i for i in range(mrows)])
     _, w, red = t.solve_max([Q(0)] * ncols + [Q(-1)] * mrows)
     if sum(w[ncols:], Q(0)) > 0:
         cert = [(-1 - red[ncols + i]) * flip[i] for i in range(mrows)]
-        return LPResult(INFEASIBLE, farkas_ineq=vec(cert[:m1]), farkas_eq=vec(cert[m1:]))
+        y, z = [Q(0)] * len(a), cert[m1:]
+        for i, yi in zip(kept, cert):
+            y[i] = yi
+        # the first sign row of each bounded column clears that column
+        for j, i in bounds.items():
+            comb = sum((y[r] * a[r][j] for r in kept), Q(0)) + sum((zi * row[j] for zi, row in zip(z, e)), Q(0))
+            y[i] = comb / -a[i][j]
+        return LPResult(INFEASIBLE, farkas_ineq=vec(y), farkas_eq=vec(z))
     for r in range(mrows):
         if t.basis[r] >= ncols:
             c_enter = next((j for j in range(ncols) if t.g[r][j] != 0), None)
@@ -215,12 +246,15 @@ def reference_solve_lp(c, a=(), b=(), e=(), d=(), n=None):
                 t.pivot(r, c_enter)
     keep = [r for r in range(mrows) if t.basis[r] < ncols]
     if not keep:
-        return _reference_unconstrained(c, n)
+        return _reference_unconstrained(c, n, bounds)
     t2 = _RationalTableau(
         [t.g[r][:ncols] for r in keep], [t.h[r] for r in keep], [t.basis[r] for r in keep]
     )
-    status, w, _ = t2.solve_max(list(c) + [-x for x in c] + [Q(0)] * m1)
-    point = vec(w[j] - w[n + j] for j in range(n))
+    status, w, _ = t2.solve_max(list(c) + [-c[j] for j in free] + [Q(0)] * m1)
+    point = list(w[:n])
+    for k, j in enumerate(free):
+        point[j] -= w[n + k]
+    point = vec(point)
     if status == UNBOUNDED:
         return LPResult(UNBOUNDED, ray=point)
     return LPResult(OPTIMAL, x=point, objective=dot(c, point))
@@ -282,6 +316,84 @@ def test_same_result_as_rational_tableau_every_status():
 
 
 # ---------------------------------------------------------------------------
+# sign rows -k x_j <= 0 read as bounds x_j >= 0 on single columns
+
+
+@st.composite
+def _bounded_lps(draw):
+    """LPs (c, a, b, e, d, n) with sign rows -k x_j <= 0, duplicated or
+    rescaled on one column, in any order among free rows and equalities, or
+    making up every row (an orthant)."""
+    n = draw(st.integers(1, 3))
+    entry = st.sampled_from((Q(-2), Q(-1), Q(0), Q(0), Q(1, 2), Q(1), Q(2)))
+    rhs = st.sampled_from((Q(-2), Q(-1), Q(0), Q(0), Q(1), Q(2)))
+    row = st.lists(entry, min_size=n, max_size=n)
+    rows = []
+    for j in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4)):
+        r = [Q(0)] * n
+        r[j] = -draw(st.sampled_from((Q(1), Q(2), Q(3), Q(1, 2), Q(2, 3))))
+        rows.append((r, Q(0)))
+    e, d = [], []
+    if not draw(st.booleans()):
+        rows += [(draw(row), draw(rhs)) for _ in range(draw(st.integers(0, 3)))]
+        e = draw(st.lists(row, max_size=2))
+        d = [draw(rhs) for _ in e]
+    rows = draw(st.permutations(rows))
+    return draw(row), [r for r, _ in rows], [h for _, h in rows], e, d, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bounded_lps())
+def test_sign_rows_read_as_bounds(lp):
+    c, a, b, e, d, n = lp
+    res = solve_lp(c, a, b, e, d, n=n)
+    plain = reference_solve_lp(c, a, b, e, d, n=n, presolve=False)
+    assert (res.status, res.objective) == (plain.status, plain.objective)
+    for v in (res.x, res.ray, res.farkas_ineq, res.farkas_eq):
+        assert v is None or all(type(x) is Q for x in v)
+    if res.status == OPTIMAL:
+        assert all(dot(row, res.x) <= hv for row, hv in zip(a, b))
+        assert all(dot(row, res.x) == hv for row, hv in zip(e, d))
+    elif res.status == UNBOUNDED:
+        assert all(dot(row, res.ray) <= 0 for row in a)
+        assert all(dot(row, res.ray) == 0 for row in e)
+        assert dot(c, res.ray) > 0
+    else:
+        assert verify_farkas(a, b, e, d, res.farkas_ineq, res.farkas_eq)
+
+
+def test_sign_rows_cases():
+    # the orthant x >= 0, y >= 0 (y twice, rescaled): no row is left
+    orthant = dict(a=[[-1, 0], [0, -2], [0, Q(-1, 3)]], b=[0, 0, 0], n=2)
+    assert solve_lp([1, -1], **orthant) == LPResult(UNBOUNDED, ray=vec([1, 0]))
+    assert solve_lp([-1, 0], **orthant) == LPResult(OPTIMAL, x=vec([0, 0]), objective=Q(0))
+    # -2x <= 0, -x <= 0, x <= -1: the first sign row takes the multiplier
+    a, b = [[-2], [-1], [1]], [0, 0, -1]
+    res = solve_lp([0], a, b)
+    assert res.status == INFEASIBLE and res.farkas_ineq == vec([Q(1, 2), 0, 1])
+    assert verify_farkas(a, b, (), (), res.farkas_ineq, res.farkas_eq)
+    # x <= 0 is a row, not a bound; with x >= 0 it pins x to 0
+    res = solve_lp([1, 1], [[1, 0], [-1, 0], [0, 1]], [0, 0, 3])
+    assert res == LPResult(OPTIMAL, x=vec([0, 3]), objective=Q(3))
+
+
+def test_relative_interior_bounds_its_margins(monkeypatch):
+    """The margin rows -t_i <= 0 of the relative-interior LP reach phase 1 as
+    bounds: its cache key carries one bounded column per row of a."""
+    keys = []
+    original = simplex._phase1
+
+    def recorded(rows, n, m1, bounded):
+        keys.append((n, m1, bounded))
+        return original(rows, n, m1, bounded)
+
+    monkeypatch.setattr(simplex, "_phase1", recorded)
+    relative_interior([[1, 0], [0, 1], [-1, -1]], [1, 1, 0], [], [], 2)
+    # columns x (2), t (3), tau; rows a x + t <= b tau, t <= 1, -tau <= -1
+    assert keys == [(6, 7, (2, 3, 4))]
+
+
+# ---------------------------------------------------------------------------
 # the phase-1 cache: one phase 1 per constraint system, one phase 2 per call
 
 
@@ -330,13 +442,14 @@ def test_int_and_fraction_inputs_agree():
         as_int = [[[int(2 * x) for x in row] for row in m] for m in (a, e)]
         ai, ei = as_int
         bi, di, ci = ([int(2 * x) for x in v] for v in (b, d, c))
+        # a system of sign rows alone is all bounds and needs no phase 1
+        reaches_phase1 = bool(ei) or any(bound_column(row, hv) is None for row, hv in zip(ai, bi))
         phase1.cache_clear()
         res = solve_lp(ci, ai, bi, ei, di, n=n)
-        hits = phase1.cache_info().hits
+        assert phase1.cache_info().misses == reaches_phase1
         fres = solve_lp(vec(ci), mat(ai), vec(bi), mat(ei), vec(di), n=n)
         assert res == fres == reference_solve_lp(ci, ai, bi, ei, di, n=n)
-        if ai or ei:
-            assert phase1.cache_info().hits == hits + 1
+        assert phase1.cache_info()[:2] == (reaches_phase1, reaches_phase1)
         for v in (res.x, res.ray, res.farkas_ineq, res.farkas_eq):
             assert v is None or all(type(x) is Q for x in v)
         if res.status == INFEASIBLE:

@@ -8,9 +8,12 @@ tracer module itself.
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
+
+from dircq import simplex
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -35,3 +38,15 @@ NAMES = sorted(
 def test_traced_name_is_a_dircq_function(module, name):
     mod = importlib.import_module(f"dircq.{module}")
     assert callable(getattr(mod, name, None)), f"dircq.{module}.{name}"
+
+
+def test_lp_info_takes_every_solve_lp_argument():
+    """The tracer hands each ``solve_lp`` call's arguments on to ``_lp_info``,
+    so every parameter of ``solve_lp``, by position and by keyword, must bind
+    there too; a new one would make every traced LP span raise TypeError."""
+    params = list(inspect.signature(simplex.solve_lp).parameters)
+    info = inspect.signature(tracing._lp_info)
+    info.bind(None, *params)
+    info.bind(None, **dict.fromkeys(params))
+    res = simplex.solve_lp((1, 0), a=((1, 0), (0, -1)), b=(1, 0), n=2)
+    assert tracing._lp_info(res, (1, 0), a=((1, 0), (0, -1)), b=(1, 0), n=2) == (False, 4)

@@ -46,17 +46,19 @@ sides) needs no LP at all: 0 is a point.
 
 What the checkers build from the context alone is kept with the context, in
 its ``memo``: each checker's cell groups (the cells with their tangent
-pieces or graph sections), each cell's meet decision (``_meets``), each cell
-system's row tuple and shift probe, each closed source cone, and the source
-images and multiplier targets of the lambda hypothesis.  The split is
-deliberate.  LP answers stay in the per-call table, so every call still
-solves its cell systems; rows, cones and meet decisions (read off cell
-witnesses, with no LP), which depend only on (g, D, xbar, u) and the cached
-arrangements, are built once per context and live and die with its
-``_context`` cache entry.  The memo is keyed on int data (hyperplanes, sign
-vectors, int-row cones), never on cells, whose witnesses are Fractions.  A
-system with a nonzero target x* (``achievable``) is never kept: its target
-comes from the caller, so keeping it would let the memo grow without bound.
+pieces or graph sections), each cell system's row tuple and shift probe,
+each closed source cone, and the source images and multiplier targets of
+the lambda hypothesis.  The split is deliberate.  LP answers stay in the
+per-call table, so every call still solves its cell systems; rows and
+cones, which depend only on (g, D, xbar, u) and the cached arrangements,
+are built once per context and live and die with its ``_context`` cache
+entry.  The memo is keyed on int data (hyperplanes, sign vectors, int-row
+cones), never on cells, whose witnesses are Fractions.  A system with a
+nonzero target x* (``achievable``) is never kept: its target comes from the
+caller, so keeping it would let the memo grow without bound.  A meet
+decision (``_meets``) is read off the cell's witness on every call, with a
+few int dot products: a memo entry for it did not speed up a warm pass by
+more than the spread between runs.
 
 Directional pseudo- and quasi-normality share one candidate driver.  The
 constraint-map and equilibrium deciders each build their own kernel
@@ -71,6 +73,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Sequence
 
 from dircq.linalg import (
@@ -81,6 +84,7 @@ from dircq.linalg import (
     coprime_ints,
     dot,
     half_step,
+    int_row,
     is_orthogonal_basis,
     is_zero,
     mat_t_vec,
@@ -395,16 +399,16 @@ def _meets(ctx: _Ctx, hyper: tuple[Vec, ...], cell: Cell, y_rows: Mat = ()) -> b
     for key in keys:
         if key not in hyper:
             raise ValueError(f"row {key} is not, up to scale, a hyperplane of the cell's arrangement")
-    w = cell.witness
-    return all(dot(r, w) == 0 for r in ctx.ker_rows) and all(dot(r, w) <= 0 for r in y_rows)
+    # signs at the witness, scaled to ints by a positive factor
+    ws = int_row(cell.witness)[0]
+    return all(sum(map(mul, r, ws)) == 0 for r in ctx.ker_rows) and all(sum(map(mul, r, ws)) <= 0 for r in y_rows)
 
 
 def _cell_pieces(ctx: _Ctx, groups, y_rows: Mat = ()):
     """(shift, hyperplanes, cell, tangent piece) of each cell of the groups
-    that ``_meets`` ker J^T and the y* rows, read lazily from the groups.
-    The context's memo keeps each meet decision."""
+    that ``_meets`` ker J^T and the y* rows, read lazily from the groups."""
     for shift, hyper, cell, pieces in groups:
-        if _memo(ctx, ("meets", hyper, cell.signs, y_rows), lambda: _meets(ctx, hyper, cell, y_rows)):
+        if _meets(ctx, hyper, cell, y_rows):
             for tp in pieces:
                 yield shift, hyper, cell, tp
 

@@ -5,27 +5,32 @@ here is immutable and hashable so that cones built from this data can be
 cached and compared structurally.
 
 Fractions in, Fractions out, ints inside: the kernels (``dot``, the coprime
-scaling of ``canon_ray``/``coprime_ints``, and ``rref`` with ``rank`` and
-``nullspace`` on top of it) accept int and Fraction entries, scale each row
-to Python ints by the lcm of its denominators, and build a Fraction only for
-each value they return.  Every result equals the one plain Fraction
-arithmetic gives.
+scaling of ``canon_ray``/``coprime_ints``, and the row reduction) accept int
+and Fraction entries, scale each row to Python ints by the lcm of its
+denominators, and build a Fraction only for each value they return.  Every
+result equals the one plain Fraction arithmetic gives.
 
 The cone layer (``dircq.polyhedra``) stores its rows as coprime int tuples,
 so the int-level kernels are public too: ``int_row`` reads a row into ints
 over one denominator (an all-int row is taken as it is), ``coprime_ints``
 gives the canonical int key of a ray or line, and ``int_nullspace`` the null
 space as canonical int lines.  None of them builds a Fraction.
-``rref_reduce``, ``rref_extend`` and ``rref_span`` keep an int RREF that grows
-one row at a time; ``null_direction`` and ``half_step`` step off a point
-inside the null space of such rows while strict rows stay strict.
+
+There is one row reduction: ``rref_reduce``, ``rref_extend`` and
+``rref_span`` keep an int RREF that grows one row at a time.
+``unions.sign_cells`` and the cell systems of ``cq`` carry one, and
+``rref``, ``rank``, ``pivot_columns``, ``nullspace`` and ``int_nullspace``
+read ``rref_span``'s rows sorted by pivot column.  RREF rows are unique up
+to scale, and none of these readers depends on the scale.
+``null_direction`` and ``half_step`` step off a point inside the null space
+of such rows while strict rows stay strict.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterable, Sequence
 
 Q = Fraction
@@ -121,98 +126,6 @@ def mat_t_vec(m: Mat, v: Vec) -> Vec:
     return tuple(dot(col, v) for col in zip(*m, strict=True))
 
 
-def _int_rref(m: Mat) -> tuple[list[list[int]], list[int]]:
-    """Integer rows of the reduced row echelon form of m, and pivot columns.
-
-    Row i is the i-th rref row times its (nonzero) pivot entry: zero in the
-    other pivot columns, coprime.  Every row is scaled to ints once, and an
-    elimination step ``p*row - q*pivot_row`` is divided by its gcd.
-    """
-    rows = [primitive(int_row(r)[0]) for r in m]
-    pivots: list[int] = []
-    if not rows:
-        return rows, pivots
-    r = 0
-    for c in range(len(rows[0])):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        prow = rows[r]
-        p = prow[c]
-        for i, row in enumerate(rows):
-            q = row[c]
-            if q and i != r:
-                g = gcd(p, q)
-                pg, qg = p // g, q // g
-                rows[i] = primitive([pg * x - qg * y for x, y in zip(row, prow)])
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
-
-
-def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row echelon form; returns (rows without zero rows, pivot cols)."""
-    rows, pivots = _int_rref(m)
-    return (
-        tuple(tuple(Fraction(x, row[c]) for x in row) for row, c in zip(rows, pivots)),
-        tuple(pivots),
-    )
-
-
-def rank(m: Mat) -> int:
-    return len(_int_rref(m)[1])
-
-
-def pivot_columns(m: Mat) -> tuple[int, ...]:
-    """The pivot columns of ``rref(m)``, without building its rows."""
-    return tuple(_int_rref(m)[1])
-
-
-def nullspace(m: Mat, dim: int | None = None) -> list[Vec]:
-    """Basis of {x : m x = 0}.  ``dim`` is required when m has no rows."""
-    if not m:
-        if dim is None:
-            raise ValueError("nullspace of empty matrix needs explicit dimension")
-        return [unit(dim, i) for i in range(dim)]
-    n = len(m[0])
-    rows, pivots = _int_rref(m)
-    basis: list[Vec] = []
-    for fc in range(n):
-        if fc in pivots:
-            continue
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for row, pc in zip(rows, pivots):
-            if row[fc]:
-                v[pc] = Fraction(-row[fc], row[pc])
-        basis.append(tuple(v))
-    return basis
-
-
-def int_nullspace(m: Sequence[Sequence], dim: int) -> list[tuple[int, ...]]:
-    """The basis of ``nullspace(m, dim)``, each vector as its ``coprime_ints(v, line=True)``."""
-    if not m:
-        return [tuple(int(j == i) for j in range(dim)) for i in range(dim)]
-    rows, pivots = _int_rref(m)
-    basis = []
-    for fc in range(dim):
-        if fc in pivots:
-            continue
-        # nullspace's vector (1 at fc, -row[fc]/row[pc] at each pivot pc)
-        # times the lcm of the pivot entries it divides by
-        used = [(row, pc) for row, pc in zip(rows, pivots) if row[fc]]
-        scale_ = lcm(*[row[pc] for row, pc in used]) if used else 1
-        v = [0] * dim
-        v[fc] = scale_
-        for row, pc in used:
-            v[pc] = -row[fc] * (scale_ // row[pc])
-        basis.append(coprime_ints(v, line=True))
-    return basis
-
-
 # Incremental int RREF.  ``eqs`` is a list of (row, pivot column) pairs: int
 # rows, coprime, each zero at the other rows' pivot columns and positive at
 # its own.  ``unions.sign_cells`` carries one down its search, and the cell
@@ -293,6 +206,50 @@ def half_step(rows: Sequence[Sequence], w: Vec, d: Sequence[int], rhs: Sequence 
             if eps is None or t < eps:
                 eps = t
     return Fraction(1) if eps is None else eps / 2
+
+
+# Batch readers of the incremental RREF: one ``rref_span`` each.
+
+
+def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
+    """Reduced row echelon form; returns (rows without zero rows, pivot cols).
+
+    The rows are ``rref_span``'s, sorted by pivot column and divided by
+    their pivot entries.
+    """
+    eqs = sorted(rref_span(m), key=itemgetter(1))
+    return tuple(tuple(Fraction(x, row[c]) for x in row) for row, c in eqs), tuple(c for _, c in eqs)
+
+
+def rank(m: Mat) -> int:
+    return len(rref_span(m))
+
+
+def pivot_columns(m: Mat) -> tuple[int, ...]:
+    """The pivot columns of ``rref(m)``, without building its rows."""
+    return tuple(sorted(c for _, c in rref_span(m)))
+
+
+def _null_basis(m: Sequence[Sequence], dim: int) -> list[tuple[int, list[int]]]:
+    """(fc, ``null_direction``'s int vector at fc) for each non-pivot column
+    fc of m, in order: 0 at every other non-pivot column, positive at fc."""
+    eqs = rref_span(m)
+    pivots = {c for _, c in eqs}
+    return [(fc, null_direction(eqs, [int(j == fc) for j in range(dim)])) for fc in range(dim) if fc not in pivots]
+
+
+def nullspace(m: Mat, dim: int | None = None) -> list[Vec]:
+    """Basis of {x : m x = 0}.  ``dim`` is required when m has no rows."""
+    if not m:
+        if dim is None:
+            raise ValueError("nullspace of empty matrix needs explicit dimension")
+        return [unit(dim, i) for i in range(dim)]
+    return [tuple(Fraction(x, v[fc]) for x in v) for fc, v in _null_basis(m, len(m[0]))]
+
+
+def int_nullspace(m: Sequence[Sequence], dim: int) -> list[tuple[int, ...]]:
+    """The basis of ``nullspace(m, dim)``, each vector as its ``coprime_ints(v, line=True)``."""
+    return [coprime_ints(v, line=True) for _, v in _null_basis(m, dim)]
 
 
 def coprime_ints(v: Sequence[Fraction], line: bool = False) -> tuple[int, ...]:

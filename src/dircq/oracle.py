@@ -20,6 +20,9 @@ on the ``PatchMap`` and the point.  Every search that needs a patch normal
 cone (asymptotic regularity and the equilibrium normality search) reads
 it there.  All three hold exact data derived from their key alone.
 ``report.verify_report`` checks witnesses without reading any of them.
+
+``_normal_candidates`` is the one projection onto a union: the normality
+searches read every candidate, and the directional sampler its nearest.
 """
 
 from __future__ import annotations
@@ -78,7 +81,8 @@ NOT_FOUND = "NOT_FOUND"
 # sequence workload meets 28 distinct pieces.
 FACE_CACHE_SIZE = 128
 # (union, point) pairs whose normal candidates ``_normal_candidates`` keeps:
-# one per schedule step of a search; the same pass asks for 121 of them.
+# one per schedule step of a search or of the sampler; the same pass asks
+# for 145 of them.
 CANDIDATE_CACHE_SIZE = 1024
 # (patch map, graph point) pairs whose regular normal cone
 # ``_graph_point_cone`` keeps: a pass of the sequence workload meets 86
@@ -207,32 +211,14 @@ def _face_hulls(pieces) -> tuple[_FaceHull, ...]:
     return tuple(hull for piece in pieces for hull in _piece_hulls(piece))
 
 
-def _nearest_on_hulls(hulls, p: Vec) -> Vec | None:
-    """Nearest face projection of p that lies in its own piece.
-
-    Distances compare in integers: |z - p|^2 = |zs - den q|^2 / (dq den)^2
-    for z = zs / (dq den) and p = q / dq.  Ties keep the first hull.
-    """
-    q, dq = int_row(p)
-    best = None
-    for hull in hulls:
-        zs = hull.project_ints(q, dq)
-        den = dq * hull.den
-        if not hull.piece.holds(zs, den):
-            continue
-        d2 = sum((z - hull.den * x) ** 2 for z, x in zip(zs, q))
-        if best is None or d2 * best[1] ** 2 < best[0] * den**2:
-            best = (d2, den, zs)
-    return None if best is None else tuple(Fraction(z, best[1]) for z in best[2])
-
-
 @lru_cache(maxsize=CANDIDATE_CACHE_SIZE)
 def _normal_candidates(d: PolyUnion, p: Vec) -> tuple[tuple[Vec, PolyhedralCone], ...]:
     """(z, regular normal cone of d at z) for the distinct face projections
     z of p that lie in d, in hull order.
 
     Cached on (d, p), CANDIDATE_CACHE_SIZE entries: every candidate
-    multiplier and both normality modes search the same points.
+    multiplier and both normality modes search the same points, and the
+    directional sampler the same schedule points on every call.
     """
     q, dq = int_row(p)
     out: dict[Vec, PolyhedralCone] = {}
@@ -287,19 +273,21 @@ def sample_directional_normals(
 ) -> SampleResult:
     """Regular normals at exact projections of base + t_k * direction.
 
+    Each step takes the nearest of the point's ``_normal_candidates``, the
+    first in hull order on a tie, with the regular normal cone kept there.
     The projection and the normal generators are exact; the fitted cone is
     the set of generator directions that persist along the tail of the
     samples (``fitted_normals``).
     """
     samples = []
     ks = list(schedule.steps())[: min(schedule.k_max, 25)]
-    hulls = _face_hulls(d.pieces)
     for k in ks:
         pt = add(base, scale(schedule.t(k), direction))
-        z = _nearest_on_hulls(hulls, pt)
-        if z is None:
+        cands = _normal_candidates(d, pt)
+        if not cands:
             continue
-        rays, lin = generators(regular_normal_cone(d, z))
+        z, nz = min(cands, key=lambda c: dot(sub(c[0], pt), sub(c[0], pt)))
+        rays, lin = generators(nz)
         samples.append(NormalSample(k, z, rays, lin))
     return SampleResult(tuple(samples), *fitted_normals(samples))
 

@@ -62,12 +62,14 @@ def _field(blk, key: str, where: str):
     return blk[key]
 
 
-def _int_field(blk, key: str, where: str) -> int:
+def _int_field(blk, key: str, where: str, least: int = 1) -> int:
+    """blk[key], a JSON integer (not a boolean) of at least ``least``."""
     val = _field(blk, key, where)
-    try:
-        return int(val)
-    except (TypeError, ValueError) as exc:
-        raise ProblemFormatError(f"{where}.{key}: not an integer: {val!r}") from exc
+    if type(val) is not int:
+        raise ProblemFormatError(f"{where}.{key}: not an integer: {val!r}")
+    if val < least:
+        raise ProblemFormatError(f"{where}.{key}: must be at least {least}, got {val}")
+    return val
 
 
 def _list_field(blk, key: str, where: str, optional: bool = False) -> list:
@@ -108,7 +110,7 @@ def _polyunion(obj, where: str) -> PolyUnion:
 def _family(fam, where: str) -> tuple[str, int]:
     """(kind, K) of a family block; K defaults to 50."""
     kind = _field(fam, "kind", where)
-    return kind, _int_field(fam, "K", where) if "K" in fam else 50
+    return kind, _int_field(fam, "K", where, least=0) if "K" in fam else 50
 
 
 def _staircase_pieces(k_max: int) -> list[HPolyhedron]:

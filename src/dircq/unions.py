@@ -28,6 +28,12 @@ rows of the pieces there.  Limiting and directional limiting normal cones are
 polyhedral union N_D(y; v) = N_{T_D(y)}(v) (Rockafellar-Wets, Variational
 Analysis, 6.41).
 
+Each rule has one copy too.  A point lies in the closure of a cell iff
+``Cell.closure``, the cell's sign rows with the strict ones closed, contains
+it; the limiting normal cone and the graph sections read that cone.  A
+cone union and the graph model keep only their maximal pieces, by one
+pruning, ``_maximal``.
+
 Empty queries (base point outside the set, direction not tangent) return the
 distinguished empty union, which is different from the trivial cone {0}.
 
@@ -99,6 +105,19 @@ class PolyUnion:
         return tuple(i for i, p in enumerate(self.pieces) if p.contains(y))
 
 
+def _maximal(items, le) -> list:
+    """The items that no other item covers (``le(x, y)``: x is covered by y),
+    in order of arrival: an item covered by a kept one is dropped, and an
+    item that covers kept ones replaces them.  Of equal items the first stays."""
+    kept: list = []
+    for x in items:
+        if any(le(x, k) for k in kept):
+            continue
+        kept = [k for k in kept if not le(k, x)]
+        kept.append(x)
+    return kept
+
+
 @dataclass(frozen=True)
 class ConeUnion:
     """Finite union of polyhedral cones; no pieces encodes the empty marker."""
@@ -108,14 +127,10 @@ class ConeUnion:
 
     @staticmethod
     def make(pieces, dim: int) -> "ConeUnion":
-        kept: list[PolyhedralCone] = []
-        for c in pieces:
-            if c.dim != dim:
-                raise DimensionMismatch("cone pieces live in different dimensions")
-            if any(c.subset_of(k) for k in kept):
-                continue
-            kept = [k for k in kept if not k.subset_of(c)]
-            kept.append(c)
+        pieces = tuple(pieces)
+        if any(c.dim != dim for c in pieces):
+            raise DimensionMismatch("cone pieces live in different dimensions")
+        kept = _maximal(pieces, PolyhedralCone.subset_of)
         return ConeUnion(tuple(sorted(kept, key=PolyhedralCone.sort_key)), dim)
 
     @staticmethod
@@ -193,30 +208,6 @@ class Arrangement:
     hyperplanes: tuple[IntVec, ...]  # coprime_ints(r, line=True)
     cells: tuple[Cell, ...]  # only cells inside the union
     union: ConeUnion
-
-    def signs_of(self, v: Vec) -> tuple[int, ...]:
-        vs = int_row(v)[0]
-        out = []
-        for h in self.hyperplanes:
-            s = sum(map(mul, h, vs))
-            out.append(0 if s == 0 else (1 if s > 0 else -1))
-        return tuple(out)
-
-    def cells_with_closure_containing(self, v: Vec) -> list[Cell]:
-        tv = self.signs_of(v)
-        return [c for c in self.cells if _sign_compatible(c.signs, tv)]
-
-
-def _sign_compatible(cell_signs: tuple[int, ...], point_signs: tuple[int, ...]) -> bool:
-    """point lies in the closure of the cell with the given sign vector."""
-    for s, t in zip(cell_signs, point_signs, strict=True):
-        if s == 0 and t != 0:
-            return False
-        if s == 1 and t == -1:
-            return False
-        if s == -1 and t == 1:
-            return False
-    return True
 
 
 def _piece_sign_requirements(
@@ -426,8 +417,7 @@ def limiting_normal_cone_of_union(k: ConeUnion, w: Vec) -> ConeUnion:
     """
     if k.is_empty or not k.contains(w):
         return ConeUnion.empty(k.dim)
-    arr = arrangement(k)
-    duals = [c.dual for c in arr.cells_with_closure_containing(w)]
+    duals = [c.dual for c in arrangement(k).cells if c.closure.contains(w)]
     return ConeUnion.make(duals, k.dim)
 
 
@@ -480,20 +470,10 @@ def normal_graph(d: PolyUnion, y: Vec) -> NormalGraphModel | None:
     t = tangent_cone(d, y)
     if t.is_empty:
         return None
-    arr = arrangement(t)
-    cells: list[tuple[PolyhedralCone, PolyhedralCone]] = []
-    for c in arr.cells:
-        cand = (c.closure, c.dual)
-        if any(
-            cand[0].subset_of(f) and cand[1].subset_of(n) for f, n in cells
-        ):
-            continue
-        cells = [
-            (f, n)
-            for f, n in cells
-            if not (f.subset_of(cand[0]) and n.subset_of(cand[1]))
-        ]
-        cells.append(cand)
+    cells = _maximal(
+        ((c.closure, c.dual) for c in arrangement(t).cells),
+        lambda p, q: p[0].subset_of(q[0]) and p[1].subset_of(q[1]),
+    )
     return NormalGraphModel(vec(y), tuple(cells), d.dim)
 
 

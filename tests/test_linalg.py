@@ -18,9 +18,11 @@ from dircq.linalg import (
     coprime_ints,
     dot,
     half_step,
+    int_nullspace,
     mat_t_vec,
     null_direction,
     nullspace,
+    pivot_columns,
     rank,
     rref,
     rref_reduce,
@@ -82,6 +84,10 @@ def ref_rref(m):
     return tuple(tuple(row) for row in rows[:r]), tuple(pivots)
 
 
+def ref_rank(m):
+    return len(ref_rref(tuple(map(vec, m)))[0])
+
+
 def ref_nullspace(m, n):
     red, pivots = ref_rref(m)
     basis = []
@@ -124,17 +130,19 @@ def vectors(draw, entry=ENTRY, n=None):
 
 
 @st.composite
-def matrices(draw, ncols=None):
-    """Wide, tall or square Fraction matrices, with zero, rescaled and
-    dependent rows mixed in so that many are rank-deficient."""
+def matrices(draw, ncols=None, ints=False):
+    """Wide, tall or square Fraction matrices (all-int ones if ``ints``),
+    with zero, rescaled and dependent rows mixed in so that many are
+    rank-deficient."""
     ncols = draw(st.integers(1, 6)) if ncols is None else ncols
-    rows = draw(st.lists(vectors(FRACTION, ncols), max_size=6))
+    entry, scale = (SMALL, st.integers(-5, 5).filter(bool)) if ints else (FRACTION, SCALE)
+    rows = draw(st.lists(vectors(entry, ncols), max_size=6))
     extra = []
     for kind, s, i, j in draw(
-        st.lists(st.tuples(st.integers(0, 2), SCALE, st.integers(0, 9), st.integers(0, 9)), max_size=4)
+        st.lists(st.tuples(st.integers(0, 2), scale, st.integers(0, 9), st.integers(0, 9)), max_size=4)
     ):
         if kind == 0 or not rows:
-            extra.append((Fraction(0),) * ncols)
+            extra.append((0 if ints else Fraction(0),) * ncols)
         elif kind == 1:
             extra.append(tuple(s * x for x in rows[i % len(rows)]))
         else:
@@ -178,6 +186,21 @@ def test_rref_rank_nullspace_match_reference(m):
         basis = nullspace(m)
         assert basis == ref_nullspace(m, n)
         assert all(all_fractions(v) for v in basis)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_pivots_and_int_nullspace_match_reference(data):
+    ints = data.draw(st.booleans())
+    n = data.draw(st.integers(1, 6))
+    m = data.draw(matrices(n, ints=ints))
+    assert all(type(x) is (int if ints else Fraction) for row in m for x in row)
+    red, pivots = ref_rref(tuple(map(vec, m)))
+    assert pivot_columns(m) == pivots
+    assert int_nullspace(m, n) == [ref_canon_line(v) for v in ref_nullspace(red, n)]
+    assert rank(m) == len(red)
+    if ints:
+        assert rref(m) == (red, pivots)
 
 
 @settings(max_examples=100, deadline=None)
@@ -257,11 +280,11 @@ def test_incremental_rref_spans_the_rows(data):
     rows = data.draw(st.lists(row, max_size=4))
     h = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
     eqs = rref_span(rows)
-    assert len(eqs) == (rank(rows) if rows else 0)
+    assert len(eqs) == ref_rank(rows)
     for r, pc in eqs:
         assert r[pc] > 0 and all(other[pc] == 0 for other, opc in eqs if opc != pc)
     hr = rref_reduce(eqs, h)
-    assert (hr is None) == (rank(rows + [h]) == len(eqs))
+    assert (hr is None) == (ref_rank(rows + [h]) == len(eqs))
     if hr is not None:
         v = null_direction(eqs, hr)
         assert all(dot(r, v) == 0 for r in rows)

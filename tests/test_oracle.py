@@ -9,7 +9,7 @@ from test_caches import ex58_squared
 
 from dircq import oracle
 from dircq.cq import FAILS, HOLDS, mpec_pseudo_quasi_verdict, pseudo_quasi_verdict
-from dircq.linalg import dot, int_row, mat_t_vec, nullspace, rref, sub, vec
+from dircq.linalg import dot, int_row, mat_t_vec, nullspace, rref, sub, vec, zeros
 from dircq.oracle import (
     NOT_FOUND,
     EliminationTrace,
@@ -83,9 +83,15 @@ def test_sample_interior_only_zero_normals():
     assert res.fitted_rays == () and res.fitted_lineality == ()
 
 
+def sampled_point(d, p):
+    """The point the directional sampler takes at p itself (direction 0)."""
+    res = sample_directional_normals(d, p, zeros(d.dim), Schedule(k_max=1))
+    return res.samples[0].point if res.samples else None
+
+
 def test_project_onto_polyunion_exact():
     d = halfplane_union()
-    z = oracle._nearest_on_hulls(oracle._face_hulls(d.pieces), vec([-1, -1]))
+    z = sampled_point(d, vec([-1, -1]))
     # nearest points are (0,-1) and (-1,0); exact arithmetic picks one of them
     assert z in (vec([0, -1]), vec([-1, 0]))
     assert d.contains(z)
@@ -163,12 +169,12 @@ def _dist2(z, p):
 
 
 def _reference_nearest(pieces, p):
-    """First nearest Gram projection that lies in its own piece, in face order."""
+    """First nearest Gram projection that lies in the union, in face order."""
     best = None
     for q in pieces:
         for active, _ in oracle.polyhedron_faces(q):
             z = _gram_projection(q, active, p)
-            if q.contains(z) and (best is None or _dist2(z, p) < _dist2(best, p)):
+            if any(r.contains(z) for r in pieces) and (best is None or _dist2(z, p) < _dist2(best, p)):
                 best = z
     return best
 
@@ -177,21 +183,33 @@ def _reference_nearest(pieces, p):
 @given(st.data())
 def test_integer_projection_matches_gram_formula(data):
     piece = data.draw(_pieces())
-    pieces = [piece, data.draw(_pieces(piece.dim))]
+    d = PolyUnion.make([piece, data.draw(_pieces(piece.dim))])
+    pieces = d.pieces
     p = vec(data.draw(st.lists(st.fractions(-5, 5, max_denominator=7), min_size=piece.dim, max_size=piece.dim)))
     hulls = oracle._face_hulls(pieces)
     faces = [(q, active) for q in pieces for active, _ in oracle.polyhedron_faces(q)]
     assert len(hulls) == len(faces)
     for hull, (q, active) in zip(hulls, faces):
         assert hull.piece == q and project(hull, p) == _gram_projection(q, active, p)
-    assert oracle._nearest_on_hulls(hulls, p) == _reference_nearest(pieces, p)
+    assert sampled_point(d, p) == _reference_nearest(pieces, p)
 
 
 def test_nearest_tie_keeps_the_first_hull():
     d = halfplane_union()
     # (0,-1) and (-1,0) are both at distance 1 from (-1,-1)
     p = vec([-1, -1])
-    assert oracle._nearest_on_hulls(oracle._face_hulls(d.pieces), p) == _reference_nearest(d.pieces, p)
+    assert sampled_point(d, p) == _reference_nearest(d.pieces, p)
+
+
+def test_nearest_tie_may_take_a_projection_into_another_piece():
+    # the unit square comes first; from (1/2, 3/2) its edge x = 1 projects
+    # to (1, 3/2), outside the square but in the second piece, before its
+    # edge y = 1 gives (1/2, 1) in the square, at the same distance 1/2
+    square = HPolyhedron.make(a=[[-1, 0], [1, 0], [0, 1], [0, -1]], b=[0, 1, 1, 0])
+    d = PolyUnion.make([square, HPolyhedron.make(a=[[0, -1], [-1, 0]], b=[Q(-6, 5), -1])])
+    p = vec([Q(1, 2), Q(3, 2)])
+    assert d.pieces[0] == square
+    assert sampled_point(d, p) == _reference_nearest(d.pieces, p) == vec([1, Q(3, 2)])
 
 
 def clear_oracle_caches():

@@ -111,6 +111,27 @@ def test_family_kind_is_named():
         parse_problem(data)
 
 
+@pytest.mark.parametrize(
+    "name, path, value, message",
+    [
+        ("ex58", ("constraint", "n"), True, r"constraint\.n: not an integer: True"),
+        ("comb", ("patch", "family", "K"), 3.9, r"patch\.family\.K: not an integer: 3\.9"),
+        ("comb", ("patch", "family", "K"), -5, r"patch\.family\.K: must be at least 0, got -5"),
+        ("comb", ("patch", "nx"), "1", r"patch\.nx: not an integer: '1'"),
+        ("ex58", ("constraint", "D", "dim"), 0, r"constraint\.D\.dim: must be at least 1, got 0"),
+        ("ex47", ("mpec", "s", "ny"), 0, r"mpec\.s\.ny: must be at least 1, got 0"),
+    ],
+)
+def test_integer_field_must_be_a_json_integer_in_range(name, path, value, message):
+    with pytest.raises(ProblemFormatError, match=message):
+        parse_problem(replaced(fixture(name), path, value))
+
+
+def test_family_k_may_be_zero():
+    data = replaced(fixture("comb"), ("patch", "family", "K"), 0)
+    assert len(parse_problem(data).patch_map.patches) == 1
+
+
 def test_family_k_must_be_an_integer():
     data = replaced(fixture("comb"), ("patch", "family", "K"), "1/2")
     with pytest.raises(ProblemFormatError, match=r"patch\.family\.K: not an integer: '1/2'"):

@@ -16,6 +16,11 @@ gone, is dropped from ``KEEP``.
 
 Every module-level import of a ``src/dircq`` module is used in that module,
 so a deletion cannot leave a stale import behind.
+
+Every private top-level function and private method of ``src/dircq`` is
+referenced in ``src/dircq`` outside its own definition (by the same kinds of
+reference as above; a test is no caller), so a second copy of a kernel
+cannot stay behind, half deleted, once its callers have moved.
 """
 
 import ast
@@ -144,3 +149,56 @@ def test_every_module_level_import_is_used():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.stem}: {name}" for name in module_imports(tree) if name not in used]
     assert not unused, f"module-level imports that their module never uses: {unused}"
+
+
+def private_definitions() -> list[tuple[str, ast.FunctionDef]]:
+    """(module, node) of each private top-level function and private method
+    (dunder methods are Python's, not the package's)."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            items = node.body if isinstance(node, ast.ClassDef) else [node]
+            out += [
+                (path.stem, item)
+                for item in items
+                if isinstance(item, ast.FunctionDef) and item.name.startswith("_") and not item.name.endswith("__")
+            ]
+    return out
+
+
+def package_references() -> dict[str, list[tuple[str, int]]]:
+    """Each name that a module of ``src/dircq`` references (as a variable,
+    an imported name, an attribute or a part of a dotted string), with the
+    (module, line) of every reference."""
+    refs: dict[str, list[tuple[str, int]]] = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.alias):
+                names = [node.name]
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names = node.value.split(".")
+                if not all(p.isidentifier() for p in names):
+                    continue
+            else:
+                continue
+            for name in names:
+                refs.setdefault(name, []).append((path.stem, node.lineno))
+    return refs
+
+
+def test_every_private_helper_is_used_in_the_package():
+    refs = package_references()
+
+    def outside(mod: str, node: ast.FunctionDef, ref: tuple[str, int]) -> bool:
+        return ref[0] != mod or not node.lineno <= ref[1] <= node.end_lineno
+
+    orphans = sorted(
+        f"{mod}.{node.name}"
+        for mod, node in private_definitions()
+        if not any(outside(mod, node, ref) for ref in refs.get(node.name, ()))
+    )
+    assert not orphans, f"private helpers that nothing else in src/dircq references: {orphans}"

@@ -442,3 +442,35 @@ def test_sign_cells_match_the_one_lp_per_node_search(data):
             assert (hw > 0) - (hw < 0) == s
         assert all(sum(Q(x) * y for x, y in zip(row, w)) <= 0 for row in a)
         assert all(sum(Q(x) * y for x, y in zip(row, w)) == 0 for row in e)
+
+
+def _sign_compatible(cell_signs, point_signs):
+    """point lies in the closure of the cell with the given sign vector."""
+    for s, t in zip(cell_signs, point_signs, strict=True):
+        if s == 0 and t != 0:
+            return False
+        if s == 1 and t == -1:
+            return False
+        if s == -1 and t == 1:
+            return False
+    return True
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_cell_closure_matches_the_sign_vector_rule(data):
+    """``Cell.closure`` contains a point iff the point's sign vector is
+    compatible with the cell's, at cell witnesses (each on the boundary of
+    the cells it bounds), the origin and drawn small int points."""
+    draw = data.draw
+    n = draw(st.integers(2, 3))
+    cones = [
+        PolyhedralCone.make(a=int_rows(draw, draw(st.integers(1, 3)), n), dim=n)
+        for _ in range(draw(st.integers(1, 2)))
+    ]
+    arr = arrangement(ConeUnion.make(cones, n))
+    points = [c.witness for c in arr.cells] + [vec(p) for p in int_rows(draw, 4, n)]
+    for v in points:
+        signs = tuple((hv > 0) - (hv < 0) for hv in (dot(h, v) for h in arr.hyperplanes))
+        for c in arr.cells:
+            assert c.closure.contains(v) == _sign_compatible(c.signs, signs)

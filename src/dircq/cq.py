@@ -21,14 +21,15 @@ and the cell's witness decides whether the cell meets them (``_meets``).
 
 The three theorem checkers share one cell-system driver.  Each describes its
 systems as cell groups: iterables of (shift, hyperplanes, cell, tangent
-pieces), where the cell fixes the sign pattern of y*, each tangent piece is a
+piece), where the cell fixes the sign pattern of y*, the tangent piece is a
 cone for z*, and a shift (hyperplanes, cell) adds the variables s with
-J s + h/2 in that cell.  The groups of the doubled-tangent checker are
-generators, so that a kernel witness stops them before later arrangements
-are built.  One lazy loop (``_cell_pieces``) reads the groups for the kernel
-system, the source cones and the graph-section conditions alike: a cell
-whose witness misses the extra-hyperplane rows is skipped before any of its
-systems is built.  Every system is a plain row tuple
+J s + h/2 in that cell.  A group holds only the cells that meet ker J^T and
+the checker's y* rows (``_meeting``): the kernel groups and the source
+groups of the doubled-tangent checker differ in those rows, () and (-h,).
+The groups of the doubled-tangent checker are generators, so that a kernel
+witness stops them before later arrangements are built.  The kernel system,
+the source cones and the graph-section conditions read the groups alike.
+Every system is a plain row tuple
 (strict_a, strict_b, a, b, e, d, n), exactly as it goes to the LP, in the
 fixed columns (s, y, z) (``_cell_system``); a witness is read by slicing.
 
@@ -45,8 +46,8 @@ that posed it.  A feasibility question on a cone (no strict rows, zero right
 sides) needs no LP at all: 0 is a point.
 
 What the checkers build from the context alone is kept with the context, in
-its ``memo``: each checker's cell groups (the cells with their tangent
-pieces or graph sections), each cell system's row tuple and shift probe,
+its ``memo``: each checker's cell groups (the meeting cells with their
+tangent pieces or graph sections), each cell system's row tuple and shift probe,
 each closed source cone, and the source images and multiplier targets of
 the lambda hypothesis.  The split is deliberate.  LP answers stay in the
 per-call table, so every call still solves its cell systems; rows and
@@ -55,10 +56,9 @@ are built once per context and live and die with its ``_context`` cache
 entry.  The memo is keyed on int data (hyperplanes, sign vectors, int-row
 cones), never on cells, whose witnesses are Fractions.  A system with a
 nonzero target x* (``achievable``) is never kept: its target comes from the
-caller, so keeping it would let the memo grow without bound.  A meet
-decision (``_meets``) is read off the cell's witness on every call, with a
-few int dot products: a memo entry for it did not speed up a warm pass by
-more than the spread between runs.
+caller, so keeping it would let the memo grow without bound.  The meet
+decisions (``_meets``) are made once, when a group is built, and kept in
+the group by leaving out the cells that miss: a warm call decides none.
 
 Directional pseudo- and quasi-normality share one candidate driver.  The
 constraint-map and equilibrium deciders each build their own kernel
@@ -98,7 +98,6 @@ from dircq.linalg import (
 )
 from dircq.polyhedra import (
     IntMat,
-    IntVec,
     PolyhedralCone,
     generators,
     image_cone,
@@ -122,7 +121,6 @@ from dircq.unions import (
     normal_graph,
     sign_rows,
     tangent_cone,
-    tangent_cone_of_union,
 )
 
 HOLDS = "HOLDS"
@@ -175,13 +173,7 @@ class _Ctx:
     ju: Vec | None = None
     bu: Mat | None = None  # n x m curvature matrix, B y* = Hess<y*, g>(xbar) u
     h: Vec | None = None  # second-order vector Hess g(xbar)[u, u]
-    # coprime_ints(r, line=True) of each nonzero ker row, which ``_meets`` looks up
-    ker_keys: tuple[IntVec, ...] = field(init=False)
     memo: dict = field(default_factory=dict, init=False, repr=False)
-
-    def __post_init__(self):
-        keys = tuple(coprime_ints(r, line=True) for r in self.ker_rows if not is_zero(r))
-        object.__setattr__(self, "ker_keys", keys)
 
 
 def _context(sys: ConstraintSystem, u: Vec | None = None) -> _Ctx:
@@ -395,8 +387,7 @@ def _meets(ctx: _Ctx, hyper: tuple[Vec, ...], cell: Cell, y_rows: Mat = ()) -> b
     meets every row that the relative interior can meet.  A nonzero row
     outside ``hyper`` raises ValueError, as the witness would not decide it.
     """
-    keys = (*ctx.ker_keys, *(coprime_ints(r, line=True) for r in y_rows if not is_zero(r)))
-    for key in keys:
+    for key in (coprime_ints(r, line=True) for r in (*ctx.ker_rows, *y_rows) if not is_zero(r)):
         if key not in hyper:
             raise ValueError(f"row {key} is not, up to scale, a hyperplane of the cell's arrangement")
     # signs at the witness, scaled to ints by a positive factor
@@ -404,13 +395,10 @@ def _meets(ctx: _Ctx, hyper: tuple[Vec, ...], cell: Cell, y_rows: Mat = ()) -> b
     return all(sum(map(mul, r, ws)) == 0 for r in ctx.ker_rows) and all(sum(map(mul, r, ws)) <= 0 for r in y_rows)
 
 
-def _cell_pieces(ctx: _Ctx, groups, y_rows: Mat = ()):
-    """(shift, hyperplanes, cell, tangent piece) of each cell of the groups
-    that ``_meets`` ker J^T and the y* rows, read lazily from the groups."""
-    for shift, hyper, cell, pieces in groups:
-        if _meets(ctx, hyper, cell, y_rows):
-            for tp in pieces:
-                yield shift, hyper, cell, tp
+def _meeting(ctx: _Ctx, shift, hyper: tuple[Vec, ...], cells, pieces, y_rows: Mat = ()) -> list:
+    """(shift, hyperplanes, cell, tangent piece) for each of the ``pieces(cell)``
+    of each cell that ``_meets`` ker J^T and the y* rows."""
+    return [(shift, hyper, cell, tp) for cell in cells if _meets(ctx, hyper, cell, y_rows) for tp in pieces(cell)]
 
 
 def _shift_rows(ctx: _Ctx, shift) -> list[list]:
@@ -484,7 +472,7 @@ def _cell_system(
 def _kernel_report(ctx: _Ctx, groups, table: dict) -> ConditionReport:
     """The kernel system: no cell of the groups admits a nonzero y* with B y* + J^T z* = 0."""
     n, m = ctx.sys.n, ctx.sys.m
-    for shift, hyper, cell, tp in _cell_pieces(ctx, groups):
+    for shift, hyper, cell, tp in groups:
         y = n if shift else 0
         sol = _solve_nonzero(_cell_system(ctx, hyper, cell, tp, shift, xstar=(0,) * n), y, m, table)
         if sol is None:
@@ -500,8 +488,8 @@ def _kernel_report(ctx: _Ctx, groups, table: dict) -> ConditionReport:
 def _sources(ctx: _Ctx, groups, table: dict, y_rows: Mat = ()):
     """The closed source cones of (y*, z*) in R^{2m}, and the test ``achievable(x*)``.
 
-    A cell contributes only when its relative interior meets ker J^T and the
-    y* rows, which its witness decides (``_meets``); x* is achievable when
+    The groups hold the cells that meet ker J^T and the y* rows
+    (``_meeting`` with the same ``y_rows``); x* is achievable when
     the relative-interior system of some (cell, piece) admits
     B y* + J^T z* = x*.  Source groups carry no shift.  The context's memo
     keeps each cone.
@@ -513,7 +501,7 @@ def _sources(ctx: _Ctx, groups, table: dict, y_rows: Mat = ()):
 
     cones: list[PolyhedralCone] = []
     members = []
-    for _, hyper, cell, tp in _cell_pieces(ctx, groups, y_rows):
+    for _, hyper, cell, tp in groups:
         cones.append(_memo(ctx, ("source", hyper, cell.signs, tp, y_rows), lambda: cone(hyper, cell, tp)))
         members.append((hyper, cell, tp))
 
@@ -664,9 +652,9 @@ def check_thm_polyhedral_I(
         return _vacuous_verdict("thm-tangent-normals")
 
     def build() -> list:
-        """Each cell with its tangent pieces; the context's memo keeps them."""
+        """The tangent pieces of each meeting cell; the context's memo keeps them."""
         arr = arrangement(n_dir, extra=ctx.ker_rows)
-        return [(None, arr.hyperplanes, cell, cell_tangent_pieces(n_dir, cell)) for cell in arr.cells]
+        return _meeting(ctx, None, arr.hyperplanes, arr.cells, lambda cell: cell_tangent_pieces(n_dir, cell))
 
     groups = _memo(ctx, ("tangent-normals",), build)
     table: dict = {}
@@ -696,31 +684,33 @@ def check_thm_polyhedral_II(
     ctx, n_dir = _directional(sys, u)
     if n_dir.is_empty:
         return _vacuous_verdict("thm-doubled-tangent")
-    arr_t = arrangement(tangent_cone_of_union(tangent_cone(sys.d, ctx.gx), ctx.ju))
+    arr_t = arrangement(tangent_cone(tangent_cone(sys.d, ctx.gx), ctx.ju))
     table: dict = {}
 
-    def groups(extra: Mat, shifted: bool):
-        """The cells of N(sigma) over the cells sigma of T(u); with ``shifted``,
-        only the sigma that some shift w_s(u, 0) = J s + h/2 reaches.  The
-        context's memo keeps the cells of each sigma."""
+    def groups(extra: Mat, y_rows: Mat, shifted: bool):
+        """The meeting cells of N(sigma) over the cells sigma of T(u); with
+        ``shifted``, only the sigma that some shift w_s(u, 0) = J s + h/2
+        reaches.  The context's memo keeps the cells of each sigma."""
         for sigma in arr_t.cells:
             shift = (arr_t.hyperplanes, sigma) if shifted else None
             if shifted and not _feasible(_shift_system(ctx, shift), table):
                 continue
             key = ("doubled-tangent", sigma.signs, shifted)
-            yield from _memo(ctx, key, lambda: sigma_groups(sigma, shift, extra))
+            yield from _memo(ctx, key, lambda: sigma_groups(sigma, shift, extra, y_rows))
 
-    def sigma_groups(sigma: Cell, shift, extra: Mat) -> list:
+    def sigma_groups(sigma: Cell, shift, extra: Mat, y_rows: Mat) -> list:
         n_sigma = limiting_normal_cone_of_union(arr_t.union, sigma.witness)
         arr_n = arrangement(n_sigma, extra=extra)
-        return [(shift, arr_n.hyperplanes, rho, cell_tangent_pieces(n_sigma, rho)) for rho in arr_n.cells]
+        return _meeting(
+            ctx, shift, arr_n.hyperplanes, arr_n.cells, lambda rho: cell_tangent_pieces(n_sigma, rho), y_rows
+        )
 
-    reports = [_kernel_report(ctx, groups(ctx.ker_rows, True), table)]
+    reports = [_kernel_report(ctx, groups(ctx.ker_rows, (), True), table)]
     # lambda hypothesis over the full (s, v) range: v absorbs the shift, so
     # every arrangement cell of T(u) is reachable and y* only keeps the
     # curvature sign row, in int form as it keys the context's memo
     neg_h = _exact_row(-x for x in ctx.h)
-    cones, achievable = _sources(ctx, groups(ctx.ker_rows + (vec(ctx.h),), False), table, (neg_h,))
+    cones, achievable = _sources(ctx, groups(ctx.ker_rows + (vec(ctx.h),), (neg_h,), False), table, (neg_h,))
     reports.append(_lambda_condition(ctx, cones, n_dir, mode, targets, achievable))
     return _assemble_theorem_verdict("thm-doubled-tangent", reports)
 
@@ -748,14 +738,14 @@ def check_thm_nonpolyhedral(
         return _vacuous_verdict(name)
 
     def groups(v: Vec | None) -> list:
-        """Each cell with the graph section at its witness (in direction v);
-        the context's memo keeps them."""
+        """The graph section at the witness (in direction v) of each meeting
+        cell; the context's memo keeps them."""
 
         def build() -> list:
             model = normal_graph(sys.d, ctx.gx)
             dual_hyper = tuple(h for _, nc in model.cells for h in hyperplanes_of(ConeUnion.make([nc], m)))
             arr = arrangement(n_dir, extra=dual_hyper + ctx.ker_rows)
-            return [(None, arr.hyperplanes, rho, model.section(rho.witness, v)) for rho in arr.cells]
+            return _meeting(ctx, None, arr.hyperplanes, arr.cells, lambda rho: model.section(rho.witness, v))
 
         return _memo(ctx, ("normal-graph", v), build)
 
@@ -765,7 +755,7 @@ def check_thm_nonpolyhedral(
     table: dict = {}
 
     def zhat_condition(cell_groups: list, cname: str) -> ConditionReport:
-        for _, hyper, rho, tp in _cell_pieces(ctx, cell_groups):
+        for _, hyper, rho, tp in cell_groups:
             sol = _solve_nonzero(_cell_system(ctx, hyper, rho, tp, z_rows=ctx.ker_rows), m, m, table)
             if sol is not None:
                 witness = {"ystar": sol[:m], "zhat": sol[m:]}

@@ -4,6 +4,9 @@ and preimages of cones under linear maps.
 ``polyhedron_faces`` is the one face enumerator, ``polar_cone`` the one
 polar builder, and ``intersect_generated`` the one builder of regular normal
 cones, which the union and patch layers call with their active rows.
+``tangent_rows``, a method of both classes, is the one rule that finds the
+rows tight at a point: with the equality rows, right-hand sides dropped,
+they are the tangent cone's H-form and the regular normal cone's generators.
 ``image_cone`` is the one image rule: it maps a cone's generators and
 returns the cone they generate, through ``polar_cone``.  ``preimage_cone``
 is the one preimage rule: it maps a cone's rows.
@@ -17,7 +20,7 @@ ints (an equality row also to a first nonzero entry > 0) and drops zero and
 duplicate rows; an ``HPolyhedron`` row carries its right-hand side as its
 last entry.  These int rows (``ia``/``ie`` of a cone, ``iab``/``ied`` of a
 polyhedron) are the only copy of the data: equality compares them, the hash
-is computed from them once per object, and ``contains``, ``active_rows``,
+is computed from them once per object, and ``contains``, ``tangent_rows``,
 ``subset_of``, ``is_trivial`` and the generator enumeration run in int
 arithmetic on them, scaling a point to ints once per test.  Inside ``dircq``
 the int rows and ``int_generators`` feed the LPs directly.
@@ -166,9 +169,12 @@ class HPolyhedron:
             sum(map(mul, r, xs)) == r[-1] * den for r in self.ied
         )
 
-    def active_rows(self, x: Vec) -> tuple[int, ...]:
-        xs, den = int_row(x)
-        return tuple(i for i, r in enumerate(self.iab) if sum(map(mul, r, xs)) == r[-1] * den)
+    def tangent_rows(self, y: Vec) -> tuple[IntMat, IntMat]:
+        """(inequality rows tight at y, equality rows), right-hand sides
+        dropped: the rows of the tangent cone at y, a point of the polyhedron."""
+        ys, den = int_row(y)
+        tight = tuple(r[:-1] for r in self.iab if sum(map(mul, r, ys)) == r[-1] * den)
+        return tight, tuple(r[:-1] for r in self.ied)
 
 
 class PolyhedralCone:
@@ -225,16 +231,16 @@ class PolyhedralCone:
             raise DimensionMismatch("point has wrong dimension")
         return self._holds(int_row(x)[0])
 
+    def tangent_rows(self, y: Vec) -> tuple[IntMat, IntMat]:
+        """(inequality rows tight at y, equality rows): the rows of the
+        tangent cone at y, a point of the cone."""
+        ys = int_row(y)[0]
+        return tuple(r for r in self.ia if sum(map(mul, r, ys)) == 0), self.ie
+
     def _holds(self, xs) -> bool:
         """Membership of a positive multiple of the point, given as ints."""
         return all(sum(map(mul, r, xs)) <= 0 for r in self.ia) and all(
             sum(map(mul, r, xs)) == 0 for r in self.ie
-        )
-
-    def as_polyhedron(self) -> HPolyhedron:
-        # a zero rhs keeps every row coprime and every equality row canonical
-        return HPolyhedron(
-            tuple((*r, 0) for r in self.ia), tuple((*r, 0) for r in self.ie), self.dim
         )
 
     def is_trivial(self) -> bool:
@@ -355,7 +361,7 @@ def intersect_generated(parts, dim: int) -> PolyhedralCone:
     """The intersection over (rays, lin) parts of cone(rays) + span(lin).
 
     This is the one builder of regular normal cones: at a point of several
-    pieces each part is the active rows and the equality rows of one piece.
+    pieces each part is the ``tangent_rows`` of one piece there.
     """
     rows_a: list[IntVec] = []
     rows_e: list[IntVec] = []

@@ -82,21 +82,32 @@ def _list_field(blk, key: str, where: str, optional: bool = False) -> list:
     return val
 
 
-def _vec(xs) -> Vec:
+def _vec(xs, where: str) -> Vec:
+    """A JSON list of rational literals, or ProblemFormatError naming the field."""
+    if not isinstance(xs, list):
+        raise ProblemFormatError(f"{where}: expected a list of rational literals, got {type(xs).__name__}")
     return tuple(_frac(x) for x in xs)
 
 
-def _mat(rows):
-    return tuple(_vec(r) for r in rows)
+def _mat(rows, where: str):
+    """A JSON list of rows, each a list of rational literals."""
+    if not isinstance(rows, list):
+        raise ProblemFormatError(f"{where}: expected a list of rows, got {type(rows).__name__}")
+    return tuple(_vec(r, where) for r in rows)
+
+
+def _named_vectors(data: dict, key: str) -> dict:
+    """The optional object ``key`` of the problem: names mapped to vectors."""
+    return {k: _vec(v, f"{key}.{k}") for k, v in _object(data.get(key, {}), key).items()}
 
 
 def _polyhedron(obj, dim: int, where: str) -> HPolyhedron:
     obj = _object(obj, where)
     return HPolyhedron.make(
-        a=_mat(obj.get("a", [])),
-        b=_vec(obj.get("b", [])),
-        e=_mat(obj.get("e", [])),
-        d=_vec(obj.get("d", [])),
+        a=_mat(obj.get("a", []), f"{where}.a"),
+        b=_vec(obj.get("b", []), f"{where}.b"),
+        e=_mat(obj.get("e", []), f"{where}.e"),
+        d=_vec(obj.get("d", []), f"{where}.d"),
         dim=dim,
     )
 
@@ -179,8 +190,8 @@ def _parse_patches(blk, nx: int, ny: int, where: str) -> list[GraphPatch]:
     out = []
     for p in _list_field(blk, "patches", where, optional=True):
         p = _object(p, f"{where}.patches")
-        eqs = tuple(parse_poly(s, names) for s in p.get("eq", []))
-        ineqs = tuple(parse_poly(s, names) for s in p.get("ineq", []))
+        eqs = tuple(parse_poly(s, names) for s in _list_field(p, "eq", f"{where}.patches", optional=True))
+        ineqs = tuple(parse_poly(s, names) for s in _list_field(p, "ineq", f"{where}.patches", optional=True))
         out.append(GraphPatch(eqs, ineqs, nx, ny))
     return out
 
@@ -202,7 +213,7 @@ def load_problem(path: str) -> Problem:
 
 
 def parse_problem(data: dict) -> Problem:
-    if data.get("version") != SCHEMA_VERSION:
+    if _object(data, "problem").get("version") != SCHEMA_VERSION:
         raise ProblemFormatError(
             f"unsupported problem version {data.get('version')!r}; expected {SCHEMA_VERSION}"
         )
@@ -215,15 +226,14 @@ def parse_problem(data: dict) -> Problem:
         )
     kind = blocks[0]
     name = data.get("name", "problem")
-    points = {k: _vec(v) for k, v in data.get("points", {}).items()}
-    directions = {k: _vec(v) for k, v in data.get("directions", {}).items()}
+    points, directions = _named_vectors(data, "points"), _named_vectors(data, "directions")
     objective = None
 
     kwargs: dict = {}
     blk = data[kind]
     if kind == "constraint":
         n = _int_field(blk, "n", kind)
-        g = PolyMap.parse(_field(blk, "g", kind), n)
+        g = PolyMap.parse(_list_field(blk, "g", kind), n)
         d = _polyunion(_field(blk, "D", kind), "constraint.D")
         xbar = points.get("xbar")
         if xbar is None:
@@ -297,7 +307,7 @@ def _basis(blk, dim: int | None) -> tuple[Vec, ...]:
     vectors = _list_field(blk, "vectors", "basis")
     if not all(isinstance(v, list) for v in vectors):
         raise ProblemFormatError("basis.vectors: expected a list of vectors")
-    basis = tuple(_vec(v) for v in vectors)
+    basis = tuple(_vec(v, "basis.vectors") for v in vectors)
     if dim is None:
         dim = len(basis)
     if any(len(v) != dim for v in basis) or not is_orthogonal_basis(basis, dim):

@@ -21,12 +21,17 @@ both signs there: one LP for the sign w lacks settles the other two children,
 and when h.w = 0 both signed children are found by stepping off w, with no
 LP at all.
 
-Each cone has one builder.  Regular normal cones, of the union at a point and
-of the union on a cell, are ``polyhedra.intersect_generated`` of the active
-rows of the pieces there.  Limiting and directional limiting normal cones are
-``limiting_normal_cone_of_union`` of the tangent union, since for a
-polyhedral union N_D(y; v) = N_{T_D(y)}(v) (Rockafellar-Wets, Variational
-Analysis, 6.41).
+Each cone has one builder, and all of them read one fact: the rows of a
+piece tight at a point, with its equality rows (``tangent_rows``, a method of
+``HPolyhedron`` and of ``PolyhedralCone`` alike).  Those rows are the H-form
+of the piece's tangent cone there and generate its regular normal cone, so
+``tangent_cone`` and ``regular_normal_cone`` take a ``PolyUnion`` or a
+``ConeUnion``, and the regular normal cone of a cone union on a cell is
+``polyhedra.intersect_generated`` of the tight rows at the cell's witness,
+which realizes the cell's sign vector strictly.  Limiting and directional
+limiting normal cones are ``limiting_normal_cone_of_union`` of the tangent
+union, since for a polyhedral union N_D(y; v) = N_{T_D(y)}(v)
+(Rockafellar-Wets, Variational Analysis, 6.41).
 
 Each rule has one copy too.  A point lies in the closure of a cell iff
 ``Cell.closure``, the cell's sign rows with the strict ones closed, contains
@@ -48,14 +53,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
 
 from dircq.linalg import (
     Vec,
     coprime_ints,
     dot,
     half_step,
-    int_row,
     is_zero,
     null_direction,
     rref_extend,
@@ -101,9 +104,6 @@ class PolyUnion:
     def contains(self, y: Vec) -> bool:
         return any(p.contains(y) for p in self.pieces)
 
-    def pieces_at(self, y: Vec) -> tuple[int, ...]:
-        return tuple(i for i, p in enumerate(self.pieces) if p.contains(y))
-
 
 def _maximal(items, le) -> list:
     """The items that no other item covers (``le(x, y)``: x is covered by y),
@@ -148,46 +148,22 @@ class ConeUnion:
         """True iff the union equals {0} (as a set)."""
         return bool(self.pieces) and all(p.is_trivial() for p in self.pieces)
 
-    def as_polyunion(self) -> PolyUnion:
-        if self.is_empty:
-            raise ValueError("empty cone union has no polyhedral-union form")
-        return PolyUnion.make([p.as_polyhedron() for p in self.pieces])
-
 
 # ---------------------------------------------------------------------------
 # tangent and regular normal cones
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def tangent_cone(d: PolyUnion, y: Vec) -> ConeUnion:
-    """Union over pieces containing y of their feasible-direction cones."""
-    idx = d.pieces_at(y)
-    if not idx:
-        return ConeUnion.empty(d.dim)
-    cones = []
-    for i in idx:
-        p = d.pieces[i]
-        rays, lin = _piece_dual_vform(p, p.active_rows(y))
-        cones.append(PolyhedralCone.make(a=rays, e=lin, dim=d.dim))
-    return ConeUnion.make(cones, d.dim)
+def tangent_cone(d: PolyUnion | ConeUnion, y: Vec) -> ConeUnion:
+    """Union over the pieces containing y of their tangent cones there."""
+    cones = [PolyhedralCone.make(*p.tangent_rows(y), dim=d.dim) for p in d.pieces if p.contains(y)]
+    return ConeUnion.make(cones, d.dim) if cones else ConeUnion.empty(d.dim)
 
 
-def _piece_dual_vform(p: HPolyhedron, active: tuple[int, ...]) -> tuple[IntMat, IntMat]:
-    """(rays, lineality) generating the regular normal cone of one piece.
-
-    These are also the rows of the piece's tangent cone at a point where
-    exactly the ``active`` inequalities are tight.
-    """
-    return tuple(p.iab[j][:-1] for j in active), tuple(r[:-1] for r in p.ied)
-
-
-def regular_normal_cone(d: PolyUnion, y: Vec) -> PolyhedralCone | None:
+def regular_normal_cone(d: PolyUnion | ConeUnion, y: Vec) -> PolyhedralCone | None:
     """Polar of the tangent union; None is the empty marker (y not in d)."""
-    idx = d.pieces_at(y)
-    if not idx:
-        return None
-    pieces = (d.pieces[i] for i in idx)
-    return intersect_generated((_piece_dual_vform(p, p.active_rows(y)) for p in pieces), d.dim)
+    parts = [p.tangent_rows(y) for p in d.pieces if p.contains(y)]
+    return intersect_generated(parts, d.dim) if parts else None
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +332,8 @@ def arrangement(k: ConeUnion, extra: tuple[Vec, ...] = ()) -> Arrangement:
     for signs, w in sign_cells(hyper, n, alive=lambda signs: any(piece_alive(r, signs) for r in reqs)):
         pidx = tuple(i for i, c in enumerate(k.pieces) if c.contains(w))
         if pidx:
-            cells.append(Cell(signs, w, _closure_cone(hyper, signs, n), pidx, _cell_dual(k, pidx, hyper, signs)))
+            dual = intersect_generated([k.pieces[i].tangent_rows(w) for i in pidx], n)
+            cells.append(Cell(signs, w, _closure_cone(hyper, signs, n), pidx, dual))
     return Arrangement(hyper, tuple(cells), k)
 
 
@@ -374,18 +351,6 @@ def sign_rows(hyper: tuple[IntVec, ...], signs) -> tuple[list[IntVec], list[IntV
 def _closure_cone(hyper: tuple[IntVec, ...], signs, n: int) -> PolyhedralCone:
     a, e = sign_rows(hyper, signs)
     return PolyhedralCone.make(a=a, e=e, dim=n)
-
-
-def _cell_dual(
-    k: ConeUnion, pidx: tuple[int, ...], hyper: tuple[IntVec, ...], signs
-) -> PolyhedralCone:
-    """Regular normal cone of the union on the cell's relative interior."""
-    sign_of = dict(zip(hyper, signs))
-    parts = (
-        ([row for row in p.ia if sign_of[coprime_ints(row, line=True)] == 0], p.ie)
-        for p in (k.pieces[i] for i in pidx)
-    )
-    return intersect_generated(parts, k.dim)
 
 
 def cell_tangent_pieces(k: ConeUnion, cell: Cell) -> list[PolyhedralCone]:
@@ -419,13 +384,6 @@ def limiting_normal_cone_of_union(k: ConeUnion, w: Vec) -> ConeUnion:
         return ConeUnion.empty(k.dim)
     duals = [c.dual for c in arrangement(k).cells if c.closure.contains(w)]
     return ConeUnion.make(duals, k.dim)
-
-
-def tangent_cone_of_union(k: ConeUnion, w: Vec) -> ConeUnion:
-    """Tangent cone of a cone union at one of its points."""
-    if k.is_empty:
-        return ConeUnion.empty(k.dim)
-    return tangent_cone(k.as_polyunion(), w)
 
 
 # ---------------------------------------------------------------------------
@@ -479,9 +437,7 @@ def normal_graph(d: PolyUnion, y: Vec) -> NormalGraphModel | None:
 
 def tangent_of_cone_at(c: PolyhedralCone, y: Vec) -> PolyhedralCone:
     """Tangent cone of c at its point y: the rows tight at y."""
-    ys = int_row(y)[0]
-    act = [row for row in c.ia if sum(map(mul, row, ys)) == 0]
-    return PolyhedralCone.make(a=act, e=c.ie, dim=c.dim)
+    return PolyhedralCone.make(*c.tangent_rows(y), dim=c.dim)
 
 
 # ---------------------------------------------------------------------------

@@ -98,8 +98,9 @@ def test_second_pass_asks_no_new_inclusion(monkeypatch):
     """After one pass of the three theorem checkers over ex58^2 in all eight
     directions, a second pass finds every cone-union inclusion in the cache
     and every cell system, source image and tangent piece in the contexts'
-    memos: no ``subdivide_and_check`` call, so none of its LPs, and no image
-    cone, tangent cone or cell-system row tuple is built again."""
+    memos: no ``subdivide_and_check`` call, so none of its LPs, no image
+    cone, tangent cone or cell-system row tuple is built again, and no
+    cell's meet with ker J^T is decided again."""
     sys = ex58_squared()
     directions = [vec(u) for u in itertools.product((-1, 0, 1), repeat=2) if any(u)]
     calls: dict = {}
@@ -107,6 +108,7 @@ def test_second_pass_asks_no_new_inclusion(monkeypatch):
     counted(monkeypatch, calls, polyhedra, "image_cone", alias=cq)
     counted(monkeypatch, calls, unions, "tangent_of_cone_at")
     counted(monkeypatch, calls, cq, "_system")
+    counted(monkeypatch, calls, cq, "_meets")
     clear_caches()
     passes = []
     for _ in range(2):

@@ -35,6 +35,7 @@ from dircq.problemfile import load_problem
 from dircq.setmaps import ConstraintSystem
 from dircq.simplex import OPTIMAL, UNBOUNDED, solve_lp, strict_feasible_point
 from dircq.unions import PolyUnion, arrangement, directional_limiting_normal_cone
+from test_caches import clear_caches
 from test_golden import THEOREMS, fixture_path, record_solve_lp
 
 
@@ -323,8 +324,10 @@ def lp_meets(ctx, hyper, cell, y_rows=()) -> bool:
 
 @pytest.mark.parametrize("name", ("ex58", "ex58sq"))
 def test_cell_witness_decides_what_the_lp_decides(name, monkeypatch):
-    """At every source, kernel and section cell that a theorem checker
-    visits (every direction, both modes), ``_meets`` answers as the LP."""
+    """At every source, kernel and section cell that a theorem checker puts
+    in its groups (every direction, both modes), ``_meets`` answers as the
+    LP.  The groups are built, and ``_meets`` called, on cleared caches only."""
+    clear_caches()
     pr = load_problem(str(fixture_path(name)))
     meets = cq._meets
     answers = []

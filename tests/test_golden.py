@@ -15,6 +15,7 @@ are pinned too.  After an intended change of reports, rewrite them with
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 import itertools
 import pkgutil
@@ -54,6 +55,15 @@ LP_COUNTS = {
     ("ex58", "strong"): (6, 6, 13),
     ("ex58sq", "asym"): (33, 53, 85),
     ("ex58sq", "strong"): (44, 64, 96),
+}
+# sha256 of the same solve_lp inputs, in call order and with the type of
+# every entry (``typed``): a change that keeps the counts but reorders,
+# rescales or retypes a row of some LP shows here
+LP_INPUTS_SHA256 = {
+    ("ex58", "asym"): "b28f57076b38836472d885e705b9dad8e561808a253f8b77b95662cef75c6d34",
+    ("ex58", "strong"): "4305e5612f7be24898e2ea392f62e7a695ba67d102ba90c8277732e5f3463a51",
+    ("ex58sq", "asym"): "9d297a5978af8a9a29c011951a869dc240fad3497ae065fa47b19e060ae4042f",
+    ("ex58sq", "strong"): "004cea5fe5185b429249da57a5bac54c42c787ece67ea0dfd121e931c276a601",
 }
 
 
@@ -162,6 +172,14 @@ def frozen(x):
     return tuple(map(frozen, x)) if isinstance(x, (list, tuple)) else x
 
 
+def typed(x) -> str:
+    """Recorded LP input as text that names the type of every entry, so that
+    1, Fraction(1) and True differ."""
+    if isinstance(x, (list, tuple)):
+        return "(" + ",".join(map(typed, x)) + ")"
+    return f"{type(x).__name__}:{x}"
+
+
 def record_solve_lp(monkeypatch) -> list:
     """The inputs of every ``solve_lp`` call from now on, one entry per call."""
     calls = []
@@ -185,13 +203,16 @@ def test_checker_lp_counts(name, mode, monkeypatch):
     calls = record_solve_lp(monkeypatch)
     pr = load_problem(str(fixture_path(name)))
     counts = []
+    digest = hashlib.sha256()
     for f in THEOREMS:
         clear_caches()
         calls.clear()
         for dname in sorted(pr.directions):
             f(pr.system, pr.direction(dname), mode=mode)
         counts.append(len(calls))
+        digest.update(typed(calls).encode())
     assert tuple(counts) == LP_COUNTS[name, mode]
+    assert digest.hexdigest() == LP_INPUTS_SHA256[name, mode]
 
 
 @pytest.mark.parametrize("name, mode", sorted(LP_COUNTS))

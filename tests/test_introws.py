@@ -33,6 +33,15 @@ def ref_active_rows(p: HPolyhedron, x) -> tuple[int, ...]:
     return tuple(i for i, (r, bi) in enumerate(zip(p.a, p.b)) if dot(r, x) == bi)
 
 
+def ref_tangent_rows(obj, x) -> tuple:
+    """The int rows of the active inequalities (by the Fraction rule) and all
+    equality rows, right-hand sides dropped, of a polyhedron or a cone."""
+    if isinstance(obj, HPolyhedron):
+        return tuple(obj.iab[i][:-1] for i in ref_active_rows(obj, x)), tuple(r[:-1] for r in obj.ied)
+    active = [i for i, r in enumerate(obj.a) if dot(r, x) == 0]
+    return tuple(obj.ia[i] for i in active), obj.ie
+
+
 def ref_subset_of(c: PolyhedralCone, other: PolyhedralCone) -> bool:
     rays, lin = generators(c)
     return all(ref_cone_contains(other, r) for r in rays) and all(
@@ -123,11 +132,19 @@ def test_cone_contains_matches_fraction_reference(data):
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
-def test_polyhedron_contains_and_active_rows_match_reference(data):
+def test_polyhedron_contains_and_tangent_rows_match_reference(data):
     p = data.draw(polyhedra())
     x = data.draw(points_for(p))
     assert p.contains(x) == ref_poly_contains(p, x)
-    assert p.active_rows(x) == ref_active_rows(p, x)
+    assert p.tangent_rows(x) == ref_tangent_rows(p, x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_cone_tangent_rows_match_reference(data):
+    c = data.draw(cones())
+    x = data.draw(points_for(c))
+    assert c.tangent_rows(x) == ref_tangent_rows(c, x)
 
 
 @settings(max_examples=200, deadline=None)
@@ -146,8 +163,8 @@ def test_fraction_points_against_integer_right_hand_sides():
     q = HPolyhedron.make(a=[[1, 1]], b=[1], dim=2)
     for x in ((Q(3, 4), Q(1, 4)), (Q(1, 2), Q(1, 3)), (Q(2, 3), Q(1, 2))):
         assert q.contains(x) == ref_poly_contains(q, x)
-        assert q.active_rows(x) == ref_active_rows(q, x)
-    assert q.active_rows((Q(3, 4), Q(1, 4))) == (0,)
+        assert q.tangent_rows(x) == ref_tangent_rows(q, x)
+    assert q.tangent_rows((Q(3, 4), Q(1, 4))) == (((1, 1),), ())
 
 
 @settings(max_examples=200, deadline=None)

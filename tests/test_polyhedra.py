@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from dircq.linalg import canon_ray, coprime_ints, dot, is_zero, nullspace, rref, unit, vec, zeros
 from dircq.polyhedra import (
+    HPolyhedron,
     PolyhedralCone,
     generators,
     image_cone,
@@ -21,6 +22,11 @@ from dircq.simplex import INFEASIBLE, OPTIMAL, feasible_point, strict_feasible_p
 
 def cone(a=(), e=(), dim=None):
     return PolyhedralCone.make(a=a, e=e, dim=dim)
+
+
+def cone_polyhedron(c: PolyhedralCone) -> HPolyhedron:
+    """The cone as a polyhedron: its rows with zero right-hand sides."""
+    return HPolyhedron.make(a=c.ia, b=(0,) * len(c.ia), e=c.ie, d=(0,) * len(c.ie), dim=c.dim)
 
 
 def test_quadrant_generators():
@@ -158,7 +164,7 @@ def test_generators_match_reference_special_cones():
 
 def test_faces_quadrant():
     c = cone(a=[[-1, 0], [0, -1]])
-    faces = polyhedron_faces(c.as_polyhedron())
+    faces = polyhedron_faces(cone_polyhedron(c))
     assert len(faces) == 4  # whole cone, two rays, origin
     for active, w in faces:
         assert c.contains(w)
@@ -167,7 +173,7 @@ def test_faces_quadrant():
 
 def test_faces_halfplane():
     c = cone(a=[[0, -1]])  # y >= 0 in the plane
-    faces = polyhedron_faces(c.as_polyhedron())
+    faces = polyhedron_faces(cone_polyhedron(c))
     assert len(faces) == 2  # the halfplane and the line y = 0
 
 
@@ -175,7 +181,7 @@ def test_faces_match_bruteforce_random():
     rng = random.Random(9)
     for _ in range(15):
         c = _random_cone(rng, 3, rng.randint(1, 5))
-        faces = polyhedron_faces(c.as_polyhedron())
+        faces = polyhedron_faces(cone_polyhedron(c))
         # brute force: distinct feasible strict activity patterns
         m = len(c.a)
         patterns = set()
@@ -198,7 +204,7 @@ def test_face_witness_activity():
     rng = random.Random(10)
     for _ in range(10):
         c = _random_cone(rng, 3, 4)
-        for active, w in polyhedron_faces(c.as_polyhedron()):
+        for active, w in polyhedron_faces(cone_polyhedron(c)):
             for row in c.e:
                 assert dot(row, w) == 0
             for i, row in enumerate(c.a):

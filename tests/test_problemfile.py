@@ -127,6 +127,36 @@ def test_integer_field_must_be_a_json_integer_in_range(name, path, value, messag
         parse_problem(replaced(fixture(name), path, value))
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (
+            replaced(fixture("ex58"), ("points", "xbar"), "12"),
+            r"points\.xbar: expected a list of rational literals, got str",
+        ),
+        (
+            replaced(fixture("ex58"), ("constraint", "D", "pieces", 0, "a"), ["10"]),
+            r"constraint\.D\.pieces\.a: expected a list of rational literals, got str",
+        ),
+        (replaced(fixture("ex58"), ("constraint", "g"), "x0"), r"constraint\.g: expected a list, got str"),
+        ([fixture("ex58")], r"problem: expected an object, got list"),
+        (replaced(fixture("ex58"), ("points",), [[0]]), r"points: expected an object, got list"),
+        (
+            replaced(fixture("ex58"), ("directions", "plus"), 5),
+            r"directions\.plus: expected a list of rational literals, got int",
+        ),
+        (
+            replaced(fixture("comb"), ("patch", "patches"), [{"eq": "x0"}]),
+            r"patch\.patches\.eq: expected a list, got str",
+        ),
+    ],
+    ids=["point-string", "row-string", "g-string", "top-level-list", "points-list", "direction-int", "patch-eq-string"],
+)
+def test_vector_field_must_be_a_list(data, message):
+    with pytest.raises(ProblemFormatError, match=message):
+        parse_problem(data)
+
+
 def test_family_k_may_be_zero():
     data = replaced(fixture("comb"), ("patch", "family", "K"), 0)
     assert len(parse_problem(data).patch_map.patches) == 1

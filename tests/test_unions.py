@@ -7,9 +7,11 @@ from fractions import Fraction as Q
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_polyhedra import cone_polyhedron
+
 from dircq import simplex
-from dircq.linalg import dot, vec
-from dircq.polyhedra import HPolyhedron, PolyhedralCone, generators
+from dircq.linalg import coprime_ints, dot, vec
+from dircq.polyhedra import HPolyhedron, PolyhedralCone, generators, intersect_generated
 from dircq.simplex import strict_feasible_point
 from dircq.unions import (
     ConeUnion,
@@ -240,7 +242,7 @@ def limiting_normal_cone_via_point(d, q):
     # N_{T_D(0)}(q) computed independently: shift so q is the base point of
     # the tangent union treated as a set
     t = tangent_cone(d, vec([0] * d.dim))
-    return limiting_normal_cone(t.as_polyunion(), q)
+    return limiting_normal_cone(PolyUnion.make(map(cone_polyhedron, t.pieces)), q)
 
 
 def graph_section(d, y, ystar, v, nonzero=False):
@@ -281,7 +283,7 @@ def test_graphical_derivative_critical_cone_oracle():
             continue
         lhs = graph_section(d, y, ystar, v)
         rhs = union_from_cones(
-            [regular_normal_cone(PolyUnion.make([k.as_polyhedron()]), v)], n
+            [regular_normal_cone(PolyUnion.make([cone_polyhedron(k)]), v)], n
         )
         assert cone_union_equal(lhs, rhs)
         done += 1
@@ -474,3 +476,56 @@ def test_cell_closure_matches_the_sign_vector_rule(data):
         signs = tuple((hv > 0) - (hv < 0) for hv in (dot(h, v) for h in arr.hyperplanes))
         for c in arr.cells:
             assert c.closure.contains(v) == _sign_compatible(c.signs, signs)
+
+
+def _cell_dual(k, pidx, hyper, signs):
+    """The regular normal cone of the union on a cell, read off its sign
+    vector: the rows of each piece whose hyperplane has sign 0 there."""
+    sign_of = dict(zip(hyper, signs))
+    parts = (
+        ([row for row in p.ia if sign_of[coprime_ints(row, line=True)] == 0], p.ie)
+        for p in (k.pieces[i] for i in pidx)
+    )
+    return intersect_generated(parts, k.dim)
+
+
+@st.composite
+def cone_unions(draw, n):
+    """Unions of one to three small cones, some with an equality row."""
+    cones = [
+        PolyhedralCone.make(
+            a=int_rows(draw, draw(st.integers(1, 3)), n), e=int_rows(draw, draw(st.integers(0, 1)), n), dim=n
+        )
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    return ConeUnion.make(cones, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_cell_dual_matches_the_sign_vector_rule(data):
+    """The dual of every cell, read off the rows tight at its witness, is the
+    one read off its sign vector, with extra hyperplanes or without."""
+    draw = data.draw
+    n = draw(st.integers(2, 3))
+    k = draw(cone_unions(n))
+    extra = tuple(vec(r) for r in int_rows(draw, draw(st.integers(0, 2)), n))
+    arr = arrangement(k, extra=extra)
+    for c in arr.cells:
+        assert c.dual == _cell_dual(k, c.piece_idx, arr.hyperplanes, c.signs), c.signs
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_cone_union_cones_match_its_polyhedral_union(data):
+    """``tangent_cone`` and ``regular_normal_cone`` of a cone union equal
+    those of its pieces as a polyhedral union, at cell witnesses, the origin
+    and drawn int points, in the union or not."""
+    draw = data.draw
+    n = draw(st.integers(2, 3))
+    k = draw(cone_unions(n))
+    d = PolyUnion.make(map(cone_polyhedron, k.pieces))
+    points = [c.witness for c in arrangement(k).cells] + [vec(p) for p in int_rows(draw, 4, n) + ((0,) * n,)]
+    for y in points:
+        assert tangent_cone(k, y) == tangent_cone(d, y)
+        assert regular_normal_cone(k, y) == regular_normal_cone(d, y)

@@ -8,18 +8,29 @@ always reported as NOT_FOUND and never interpreted as evidence that a
 property holds; witnesses are rationalized and re-verified exactly whenever
 they lie on rational patches.
 
-Three bounded caches serve the searches, which revisit the same pieces and
+The schedule loops of the normality search and of the directional sampler
+run on int numerators over a common denominator: membership, sign
+conditions and nearest-point comparisons are int dot products, each float
+residual is one correctly rounded int division (the float of the same
+Fraction), and Fractions are built only for the records that are kept.
+
+Four bounded caches serve the searches, which revisit the same pieces and
 points on every schedule step, every candidate multiplier and every call:
 ``_piece_hulls`` keeps the face projections of one piece, keyed on the
 ``HPolyhedron`` (its canonical int rows); ``_normal_candidates`` keeps
-the distinct face projections of a point that lie in a union, each with its
-regular normal cone, keyed on the ``PolyUnion`` and the point; and
+the distinct face projections of a point that lie in a union, as int
+numerators over a denominator, keyed on the ``PolyUnion`` and the point
+(each candidate builds its regular normal cone on first use, so the
+sampler, which reads only the nearest, builds only that one);
 ``_graph_point_cone`` keeps the regular normal cone of a patch map at a
 graph point, or None when an active patch fails the regularity gate, keyed
-on the ``PatchMap`` and the point.  Every search that needs a patch normal
-cone (asymptotic regularity and the equilibrium normality search) reads
-it there.  All three hold exact data derived from their key alone.
-``report.verify_report`` checks witnesses without reading any of them.
+on the ``PatchMap`` and the point; and ``_image_cones`` keeps the x-images
+of the pieces of the upper bound of the graph normals, or None on the same
+gate, keyed on the ``PatchMap``, the base point and the direction.  Every
+search that needs a patch normal cone (asymptotic regularity and the
+equilibrium normality search) reads it there.  All four hold exact data
+derived from their key alone.  ``report.verify_report`` checks witnesses
+without reading any of them.
 
 ``_normal_candidates`` is the one projection onto a union: the normality
 searches read every candidate, and the directional sampler its nearest.
@@ -32,7 +43,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import sqrt
+from math import gcd, sqrt
 from operator import mul
 from typing import Sequence
 
@@ -55,6 +66,7 @@ from dircq.linalg import (
     zeros,
 )
 from dircq.polyhedra import (
+    DimensionMismatch,
     HPolyhedron,
     IntMat,
     IntVec,
@@ -88,6 +100,10 @@ CANDIDATE_CACHE_SIZE = 1024
 # ``_graph_point_cone`` keeps: a pass of the sequence workload meets 86
 # distinct graph points.
 GRAPH_POINT_CACHE_SIZE = 512
+# (patch map, base point, direction) triples whose image cones
+# ``_image_cones`` keeps: a pass of the sequence workload makes 8 image
+# checks at 4 distinct triples.
+IMAGE_CACHE_SIZE = 64
 # ``search_mpec_normality`` eliminates a candidate lam when its float
 # alignment bound on each of the last five schedule steps is at most
 # ELIMINATION_TOL * max(1, |lam|^2): the bound that counts as collapsed to 0.
@@ -211,25 +227,47 @@ def _face_hulls(pieces) -> tuple[_FaceHull, ...]:
     return tuple(hull for piece in pieces for hull in _piece_hulls(piece))
 
 
+class _Candidate:
+    """A point z = zs / den of the union d (zs and den coprime, den > 0),
+    with the regular normal cone of d at z, built on first use."""
+
+    __slots__ = ("d", "zs", "den", "_cone")
+
+    def __init__(self, d: PolyUnion, zs: IntVec, den: int):
+        self.d = d
+        self.zs = zs
+        self.den = den
+        self._cone: PolyhedralCone | None = None
+
+    @property
+    def point(self) -> Vec:
+        return tuple(Fraction(c, self.den) for c in self.zs)
+
+    def cone(self) -> PolyhedralCone:
+        if self._cone is None:
+            self._cone = regular_normal_cone(self.d, self.point)
+        return self._cone
+
+
 @lru_cache(maxsize=CANDIDATE_CACHE_SIZE)
-def _normal_candidates(d: PolyUnion, p: Vec) -> tuple[tuple[Vec, PolyhedralCone], ...]:
-    """(z, regular normal cone of d at z) for the distinct face projections
-    z of p that lie in d, in hull order.
+def _normal_candidates(d: PolyUnion, p: Vec) -> tuple[_Candidate, ...]:
+    """The distinct face projections of p that lie in d, in hull order.
 
     Cached on (d, p), CANDIDATE_CACHE_SIZE entries: every candidate
     multiplier and both normality modes search the same points, and the
     directional sampler the same schedule points on every call.
     """
     q, dq = int_row(p)
-    out: dict[Vec, PolyhedralCone] = {}
+    out: dict[tuple[IntVec, int], _Candidate] = {}
     for hull in _face_hulls(d.pieces):
         zs = hull.project_ints(q, dq)
         den = dq * hull.den
         if any(piece.holds(zs, den) for piece in d.pieces):
-            z = tuple(Fraction(c, den) for c in zs)
-            if z not in out:
-                out[z] = regular_normal_cone(d, z)
-    return tuple(out.items())
+            g = gcd(den, *zs)
+            key = (tuple(c // g for c in zs), den // g)
+            if key not in out:
+                out[key] = _Candidate(d, *key)
+    return tuple(out.values())
 
 
 # ---------------------------------------------------------------------------
@@ -274,21 +312,29 @@ def sample_directional_normals(
     """Regular normals at exact projections of base + t_k * direction.
 
     Each step takes the nearest of the point's ``_normal_candidates``, the
-    first in hull order on a tie, with the regular normal cone kept there.
-    The projection and the normal generators are exact; the fitted cone is
-    the set of generator directions that persist along the tail of the
-    samples (``fitted_normals``).
+    first in hull order on a tie, and builds the regular normal cone of that
+    one alone.  The projection and the normal generators are exact; the
+    fitted cone is the set of generator directions that persist along the
+    tail of the samples (``fitted_normals``).
     """
     samples = []
     ks = list(schedule.steps())[: min(schedule.k_max, 25)]
     for k in ks:
         pt = add(base, scale(schedule.t(k), direction))
-        cands = _normal_candidates(d, pt)
-        if not cands:
+        p, dp = int_row(pt)
+        # |z - pt|^2 = num / den^2 over the common factor dp^2; a strict < of
+        # the cross products keeps the first nearest candidate
+        best, best_num, best_den = None, 0, 1
+        for cand in _normal_candidates(d, pt):
+            zs, dz = cand.zs, cand.den
+            num = sum((a * dp - b * dz) ** 2 for a, b in zip(zs, p))
+            den = dz * dz
+            if best is None or num * best_den < best_num * den:
+                best, best_num, best_den = cand, num, den
+        if best is None:
             continue
-        z, nz = min(cands, key=lambda c: dot(sub(c[0], pt), sub(c[0], pt)))
-        rays, lin = generators(nz)
-        samples.append(NormalSample(k, z, rays, lin))
+        rays, lin = generators(best.cone())
+        samples.append(NormalSample(k, best.point, rays, lin))
     return SampleResult(tuple(samples), *fitted_normals(samples))
 
 
@@ -352,16 +398,32 @@ def _graph_point_cone(m: PatchMap, w: Vec) -> PolyhedralCone | None:
         return None
 
 
+@lru_cache(maxsize=IMAGE_CACHE_SIZE)
+def _image_cones(m: PatchMap, base: Vec, gdir: Vec | None) -> tuple[PolyhedralCone, ...] | None:
+    """The x-parts of the pieces of the upper bound of the graph normals of
+    m at base (in the graph direction gdir), or None when an active patch
+    fails the regularity gate.
+
+    Cached on (m, base, gdir), IMAGE_CACHE_SIZE entries: every converged
+    asymptotic-regularity search checks its limit at the same base point.
+    A caller that gets None logs it itself, so it shows on every call.
+    """
+    try:
+        upper = patch_limiting_normals(m, base, gdir).upper
+    except PatchRegularityError:
+        return None
+    return tuple(image_cone(c, lambda v: v[: m.nx], m.nx) for c in upper.pieces)
+
+
 def _outside_image(m: PatchMap, base: Vec, xstar: Vec, gdir: Vec | None = None) -> bool | None:
     """Whether x* lies outside Im D*m at base (in the graph direction gdir),
     or None when the exact analysis is rejected: the image, the x-part of the
     graph normals, lies in the x-parts of the pieces of their upper bound."""
-    try:
-        upper = patch_limiting_normals(m, base, gdir).upper
-    except PatchRegularityError as exc:
-        _log.debug("no image check at %s in direction %s: %s", base, gdir, exc)
+    cones = _image_cones(m, base, gdir)
+    if cones is None:
+        _log.debug("no image check at %s in direction %s: an active patch fails the regularity gate", base, gdir)
         return None
-    return not any(image_cone(c, lambda v: v[: m.nx], m.nx).contains(xstar) for c in upper.pieces)
+    return not any(c.contains(xstar) for c in cones)
 
 
 # ---------------------------------------------------------------------------
@@ -514,31 +576,47 @@ def search_normality_violation(
     same, so the first best is kept); the candidate multiplier is kept
     constant, so membership, sign conditions and convergence rates verify
     exactly on replay.
+
+    The residuals are x_to_base = |x_k - xbar|, z_to_image_point =
+    |z_k - g(xbar)| and z_direction = |(z_k - g(xbar)) / |x_k - xbar| -
+    g'(xbar) u|, in floats; the score of a candidate is their max.
     """
+    if len(lam) != sys.d.dim:
+        raise DimensionMismatch("multiplier has wrong dimension")
     schedule = schedule or Schedule()
-    gxbar = sys.g.eval(sys.xbar)
-    jac = sys.g.jacobian(sys.xbar)
-    ju = tuple(dot(row, u) for row in jac)
+    xbar = sys.xbar
+    gbar, gden = int_row(sys.g.eval(xbar))
+    ju = [float(dot(row, u)) for row in sys.g.jacobian(xbar)]
+    lam_ints = int_row(lam)[0]
+    signs = _sign_rows(lam, basis, mode)
     records = []
     for k in schedule.steps():
-        t = schedule.t(k)
-        x = add(sys.xbar, scale(t, u))
+        x = add(xbar, scale(schedule.t(k), u))
         gx = sys.g.eval(x)
+        q, dq = int_row(gx)
+        ndx = _norm(sub(x, xbar))
         best = None
-        for z, nz in _normal_candidates(sys.d, gx):
-            if not nz.contains(lam):
+        for cand in _normal_candidates(sys.d, gx):
+            if not cand.cone()._holds(lam_ints):
                 continue
-            gap = sub(gx, z)
-            if not _sign_conditions(lam, gap, basis, mode):
+            zs, den = cand.zs, cand.den
+            # g(x_k) - z_k, over dq * den
+            if not _signs_hold(signs, [a * den - b * dq for a, b in zip(q, zs)]):
                 continue
-            res = _normality_residuals(x, z, gxbar, ju, sys.xbar)
-            score = max(res.values())
+            # z_k - g(xbar), each entry the float of its Fraction
+            zden = den * gden
+            dz = [(a * gden - b * den) / zden for a, b in zip(zs, gbar)]
+            ndz = sqrt(sum(c * c for c in dz))
+            slope = [c / ndx - j for c, j in zip(dz, ju)]
+            ndir = sqrt(sum(c * c for c in slope))
+            score = max(ndx, ndz, ndir)
             if best is None or score < best[0]:
-                best = (score, x, z, gap, res)
+                best = (score, cand, ndz, ndir)
         if best is not None:
-            _, x, z, gap, res = best
+            _, cand, ndz, ndir = best
+            res = {"x_to_base": ndx, "z_to_image_point": ndz, "z_direction": ndir}
             records.append(
-                WitnessRecord(k, x, z, xstar=zeros(sys.n), lam=lam, residuals=res)
+                WitnessRecord(k, x, cand.point, xstar=zeros(sys.n), lam=lam, residuals=res)
             )
     if not _residuals_settle(records):
         return NOT_FOUND
@@ -550,28 +628,24 @@ def search_normality_violation(
     )
 
 
-def _sign_conditions(lam: Vec, gap: Vec, basis, mode: str) -> bool:
+def _sign_rows(lam: Vec, basis, mode: str) -> list[tuple[list[int], int]]:
+    """(row e as ints, sign s) pairs such that a gap meets the sign
+    conditions of the mode iff s <e, gap> > 0 for every pair.
+
+    Pseudo: <lam, gap> > 0.  Quasi: <lam, e> <gap, e> > 0 for every basis
+    vector e (the unit vectors when basis is None) with <lam, e> != 0.  A
+    positive scaling of e or of the gap keeps every sign, so the gap may be
+    given by its int numerators.
+    """
     if mode == "pseudo":
-        return dot(lam, gap) > 0
+        return [(int_row(lam)[0], 1)]
     if basis is None:
         basis = tuple(unit(len(lam), i) for i in range(len(lam)))
-    for e in basis:
-        le = dot(lam, e)
-        if le != 0 and le * dot(gap, e) <= 0:
-            return False
-    return True
+    return [(int_row(e)[0], 1 if le > 0 else -1) for e in basis if (le := dot(lam, e)) != 0]
 
 
-def _normality_residuals(x, z, gxbar, ju, xbar) -> dict:
-    dx = sub(x, xbar)
-    ndx = _norm(dx)
-    dz = sub(z, gxbar)
-    ratio_res = _norm(tuple(float(c) / ndx - float(j) for c, j in zip(dz, ju)))
-    return {
-        "x_to_base": ndx,
-        "z_to_image_point": _norm(dz),
-        "z_direction": ratio_res,
-    }
+def _signs_hold(signs: list[tuple[list[int], int]], gap: list[int]) -> bool:
+    return all(s * sum(map(mul, e, gap)) > 0 for e, s in signs)
 
 
 # ---------------------------------------------------------------------------
@@ -641,6 +715,7 @@ def search_mpec_normality(
     n1, n2 = mp.n1, mp.n2
     x1bar, x2bar = vec(mp.xbar[:n1]), vec(mp.xbar[n1:])
     lam_sq = dot(lam, lam)
+    signs = _sign_rows(lam, basis, mode)
     rows = []
     witness_records = []
     for k in schedule.steps():
@@ -654,9 +729,9 @@ def search_mpec_normality(
         # first-block offsets from the face projections of x1 onto Omega;
         # x1 itself is among them when it lies in Omega (the face with x1 in
         # its relative interior projects it onto itself)
-        for w1, n_omega in _normal_candidates(mp.omega, x1):
-            y1 = sub(w1, x1)
-            if not _sign_conditions(lam, y1, basis, mode):
+        for cand in _normal_candidates(mp.omega, x1):
+            y1 = sub(cand.point, x1)
+            if not _signs_hold(signs, int_row(y1)[0]):
                 continue
             for patch in mp.s.patches:
                 for spt in _patch_graph_points(patch, x1):
@@ -665,9 +740,7 @@ def search_mpec_normality(
                     if n_s is None:
                         _log.debug("skipping graph point %s: an active patch fails the regularity gate", spt)
                         continue
-                    val, pin = _mpec_alignment_lp(
-                        lam, n_s, n_omega, n1, n2, eps
-                    )
+                    val, pin = _mpec_alignment_lp(lam, n_s, cand.cone(), n1, n2, eps)
                     npts += 1
                     if val is not None and val > bound:
                         bound = val

@@ -96,6 +96,14 @@ def _mat(rows, where: str):
     return tuple(_vec(r, where) for r in rows)
 
 
+def _poly(text, names: list[str], where: str) -> Poly:
+    """A polynomial literal over names, or ProblemFormatError naming the
+    field unless it is a string."""
+    if not isinstance(text, str):
+        raise ProblemFormatError(f"{where}: expected a polynomial string, got {type(text).__name__}")
+    return parse_poly(text, names)
+
+
 def _named_vectors(data: dict, key: str) -> dict:
     """The optional object ``key`` of the problem: names mapped to vectors."""
     return {k: _vec(v, f"{key}.{k}") for k, v in _object(data.get(key, {}), key).items()}
@@ -190,8 +198,10 @@ def _parse_patches(blk, nx: int, ny: int, where: str) -> list[GraphPatch]:
     out = []
     for p in _list_field(blk, "patches", where, optional=True):
         p = _object(p, f"{where}.patches")
-        eqs = tuple(parse_poly(s, names) for s in _list_field(p, "eq", f"{where}.patches", optional=True))
-        ineqs = tuple(parse_poly(s, names) for s in _list_field(p, "ineq", f"{where}.patches", optional=True))
+        eqs, ineqs = (
+            tuple(_poly(s, names, f"{where}.patches.{key}") for s in _list_field(p, key, f"{where}.patches", optional=True))
+            for key in ("eq", "ineq")
+        )
         out.append(GraphPatch(eqs, ineqs, nx, ny))
     return out
 
@@ -227,20 +237,19 @@ def parse_problem(data: dict) -> Problem:
     kind = blocks[0]
     name = data.get("name", "problem")
     points, directions = _named_vectors(data, "points"), _named_vectors(data, "directions")
-    objective = None
 
     kwargs: dict = {}
     blk = data[kind]
     if kind == "constraint":
         n = _int_field(blk, "n", kind)
-        g = PolyMap.parse(_list_field(blk, "g", kind), n)
+        names = [f"x{i}" for i in range(n)]
+        g = PolyMap.make([_poly(s, names, "constraint.g") for s in _list_field(blk, "g", kind)])
         d = _polyunion(_field(blk, "D", kind), "constraint.D")
         xbar = points.get("xbar")
         if xbar is None:
             raise ProblemFormatError("constraint problems need points.xbar")
         kwargs["system"] = ConstraintSystem(g, d, xbar)
-        if "objective" in data:
-            objective = parse_poly(data["objective"], [f"x{i}" for i in range(n)])
+        nobj = n
     elif kind == "patch":
         nx, ny = _graph_block(blk, kind)
         patches = _parse_patches(blk, nx, ny, kind)
@@ -252,8 +261,7 @@ def parse_problem(data: dict) -> Problem:
             else:
                 raise ProblemFormatError(f"unknown patch family {fam_kind!r}")
         kwargs["patch_map"] = PatchMap(tuple(patches), nx, ny)
-        if "objective" in data:
-            objective = parse_poly(data["objective"], [f"x{i}" for i in range(nx)])
+        nobj = nx
     elif kind == "graphset":
         nx, ny = _graph_block(blk, kind)
         pieces = [_polyhedron(p, nx + ny, f"{kind}.pieces") for p in _list_field(blk, "pieces", kind, optional=True)]
@@ -267,8 +275,7 @@ def parse_problem(data: dict) -> Problem:
         kwargs["graph_set"] = PolyUnion.make(pieces)
         kwargs["graph_nx"] = nx
         kwargs["graph_ny"] = ny
-        if "objective" in data:
-            objective = parse_poly(data["objective"], [f"x{i}" for i in range(nx)])
+        nobj = nx
     else:
         omega = _polyunion(_field(blk, "omega", kind), "mpec.omega")
         sp = _field(blk, "s", kind)
@@ -276,10 +283,10 @@ def parse_problem(data: dict) -> Problem:
         patches = _parse_patches(sp, nx, ny, "mpec.s")
         kwargs["mpec_omega"] = omega
         kwargs["mpec_s"] = PatchMap(tuple(patches), nx, ny)
-        if "objective" in data:
-            objective = parse_poly(
-                data["objective"], [f"x{i}" for i in range(omega.dim + ny)]
-            )
+        nobj = omega.dim + ny
+    objective = None
+    if "objective" in data:
+        objective = _poly(data["objective"], [f"x{i}" for i in range(nobj)], "objective")
 
     basis = None
     if "basis" in data:

@@ -34,15 +34,20 @@ queries of ``unions``, ``cone_union_subset`` among them), and the lists of
 pieces and cells a verdict rests on are recomputed, not certified.
 Rational scalars serialize as "p/q" strings; identical inputs and flags
 produce byte-identical reports apart from the ``generated_at`` field.
+``dumps`` is a direct writer of the JSON format of ``json.dumps`` with
+``indent=2`` and ``sort_keys=True`` (strings through the C escaper of
+``json.encoder``): it writes the same text without the pure-Python
+encoder that an indent otherwise needs.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import fields, is_dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
+from math import isfinite
 
 from dircq import __version__
 from dircq.cq import FAILS, HOLDS, UNDECIDED, Verdict, graph_multiplier_systems, multiplier_systems
@@ -121,8 +126,67 @@ def build_report(command: str, problem_path: str, config: dict, rows: list[dict]
     }
 
 
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
 def dumps(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(report, indent=2, sort_keys=True) + "\\n"``, written directly.
+
+    A key that is not a str, or a value that is not a str, int, float,
+    bool, None, list, tuple or dict (by exact type), raises TypeError.
+    """
+    out: list[str] = []
+    _write(report, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(obj, out: list[str], nl: str) -> None:
+    """Append the JSON text of obj to out; nl is the newline and indent of
+    the line obj starts on."""
+    t = type(obj)
+    if t is str:
+        out.append(_quote(obj))
+    elif t is dict:
+        if not obj:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep)
+            out.append(_quote(key))
+            out.append(": ")
+            _write(obj[key], out, inner)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif t is list or t is tuple:
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _write(item, out, inner)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif t is int:
+        out.append(int.__repr__(obj))
+    elif t is float:
+        out.append(_float(obj))
+    elif t is bool or obj is None:
+        out.append(_CONSTANTS[obj])
+    else:
+        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+
+def _float(x: float) -> str:
+    if isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
 
 
 def exit_code(rows: list[dict]) -> int:

@@ -1,5 +1,7 @@
 """Sequence oracle: sampling, witness searches, and its caches."""
 
+import functools
+import itertools
 from fractions import Fraction as Q
 
 import pytest
@@ -9,13 +11,17 @@ from test_caches import ex58_squared
 
 from dircq import oracle
 from dircq.cq import FAILS, HOLDS, mpec_pseudo_quasi_verdict, pseudo_quasi_verdict
-from dircq.linalg import dot, int_row, mat_t_vec, nullspace, rref, sub, vec, zeros
+from dircq.linalg import add, dot, int_row, mat_t_vec, nullspace, rref, scale, sub, unit, vec, zeros
 from dircq.oracle import (
     NOT_FOUND,
     EliminationTrace,
     MpecProblem,
+    NormalSample,
+    SampleResult,
     Schedule,
+    WitnessRecord,
     WitnessSequence,
+    fitted_normals,
     graph_points_near,
     mpec_normality_candidates,
     sample_directional_normals,
@@ -23,11 +29,17 @@ from dircq.oracle import (
     search_mpec_normality,
     search_normality_violation,
 )
-from dircq.polyhedra import DimensionMismatch, HPolyhedron, PolyhedralCone, polar_cone
+from dircq.polyhedra import DimensionMismatch, HPolyhedron, PolyhedralCone, generators, polar_cone
 from dircq.polymaps import PolyMap, parse_poly
-from dircq.problemfile import parse_problem
+from dircq.problemfile import load_problem, parse_problem
 from dircq.setmaps import ConstraintSystem, GraphPatch, PatchMap
-from dircq.unions import ConeUnion, PolyUnion, cone_union_subset, directional_limiting_normal_cone
+from dircq.unions import (
+    ConeUnion,
+    PolyUnion,
+    cone_union_subset,
+    directional_limiting_normal_cone,
+    regular_normal_cone,
+)
 
 
 def halfplane_union():
@@ -210,12 +222,167 @@ def test_nearest_tie_may_take_a_projection_into_another_piece():
     p = vec([Q(1, 2), Q(3, 2)])
     assert d.pieces[0] == square
     assert sampled_point(d, p) == _reference_nearest(d.pieces, p) == vec([1, Q(3, 2)])
+    # the int comparison keeps the tie as the Fraction sampler's min does
+    schedule = Schedule(k_max=1)
+    assert sample_directional_normals(d, p, zeros(2), schedule) == reference_sample(d, p, zeros(2), schedule)
+
+
+# ---------------------------------------------------------------------------
+# the int schedule loops against the Fraction loops they replaced
+
+
+@functools.lru_cache(maxsize=4096)
+def reference_candidates(d, p):
+    """(z, regular normal cone of d at z) for the distinct Gram projections
+    z of p that lie in d, in face order; cached, since every multiplier and
+    mode of a direction asks for the same points."""
+    out = {}
+    for q in d.pieces:
+        for active, _ in oracle.polyhedron_faces(q):
+            z = _gram_projection(q, active, p)
+            if d.contains(z) and z not in out:
+                out[z] = regular_normal_cone(d, z)
+    return tuple(out.items())
+
+
+def reference_sample(d, base, direction, schedule):
+    """The directional sampler in Fractions: the first nearest candidate by
+    ``min`` over the squared distance."""
+    samples = []
+    for k in list(schedule.steps())[: min(schedule.k_max, 25)]:
+        pt = add(base, scale(schedule.t(k), direction))
+        cands = reference_candidates(d, pt)
+        if cands:
+            z, nz = min(cands, key=lambda c: _dist2(c[0], pt))
+            samples.append(NormalSample(k, z, *generators(nz)))
+    return SampleResult(tuple(samples), *fitted_normals(samples))
+
+
+def reference_signs(lam, gap, basis, mode):
+    if mode == "pseudo":
+        return dot(lam, gap) > 0
+    basis = basis or tuple(unit(len(lam), i) for i in range(len(lam)))
+    return all(dot(lam, e) * dot(gap, e) > 0 for e in basis if dot(lam, e) != 0)
+
+
+def float_norm(v):
+    return (sum(float(c) * float(c) for c in v)) ** 0.5
+
+
+def reference_normality_search(sys, u, lam, basis, schedule, mode):
+    """The normality search in Fractions, residual by residual."""
+    gxbar = sys.g.eval(sys.xbar)
+    ju = tuple(dot(row, u) for row in sys.g.jacobian(sys.xbar))
+    records = []
+    for k in schedule.steps():
+        x = add(sys.xbar, scale(schedule.t(k), u))
+        gx = sys.g.eval(x)
+        best = None
+        for z, nz in reference_candidates(sys.d, gx):
+            if not nz.contains(lam) or not reference_signs(lam, sub(gx, z), basis, mode):
+                continue
+            ndx = float_norm(sub(x, sys.xbar))
+            dz = sub(z, gxbar)
+            res = {
+                "x_to_base": ndx,
+                "z_to_image_point": float_norm(dz),
+                "z_direction": float_norm([float(c) / ndx - float(j) for c, j in zip(dz, ju)]),
+            }
+            if best is None or max(res.values()) < max(best[1].values()):
+                best = (z, res)
+        if best is not None:
+            records.append(WitnessRecord(k, x, best[0], xstar=zeros(sys.n), lam=lam, residuals=best[1]))
+    if not oracle._residuals_settle(records):
+        return NOT_FOUND
+    return WitnessSequence(
+        kind=f"{mode}-normality-violation",
+        records=tuple(records),
+        converged=True,
+        notes="lambda held constant at the candidate; all memberships exact",
+    )
+
+
+def fixture_system(name):
+    from test_golden import fixture_path
+
+    return load_problem(str(fixture_path(name))).system
+
+
+def _directions(n):
+    return [vec(u) for u in itertools.product((-1, 0, 1), repeat=n) if any(u)]
+
+
+def normality_case(name):
+    """(system, directions, candidate multipliers, a non-unit orthogonal basis)."""
+    if name == "ex58":
+        lams = [(0, -1), (0, 1), (-1, -1), (1, -2), (-1, 0)]
+        return ex58_system(), _directions(1), [vec(l) for l in lams], (vec([1, 1]), vec([2, -2]))
+    sys = ex58_squared() if name == "ex58^2" else fixture_system("ex58sq")
+    lams = [(0, -1, 0, 0), (0, 0, 0, -1), (0, -1, 0, -1), (1, -1, 0, -2), (-1, 0, 1, -1)]
+    basis = ((1, 1, 0, 0), (1, -1, 0, 0), (0, 0, 2, 1), (0, 0, -3, 6))
+    return sys, _directions(2), [vec(l) for l in lams], tuple(map(vec, basis))
+
+
+@pytest.mark.parametrize("schedule", [Schedule(k_max=14), Schedule(kind="harmonic", k_max=10)], ids=["geometric", "harmonic"])
+@pytest.mark.parametrize("name", ["ex58", "ex58^2", "ex58sq"])
+def test_normality_search_matches_the_fraction_search(name, schedule):
+    sys, directions, lams, basis = normality_case(name)
+    found = 0
+    for u, lam, mode, b in itertools.product(directions, lams, ("pseudo", "quasi"), (None, basis)):
+        got = search_normality_violation(sys, u, lam, b, schedule, mode)
+        assert got == reference_normality_search(sys, u, lam, b, schedule, mode), (u, lam, mode, b)
+        found += got != NOT_FOUND
+    # the comparison covers witness sequences, not only NOT_FOUND
+    assert found
+
+
+@pytest.mark.parametrize("mode", ["pseudo", "quasi"])
+def test_normality_residuals_are_the_floats_of_their_fractions(mode):
+    # g(x_k) = (-t + t^2/3, -t^2): over the 60 default steps the numerators
+    # and denominators of z_k - g(xbar) outgrow a double's 53 bits, so only a
+    # correctly rounded division gives the float of each Fraction
+    sys = ConstraintSystem(PolyMap.parse(["x0 + 1/3 x0^2", "-x0^2"], 1), halfplane_union(), vec([0]))
+    u, lam = vec([-1]), vec([0, -1])
+    got = search_normality_violation(sys, u, lam, mode=mode)
+    assert isinstance(got, WitnessSequence)
+    assert got == reference_normality_search(sys, u, lam, None, Schedule(), mode)
+
+
+@pytest.mark.parametrize("k", [5, 10, 20])
+def test_sampler_matches_the_fraction_sampler_on_the_staircase(k):
+    pr = parse_problem(
+        {"version": 1, "graphset": {"nx": 1, "ny": 1, "family": {"kind": "staircase", "K": k}}, "points": {"base": [0, 0]}}
+    )
+    d, base = pr.graph_set, pr.point("base")
+    for direction, schedule in ((vec([1, 1]), Schedule(k_max=8)), (vec([1, -1]), Schedule(kind="harmonic", k_max=8))):
+        assert sample_directional_normals(d, base, direction, schedule) == reference_sample(d, base, direction, schedule)
+
+
+def test_sampler_builds_only_the_nearest_cone(monkeypatch):
+    calls = []
+    real = oracle.regular_normal_cone
+
+    def counted(d, z):
+        calls.append(z)
+        return real(d, z)
+
+    monkeypatch.setattr(oracle, "regular_normal_cone", counted)
+    clear_oracle_caches()
+    pr = parse_problem(
+        {"version": 1, "graphset": {"nx": 1, "ny": 1, "family": {"kind": "staircase", "K": 20}}, "points": {"base": [0, 0]}}
+    )
+    res = sample_directional_normals(pr.graph_set, pr.point("base"), vec([1, 1]), Schedule(k_max=8))
+    assert calls == [s.point for s in res.samples]
+    # a repeated call reads the cones kept in the candidates
+    sample_directional_normals(pr.graph_set, pr.point("base"), vec([1, 1]), Schedule(k_max=8))
+    assert len(calls) == len(res.samples)
 
 
 def clear_oracle_caches():
     oracle._piece_hulls.cache_clear()
     oracle._normal_candidates.cache_clear()
     oracle._graph_point_cone.cache_clear()
+    oracle._image_cones.cache_clear()
 
 
 @pytest.mark.parametrize("k_max", [12, 24])
@@ -329,6 +496,30 @@ def test_asym_reg_builds_normal_cones_once_per_graph_point(monkeypatch, k_max):
     assert len(calls) == len(set(calls)) == oracle._graph_point_cone.cache_info().misses
 
 
+def test_asym_reg_builds_image_checks_once(monkeypatch, caplog):
+    calls = []
+    real = oracle.patch_limiting_normals
+
+    def counted(m, w, direction=None):
+        calls.append((m, w, direction))
+        return real(m, w, direction)
+
+    monkeypatch.setattr(oracle, "patch_limiting_normals", counted)
+    m, schedule = graph_of_halfplane_and_parabola(), Schedule(k_max=34)
+    clear_oracle_caches()
+    first = search_asym_reg_violation(m, vec([0]), vec([0]), vec([1]), schedule)
+    # one plain and one directional image check
+    assert first.converged and len(calls) == 2
+    assert search_asym_reg_violation(m, vec([0]), vec([0]), vec([1]), schedule) == first
+    assert len(calls) == 2
+    # a rejected image check is cached too, and logged on every call
+    dup = PatchMap((GraphPatch((joint("y0 - x0^2", 1, 1), joint("2 y0 - 2 x0^2", 1, 1)), (), 1, 1),), 1, 1)
+    with caplog.at_level("DEBUG", logger="dircq.oracle"):
+        assert [oracle._outside_image(dup, vec([0, 0]), vec([1])) for _ in range(3)] == [None] * 3
+    assert len(calls) == 3
+    assert sum("no image check" in r.getMessage() for r in caplog.records) == 3
+
+
 def test_asym_reg_violation_two_valued_graph():
     m = graph_line_and_parabola()
     found = search_asym_reg_violation(m, vec([0]), vec([0]), vec([1]), Schedule(k_max=34))
@@ -374,6 +565,11 @@ def test_normality_violation_witness():
     rec = found.records[-1]
     # z_k = (x_k, 0) with the sign condition <lam, g - z> = t^2 > 0
     assert rec.y == vec([rec.x[0], 0])
+
+
+def test_normality_search_rejects_a_multiplier_of_the_wrong_length():
+    with pytest.raises(DimensionMismatch):
+        search_normality_violation(ex58_system(), vec([-1]), vec([-1]), schedule=Schedule(k_max=4))
 
 
 def test_normality_search_not_found_when_sign_fails():

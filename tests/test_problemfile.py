@@ -200,3 +200,24 @@ def test_malformed_basis_is_rejected(name, basis, message):
 def test_orthogonal_basis_is_kept(name, vectors):
     pr = parse_problem({**fixture(name), "basis": {"vectors": vectors}})
     assert [[str(x) for x in v] for v in pr.basis] == [[str(x) for x in v] for v in vectors]
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (replaced(fixture("ex58"), ("constraint", "g"), ["x0", 5]), r"constraint\.g: expected a polynomial string, got int"),
+        ({**fixture("ex58"), "objective": 5}, r"objective: expected a polynomial string, got int"),
+        (
+            replaced(fixture("comb"), ("patch", "patches"), [{"eq": ["y0", 5]}]),
+            r"patch\.patches\.eq: expected a polynomial string, got int",
+        ),
+        (
+            replaced(fixture("ex47"), ("mpec", "s", "patches"), [{"eq": ["y0"], "ineq": [["x0"]]}]),
+            r"mpec\.s\.patches\.ineq: expected a polynomial string, got list",
+        ),
+    ],
+    ids=["g", "objective", "patch-eq", "patch-ineq"],
+)
+def test_polynomial_literal_must_be_a_string(data, message):
+    with pytest.raises(ProblemFormatError, match=message):
+        parse_problem(data)

@@ -1,8 +1,14 @@
-"""The report encoder walks dataclass fields as ``dataclasses.asdict`` did."""
+"""The report encoder walks dataclass fields as ``dataclasses.asdict`` did,
+and the report writer writes what ``json.dumps`` writes."""
 
 import json
 from dataclasses import asdict, is_dataclass
 from fractions import Fraction as Q
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dircq.linalg import vec
 from dircq.oracle import (
@@ -14,7 +20,7 @@ from dircq.oracle import (
     search_mpec_normality,
     search_normality_violation,
 )
-from dircq.report import _encode
+from dircq.report import _encode, dumps
 from test_oracle import ex47_problem, ex58_system, halfplane_union
 
 
@@ -59,3 +65,55 @@ def test_encode_matches_asdict_encoder():
     enc = _encode(objs[3])
     assert enc["sequence"]["__type__"] == "WitnessSequence"
     assert all("__type__" not in r for r in enc["sequence"]["records"])
+
+
+def json_dumps(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+_strings = st.text() | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\n\t\r\b\f", "é", "\u2028", "\U0001f600", ""])
+_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(10**40), 10**40)
+    | st.floats()
+    | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 1e300, -1e-300, 5e-324, 0.1])
+    | _strings
+)
+_trees = st.recursive(
+    _leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_strings, inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(_strings, _trees, max_size=5))
+def test_writer_matches_json_dumps(obj):
+    assert dumps(obj) == json_dumps(obj)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_trees)
+def test_writer_matches_json_dumps_on_any_tree(obj):
+    assert dumps(obj) == json_dumps(obj)
+
+
+@pytest.mark.parametrize("path", sorted((Path(__file__).parent / "golden").glob("*.json")), ids=lambda p: p.stem)
+def test_writer_rewrites_every_golden_report(path):
+    text = path.read_text()
+    report = json.loads(text)
+    assert dumps(report) == json_dumps(report) == text
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [{"a": Q(1, 2)}, {"a": [{1, 2}]}, {1: "a"}, {"a": {"b": {2: 0}}}],
+    ids=["fraction-value", "set-value", "int-key", "nested-int-key"],
+)
+def test_writer_rejects_what_is_not_json(obj):
+    with pytest.raises(TypeError):
+        dumps(obj)

@@ -137,7 +137,7 @@ def test_witness_check_reads_no_oracle_cache(ex58_report, monkeypatch):
     def unreadable(*args):
         raise AssertionError("the witness check read an oracle cache")
 
-    for name in ("_piece_hulls", "_normal_candidates", "_face_hulls"):
+    for name in ("_piece_hulls", "_normal_candidates", "_face_hulls", "_image_cones"):
         monkeypatch.setattr(oracle, name, unreadable)
     assert report._check_witness_sequence(pr, row, row["certificate"]) is None
 
@@ -147,8 +147,10 @@ def test_certificate_checks_read_no_first_order_cache(ex58_report, monkeypatch):
 
     from dircq import oracle, report
 
-    # the boundedness and clear-then-identical tests see both caches
-    assert {"dircq.cq._cached_context", "dircq.oracle._graph_point_cone"} <= set(cached_functions())
+    # the boundedness and clear-then-identical tests see these caches
+    assert {"dircq.cq._cached_context", "dircq.oracle._graph_point_cone", "dircq.oracle._image_cones"} <= set(
+        cached_functions()
+    )
     pr, rep = ex58_report
     # objective -x0 has no M-multiplier at 0, so mstationarity FAILS with a Farkas chain
     pr_neg = parse_problem({**EX58, "objective": "-x0"})
@@ -161,6 +163,7 @@ def test_certificate_checks_read_no_first_order_cache(ex58_report, monkeypatch):
 
     monkeypatch.setattr(cq, "_cached_context", unreadable)
     monkeypatch.setattr(oracle, "_graph_point_cone", unreadable)
+    monkeypatch.setattr(oracle, "_image_cones", unreadable)
     with pytest.raises(AssertionError, match="certificate check read"):
         cq.foscms(pr.system, pr.direction("minus"))
     checks = {

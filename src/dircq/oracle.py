@@ -8,6 +8,11 @@ always reported as NOT_FOUND and never interpreted as evidence that a
 property holds; witnesses are rationalized and re-verified exactly whenever
 they lie on rational patches.
 
+A witness sequence carries what a checker reads: records (k, x_k, y_k),
+with y_k = z_k or the equilibrium offsets (y1_k, y2_k), plus (x*_k, lam_k)
+for asymptotic regularity, whose sequence also carries x* and its image
+checks.  The float residuals that decide convergence stay in the search.
+
 The schedule loops of the normality search and of the directional sampler
 run on int numerators over a common denominator: membership, sign
 conditions and nearest-point comparisons are int dot products, each float
@@ -133,22 +138,26 @@ class WitnessRecord:
     k: int
     x: Vec
     y: Vec
+
+
+@dataclass(frozen=True)
+class AsymWitnessRecord(WitnessRecord):
     xstar: Vec
     lam: Vec
-    residuals: dict
-    x_in_preimage: bool = False
 
 
 @dataclass(frozen=True)
 class WitnessSequence:
     kind: str
     records: tuple[WitnessRecord, ...]
-    limit_xstar: Vec | None = None
-    limit_ystar: Vec | None = None
     converged: bool = False
+
+
+@dataclass(frozen=True)
+class AsymWitnessSequence(WitnessSequence):
+    limit_xstar: Vec | None = None
     outside_image: bool | None = None
     outside_directional_image: bool | None = None
-    notes: str = ""
 
 
 @dataclass(frozen=True)
@@ -436,7 +445,7 @@ def search_asym_reg_violation(
     ybar: Vec,
     u: Vec,
     schedule: Schedule | None = None,
-) -> WitnessSequence | str:
+) -> AsymWitnessSequence | str:
     """Sequences along direction u whose coderivative outputs escape the image.
 
     Deterministic: graph points are solved on the schedule x_k = xbar + t_k u,
@@ -447,17 +456,16 @@ def search_asym_reg_violation(
     direction (u, 0), through the exact upper bound of the graph normals: x*
     outside that bound is outside the image (``_outside_image``).
 
-    Whether x_k lies in the preimage of ybar is only recorded per step:
-    maps whose preimage is everything still carry the classical blow-up
-    witnesses.
+    x_k need not lie in the preimage of ybar: maps whose preimage is
+    everything still carry the classical blow-up witnesses.
     """
     schedule = schedule or Schedule()
     nx, ny = m.nx, m.ny
-    records: list[WitnessRecord] = []
+    records: list[AsymWitnessRecord] = []
+    residuals: list[dict] = []
     for k in schedule.steps():
         t = schedule.t(k)
         x = add(xbar, scale(t, u))
-        in_preimage = m.graph_contains(x, ybar)
         best: tuple | None = None
         for w in graph_points_near(m, x):
             y = w[nx:]
@@ -485,41 +493,35 @@ def search_asym_reg_violation(
                     best = (score, w, xstar, lam, res)
         if best is not None:
             _, w, xstar, lam, res = best
-            records.append(
-                WitnessRecord(k, x, w[nx:], xstar, lam, res, x_in_preimage=in_preimage)
-            )
-    if not _residuals_settle(records):
+            records.append(AsymWitnessRecord(k, x, w[nx:], xstar, lam))
+            residuals.append(res)
+    if not _residuals_settle(residuals):
         return NOT_FOUND
     tail = records[-5:]
     lam_norms = [_norm(r.lam) for r in tail]
     if any(b <= a for a, b in zip(lam_norms, lam_norms[1:])):
         return NOT_FOUND
     xstar = records[-1].xstar
-    ratio = rationalize(
-        _norm(sub(records[-1].y, ybar)) / _norm(sub(records[-1].x, xbar)), 10**15
-    )
-    ystar_scaled = scale(ratio, records[-1].lam)
     # exact image checks at the base point (plain and in graph direction (u, 0))
     base = vec(tuple(xbar) + tuple(ybar))
     gdir = vec(tuple(u) + tuple(Fraction(0) for _ in range(ny)))
-    return WitnessSequence(
+    return AsymWitnessSequence(
         kind="asymptotic-regularity-violation",
         records=tuple(records),
-        limit_xstar=xstar,
-        limit_ystar=ystar_scaled,
         converged=True,
+        limit_xstar=xstar,
         outside_image=_outside_image(m, base, xstar),
         outside_directional_image=_outside_image(m, base, xstar, gdir),
     )
 
 
-def _residuals_settle(records: list[WitnessRecord]) -> bool:
-    """At least 6 records, and no residual grows over the last 5."""
-    if len(records) < 6:
+def _residuals_settle(residuals: list[dict]) -> bool:
+    """At least 6 steps, and no residual grows over the last 5."""
+    if len(residuals) < 6:
         return False
-    tail = records[-5:]
-    for key in tail[0].residuals:
-        vals = [float(r.residuals[key]) for r in tail]
+    tail = residuals[-5:]
+    for key in tail[0]:
+        vals = [float(r[key]) for r in tail]
         if any(b > a * 1.0000001 + 1e-14 for a, b in zip(vals, vals[1:])):
             return False
     return True
@@ -574,8 +576,7 @@ def search_normality_violation(
     Candidate points z_k are the distinct exact face projections of g(x_k)
     that lie in D (``_normal_candidates``; a repeated projection scores the
     same, so the first best is kept); the candidate multiplier is kept
-    constant, so membership, sign conditions and convergence rates verify
-    exactly on replay.
+    constant, so membership and the sign conditions verify exactly on replay.
 
     The residuals are x_to_base = |x_k - xbar|, z_to_image_point =
     |z_k - g(xbar)| and z_direction = |(z_k - g(xbar)) / |x_k - xbar| -
@@ -589,7 +590,8 @@ def search_normality_violation(
     ju = [float(dot(row, u)) for row in sys.g.jacobian(xbar)]
     lam_ints = int_row(lam)[0]
     signs = _sign_rows(lam, basis, mode)
-    records = []
+    records: list[WitnessRecord] = []
+    residuals: list[dict] = []
     for k in schedule.steps():
         x = add(xbar, scale(schedule.t(k), u))
         gx = sys.g.eval(x)
@@ -614,18 +616,11 @@ def search_normality_violation(
                 best = (score, cand, ndz, ndir)
         if best is not None:
             _, cand, ndz, ndir = best
-            res = {"x_to_base": ndx, "z_to_image_point": ndz, "z_direction": ndir}
-            records.append(
-                WitnessRecord(k, x, cand.point, xstar=zeros(sys.n), lam=lam, residuals=res)
-            )
-    if not _residuals_settle(records):
+            records.append(WitnessRecord(k, x, cand.point))
+            residuals.append({"x_to_base": ndx, "z_to_image_point": ndz, "z_direction": ndir})
+    if not _residuals_settle(residuals):
         return NOT_FOUND
-    return WitnessSequence(
-        kind=f"{mode}-normality-violation",
-        records=tuple(records),
-        converged=True,
-        notes="lambda held constant at the candidate; all memberships exact",
-    )
+    return WitnessSequence(f"{mode}-normality-violation", tuple(records), converged=True)
 
 
 def _sign_rows(lam: Vec, basis, mode: str) -> list[tuple[list[int], int]]:
@@ -713,11 +708,12 @@ def search_mpec_normality(
     """
     schedule = schedule or Schedule(k_max=30)
     n1, n2 = mp.n1, mp.n2
-    x1bar, x2bar = vec(mp.xbar[:n1]), vec(mp.xbar[n1:])
     lam_sq = dot(lam, lam)
     signs = _sign_rows(lam, basis, mode)
     rows = []
     witness_records = []
+    # per witness record: the pinned eta and mu and |y_k| / t_k have collapsed
+    settled = []
     for k in schedule.steps():
         t = schedule.t(k)
         eps = _eps(k)
@@ -745,7 +741,7 @@ def search_mpec_normality(
                     if val is not None and val > bound:
                         bound = val
                     if pin is not None:
-                        best_pin = (x, y1, sub(sval, x2), pin)
+                        best_pin = (y1, sub(sval, x2), pin)
         rows.append(
             {
                 "k": k,
@@ -756,35 +752,12 @@ def search_mpec_normality(
             }
         )
         if best_pin is not None:
-            x_, y1_, y2_, (eta, mu) = best_pin
-            witness_records.append(
-                WitnessRecord(
-                    k,
-                    x_,
-                    vec(tuple(y1_) + tuple(y2_)),
-                    xstar=eta,
-                    lam=lam,
-                    residuals={
-                        "eta": _norm(eta),
-                        "mu": _norm(mu),
-                        "y_over_t": _norm(tuple(y1_) + tuple(y2_)) / float(t),
-                    },
-                )
-            )
-    if len(witness_records) >= 6:
-        tail = witness_records[-5:]
-        ok = all(
-            r.residuals["eta"] <= 1e-6 and r.residuals["mu"] <= 1e-6
-            and r.residuals["y_over_t"] <= 1e-3
-            for r in tail
-        )
-        if ok:
-            return WitnessSequence(
-                kind=f"{mode}-normality-violation",
-                records=tuple(witness_records),
-                converged=True,
-                notes="multiplier pinned at the candidate on every step",
-            )
+            y1, y2, (eta, mu) = best_pin
+            y = vec(tuple(y1) + tuple(y2))
+            witness_records.append(WitnessRecord(k, x, y))
+            settled.append(_norm(eta) <= 1e-6 and _norm(mu) <= 1e-6 and _norm(y) / float(t) <= 1e-3)
+    if len(witness_records) >= 6 and all(settled[-5:]):
+        return WitnessSequence(f"{mode}-normality-violation", tuple(witness_records), converged=True)
     tail_bounds = [float(r["alignment_bound"]) for r in rows[-5:]]
     eliminated = bool(tail_bounds) and all(
         b <= ELIMINATION_TOL * max(1.0, float(lam_sq)) for b in tail_bounds

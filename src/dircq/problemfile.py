@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from dircq.linalg import Vec, is_orthogonal_basis
-from dircq.polyhedra import HPolyhedron
+from dircq.polyhedra import DimensionMismatch, HPolyhedron
 from dircq.polymaps import Poly, PolyMap, parse_poly
 from dircq.setmaps import ConstraintSystem, GraphPatch, PatchMap
 from dircq.unions import PolyUnion
@@ -101,7 +101,10 @@ def _poly(text, names: list[str], where: str) -> Poly:
     field unless it is a string."""
     if not isinstance(text, str):
         raise ProblemFormatError(f"{where}: expected a polynomial string, got {type(text).__name__}")
-    return parse_poly(text, names)
+    try:
+        return parse_poly(text, names)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ProblemFormatError(f"{where}: bad polynomial {text!r}: {exc}") from exc
 
 
 def _named_vectors(data: dict, key: str) -> dict:
@@ -111,18 +114,26 @@ def _named_vectors(data: dict, key: str) -> dict:
 
 def _polyhedron(obj, dim: int, where: str) -> HPolyhedron:
     obj = _object(obj, where)
-    return HPolyhedron.make(
-        a=_mat(obj.get("a", []), f"{where}.a"),
-        b=_vec(obj.get("b", []), f"{where}.b"),
-        e=_mat(obj.get("e", []), f"{where}.e"),
-        d=_vec(obj.get("d", []), f"{where}.d"),
-        dim=dim,
-    )
+    try:
+        return HPolyhedron.make(
+            a=_mat(obj.get("a", []), f"{where}.a"),
+            b=_vec(obj.get("b", []), f"{where}.b"),
+            e=_mat(obj.get("e", []), f"{where}.e"),
+            d=_vec(obj.get("d", []), f"{where}.d"),
+            dim=dim,
+        )
+    except DimensionMismatch as exc:
+        raise ProblemFormatError(f"{where}: {exc}") from exc
 
 
 def _polyunion(obj, where: str) -> PolyUnion:
     dim = _int_field(obj, "dim", where)
-    pieces = [_polyhedron(p, dim, f"{where}.pieces") for p in _list_field(obj, "pieces", where)]
+    return _union([_polyhedron(p, dim, f"{where}.pieces") for p in _list_field(obj, "pieces", where)], where)
+
+
+def _union(pieces: list[HPolyhedron], where: str) -> PolyUnion:
+    if not pieces:
+        raise ProblemFormatError(f"{where}.pieces: expected at least one piece")
     return PolyUnion.make(pieces)
 
 
@@ -243,12 +254,16 @@ def parse_problem(data: dict) -> Problem:
     if kind == "constraint":
         n = _int_field(blk, "n", kind)
         names = [f"x{i}" for i in range(n)]
-        g = PolyMap.make([_poly(s, names, "constraint.g") for s in _list_field(blk, "g", kind)])
+        g = [_poly(s, names, "constraint.g") for s in _list_field(blk, "g", kind)]
         d = _polyunion(_field(blk, "D", kind), "constraint.D")
+        if len(g) != d.dim:
+            raise ProblemFormatError(f"constraint.g: {len(g)} polynomials for D in R^{d.dim} (constraint.D.dim)")
         xbar = points.get("xbar")
         if xbar is None:
             raise ProblemFormatError("constraint problems need points.xbar")
-        kwargs["system"] = ConstraintSystem(g, d, xbar)
+        if len(xbar) != n:
+            raise ProblemFormatError(f"points.xbar: expected {n} entries (constraint.n), got {len(xbar)}")
+        kwargs["system"] = ConstraintSystem(PolyMap.make(g), d, xbar)
         nobj = n
     elif kind == "patch":
         nx, ny = _graph_block(blk, kind)
@@ -272,7 +287,7 @@ def parse_problem(data: dict) -> Problem:
                 pieces.extend(_staircase_pieces(truncation))
             else:
                 raise ProblemFormatError(f"unknown graphset family {fam_kind!r}")
-        kwargs["graph_set"] = PolyUnion.make(pieces)
+        kwargs["graph_set"] = _union(pieces, kind)
         kwargs["graph_nx"] = nx
         kwargs["graph_ny"] = ny
         nobj = nx

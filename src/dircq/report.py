@@ -4,29 +4,37 @@ The structured JSON report is the interface of record.  ``verify_report``
 recomputes every verdict row through ``cli.run_check`` (a sample row is not
 a verdict and is not recomputed), and then runs the check that one table,
 ``_CHECKS``, maps the row's status and certificate kind to.  Each check
-works in exact arithmetic:
+works in exact arithmetic and reads only the fields named here:
 
-- ``multiplier``, ``multiplier_graph`` (HOLDS): lambda solves, in plain
-  Fractions, the multiplier system of the piece the certificate names, as
-  M-stationarity poses it: ``cq.multiplier_systems`` over N_D(g(xbar)), for
-  a patch map ``cq.graph_multiplier_systems`` over the certified
-  graph-normal bound, the one the decider searches;
-- ``farkas_chain``, ``farkas_chain_graph`` (FAILS): the chain is at the
-  objective's gradient, and one Farkas vector per piece verifies against the
-  same systems, over the upper bound for a patch map;
-- ``kernel_witness`` (FAILS) of a constraint problem and of a graph set:
-  y* != 0 lies in the recomputed kernel;
-- ``witness_sequence`` (FAILS): every record is replayed; the limit is not
-  checked;
-- ``normal_samples`` (SAMPLED): each sample is checked against the regular
-  normal cone at its point, and the fitted cone is fitted again from them.
+- ``multiplier``, ``multiplier_graph`` (HOLDS; ``lam``, ``piece`` and, for
+  a patch map, ``bound``): lambda solves, in plain Fractions, the
+  multiplier system of the piece the certificate names, as M-stationarity
+  poses it: ``cq.multiplier_systems`` over N_D(g(xbar)), for a patch map
+  ``cq.graph_multiplier_systems`` over the certified graph-normal bound,
+  the one the decider searches;
+- ``farkas_chain``, ``farkas_chain_graph`` (FAILS; ``target``, resp.
+  ``grad``, and each entry's ``piece``, ``farkas_ineq`` and ``farkas_eq``):
+  the chain is at the objective's gradient, and one Farkas vector per piece
+  verifies against the same systems, over the upper bound for a patch map;
+- ``kernel_witness`` (FAILS; ``ystar``) of a constraint problem and of a
+  graph set: y* != 0 lies in the recomputed kernel;
+- ``witness_sequence`` (FAILS; ``candidate`` and each record's ``k``, ``x``
+  and ``y``): every record is replayed; the limit is not checked;
+- ``normal_samples`` (SAMPLED; each sample's ``k``, ``point``, ``rays`` and
+  ``lineality``, and ``fitted_rays`` and ``fitted_lineality``): each sample
+  is checked against the regular normal cone at its point, and the fitted
+  cone is fitted again from them.
 
 The table also lists the kinds checked only through the recomputed status
 (``trivial_kernel``, ``condition_suite``, ``vacuous``,
-``elimination_traces``); a kind it does not list is an error.  A
-certificate that is not an object, or that its check cannot decode (a
-missing key, a vector of the wrong length, a non-numeric entry), is one
-error line for its row, not an exception.
+``elimination_traces``); a kind it does not list is an error.  Every other
+field is a trace that nothing checks: all fields of those kinds,
+``__type__``, a multiplier's ``residual`` or ``grad``, a kernel witness's
+``piece``, ``cone`` and ``curvature`` (h is recomputed), and a sequence's
+``kind`` and ``converged``.  A report that is not an object with a list
+of rows, a row or certificate that is not an object, and a certificate
+that its check cannot decode (a missing key, a vector of the wrong length,
+a non-numeric entry) are one error line each, not an exception.
 
 Both the recomputation and the cone lookups of the certificate checks read
 the same ``lru_cache``s that the deciders fill in the same process (the cone
@@ -225,8 +233,14 @@ def _recompute_row(problem, row) -> Verdict:
 
 def verify_report(report: dict, problem) -> list[str]:
     """Re-check every row; returns one human-readable failure per failing row."""
+    rows = report.get("rows") if isinstance(report, dict) else None
+    if not isinstance(rows, list):
+        return ["report is not an object with a list of rows"]
     errors: list[str] = []
-    for idx, row in enumerate(report.get("rows", [])):
+    for idx, row in enumerate(rows):
+        if not isinstance(row, dict):
+            errors.append(f"row {idx}: row is not an object")
+            continue
         err = _verify_row(problem, row)
         if err:
             errors.append(f"row {idx} ({row.get('check')}/{row.get('point')}/{row.get('direction')}): {err}")

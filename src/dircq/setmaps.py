@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from dircq.linalg import Mat, Vec, dot, is_zero, rank, vec, zeros
+from dircq.linalg import Mat, Vec, dot, is_zero, rank, zeros
 from dircq.polyhedra import PolyhedralCone, intersect_generated
 from dircq.polymaps import Poly, PolyMap, read_point
 from dircq.simplex import strict_feasible_point
@@ -103,9 +103,6 @@ class PatchMap:
     @property
     def dim(self) -> int:
         return self.nx + self.ny
-
-    def graph_contains(self, x: Vec, y: Vec) -> bool:
-        return any(p.contains(vec(tuple(x) + tuple(y))) for p in self.patches)
 
     def patches_at(self, w: Vec) -> tuple[int, ...]:
         return tuple(i for i, p in enumerate(self.patches) if p.contains(w))

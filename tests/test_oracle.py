@@ -269,11 +269,30 @@ def float_norm(v):
     return (sum(float(c) * float(c) for c in v)) ** 0.5
 
 
+# the residual test that the searches call, before a test replaces it
+RESIDUALS_SETTLE = oracle._residuals_settle
+
+
+def settled_residuals(monkeypatch) -> list:
+    """The residual lists that the searches hand to ``_residuals_settle``
+    from now on, one per call: the floats that decide convergence, which no
+    record keeps."""
+    seen = []
+
+    def recorded(residuals):
+        seen.append(residuals)
+        return RESIDUALS_SETTLE(residuals)
+
+    monkeypatch.setattr(oracle, "_residuals_settle", recorded)
+    return seen
+
+
 def reference_normality_search(sys, u, lam, basis, schedule, mode):
-    """The normality search in Fractions, residual by residual."""
+    """The normality search in Fractions, residual by residual: (its result,
+    the residuals of every step with an admissible point)."""
     gxbar = sys.g.eval(sys.xbar)
     ju = tuple(dot(row, u) for row in sys.g.jacobian(sys.xbar))
-    records = []
+    records, residuals = [], []
     for k in schedule.steps():
         x = add(sys.xbar, scale(schedule.t(k), u))
         gx = sys.g.eval(x)
@@ -291,15 +310,11 @@ def reference_normality_search(sys, u, lam, basis, schedule, mode):
             if best is None or max(res.values()) < max(best[1].values()):
                 best = (z, res)
         if best is not None:
-            records.append(WitnessRecord(k, x, best[0], xstar=zeros(sys.n), lam=lam, residuals=best[1]))
-    if not oracle._residuals_settle(records):
-        return NOT_FOUND
-    return WitnessSequence(
-        kind=f"{mode}-normality-violation",
-        records=tuple(records),
-        converged=True,
-        notes="lambda held constant at the candidate; all memberships exact",
-    )
+            records.append(WitnessRecord(k, x, best[0]))
+            residuals.append(best[1])
+    if not RESIDUALS_SETTLE(residuals):
+        return NOT_FOUND, residuals
+    return WitnessSequence(f"{mode}-normality-violation", tuple(records), converged=True), residuals
 
 
 def fixture_system(name):
@@ -325,27 +340,29 @@ def normality_case(name):
 
 @pytest.mark.parametrize("schedule", [Schedule(k_max=14), Schedule(kind="harmonic", k_max=10)], ids=["geometric", "harmonic"])
 @pytest.mark.parametrize("name", ["ex58", "ex58^2", "ex58sq"])
-def test_normality_search_matches_the_fraction_search(name, schedule):
+def test_normality_search_matches_the_fraction_search(name, schedule, monkeypatch):
     sys, directions, lams, basis = normality_case(name)
+    settled = settled_residuals(monkeypatch)
     found = 0
     for u, lam, mode, b in itertools.product(directions, lams, ("pseudo", "quasi"), (None, basis)):
         got = search_normality_violation(sys, u, lam, b, schedule, mode)
-        assert got == reference_normality_search(sys, u, lam, b, schedule, mode), (u, lam, mode, b)
+        assert (got, settled.pop()) == reference_normality_search(sys, u, lam, b, schedule, mode), (u, lam, mode, b)
         found += got != NOT_FOUND
     # the comparison covers witness sequences, not only NOT_FOUND
     assert found
 
 
 @pytest.mark.parametrize("mode", ["pseudo", "quasi"])
-def test_normality_residuals_are_the_floats_of_their_fractions(mode):
+def test_normality_residuals_are_the_floats_of_their_fractions(mode, monkeypatch):
     # g(x_k) = (-t + t^2/3, -t^2): over the 60 default steps the numerators
     # and denominators of z_k - g(xbar) outgrow a double's 53 bits, so only a
     # correctly rounded division gives the float of each Fraction
     sys = ConstraintSystem(PolyMap.parse(["x0 + 1/3 x0^2", "-x0^2"], 1), halfplane_union(), vec([0]))
     u, lam = vec([-1]), vec([0, -1])
+    settled = settled_residuals(monkeypatch)
     got = search_normality_violation(sys, u, lam, mode=mode)
     assert isinstance(got, WitnessSequence)
-    assert got == reference_normality_search(sys, u, lam, None, Schedule(), mode)
+    assert (got, settled.pop()) == reference_normality_search(sys, u, lam, None, Schedule(), mode)
 
 
 @pytest.mark.parametrize("k", [5, 10, 20])
@@ -453,8 +470,10 @@ def test_asym_reg_propagates_unrelated_errors(monkeypatch):
 
 
 def max_final_residual(seq: WitnessSequence) -> float:
-    """The largest residual of the sequence's last record."""
-    return max(float(v) for v in seq.records[-1].residuals.values())
+    """The largest residual of the last record of a witness at xbar = ybar
+    = 0 in the direction u = 1, as the search scores it."""
+    rec = seq.records[-1]
+    return max(oracle._asym_residuals(rec.x, rec.y, rec.xstar, rec.lam, vec([0]), vec([0]), vec([1])).values())
 
 
 def test_asym_reg_violation_region_graph():

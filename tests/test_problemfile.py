@@ -221,3 +221,48 @@ def test_orthogonal_basis_is_kept(name, vectors):
 def test_polynomial_literal_must_be_a_string(data, message):
     with pytest.raises(ProblemFormatError, match=message):
         parse_problem(data)
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (replaced(fixture("ex58"), ("constraint", "g"), ["1/0", "x0"]), r"constraint\.g: bad polynomial '1/0'"),
+        ({**fixture("ex58"), "objective": "1/0"}, r"objective: bad polynomial '1/0'"),
+        (replaced(fixture("ex58"), ("constraint", "g"), ["1e3", "x0"]), r"constraint\.g: bad polynomial '1e3': unknown symbol 'e3'"),
+        (
+            replaced(fixture("comb"), ("patch", "patches"), [{"eq": ["y0 - 2^x0"]}]),
+            r"patch\.patches\.eq: bad polynomial",
+        ),
+        (replaced(fixture("ex58"), ("constraint", "D", "dim"), 3), r"constraint\.D\.pieces: row length 2 != dim 3"),
+        (
+            replaced(fixture("ex58"), ("constraint", "D", "pieces", 0, "b"), [0, 1]),
+            r"constraint\.D\.pieces: rhs length does not match row count",
+        ),
+        (
+            replaced(fixture("staircase"), ("graphset", "pieces"), [{"a": [[1, 0, 0]], "b": [0]}]),
+            r"graphset\.pieces: row length 3 != dim 2",
+        ),
+        (replaced(fixture("ex58"), ("constraint", "g"), ["x0"]), r"constraint\.g: 1 polynomials for D in R\^2"),
+        (replaced(fixture("ex58"), ("points", "xbar"), [0, 0]), r"points\.xbar: expected 1 entries \(constraint\.n\), got 2"),
+        (replaced(fixture("ex58"), ("constraint", "D", "pieces"), []), r"constraint\.D\.pieces: expected at least one piece"),
+        (replaced(fixture("ex47"), ("mpec", "omega", "pieces"), []), r"mpec\.omega\.pieces: expected at least one piece"),
+        (without(fixture("staircase"), ("graphset", "family")), r"graphset\.pieces: expected at least one piece"),
+    ],
+    ids=[
+        "g-zero-division",
+        "objective-zero-division",
+        "g-float-literal",
+        "patch-symbolic-exponent",
+        "D-dim",
+        "rhs-length",
+        "graphset-row-length",
+        "g-count",
+        "xbar-length",
+        "D-no-pieces",
+        "omega-no-pieces",
+        "graphset-no-pieces",
+    ],
+)
+def test_malformed_data_is_a_format_error_naming_the_field(data, message):
+    with pytest.raises(ProblemFormatError, match=message):
+        parse_problem(data)

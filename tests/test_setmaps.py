@@ -60,9 +60,9 @@ def test_patch_tangent_requires_regularity():
 def test_patch_graph_of_constraint_system_matches():
     sys = ex58_system()
     m = constraint_graph_patches(sys)
-    assert m.graph_contains(vec([0]), vec([0, 0]))
-    assert m.graph_contains(vec([1]), vec([1, -2]))  # g(1)=(1,-1), g-y=(0,1) in D
-    assert not m.graph_contains(vec([1]), vec([2, 0]))  # g-y = (-1,-1) not in D
+    assert m.patches_at(vec([0, 0, 0])) == (0, 1)
+    assert m.patches_at(vec([1, 1, -2])) == (0, 1)  # g(1)=(1,-1), g-y=(0,1) in both pieces
+    assert m.patches_at(vec([1, 2, 0])) == ()  # g-y = (-1,-1) not in D
     # regular normal cones agree between both routes at a boundary graph point
     x = vec([Q(1, 2)])
     z = vec([-1, 0])  # g(x) - y, on the boundary of the second piece

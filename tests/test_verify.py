@@ -582,3 +582,108 @@ def test_multiplier_is_checked_against_its_piece(multiplier_problems, name, edit
     row["certificate"].update(edit)
     expected = [] if error is None else [f"row 0 (mstationarity/xbar/None): {error}"]
     assert verify_report({"rows": [row]}, pr) == expected
+
+
+@pytest.mark.parametrize(
+    "report, error",
+    [
+        ({"rows": [5]}, "row 0: row is not an object"),
+        ({"rows": None}, "report is not an object with a list of rows"),
+        ({"problem": "ex58"}, "report is not an object with a list of rows"),
+        ([{"rows": []}], "report is not an object with a list of rows"),
+    ],
+    ids=["row-int", "rows-null", "no-rows", "report-list"],
+)
+def test_malformed_report_is_one_error_line(report, error):
+    assert verify_report(report, parse_problem(EX58)) == [error]
+
+
+def test_kernel_witness_curvature_sign_is_checked():
+    """ex58 with D the line R x {0}: N_D = {0} x R everywhere, so y* = (0, s)
+    passes the adjoint and cone checks for every s, and at u = -1 the
+    curvature h = (0, -2) leaves the kernel y* = (0, s), s <= 0.  No golden
+    row reaches this check: on ex58 and ex58^2 every cone element and every
+    h is nonpositive entrywise."""
+    line = {"dim": 2, "pieces": [{"e": [[0, 1]], "d": [0]}]}
+    pr = parse_problem({**EX58, "constraint": {**EX58["constraint"], "D": line}})
+    row = json.loads(dumps({"rows": [verdict_row(run_check(pr, "soscms", direction="minus"), "xbar", "minus")]}))["rows"][0]
+    assert (row["status"], row["certificate"]["ystar"]) == ("FAILS", ["0", "-1"])
+    assert verify_report({"rows": [row]}, pr) == []
+    row["certificate"]["ystar"] = ["0", "1"]
+    assert verify_report({"rows": [row]}, pr) == [
+        "row 0 (soscms/xbar/minus): kernel witness violates the curvature sign"
+    ]
+
+
+def record(row, k: int = 4) -> dict:
+    """The witness record k of a normality golden row (records start at k = 1)."""
+    return row["certificate"]["sequence"]["records"][k - 1]
+
+
+@pytest.mark.parametrize(
+    "name, idx, edit, error",
+    [
+        # z_4 = (-1, -1) lies in neither half-plane of D
+        ("ex58-normality", 0, lambda row: record(row).update(y=["-1", "-1"]), "witness point left the set at k=4"),
+        # z_4 = (1, 1) is interior to D, where the regular normal cone is {0}
+        ("ex58-normality", 0, lambda row: record(row).update(y=["1", "1"]), "multiplier not normal at k=4"),
+        # x_4 = 0: g(x_4) - z_4 = (1/16, 0) is orthogonal to lambda = (0, -1)
+        ("ex58-normality", 1, lambda row: record(row).update(x=["0"]), "sign condition fails at k=4"),
+        ("ex58-normality", 1, lambda row: row["certificate"]["sequence"].update(records=[]), "empty witness sequence"),
+        # J^T y* = 1 for J = (1, 0)^T
+        ("ex58", 0, lambda row: row["certificate"].update(ystar=["1", "0"]), "kernel witness fails the adjoint condition"),
+        # the directional cone at u = -1 is {0} x (-oo, 0]
+        ("ex58", 3, lambda row: row["certificate"].update(ystar=["0", "1"]), "kernel witness lies outside the recomputed cone"),
+        ("ex58", 1, lambda row: row["certificate"].update(target=["-1"]), "Farkas target is not minus the objective gradient"),
+        ("ex58", 1, lambda row: row["certificate"]["pieces"][0].update(farkas_ineq=["x"]), "Farkas chain cannot be read: "),
+        ("ex58", 0, lambda row: row.update(certificate=["x"]), "certificate is not an object"),
+        ("ex58", 0, lambda row: row["certificate"].update(kind="bogus"), "no check for a FAILS certificate of kind 'bogus'"),
+        ("ex58", 0, lambda row: row.update(certificate=None), "FAILS without a certificate"),
+        ("ex58", 2, lambda row: row.update(direction="sideways"), "recomputation failed: unknown direction 'sideways'"),
+        (
+            "staircase",
+            0,
+            lambda row: row["certificate"]["result"]["samples"][0].update(k="x"),
+            "normal sample cannot be read: ",
+        ),
+    ],
+    ids=[
+        "point-off-D",
+        "not-normal",
+        "sign",
+        "empty",
+        "adjoint",
+        "cone",
+        "farkas-target",
+        "farkas-unreadable",
+        "certificate-list",
+        "unknown-kind",
+        "no-certificate",
+        "recomputation",
+        "sample-unreadable",
+    ],
+)
+def test_edited_golden_row_gives_its_message(goldens, name, idx, edit, error):
+    """One value of a golden row, edited just enough that one check says no."""
+    pr, report = goldens[name]
+    row = copy.deepcopy(report["rows"][idx])
+    edit(row)
+    errors = verify_report({"rows": [row]}, pr)
+    head = f"row 0 ({row['check']}/{row['point']}/{row['direction']}): {error}"
+    # the line of an undecodable certificate ends with the exception's text
+    assert errors == [head] or (error.endswith(": ") and len(errors) == 1 and errors[0].startswith(head))
+
+
+def test_certificate_for_another_kind_of_problem_is_reported(goldens):
+    from dircq import report
+
+    ex58, ex58_report = goldens["ex58"]
+    comb, _ = goldens["comb"]
+    sample = goldens["staircase"][1]["rows"][0]
+    assert verify_report({"rows": [sample]}, ex58) == [
+        "row 0 (directional-normal-sample/base/diag): normal samples need a graphset problem, not 'constraint'"
+    ]
+    kernel = ex58_report["rows"][0]
+    assert report._check_certificate(comb, kernel, kernel["certificate"]) == (
+        "a kernel witness needs a constraint or graphset problem, not 'patch'"
+    )

@@ -6,7 +6,9 @@ directional schedules and searches for the sequence witnesses that falsify
 asymptotic regularity or pseudo-/quasi-normality.  A failed search is
 always reported as NOT_FOUND and never interpreted as evidence that a
 property holds; witnesses are rationalized and re-verified exactly whenever
-they lie on rational patches.
+they lie on rational patches.  The graph points of a patch with a
+one-dimensional range are exact: ``_rational_roots`` gives the distinct
+rational roots of its defining polynomial in y, at any degree, in ints.
 
 A witness sequence carries what a checker reads: records (k, x_k, y_k),
 with y_k = z_k or the equilibrium offsets (y1_k, y2_k), plus (x*_k, lam_k)
@@ -47,12 +49,10 @@ import logging
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd, sqrt
 from operator import mul
 from typing import Sequence
-
-import numpy as np
 
 from dircq.linalg import (
     Vec,
@@ -348,23 +348,53 @@ def sample_directional_normals(
 
 
 # ---------------------------------------------------------------------------
-# graph-point solving on patches (one-dimensional range solved exactly where
-# the defining polynomial is linear in y, numerically + snap otherwise)
+# graph-point solving on patches (one-dimensional range: the rational roots
+# of the defining polynomial in y, exact at every degree)
 
 
-def _solve_univariate(coeffs: dict[int, Fraction]) -> list[Fraction]:
-    """Roots of the polynomial in y with these coefficients, exact when linear."""
-    deg = max(coeffs) if coeffs else 0
+def _int_value(p: list[int], z: int) -> int:
+    """p(z) for the int coefficients p by ascending power."""
+    return reduce(lambda v, c: v * z + c, reversed(p), 0)
+
+
+def _root_floors(p: list[int]) -> set[int]:
+    """Integers holding floor(r) for each real root r of the int polynomial p
+    (coefficients by ascending power), and perhaps others: p is monotone
+    between the real roots of p', bracketed alike, so one integer bisection
+    finds its root on each such interval; the Cauchy bound caps the ends."""
+    if len(p) == 1:
+        return set()
+    crit = _root_floors([i * c for i, c in enumerate(p)][1:])
+    bound = 1 - (-max(map(abs, p[:-1])) // abs(p[-1]))
+    ends = sorted({-bound, bound}.union(z for k in crit for z in (k, k + 1) if -bound < z < bound))
+    floors = set(crit)
+    for a, b in zip(ends, ends[1:]):
+        fa, fb = _int_value(p, a), _int_value(p, b)
+        while fa * fb < 0 and b - a > 1:
+            m = (a + b) // 2
+            fm = _int_value(p, m)
+            a, b, fb = (m, b, fb) if fm * fa > 0 else (a, m, fm)
+        if fa * fb < 0 or fb == 0:
+            floors.add(b if fb == 0 else a)
+    return floors
+
+
+def _rational_roots(coeffs: dict[int, int]) -> list[Fraction]:
+    """The distinct rational roots, ascending, of the polynomial in y with
+    these nonzero int coefficients by power.  Past the zero roots, z = c y
+    (c the leading coefficient) makes c^(d-1) p(z / c) a monic int
+    polynomial, whose rational roots are integers: floors of its real roots."""
+    deg = max(coeffs, default=0)
     if deg == 0:
         return []
     if deg == 1:
-        return [-coeffs.get(0, Fraction(0)) / coeffs[1]]
-    arr = np.array([float(coeffs.get(i, Fraction(0))) for i in range(deg, -1, -1)])
-    out = []
-    for r in np.roots(arr):
-        if abs(r.imag) <= 1e-9:
-            out.append(rationalize(float(r.real), 10**12))
-    return out
+        return [Fraction(-coeffs.get(0, 0), coeffs[1])]
+    low = min(coeffs)
+    a = [coeffs.get(e, 0) for e in range(low, deg + 1)]
+    c, d = a[-1], deg - low
+    monic = [ai * c ** (d - 1 - i) for i, ai in enumerate(a[:-1])] + [1]
+    roots = [Fraction(z, c) for z in _root_floors(monic) if _int_value(monic, z) == 0]
+    return sorted(roots + [Fraction(0)] * (low > 0))
 
 
 def _patch_graph_points(patch: GraphPatch, x: Vec) -> list[Vec]:
@@ -380,7 +410,7 @@ def _patch_graph_points(patch: GraphPatch, x: Vec) -> list[Vec]:
     arcs = eq_arcs or [q.y_coeffs(x) for q in patch.ineqs]
     pts: list[Vec] = []
     for arc in arcs:
-        for y0 in _solve_univariate(arc):
+        for y0 in _rational_roots(arc):
             w = vec(tuple(x) + (y0,))
             if patch.contains(w):
                 pts.append(w)

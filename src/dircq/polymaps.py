@@ -14,10 +14,10 @@ their lcm L, with the total degree d.
 Fractions in, Fractions out, ints inside: ``read_point`` scales a point to
 ints xs over one denominator den (``linalg.int_row``; int, Fraction and
 float entries), and ``int_value`` gives L den^d p(xs / den) as an int, whose
-sign is the sign of p there.  ``eval``, ``gradient``, ``hessian_ints`` and
-``y_coeffs`` build a Fraction only for each value they return, and
-``PolyMap`` reads a point once for all its components.  Every value equals the one plain Fraction
-arithmetic gives.
+sign is the sign of p there.  ``eval``, ``gradient`` and ``hessian_ints``
+build a Fraction only for each value they return, and ``PolyMap`` reads a
+point once for all its components; ``y_coeffs`` builds none.  Every value
+equals the one plain Fraction arithmetic gives, times L den^d for ``y_coeffs``.
 """
 
 from __future__ import annotations
@@ -135,12 +135,13 @@ class Poly:
     def eval(self, x: Sequence) -> Fraction:
         return self.eval_ints(*read_point(x, self.nvars))
 
-    def y_coeffs(self, x: Sequence) -> dict[int, Fraction]:
-        """Nonzero coefficients of p(x, y) by power of y, the last variable,
-        at the point x of the others; all over the one denominator L den^d."""
+    def y_coeffs(self, x: Sequence) -> dict[int, int]:
+        """Nonzero coefficients of p(x, y) by power of y, the last variable, at
+        the point x of the others: ints over one positive denominator L den^d,
+        which is dropped, as the roots in y do not depend on it."""
         iy = self.nvars - 1
         xs, den = read_point(x, iy)
-        terms, lden, degree = self._int_form
+        terms = self._int_form[0]
         nums: dict[int, int] = {}
         for c, missing, factors in terms:
             ye = 0
@@ -152,8 +153,7 @@ class Poly:
             if den != 1 and missing + ye:
                 c *= den ** (missing + ye)
             nums[ye] = nums.get(ye, 0) + c
-        total_den = lden * den**degree
-        return {e: Fraction(v, total_den) for e, v in nums.items() if v}
+        return {e: v for e, v in nums.items() if v}
 
     def diff(self, i: int) -> "Poly":
         acc: dict[tuple[int, ...], Fraction] = {}

@@ -112,6 +112,17 @@ def _named_vectors(data: dict, key: str) -> dict:
     return {k: _vec(v, f"{key}.{k}") for k, v in _object(data.get(key, {}), key).items()}
 
 
+def _lengths(points: dict, directions: dict, sizes: dict, dir_size: tuple[int, str] | None) -> None:
+    """ProblemFormatError naming the first point that ``sizes`` maps to
+    (size, source), or direction when dir_size is given, of another length."""
+    named = [("points", k, points[k], *sizes[k]) for k in sizes if k in points]
+    if dir_size is not None:
+        named += [("directions", k, u, *dir_size) for k, u in directions.items()]
+    for key, k, v, size, source in named:
+        if len(v) != size:
+            raise ProblemFormatError(f"{key}.{k}: expected {size} entries ({source}), got {len(v)}")
+
+
 def _polyhedron(obj, dim: int, where: str) -> HPolyhedron:
     obj = _object(obj, where)
     try:
@@ -261,8 +272,7 @@ def parse_problem(data: dict) -> Problem:
         xbar = points.get("xbar")
         if xbar is None:
             raise ProblemFormatError("constraint problems need points.xbar")
-        if len(xbar) != n:
-            raise ProblemFormatError(f"points.xbar: expected {n} entries (constraint.n), got {len(xbar)}")
+        _lengths(points, directions, {"xbar": (n, "constraint.n")}, (n, "constraint.n"))
         kwargs["system"] = ConstraintSystem(PolyMap.make(g), d, xbar)
         nobj = n
     elif kind == "patch":
@@ -275,6 +285,7 @@ def parse_problem(data: dict) -> Problem:
                 patches.extend(_comb_patches(truncation))
             else:
                 raise ProblemFormatError(f"unknown patch family {fam_kind!r}")
+        _lengths(points, directions, {"xbar": (nx, "patch.nx"), "ybar": (ny, "patch.ny")}, None)
         kwargs["patch_map"] = PatchMap(tuple(patches), nx, ny)
         nobj = nx
     elif kind == "graphset":
@@ -287,6 +298,8 @@ def parse_problem(data: dict) -> Problem:
                 pieces.extend(_staircase_pieces(truncation))
             else:
                 raise ProblemFormatError(f"unknown graphset family {fam_kind!r}")
+        size = (nx + ny, "graphset.nx + graphset.ny")
+        _lengths(points, directions, {"base": size}, size)
         kwargs["graph_set"] = _union(pieces, kind)
         kwargs["graph_nx"] = nx
         kwargs["graph_ny"] = ny
@@ -296,6 +309,8 @@ def parse_problem(data: dict) -> Problem:
         sp = _field(blk, "s", kind)
         nx, ny = _graph_block(sp, "mpec.s")
         patches = _parse_patches(sp, nx, ny, "mpec.s")
+        size = (omega.dim + ny, "mpec.omega.dim + mpec.s.ny")
+        _lengths(points, directions, {"xbar": size}, size)
         kwargs["mpec_omega"] = omega
         kwargs["mpec_s"] = PatchMap(tuple(patches), nx, ny)
         nobj = omega.dim + ny

@@ -16,8 +16,11 @@ works in exact arithmetic and reads only the fields named here:
   ``grad``, and each entry's ``piece``, ``farkas_ineq`` and ``farkas_eq``):
   the chain is at the objective's gradient, and one Farkas vector per piece
   verifies against the same systems, over the upper bound for a patch map;
-- ``kernel_witness`` (FAILS; ``ystar``) of a constraint problem and of a
-  graph set: y* != 0 lies in the recomputed kernel;
+- ``kernel_witness`` (FAILS; ``ystar``, and of a constraint problem
+  ``piece`` and a SOSCMS row's ``curvature``) of a constraint problem and
+  of a graph set: y* != 0 lies in the recomputed kernel, on a constraint
+  problem in the named piece of the recomputed (directional) limiting
+  normal cone, and the curvature is the recomputed h;
 - ``witness_sequence`` (FAILS; ``candidate`` and each record's ``k``, ``x``
   and ``y``): every record is replayed; the limit is not checked;
 - ``normal_samples`` (SAMPLED; each sample's ``k``, ``point``, ``rays`` and
@@ -30,11 +33,13 @@ The table also lists the kinds checked only through the recomputed status
 ``elimination_traces``); a kind it does not list is an error.  Every other
 field is a trace that nothing checks: all fields of those kinds,
 ``__type__``, a multiplier's ``residual`` or ``grad``, a kernel witness's
-``piece``, ``cone`` and ``curvature`` (h is recomputed), and a sequence's
-``kind`` and ``converged``.  A report that is not an object with a list
-of rows, a row or certificate that is not an object, and a certificate
-that its check cannot decode (a missing key, a vector of the wrong length,
-a non-numeric entry) are one error line each, not an exception.
+``cone``, and on a graph set its ``piece`` (an index into the pruned
+preimage union that the decider builds and verify does not), and a
+sequence's ``kind`` and ``converged``.  A report that is not an object
+with a list of rows, a row or certificate that is not an object, and a
+certificate that its check cannot decode (a missing key, a vector of the
+wrong length, a non-numeric entry) are one error line each, not an
+exception.
 
 Both the recomputation and the cone lookups of the certificate checks read
 the same ``lru_cache``s that the deciders fill in the same process (the cone
@@ -316,8 +321,9 @@ def _check_normal_samples(problem, row, cert) -> str | None:
 def _check_kernel_witness(problem, row, cert) -> str | None:
     """A nonzero y* in the recomputed kernel.
 
-    For a constraint problem: J^T y* = 0 and y* in the (directional) limiting
-    normal cone, with <h, y*> >= 0 for a SOSCMS row.  For a graph set:
+    For a constraint problem: J^T y* = 0 and y* in the piece ``piece`` of the
+    (directional) limiting normal cone, with ``curvature`` equal to h and
+    <h, y*> >= 0 for a SOSCMS row.  For a graph set:
     (0, -y*) in the directional limiting normal cone of the graph at the
     base point in the direction (u, 0).
     """
@@ -345,7 +351,15 @@ def _check_kernel_witness(problem, row, cert) -> str | None:
         return "kernel witness fails the adjoint condition"
     if not cone.contains(y):
         return "kernel witness lies outside the recomputed cone"
-    if row["check"] == "soscms" and dot(sys.g.second_order(sys.xbar, u)[1], y) < 0:
+    piece = cert["piece"]
+    if type(piece) is not int or piece not in range(len(cone.pieces)) or not cone.pieces[piece].contains(y):
+        return f"kernel witness piece {piece!r} is not a piece of the recomputed cone that holds y*"
+    if row["check"] != "soscms":
+        return None
+    h = sys.g.second_order(sys.xbar, u)[1]
+    if _decode_vec(cert["curvature"]) != h:
+        return "kernel witness curvature differs from the recomputed h"
+    if dot(h, y) < 0:
         return "kernel witness violates the curvature sign"
     return None
 

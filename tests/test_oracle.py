@@ -3,9 +3,10 @@
 import functools
 import itertools
 from fractions import Fraction as Q
+from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_caches import ex58_squared
 
@@ -444,6 +445,57 @@ def test_graph_points_on_comb_teeth():
     ).patch_map
     # the tooth x0 = 1/2 has no y in its equality; its foot y0 = 1/4 is a boundary arc
     assert vec([Q(1, 2), Q(1, 4)]) in graph_points_near(comb, vec([Q(1, 2)]))
+
+
+# every reduced p/q with 0 < q < 60 and |p| <= 40
+SWEEP = sorted({Q(p, q) for q in range(1, 60) for p in range(-40, 41)})
+
+
+def test_rational_roots_of_every_double_root_in_the_sweep():
+    # (q y - p)^2, the tangent case that a float root finder splits or misses
+    assert len(SWEEP) == 2917
+    for r in SWEEP:
+        p, q = r.numerator, r.denominator
+        coeffs = {e: c for e, c in {0: p * p, 1: -2 * p * q, 2: q * q}.items() if c}
+        assert oracle._rational_roots(coeffs) == [r]
+
+
+def test_graph_points_on_a_tangent_arc():
+    # (y0 - x0)^2 = 0 touches y0 = x0 at every x0
+    tangent = PatchMap((GraphPatch((joint("y0^2 - 2 x0 y0 + x0^2", 1, 1),), (), 1, 1),), 1, 1)
+    for x in SWEEP:
+        assert graph_points_near(tangent, vec([x])) == [vec([x, x])]
+
+
+def test_patch_graph_points_solve_a_quadratic_arc():
+    # ex47's root patch x0 = y0^2, y0 >= 0: at x0 = 1/4 only y0 = 1/2 is on it
+    root = ex47_problem().s.patches[1]
+    assert oracle._rational_roots(root.eqs[0].y_coeffs(vec([Q(1, 4)]))) == [Q(-1, 2), Q(1, 2)]
+    assert oracle._patch_graph_points(root, vec([Q(1, 4)])) == [vec([Q(1, 4), Q(1, 2)])]
+    assert oracle._patch_graph_points(root, vec([Q(1, 3)])) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_rational_roots_are_the_distinct_rational_roots(data):
+    """A product of factors (q y - p)^m, perhaps times a quadratic with no
+    rational root, scaled by a rational: the roots are the p/q, once each."""
+    y = joint("y0", 0, 1)
+    poly, roots = joint("1", 0, 1), set()
+    for _ in range(data.draw(st.integers(1, 3))):
+        p, q = data.draw(st.integers(-40, 40)), data.draw(st.integers(1, 12))
+        for _ in range(data.draw(st.integers(1, 3))):
+            poly = poly * (y.scale(q) - joint(str(p), 0, 1))
+        roots.add(Q(p, q))
+    if data.draw(st.booleans()):
+        # a y^2 + b y + c with a non-square discriminant: two irrational or
+        # two complex roots
+        a, b, c = data.draw(st.integers(1, 5)), data.draw(st.integers(-6, 6)), data.draw(st.integers(-6, 6))
+        disc = b * b - 4 * a * c
+        assume(disc < 0 or isqrt(disc) ** 2 != disc)
+        poly = poly * (y * y).scale(a) + poly * y.scale(b) + poly.scale(c)
+    t = data.draw(st.fractions(min_value=-100, max_value=100, max_denominator=50).filter(lambda t: t != 0))
+    assert oracle._rational_roots(poly.scale(t).y_coeffs(())) == sorted(roots)
 
 
 def test_asym_reg_skips_irregular_points(caplog):

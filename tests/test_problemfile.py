@@ -247,6 +247,25 @@ def test_polynomial_literal_must_be_a_string(data, message):
         (replaced(fixture("ex58"), ("constraint", "D", "pieces"), []), r"constraint\.D\.pieces: expected at least one piece"),
         (replaced(fixture("ex47"), ("mpec", "omega", "pieces"), []), r"mpec\.omega\.pieces: expected at least one piece"),
         (without(fixture("staircase"), ("graphset", "family")), r"graphset\.pieces: expected at least one piece"),
+        (replaced(fixture("ex58"), ("directions", "plus"), [1, 0, 0]), r"directions\.plus: expected 1 entries \(constraint\.n\), got 3"),
+        (replaced(fixture("comb"), ("points", "xbar"), [0] * 5), r"points\.xbar: expected 1 entries \(patch\.nx\), got 5"),
+        (replaced(fixture("comb"), ("points", "ybar"), [0, 0]), r"points\.ybar: expected 1 entries \(patch\.ny\), got 2"),
+        (
+            replaced(fixture("staircase"), ("points", "base"), [0] * 5),
+            r"points\.base: expected 2 entries \(graphset\.nx \+ graphset\.ny\), got 5",
+        ),
+        (
+            replaced(fixture("staircase"), ("directions", "diag"), [1]),
+            r"directions\.diag: expected 2 entries \(graphset\.nx \+ graphset\.ny\), got 1",
+        ),
+        (
+            replaced(fixture("ex47"), ("points", "xbar"), [0] * 5),
+            r"points\.xbar: expected 2 entries \(mpec\.omega\.dim \+ mpec\.s\.ny\), got 5",
+        ),
+        (
+            replaced(fixture("ex47"), ("directions", "e"), [1]),
+            r"directions\.e: expected 2 entries \(mpec\.omega\.dim \+ mpec\.s\.ny\), got 1",
+        ),
     ],
     ids=[
         "g-zero-division",
@@ -261,6 +280,13 @@ def test_polynomial_literal_must_be_a_string(data, message):
         "D-no-pieces",
         "omega-no-pieces",
         "graphset-no-pieces",
+        "direction-length",
+        "patch-xbar-length",
+        "patch-ybar-length",
+        "graphset-base-length",
+        "graphset-direction-length",
+        "mpec-xbar-length",
+        "mpec-direction-length",
     ],
 )
 def test_malformed_data_is_a_format_error_naming_the_field(data, message):

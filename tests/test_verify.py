@@ -634,6 +634,26 @@ def record(row, k: int = 4) -> dict:
         ("ex58", 0, lambda row: row["certificate"].update(ystar=["1", "0"]), "kernel witness fails the adjoint condition"),
         # the directional cone at u = -1 is {0} x (-oo, 0]
         ("ex58", 3, lambda row: row["certificate"].update(ystar=["0", "1"]), "kernel witness lies outside the recomputed cone"),
+        # N_D(g(0)) has two pieces, and y* = (0, -1) lies in the first only
+        (
+            "ex58",
+            0,
+            lambda row: row["certificate"].update(piece=1),
+            "kernel witness piece 1 is not a piece of the recomputed cone that holds y*",
+        ),
+        (
+            "ex58",
+            0,
+            lambda row: row["certificate"].update(piece=True),
+            "kernel witness piece True is not a piece of the recomputed cone that holds y*",
+        ),
+        # h = g''(0)[u, u] = (0, -2) at u = -1
+        (
+            "ex58",
+            3,
+            lambda row: row["certificate"].update(curvature=["0", "-1"]),
+            "kernel witness curvature differs from the recomputed h",
+        ),
         ("ex58", 1, lambda row: row["certificate"].update(target=["-1"]), "Farkas target is not minus the objective gradient"),
         ("ex58", 1, lambda row: row["certificate"]["pieces"][0].update(farkas_ineq=["x"]), "Farkas chain cannot be read: "),
         ("ex58", 0, lambda row: row.update(certificate=["x"]), "certificate is not an object"),
@@ -654,6 +674,9 @@ def record(row, k: int = 4) -> dict:
         "empty",
         "adjoint",
         "cone",
+        "kernel-piece",
+        "kernel-piece-bool",
+        "curvature",
         "farkas-target",
         "farkas-unreadable",
         "certificate-list",

@@ -76,6 +76,7 @@ from functools import lru_cache
 from operator import mul
 from typing import Sequence
 
+from dircq import oracle
 from dircq.linalg import (
     Mat,
     Vec,
@@ -792,9 +793,7 @@ def mstationarity(sys: ConstraintSystem, phi: Poly) -> Verdict:
     n_lim = limiting_normal_cone(sys.d, ctx.gx)
     lam, i, farkas = _piecewise_point(multiplier_systems(n_lim, ctx.jac, target))
     if lam is not None:
-        residual = add(grad, mat_t_vec(ctx.jac, lam))
-        cert = {"kind": "multiplier", "lam": lam, "piece": i, "residual": residual}
-        return Verdict("mstationarity", HOLDS, cert)
+        return Verdict("mstationarity", HOLDS, {"kind": "multiplier", "lam": lam, "piece": i})
     return Verdict(
         "mstationarity",
         FAILS,
@@ -835,8 +834,6 @@ def _candidate_verdict(name: str, candidates: list[Vec], search, detail: str, **
     (and ``cert_extra``), when every candidate is eliminated; else UNDECIDED
     with the survivors, reported under ``detail``.
     """
-    from dircq import oracle
-
     traces = []
     survivors = []
     for cand in candidates:
@@ -871,8 +868,6 @@ def pseudo_quasi_verdict(
     surviving candidates are reported as UNDECIDED, never as HOLDS (the
     constraint search finds witnesses and never eliminates a candidate).
     """
-    from dircq import oracle
-
     ctx, n_dir = _directional(sys, u)
     basis = _validate_basis(basis, sys.m)
     name = f"{mode}-normality"
@@ -905,8 +900,6 @@ def mpec_pseudo_quasi_verdict(
     contributes bound 0, so a candidate whose steps all have none is
     eliminated without a single alignment LP.
     """
-    from dircq import oracle
-
     if is_zero(u):
         raise ValueError("direction u must be nonzero")
     name = f"{mode}-normality"
@@ -984,8 +977,7 @@ def patch_mstationarity(m, phi: Poly, xbar: Vec, ybar: Vec) -> Verdict:
         return Verdict(
             "mstationarity",
             HOLDS,
-            {"kind": "multiplier_graph", "lam": lam, "piece": piece, "grad": grad,
-             "bound": "certified"},
+            {"kind": "multiplier_graph", "lam": lam, "piece": piece, "bound": "certified"},
         )
     lam_u, piece_u, farkas = search(bounds.upper)
     if lam_u is None:

@@ -170,10 +170,6 @@ class EliminationTrace:
     reason: str = ""
 
 
-def rationalize(x: float, max_den: int = 10**9) -> Fraction:
-    return Fraction(x).limit_denominator(max_den)
-
-
 def _norm(v: Vec) -> float:
     return sqrt(sum(float(c) * float(c) for c in v))
 
@@ -565,7 +561,7 @@ def _inv_norm(v: Vec) -> Fraction | None:
     if len(nonzero) == 1:
         return Fraction(1) / abs(nonzero[0])
     n = _norm(v)
-    return rationalize(1.0 / n, 10**9) if n > 0 else None
+    return Fraction(1.0 / n).limit_denominator(10**9) if n > 0 else None
 
 
 def _asym_residuals(x, y, xstar, lam, xbar, ybar, u) -> dict | None:

@@ -31,10 +31,9 @@ works in exact arithmetic and reads only the fields named here:
 The table also lists the kinds checked only through the recomputed status
 (``trivial_kernel``, ``condition_suite``, ``vacuous``,
 ``elimination_traces``); a kind it does not list is an error.  Every other
-field is a trace that nothing checks: all fields of those kinds,
-``__type__``, a multiplier's ``residual`` or ``grad``, a kernel witness's
-``cone``, and on a graph set its ``piece`` (an index into the pruned
-preimage union that the decider builds and verify does not), and a
+field is a trace that nothing checks: all fields of those kinds, a kernel
+witness's ``cone``, and on a graph set its ``piece`` (an index into the
+pruned preimage union that the decider builds and verify does not), and a
 sequence's ``kind`` and ``converged``.  A report that is not an object
 with a list of rows, a row or certificate that is not an object, and a
 certificate that its check cannot decode (a missing key, a vector of the
@@ -45,12 +44,15 @@ Both the recomputation and the cone lookups of the certificate checks read
 the same ``lru_cache``s that the deciders fill in the same process (the cone
 queries of ``unions``, ``cone_union_subset`` among them), and the lists of
 pieces and cells a verdict rests on are recomputed, not certified.
-Rational scalars serialize as "p/q" strings; identical inputs and flags
-produce byte-identical reports apart from the ``generated_at`` field.
-``dumps`` is a direct writer of the JSON format of ``json.dumps`` with
+
+``dumps`` is the one place that knows the JSON form.  A row holds the
+verdict's own objects, not a copy, and ``dumps`` writes a Fraction as its
+"p/q" string and a dataclass as the dict of its fields, with no type tag.
+It is a direct writer of the JSON format of ``json.dumps`` with
 ``indent=2`` and ``sort_keys=True`` (strings through the C escaper of
-``json.encoder``): it writes the same text without the pure-Python
-encoder that an indent otherwise needs.
+``json.encoder``): it writes the same text without the pure-Python encoder
+that an indent otherwise needs.  Identical inputs and flags produce
+byte-identical reports apart from the ``generated_at`` field.
 """
 
 from __future__ import annotations
@@ -62,9 +64,10 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from math import isfinite
 
-from dircq import __version__
+from dircq import __version__, cli
 from dircq.cq import FAILS, HOLDS, UNDECIDED, Verdict, graph_multiplier_systems, multiplier_systems
 from dircq.linalg import Vec, dot, is_zero, mat_t_vec, mat_vec, neg, unit, vec, zeros
+from dircq.oracle import NormalSample, fitted_normals
 from dircq.polyhedra import PolyhedralCone, polar_cone
 from dircq.setmaps import patch_limiting_normals
 from dircq.simplex import verify_farkas
@@ -75,49 +78,22 @@ REPORT_VERSION = 1
 SAMPLED = "SAMPLED"
 
 
-def _encode(obj, typed: bool = True):
-    """JSON-ready copy of obj; Fractions become "p/q" strings.
-
-    A dataclass becomes the dict of its fields, and only the outermost one
-    on each path carries ``__type__``.
-    """
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, dict):
-        return {str(k): _encode(v, typed) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_encode(v, typed) for v in obj]
-    if is_dataclass(obj) and not isinstance(obj, type):
-        d = {f.name: _encode(getattr(obj, f.name), False) for f in fields(obj)}
-        if typed:
-            d["__type__"] = type(obj).__name__
-        return d
-    return obj
-
-
 def verdict_row(
     verdict: Verdict, point: str | None = None, direction: str | None = None, extra: dict | None = None
 ) -> dict:
-    row = {
+    """The report row of a verdict.  It holds the verdict's own certificate,
+    condition reports and ``extra``, not a copy: write it with ``dumps``, not
+    ``json.dumps``, and do not mutate it."""
+    return {
         "check": verdict.name,
         "status": verdict.status,
         "qualifier": verdict.qualifier,
         "point": point,
         "direction": direction,
-        "certificate": _encode(verdict.certificate),
-        "conditions": [
-            {
-                "name": c.name,
-                "status": c.status,
-                "detail": c.detail,
-                "witness": _encode(c.witness),
-            }
-            for c in verdict.conditions
-        ],
+        "certificate": verdict.certificate,
+        "conditions": verdict.conditions,
+        **(extra or {}),
     }
-    if extra:
-        row.update(_encode(extra))
-    return row
 
 
 def build_report(command: str, problem_path: str, config: dict, rows: list[dict], stamp: bool = True) -> dict:
@@ -132,7 +108,7 @@ def build_report(command: str, problem_path: str, config: dict, rows: list[dict]
         "report_version": REPORT_VERSION,
         "command": command,
         "problem": {"path": problem_path, "sha256": digest},
-        "config": _encode(config),
+        "config": config,
         "generated_at": datetime.now(timezone.utc).isoformat() if stamp else None,
         "rows": rows,
         "cones": [],
@@ -145,8 +121,10 @@ _CONSTANTS = {None: "null", True: "true", False: "false"}
 def dumps(report: dict) -> str:
     """``json.dumps(report, indent=2, sort_keys=True) + "\\n"``, written directly.
 
-    A key that is not a str, or a value that is not a str, int, float,
-    bool, None, list, tuple or dict (by exact type), raises TypeError.
+    A Fraction is written as its "p/q" string and a dataclass as the dict of
+    its fields.  A key that is not a str raises TypeError, and so does any
+    other value whose exact type is not str, int, float, bool, None, list,
+    tuple or dict.
     """
     out: list[str] = []
     _write(report, out, "\n")
@@ -160,6 +138,8 @@ def _write(obj, out: list[str], nl: str) -> None:
     t = type(obj)
     if t is str:
         out.append(_quote(obj))
+    elif t is Fraction:
+        out.append(f'"{obj!s}"')
     elif t is dict:
         if not obj:
             out.append("{}")
@@ -192,6 +172,8 @@ def _write(obj, out: list[str], nl: str) -> None:
         out.append(_float(obj))
     elif t is bool or obj is None:
         out.append(_CONSTANTS[obj])
+    elif is_dataclass(t):
+        _write({f.name: getattr(obj, f.name) for f in fields(obj)}, out, nl)
     else:
         raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
@@ -222,8 +204,6 @@ def _decode_vec(xs) -> Vec:
 
 
 def _recompute_row(problem, row) -> Verdict:
-    from dircq import cli
-
     u, target = row.get("u"), row.get("target")
     return cli.run_check(
         problem,
@@ -293,8 +273,6 @@ def _check_normal_samples(problem, row, cert) -> str | None:
     along the row's direction waits for the curve certificates of ROADMAP
     item 3.
     """
-    from dircq.oracle import NormalSample, fitted_normals
-
     if problem.kind != "graphset":
         return f"normal samples need a graphset problem, not {problem.kind!r}"
     graph = problem.graph_set

@@ -209,7 +209,10 @@ def test_mstationarity_certificate():
     assert v.status == HOLDS
     lam = v.certificate["lam"]
     assert lam == vec([-1, 0])
-    assert v.certificate["residual"] == vec([0])
+    # J^T lam = -grad phi at xbar, in Fractions
+    jt_lam = mat_t_vec(sys.g.jacobian(sys.xbar), lam)
+    assert jt_lam == tuple(-c for c in phi.gradient(sys.xbar)) == (Q(-1),)
+    assert all(type(c) is Q for c in jt_lam)
 
 
 def test_mstationarity_zero_gradient():

@@ -1,8 +1,8 @@
-"""The report encoder walks dataclass fields as ``dataclasses.asdict`` did,
-and the report writer writes what ``json.dumps`` writes."""
+"""The report writer writes what ``json.dumps`` writes, and writes Fractions
+and dataclasses as the reference encoder below turns them into JSON data."""
 
 import json
-from dataclasses import asdict, is_dataclass
+from dataclasses import asdict, dataclass, is_dataclass
 from fractions import Fraction as Q
 from pathlib import Path
 
@@ -20,22 +20,21 @@ from dircq.oracle import (
     search_mpec_normality,
     search_normality_violation,
 )
-from dircq.report import _encode, dumps
+from dircq.report import dumps
 from test_oracle import ex47_problem, ex58_system, halfplane_union
 
 
-def asdict_encode(obj):
-    """The encoder as it was: deep-copy the outermost dataclass with asdict."""
+def reference(obj):
+    """JSON data of obj: a Fraction as its "p/q" string, a dataclass (deep
+    copied with asdict) as the dict of its fields."""
     if isinstance(obj, Q):
         return str(obj)
     if isinstance(obj, dict):
-        return {str(k): asdict_encode(v) for k, v in obj.items()}
+        return {k: reference(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [asdict_encode(v) for v in obj]
+        return [reference(v) for v in obj]
     if is_dataclass(obj) and not isinstance(obj, type):
-        d = asdict(obj)
-        d["__type__"] = type(obj).__name__
-        return asdict_encode(d)
+        return reference(asdict(obj))
     return obj
 
 
@@ -48,23 +47,17 @@ def oracle_results():
     return seq, sample, trace
 
 
-def test_encode_matches_asdict_encoder():
+def test_writer_matches_reference_encoder():
     seq, sample, trace = oracle_results()
     objs = [
         seq,
         sample,
         trace,
         {"kind": "witness_sequence", "candidate": vec([0, -1]), "sequence": seq},
-        {(Q(1, 2), Q(-3)): [sample, {"inner": trace}], Q(3, 4): (seq,), None: {Q(1): Q(5, 7)}},
+        {"a": [sample, {"inner": trace}], "b": (seq,), "c": {"d": Q(5, 7)}},
     ]
     for obj in objs:
-        enc = _encode(obj)
-        assert enc == asdict_encode(obj)
-        assert json.dumps(enc, sort_keys=True) == json.dumps(asdict_encode(obj), sort_keys=True)
-    # only the outermost dataclass on a path is typed
-    enc = _encode(objs[3])
-    assert enc["sequence"]["__type__"] == "WitnessSequence"
-    assert all("__type__" not in r for r in enc["sequence"]["records"])
+        assert dumps(obj) == json_dumps(reference(obj))
 
 
 def json_dumps(obj) -> str:
@@ -102,6 +95,28 @@ def test_writer_matches_json_dumps_on_any_tree(obj):
     assert dumps(obj) == json_dumps(obj)
 
 
+@dataclass(frozen=True)
+class Pair:
+    left: object
+    right: object
+
+
+_rich_trees = st.recursive(
+    _leaves | st.fractions() | st.builds(Q, st.integers(-(10**30), 10**30), st.integers(1, 10**30)),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_strings, inner, max_size=4)
+    | st.builds(Pair, inner, inner),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rich_trees)
+def test_writer_matches_reference_on_fractions_and_dataclasses(obj):
+    assert dumps(obj) == json_dumps(reference(obj))
+
+
 @pytest.mark.parametrize("path", sorted((Path(__file__).parent / "golden").glob("*.json")), ids=lambda p: p.stem)
 def test_writer_rewrites_every_golden_report(path):
     text = path.read_text()
@@ -111,8 +126,8 @@ def test_writer_rewrites_every_golden_report(path):
 
 @pytest.mark.parametrize(
     "obj",
-    [{"a": Q(1, 2)}, {"a": [{1, 2}]}, {1: "a"}, {"a": {"b": {2: 0}}}],
-    ids=["fraction-value", "set-value", "int-key", "nested-int-key"],
+    [{"a": [{1, 2}]}, {"a": 1j}, {1: "a"}, {"a": {"b": {2: 0}}}, {Q(1, 2): "a"}, {"a": {None: 0}}],
+    ids=["set-value", "complex-value", "int-key", "nested-int-key", "fraction-key", "none-key"],
 )
 def test_writer_rejects_what_is_not_json(obj):
     with pytest.raises(TypeError):

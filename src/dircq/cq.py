@@ -65,7 +65,10 @@ constraint-map and equilibrium deciders each build their own kernel
 candidates and trivial-kernel certificate, then hand the nonzero candidates
 and their oracle search to ``_candidate_verdict``: FAILS on the first
 converged witness sequence, HOLDS by oracle exhaustion when every candidate
-is eliminated, else UNDECIDED with the survivors.
+is eliminated, else UNDECIDED with the survivors.  The constraint search
+only finds witnesses and the equilibrium search only eliminates, so a
+constraint row is never HOLDS by exhaustion and an equilibrium row never
+FAILS.
 """
 
 from __future__ import annotations
@@ -237,10 +240,10 @@ def _directional(sys: ConstraintSystem, u: Vec) -> tuple[_Ctx, ConeUnion]:
     return ctx, directional_limiting_normal_cone(sys.d, ctx.gx, ctx.ju)
 
 
-def _not_tangent(name: str, **extra) -> Verdict:
+def _not_tangent(name: str, cone: str) -> Verdict:
     """HOLDS with an empty kernel: the direction is not tangent, so no
-    directional normal exists."""
-    cert = {"kind": "trivial_kernel", "pieces_checked": 0, **extra}
+    directional normal exists.  Every directional decider returns it."""
+    cert = {"kind": "trivial_kernel", "pieces_checked": 0, "cone": cone}
     return Verdict(name, HOLDS, cert, qualifier="direction-not-tangent")
 
 
@@ -608,12 +611,6 @@ def _lambda_condition(
     return ConditionReport(name, "holds", "all targets covered", witness={"targets": details})
 
 
-def _vacuous_verdict(name: str) -> Verdict:
-    """HOLDS without a system: grad g(xbar) u is not tangent to D."""
-    rep = ConditionReport("direction", "vacuous", "grad g(xbar) u not tangent to D")
-    return Verdict(name, HOLDS, {"kind": "vacuous", "reason": "direction"}, (rep,))
-
-
 def _assemble_theorem_verdict(
     name: str, reports: list[ConditionReport], holds: bool | None = None, **cert_extra
 ) -> Verdict:
@@ -650,7 +647,7 @@ def check_thm_polyhedral_I(
     """
     ctx, n_dir = _directional(sys, u)
     if n_dir.is_empty:
-        return _vacuous_verdict("thm-tangent-normals")
+        return _not_tangent("thm-tangent-normals", cone="directional")
 
     def build() -> list:
         """The tangent pieces of each meeting cell; the context's memo keeps them."""
@@ -684,7 +681,7 @@ def check_thm_polyhedral_II(
     """
     ctx, n_dir = _directional(sys, u)
     if n_dir.is_empty:
-        return _vacuous_verdict("thm-doubled-tangent")
+        return _not_tangent("thm-doubled-tangent", cone="directional")
     arr_t = arrangement(tangent_cone(tangent_cone(sys.d, ctx.gx), ctx.ju))
     table: dict = {}
 
@@ -736,7 +733,7 @@ def check_thm_nonpolyhedral(
     m = sys.m
     name = "thm-normal-graph"
     if n_dir.is_empty:
-        return _vacuous_verdict(name)
+        return _not_tangent(name, cone="directional")
 
     def groups(v: Vec | None) -> list:
         """The graph section at the witness (in direction v) of each meeting
@@ -872,7 +869,7 @@ def pseudo_quasi_verdict(
     basis = _validate_basis(basis, sys.m)
     name = f"{mode}-normality"
     if n_dir.is_empty:
-        return _not_tangent(name)
+        return _not_tangent(name, cone="directional")
     kernel = ConeUnion.make(_kernel_pieces(ctx, n_dir), sys.m)
     candidates = _candidate_rays(kernel)
     if not candidates:
@@ -893,12 +890,13 @@ def mpec_pseudo_quasi_verdict(
     """Pseudo-/quasi-normality for the equilibrium-constraint assembly.
 
     The kernel candidates pair coderivative directions of the solution map
-    with outward normals of the feasible region; candidates are then either
-    realized by a sequence witness (FAILS) or eliminated by the exact
-    alignment bounds collapsing to zero (HOLDS by oracle exhaustion, with the
-    contradiction trace attached).  A step with no admissible graph point
-    contributes bound 0, so a candidate whose steps all have none is
-    eliminated without a single alignment LP.
+    with outward normals of the feasible region; each candidate is either
+    eliminated by exact alignment bounds of 0 (HOLDS by oracle exhaustion
+    when all are, with the contradiction traces attached) or survives
+    (UNDECIDED).  The search builds no witness, so this decider never
+    FAILS.  A step with no admissible graph point contributes bound 0, so a
+    candidate whose steps all have none is eliminated without a single
+    alignment LP.
     """
     if is_zero(u):
         raise ValueError("direction u must be nonzero")
@@ -915,7 +913,7 @@ def mpec_pseudo_quasi_verdict(
         name,
         _candidate_rays(cands_union),
         search,
-        "candidates survived both search and elimination",
+        "candidates survived the elimination",
         exact_candidates=exact,
     )
 

@@ -3,17 +3,22 @@
 The exact layer decides cone identities; this module approaches the same
 objects through their defining sequences.  It samples normals along
 directional schedules and searches for the sequence witnesses that falsify
-asymptotic regularity or pseudo-/quasi-normality.  A failed search is
-always reported as NOT_FOUND and never interpreted as evidence that a
-property holds; witnesses are rationalized and re-verified exactly whenever
-they lie on rational patches.  The graph points of a patch with a
-one-dimensional range are exact: ``_rational_roots`` gives the distinct
-rational roots of its defining polynomial in y, at any degree, in ints.
+asymptotic regularity or the pseudo-/quasi-normality of a constraint
+system.  A failed search is always reported as NOT_FOUND and never
+interpreted as evidence that a property holds; witnesses are rationalized
+and re-verified exactly whenever they lie on rational patches.  The graph
+points of a patch with a one-dimensional range are exact:
+``_rational_roots`` gives the distinct rational roots of its defining
+polynomial in y, at any degree, in ints.
 
-A witness sequence carries what a checker reads: records (k, x_k, y_k),
-with y_k = z_k or the equilibrium offsets (y1_k, y2_k), plus (x*_k, lam_k)
-for asymptotic regularity, whose sequence also carries x* and its image
-checks.  The float residuals that decide convergence stay in the search.
+The equilibrium normality search builds no witness: it only eliminates a
+kernel candidate, when its exact alignment bound is 0 on each of the last
+five steps of its schedule, and otherwise leaves the candidate standing.
+
+A witness sequence carries what a checker reads: records (k, x_k, z_k),
+with z_k in the field ``y``, plus (x*_k, lam_k) for asymptotic regularity,
+whose sequence also carries x* and its image checks.  The float residuals
+that decide convergence stay in the search.
 
 The schedule loops of the normality search and of the directional sampler
 run on int numerators over a common denominator: membership, sign
@@ -89,7 +94,7 @@ from dircq.setmaps import (
     patch_limiting_normals,
     patch_regular_normal_cone,
 )
-from dircq.simplex import OPTIMAL, feasible_point, solve_lp
+from dircq.simplex import solve_lp
 from dircq.unions import ConeUnion, PolyUnion, directional_limiting_normal_cone, regular_normal_cone
 
 NOT_FOUND = "NOT_FOUND"
@@ -109,10 +114,6 @@ GRAPH_POINT_CACHE_SIZE = 512
 # ``_image_cones`` keeps: a pass of the sequence workload makes 8 image
 # checks at 4 distinct triples.
 IMAGE_CACHE_SIZE = 64
-# ``search_mpec_normality`` eliminates a candidate lam when its float
-# alignment bound on each of the last five schedule steps is at most
-# ELIMINATION_TOL * max(1, |lam|^2): the bound that counts as collapsed to 0.
-ELIMINATION_TOL = 1e-8
 
 _log = logging.getLogger(__name__)
 
@@ -475,12 +476,13 @@ def search_asym_reg_violation(
     """Sequences along direction u whose coderivative outputs escape the image.
 
     Deterministic: graph points are solved on the schedule x_k = xbar + t_k u,
-    the multiplier scale is normalized so the primal output has unit size,
-    and the candidate is admitted only if every sequence residual decreases
-    over the tail while the multipliers grow.  The limit x* is then checked
-    against the coderivative image at the base point, plain and in the graph
-    direction (u, 0), through the exact upper bound of the graph normals: x*
-    outside that bound is outside the image (``_outside_image``).
+    the multiplier scale is normalized so the primal output has unit largest
+    entry, and the candidate is admitted only if every sequence residual
+    decreases over the tail while the multipliers grow.  The limit x* is
+    then checked against the coderivative image at the base point, plain and
+    in the graph direction (u, 0), through the exact upper bound of the
+    graph normals: x* outside that bound is outside the image
+    (``_outside_image``).
 
     x_k need not lie in the preimage of ybar: maps whose preimage is
     everything still carry the classical blow-up witnesses.
@@ -507,8 +509,6 @@ def search_asym_reg_violation(
                 if is_zero(gx) or is_zero(gy):
                     continue
                 s = _inv_norm(gx)
-                if s is None:
-                    continue
                 xstar = scale(s, gx)
                 lam = scale(-s, gy)
                 res = _asym_residuals(x, y, xstar, lam, xbar, ybar, u)
@@ -553,15 +553,9 @@ def _residuals_settle(residuals: list[dict]) -> bool:
     return True
 
 
-def _inv_norm(v: Vec) -> Fraction | None:
-    """1/|v| as an exact rational when possible, rationalized float otherwise."""
-    nonzero = [c for c in v if c != 0]
-    if not nonzero:
-        return None
-    if len(nonzero) == 1:
-        return Fraction(1) / abs(nonzero[0])
-    n = _norm(v)
-    return Fraction(1.0 / n).limit_denominator(10**9) if n > 0 else None
+def _inv_norm(v: Vec) -> Fraction:
+    """1 / (largest |entry|) of v != 0, exactly."""
+    return Fraction(1, max(map(abs, v)))
 
 
 def _asym_residuals(x, y, xstar, lam, xbar, ybar, u) -> dict | None:
@@ -720,74 +714,47 @@ def search_mpec_normality(
     schedule: Schedule | None = None,
     mode: str = "pseudo",
     basis: tuple[Vec, ...] | None = None,
-) -> WitnessSequence | EliminationTrace:
-    """Witness search / elimination for one kernel candidate of the assembly.
+) -> EliminationTrace:
+    """Elimination of one kernel candidate of the assembly.
 
     At each scale the admissible graph points are enumerated (face
     projections on Omega for the first block, patch solutions of S for the
-    second), the sign conditions filter them, and an exact LP maximizes the
-    candidate alignment <lam, lambda> subject to the coderivative relation
-    with vanishing slack envelopes.  Bounds collapsing to zero eliminate the
-    candidate and the per-step rows form the contradiction trace.  A step
-    with no admissible point (``points`` 0) contributes bound 0: it solves
-    no LP and still counts toward the elimination.
+    second), the sign conditions filter them, and one exact LP per point
+    maximizes the candidate alignment <lam, lambda> subject to the
+    coderivative relation with vanishing slack envelopes.  The candidate is
+    eliminated when the step bound, the largest over the step's points, is
+    exactly 0 on each of the last five steps; the per-step rows form the
+    contradiction trace.  A step with no admissible point (``points`` 0)
+    contributes bound 0: it solves no LP and still counts toward the
+    elimination.  The search never builds a witness: a candidate that is not
+    eliminated survives.
     """
     schedule = schedule or Schedule(k_max=30)
     n1, n2 = mp.n1, mp.n2
-    lam_sq = dot(lam, lam)
     signs = _sign_rows(lam, basis, mode)
     rows = []
-    witness_records = []
-    # per witness record: the pinned eta and mu and |y_k| / t_k have collapsed
-    settled = []
     for k in schedule.steps():
         t = schedule.t(k)
         eps = _eps(k)
-        x = add(mp.xbar, scale(t, u))
-        x1, x2 = vec(x[:n1]), vec(x[n1:])
+        x1 = vec(add(mp.xbar, scale(t, u))[:n1])
         bound = Fraction(0)
         npts = 0
-        best_pin = None
         # first-block offsets from the face projections of x1 onto Omega;
         # x1 itself is among them when it lies in Omega (the face with x1 in
         # its relative interior projects it onto itself)
         for cand in _normal_candidates(mp.omega, x1):
-            y1 = sub(cand.point, x1)
-            if not _signs_hold(signs, int_row(y1)[0]):
+            if not _signs_hold(signs, int_row(sub(cand.point, x1))[0]):
                 continue
             for patch in mp.s.patches:
                 for spt in _patch_graph_points(patch, x1):
-                    sval = spt[n1:]
                     n_s = _graph_point_cone(mp.s, spt)
                     if n_s is None:
                         _log.debug("skipping graph point %s: an active patch fails the regularity gate", spt)
                         continue
-                    val, pin = _mpec_alignment_lp(lam, n_s, cand.cone(), n1, n2, eps)
+                    bound = max(bound, _mpec_alignment_lp(lam, n_s, cand.cone(), n1, n2, eps))
                     npts += 1
-                    if val is not None and val > bound:
-                        bound = val
-                    if pin is not None:
-                        best_pin = (y1, sub(sval, x2), pin)
-        rows.append(
-            {
-                "k": k,
-                "t": t,
-                "eps": eps,
-                "points": npts,
-                "alignment_bound": bound,
-            }
-        )
-        if best_pin is not None:
-            y1, y2, (eta, mu) = best_pin
-            y = vec(tuple(y1) + tuple(y2))
-            witness_records.append(WitnessRecord(k, x, y))
-            settled.append(_norm(eta) <= 1e-6 and _norm(mu) <= 1e-6 and _norm(y) / float(t) <= 1e-3)
-    if len(witness_records) >= 6 and all(settled[-5:]):
-        return WitnessSequence(f"{mode}-normality-violation", tuple(witness_records), converged=True)
-    tail_bounds = [float(r["alignment_bound"]) for r in rows[-5:]]
-    eliminated = bool(tail_bounds) and all(
-        b <= ELIMINATION_TOL * max(1.0, float(lam_sq)) for b in tail_bounds
-    )
+        rows.append({"k": k, "t": t, "eps": eps, "points": npts, "alignment_bound": bound})
+    eliminated = bool(rows) and all(r["alignment_bound"] == 0 for r in rows[-5:])
     return EliminationTrace(
         candidate=lam,
         rows=tuple(rows),
@@ -805,13 +772,10 @@ def _mpec_alignment_lp(
     n1: int,
     n2: int,
     eps: Fraction,
-):
+) -> Fraction:
     """max <lam, l> over (l, mu, eta) with (eta + l, -mu) in N_S,
-    -l in N_Omega, |eta|, |mu| <= eps componentwise, |l| capped.
-
-    Returns (bound, pinned) where pinned is (eta, mu) when l can sit exactly
-    at the candidate lam.
-    """
+    -l in N_Omega, |eta|, |mu| <= eps componentwise, |l| capped.  The LP
+    always has an optimum: 0 is feasible and every variable is bounded."""
     nvars = n1 + n2 + n1  # l, mu, eta
 
     def s_row(row: Vec) -> Vec:  # row . (eta + l, -mu)
@@ -823,7 +787,6 @@ def _mpec_alignment_lp(
     a_rows = [s_row(r) for r in n_s.a] + [omega_row(r) for r in n_omega.a]
     e_rows = [s_row(r) for r in n_s.e] + [omega_row(r) for r in n_omega.e]
     b_rhs = [Fraction(0)] * len(a_rows)
-    d_rhs = [Fraction(0)] * len(e_rows)
     cap = sum(abs(c) for c in lam) + 1
     # |mu|, |eta| <= eps and |l| <= cap, componentwise
     for start, size, lim in ((n1, n2, eps), (n1 + n2, n1, eps), (0, n1, cap)):
@@ -831,10 +794,4 @@ def _mpec_alignment_lp(
             a_rows += [unit(nvars, j), neg(unit(nvars, j))]
             b_rhs += [lim, lim]
     obj = tuple(lam) + zeros(n2 + n1)
-    res = solve_lp(vec(obj), tuple(a_rows), vec(b_rhs), tuple(e_rows), vec(d_rhs), n=nvars)
-    bound = res.objective if res.status == OPTIMAL else None
-    # pinned check: l = lam exactly
-    e2 = e_rows + [unit(nvars, j) for j in range(n1)]
-    pin = feasible_point(tuple(a_rows), vec(b_rhs), tuple(e2), vec(d_rhs + list(lam)), n=nvars)
-    pinned = (vec(pin.x[n1 + n2 :]), vec(pin.x[n1 : n1 + n2])) if pin.status == OPTIMAL else None
-    return bound, pinned
+    return solve_lp(vec(obj), tuple(a_rows), vec(b_rhs), tuple(e_rows), zeros(len(e_rows)), n=nvars).objective

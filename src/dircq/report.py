@@ -22,23 +22,24 @@ works in exact arithmetic and reads only the fields named here:
   problem in the named piece of the recomputed (directional) limiting
   normal cone, and the curvature is the recomputed h;
 - ``witness_sequence`` (FAILS; ``candidate`` and each record's ``k``, ``x``
-  and ``y``): every record is replayed; the limit is not checked;
+  and ``y``) of a constraint problem, the only one whose search builds
+  witnesses: every record (k, x_k, z_k), z_k in ``y``, is replayed; the
+  limit is not checked;
 - ``normal_samples`` (SAMPLED; each sample's ``k``, ``point``, ``rays`` and
   ``lineality``, and ``fitted_rays`` and ``fitted_lineality``): each sample
   is checked against the regular normal cone at its point, and the fitted
   cone is fitted again from them.
 
 The table also lists the kinds checked only through the recomputed status
-(``trivial_kernel``, ``condition_suite``, ``vacuous``,
-``elimination_traces``); a kind it does not list is an error.  Every other
-field is a trace that nothing checks: all fields of those kinds, a kernel
-witness's ``cone``, and on a graph set its ``piece`` (an index into the
-pruned preimage union that the decider builds and verify does not), and a
-sequence's ``kind`` and ``converged``.  A report that is not an object
-with a list of rows, a row or certificate that is not an object, and a
-certificate that its check cannot decode (a missing key, a vector of the
-wrong length, a non-numeric entry) are one error line each, not an
-exception.
+(``trivial_kernel``, ``condition_suite``, ``elimination_traces``); a kind
+it does not list is an error.  Every other field is a trace that nothing
+checks: all fields of those kinds, a kernel witness's ``cone``, and on a
+graph set its ``piece`` (an index into the pruned preimage union that the
+decider builds and verify does not), and a sequence's ``kind`` and
+``converged``.  A report that is not an object with a list of rows, a row
+or certificate that is not an object, and a certificate that its check
+cannot decode (a missing key, a vector of the wrong length, a non-numeric
+entry) are one error line each, not an exception.
 
 Both the recomputation and the cone lookups of the certificate checks read
 the same ``lru_cache``s that the deciders fill in the same process (the cone
@@ -402,14 +403,13 @@ def _check_farkas_chain(problem, row, cert) -> str | None:
 def _check_witness_sequence(problem, row, cert) -> str | None:
     """Replays every record of a witness sequence in plain Fractions.
 
-    For a constraint problem: z_k in D, lambda normal at z_k and
-    <lambda, g(x_k) - z_k> > 0.  For an MPEC problem: the first-block point
-    x1_k + y1_k lies in Omega and the offset y1_k satisfies the sign condition
-    of the row's mode, <lambda, y1_k> > 0 for pseudo-normality.  A
-    quasi-normality row needs <lambda, e> <gap, e> > 0 for every basis vector
-    e with <lambda, e> != 0 (the problem's basis, else the unit vectors),
-    where gap is g(x_k) - z_k, resp. y1_k.
+    Only the constraint search builds witnesses: z_k in D, lambda normal at
+    z_k and <lambda, gap> > 0 for gap = g(x_k) - z_k.  A quasi-normality row
+    needs <lambda, e> <gap, e> > 0 for every basis vector e with
+    <lambda, e> != 0 (the problem's basis, else the unit vectors).
     """
+    if problem.kind != "constraint":
+        return f"a witness sequence needs a constraint problem, not {problem.kind!r}"
     records = cert["sequence"]["records"]
     if not records:
         return "empty witness sequence"
@@ -417,10 +417,9 @@ def _check_witness_sequence(problem, row, cert) -> str | None:
     quasi_basis = ()
     if row["check"] == "quasi-normality":
         quasi_basis = problem.basis or tuple(unit(len(lam), i) for i in range(len(lam)))
-    replay = _replay_constraint_record if problem.kind == "constraint" else _replay_mpec_record
     for rec in records:
         k = int(rec["k"])
-        err = replay(problem, lam, quasi_basis, _decode_vec(rec["x"]), _decode_vec(rec["y"]))
+        err = _replay_constraint_record(problem, lam, quasi_basis, _decode_vec(rec["x"]), _decode_vec(rec["y"]))
         if err:
             return f"{err} at k={k}"
     return None
@@ -436,21 +435,7 @@ def _replay_constraint_record(problem, lam: Vec, quasi_basis, x: Vec, z: Vec) ->
     gap = tuple(a - b for a, b in zip(sys.g.eval(x), z, strict=True))
     if dot(lam, gap) <= 0:
         return "sign condition fails"
-    return _quasi_sign_error(lam, gap, quasi_basis)
-
-
-def _replay_mpec_record(problem, lam: Vec, quasi_basis, x: Vec, y: Vec) -> str | None:
-    n1 = problem.mpec_omega.dim
-    y1 = y[:n1]
-    if not problem.mpec_omega.contains(tuple(a + b for a, b in zip(x[:n1], y1, strict=True))):
-        return "first-block point left Omega"
-    if not quasi_basis and dot(lam, y1) <= 0:
-        return "sign condition fails"
-    return _quasi_sign_error(lam, y1, quasi_basis)
-
-
-def _quasi_sign_error(lam: Vec, gap: Vec, basis) -> str | None:
-    for i, e in enumerate(basis):
+    for i, e in enumerate(quasi_basis):
         le = dot(lam, e)
         if le != 0 and le * dot(gap, e) <= 0:
             return f"quasi sign condition fails on basis vector {i}"
@@ -470,6 +455,5 @@ _CHECKS = {
     (SAMPLED, "normal_samples"): (_check_normal_samples, "normal sample cannot be read"),
     (HOLDS, "trivial_kernel"): None,
     (HOLDS, "condition_suite"): None,
-    (HOLDS, "vacuous"): None,
     (HOLDS, "elimination_traces"): None,
 }

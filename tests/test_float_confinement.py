@@ -22,12 +22,9 @@ FLOAT_CALLS = {"float", "sqrt", "isfinite"}
 
 ALLOWED = {
     "oracle": {
-        "ELIMINATION_TOL": "ROADMAP item 13: equilibrium normality decided exactly or left UNDECIDED",
         "_residuals_settle": "ROADMAP item 3: the germ fit replaces the float settling test",
         "search_normality_violation": "ROADMAP items 3 and 11: the germ fit replaces its residual floats",
-        "search_mpec_normality": "ROADMAP item 3: the germ fit replaces its settled tolerances",
         "_norm": "ROADMAP items 3 and 11: the residual floats it serves go",
-        "_inv_norm": "ROADMAP item 11: the asymptotic-regularity search goes or turns exact",
         "_asym_residuals": "ROADMAP item 11: the asymptotic-regularity search goes or turns exact",
     },
     "report": {

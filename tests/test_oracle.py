@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_caches import ex58_squared
+from test_golden import record_solve_lp
 
 from dircq import oracle
 from dircq.cq import FAILS, HOLDS, mpec_pseudo_quasi_verdict, pseudo_quasi_verdict
@@ -682,9 +683,35 @@ def test_mpec_elimination_ex47():
     res = search_mpec_normality(mp, vec([0, 1]), vec([1]), Schedule(k_max=24))
     assert isinstance(res, EliminationTrace)
     assert res.eliminated
-    bounds = [float(r["alignment_bound"]) for r in res.rows]
-    assert bounds[-1] <= 1e-8
-    assert all(b2 <= b1 + 1e-15 for b1, b2 in zip(bounds[-6:], bounds[-5:]))
+    assert [r["alignment_bound"] for r in res.rows[-5:]] == [0] * 5
+
+
+def test_mpec_elimination_needs_exact_zero_bounds():
+    # along u = (-1, 0) every step has an admissible graph point, and its
+    # alignment bound shrinks with eps_k but is never 0: no schedule length
+    # eliminates the candidate
+    res = search_mpec_normality(ex47_problem(), vec([-1, 0]), vec([1]), Schedule(k_max=60))
+    assert not res.eliminated
+    assert res.reason == "bounds did not collapse within the schedule"
+    assert all(r["points"] > 0 and r["alignment_bound"] > 0 for r in res.rows)
+
+
+@pytest.mark.parametrize("mode", ["pseudo", "quasi"])
+def test_mpec_search_solves_one_lp_per_graph_point(monkeypatch, mode):
+    # a warm repeat: the graph-point and Omega normal cones are cached, so
+    # every LP left is an alignment bound
+    mp, schedule = ex47_problem(), Schedule(k_max=12)
+    args = (mp, vec([-1, 0]), vec([1]), schedule, mode)
+    first = search_mpec_normality(*args)
+    calls = record_solve_lp(monkeypatch)
+    assert search_mpec_normality(*args) == first
+    points = sum(r["points"] for r in first.rows)
+    assert len(calls) == points == 12
+
+
+def test_inv_norm_scales_the_largest_entry_to_one():
+    assert oracle._inv_norm((3, -4)) == Q(1, 4)
+    assert oracle._inv_norm(vec([Q(-1, 3), Q(1, 6)])) == 3
 
 
 @pytest.mark.parametrize("k_max", [12, 24])

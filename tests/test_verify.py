@@ -222,29 +222,37 @@ def mpec_fails_row(check: str, candidate: list[str], ys: list[str]) -> dict:
 
 
 @pytest.mark.parametrize("check", ["pseudo-normality", "quasi-normality"])
-@pytest.mark.parametrize(
-    "candidate, ys, error",
-    [
-        # y_k projects x1_k = -t onto Omega: x1_k + y_k = 0, and <lambda, y_k> = t > 0
-        (["1"], ["1/2", "1/4", "1/8"], None),
-        (["1"], ["1/2", "1/8", "1/8"], "first-block point left Omega at k=2"),
-        (["-1"], ["1/2", "1/4", "1/8"], "sign condition fails"),
-        (["1"], ["1/2", "1/4", "x"], "witness record cannot be replayed"),
-        (["1", "0"], ["1/2", "1/4", "1/8"], "witness record cannot be replayed"),
-    ],
-)
-def test_mpec_witness_records_are_replayed(ex47_report, check, candidate, ys, error):
+def test_witness_sequence_needs_a_constraint_problem(ex47_report, check):
+    """No equilibrium search builds a witness, so an MPEC FAILS row has no
+    replay: its certificate check rejects it in one line, and ``verify``
+    reports the recomputed status first."""
     from dircq import report
 
     pr, _ = ex47_report
-    row = mpec_fails_row(check, candidate, ys)
+    row = mpec_fails_row(check, ["1"], ["1/2", "1/4", "1/8"])
     err = report._check_certificate(pr, row, row["certificate"])
-    if error is None:
-        assert err is None
+    assert err == "a witness sequence needs a constraint problem, not 'mpec'"
+    assert verify_report({"rows": [row]}, pr) == [f"row 0 ({check}/xbar/w): recomputed status HOLDS != reported FAILS"]
+
+
+@pytest.mark.parametrize("edit", ["missing-y", "non-numeric", "short-y", "long-candidate"])
+def test_undecodable_witness_record_is_one_error(ex58_report, edit):
+    from dircq import report
+
+    pr, rep = ex58_report
+    kinds = [(r["status"], r["certificate"] and r["certificate"]["kind"]) for r in rep["rows"]]
+    row = copy.deepcopy(rep["rows"][kinds.index(("FAILS", "witness_sequence"))])
+    cert = row["certificate"]
+    rec = cert["sequence"]["records"][0]
+    if edit == "missing-y":
+        del rec["y"]
+    elif edit == "non-numeric":
+        rec["y"][0] = "x"
+    elif edit == "short-y":
+        rec["y"] = rec["y"][:1]
     else:
-        assert err is not None and error in err
-    del row["certificate"]["sequence"]["records"][0]["y"]
-    assert "witness record cannot be replayed" in report._check_certificate(pr, row, row["certificate"])
+        cert["candidate"] = cert["candidate"] + ["0"]
+    assert report._check_certificate(pr, row, cert).startswith("witness record cannot be replayed: ")
 
 
 GOLDEN = Path(__file__).parent / "golden"
